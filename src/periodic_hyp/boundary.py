@@ -10,7 +10,6 @@ can retain; values below 1 make the boundary dissipative.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -19,9 +18,8 @@ import numpy as np
 from .errors import BoundaryMapError, ConvergenceError, PeriodicityError
 
 _FD_STEP = 1e-6
-_POWER_MAX_ITER = 100_000
-_ETA = 1e-12
 _METHOD_AGREEMENT = 1e-6
+_CROSS_CLASS_SCALE = 1e-6
 _SAMPLES_PER_PERIOD = 4096
 
 
@@ -153,18 +151,18 @@ def theta_matrix(bspec: BoundarySpec, n: int, m: int) -> np.ndarray:
     return theta
 
 
-def _power_spectral_radius(absTheta: np.ndarray) -> float:
-    """Perron root of |Theta| via power iteration with repeated squaring.
+def _power_root(B: np.ndarray) -> float:
+    """Perron root of an irreducible nonnegative B by repeated squaring.
 
-    Reducible matrices are regularized by adding eta * ones and the result
-    bound subtracts n * eta. Block anti-diagonal matrices are 2-periodic,
-    which stalls the plain power step, so the iteration squares the matrix
-    (with normalization) until the Collatz-Wielandt bracket of the original
-    root, recovered through 2^-s-th roots, is tight.
+    Block anti-diagonal matrices are 2-periodic, which stalls the plain
+    power step, so the iteration squares the matrix (with normalization)
+    until the row-sum bracket of the original root, recovered through
+    2^-s-th roots, is tight. Irreducibility keeps every row sum of every
+    power positive, with a max/min ratio bounded by that of the Perron
+    vector, so the bracket closes for periodic classes too.
     """
-    n = absTheta.shape[0]
-    M = absTheta + _ETA
-    log_acc = 0.0
+    log_acc = np.log(B.max())
+    M = B / B.max()
     for s in range(60):
         rows = M.sum(axis=1)
         lo, hi = float(rows.min()), float(rows.max())
@@ -172,7 +170,7 @@ def _power_spectral_radius(absTheta: np.ndarray) -> float:
         upper = np.exp((np.log(hi) + log_acc) * inv)
         lower = np.exp((np.log(lo) + log_acc) * inv) if lo > 0 else 0.0
         if upper - lower <= 1e-12 * max(1.0, upper):
-            return max(0.0, np.sqrt(max(lower, 1e-300) * upper) - n * _ETA)
+            return float(np.sqrt(lower) * np.sqrt(upper))
         M = M @ M
         nm = M.max()
         M /= nm
@@ -180,174 +178,88 @@ def _power_spectral_radius(absTheta: np.ndarray) -> float:
     raise ConvergenceError("power iteration did not converge")
 
 
-def _row_sums_scaled(absTheta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row sums of diag(e^x) |Theta| diag(e^-x)."""
-    return np.exp(x) * (absTheta @ np.exp(-x))
+def _perron_vector(B: np.ndarray, shift: float) -> np.ndarray:
+    """Perron vector of an irreducible nonnegative B, scaled to unit max.
 
-
-def _descent_line_min(absTheta, x, i, t_lo=-40.0, t_hi=40.0):
-    """Exact minimization of the max-row-sum over x_i, others fixed.
-
-    Row i contributes an increasing A e^t; each row k with a nonzero
-    (k, i) entry contributes B_k e^-t + C_k, decreasing. The minimum sits
-    where the increasing and decreasing envelopes cross (bisection), or at
-    a bracket end when one side is absent.
+    B + shift I (shift > 0) is primitive with the same Perron vector, so
+    the row sums of its normalized repeated squares converge to it. The
+    arithmetic is nonnegative, so every entry comes out accurate to
+    rounding however many orders of magnitude the entries span; a dense
+    eigensolve resolves the vector only relative to its largest entry,
+    which breaks the bracket of weakly coupled classes (gains of 1e-12,
+    the size of finite-difference truncation, next to gains of 1).
     """
-    n = absTheta.shape[0]
-    em = np.exp(-x)
-    ep = np.exp(x)
-    A = sum(absTheta[i, j] * em[j] for j in range(n) if j != i)
-    aii = absTheta[i, i]
-    Bs, Cs = [], []
-    for k in range(n):
-        if k == i:
-            continue
-        B = absTheta[k, i] * ep[k]
-        C = ep[k] * sum(absTheta[k, j] * em[j] for j in range(n) if j != i)
-        Bs.append(B)
-        Cs.append(C)
-
-    def grow(t):
-        return A * np.exp(t) + aii
-
-    def decay(t):
-        if not Bs:
-            return -np.inf
-        e = np.exp(-t)
-        return max(B * e + C for B, C in zip(Bs, Cs))
-
-    if A == 0.0 and not any(Bs):
-        return x[i]
-    if A == 0.0:
-        return t_hi
-    if not any(B > 0 for B in Bs):
-        return t_lo
-    lo, hi = t_lo, t_hi
-    if grow(lo) >= decay(lo):
-        return lo
-    if grow(hi) <= decay(hi):
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if grow(mid) - decay(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _soft_line_min(absTheta, x, i, beta, t_lo=-40.0, t_hi=40.0):
-    """Minimize the softmax-smoothed max-row-sum over x_i, others fixed.
-
-    The smoothed objective (1/beta) log sum_k rowsum_k^beta is convex in
-    x_i, so its derivative sign is bisected. Works in plain floats and log
-    space to keep the sharpness beta up to ~2^26 representable.
-    """
-    n = absTheta.shape[0]
-    a = absTheta
-    em = [math.exp(-v) for v in x]
-    ep = [math.exp(v) for v in x]
-    A = sum(a[i, j] * em[j] for j in range(n) if j != i)
-    aii = float(a[i, i])
-    BC = []
-    for k in range(n):
-        if k == i:
-            continue
-        B = a[k, i] * ep[k]
-        C = ep[k] * sum(a[k, j] * em[j] for j in range(n) if j != i)
-        BC.append((B, C))
-
-    def dF(t):
-        et = math.exp(t)
-        emt = math.exp(-t)
-        terms = []
-        ri = A * et + aii
-        if ri > 0:
-            terms.append((math.log(ri), A * et / ri))
-        for B, C in BC:
-            rk = B * emt + C
-            if rk > 0:
-                terms.append((math.log(rk), -B * emt / rk))
-        if not terms:
-            return 0.0
-        mx = max(lg for lg, _ in terms)
-        num = den = 0.0
-        for lg, d in terms:
-            w = math.exp(beta * (lg - mx))
-            num += w * d
-            den += w
-        return num / den
-
-    if dF(t_lo) >= 0:
-        return t_lo
-    if dF(t_hi) <= 0:
-        return t_hi
-    lo, hi = t_lo, t_hi
-    for _ in range(55):
-        mid = 0.5 * (lo + hi)
-        if dF(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _coordinate_descent(absTheta: np.ndarray, max_passes: int = 200) -> tuple:
-    """Minimize the max-row-sum over log-scalings, started from gamma = 1.
-
-    Cyclic exact minimization of the nonsmooth max can stall where no
-    single coordinate improves, so a softmax-smoothed continuation
-    (sharpness doubling up to 2^24) runs first and the exact objective
-    polishes the result.
-    """
-    n = absTheta.shape[0]
-    x = np.zeros(n)
-    for beta in (128.0, 16384.0, float(2**26)):
-        prev = np.inf
-        for _ in range(8):
-            for i in range(n):
-                x[i] = _soft_line_min(absTheta, x, i, beta)
-            val = _row_sums_scaled(absTheta, x).max()
-            if prev - val <= 1e-12 * max(1.0, val):
-                break
-            prev = val
-    best = _row_sums_scaled(absTheta, x).max()
-    for _ in range(max_passes):
-        improved = False
-        for i in range(n):
-            xi_new = _descent_line_min(absTheta, x, i)
-            if xi_new != x[i]:
-                x_try = x.copy()
-                x_try[i] = xi_new
-                val = _row_sums_scaled(absTheta, x_try).max()
-                if val <= best:
-                    if val < best - 1e-15 * max(1.0, best):
-                        improved = True
-                    x, best = x_try, val
-        if not improved:
+    M = B + shift * np.eye(B.shape[0])
+    M /= M.max()
+    x = np.zeros(B.shape[0])
+    for _ in range(60):
+        M = M @ M
+        M /= M.max()
+        prev, x = x, M.sum(axis=1)
+        x /= x.max()
+        if np.array_equal(x, prev):
             break
-    x -= x.mean()
-    return best, np.exp(x)
+    return x
+
+
+def _strong_classes(absTheta: np.ndarray) -> tuple:
+    """Strongly connected classes of the nonzero graph, and class depths.
+
+    i and j share a class when each reaches the other: the reflexive
+    transitive closure R of the adjacency (boolean squaring until paths of
+    length n are covered), then R & R.T. Returns one index array per
+    class and, per state, the number of other classes that reach it,
+    which grows along every edge between classes.
+    """
+    n = absTheta.shape[0]
+    R = (absTheta > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        R = R @ R
+    C = R & R.T
+    reps = np.unique(C.argmax(axis=1))
+    return [np.flatnonzero(C[i]) for i in reps], R[reps].sum(axis=0) - 1
 
 
 def minimal_characterizing_number(theta: np.ndarray) -> tuple:
     """Infimum over positive diagonal scalings of the max-row-sum norm.
 
-    Computed two independent ways that must agree within 1e-6: the Perron
-    root of the entrywise absolute matrix (power iteration) and coordinate
-    descent over log-scalings. Returns (value, scaling); the scaling is a
-    feasible near-minimizer. For reducible matrices the infimum is not
-    attained and the descent value may sit slightly above it.
+    For the nonnegative |Theta| this is its Perron root, the largest over
+    the strongly connected classes. On each class with entries it is
+    computed two ways that must agree within 1e-6: the row-sum bracket
+    of the class matrix B's repeated squares (power root), and the
+    Collatz-Wielandt bracket [min, max] of (B x)_i / x_i at the class's
+    Perron vector x. Both brackets enclose the root for any positive x.
+    A class with no entries has root exactly 0.
+    Returns (value, scaling): the value is the largest bracket top, and
+    the scaling is gamma = 1 / x normalized to geometric mean 1, where x
+    holds each class vector scaled to unit max (1 on empty classes) times
+    1e-6 per class upstream of it. For irreducible matrices gamma attains
+    the value. For reducible ones the infimum is in general not attained;
+    each edge between classes adds about 1e-6 times its gain.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     absTheta = np.abs(theta)
-    rho = _power_spectral_radius(absTheta)
-    descend_val, gamma = _coordinate_descent(absTheta)
-    if abs(rho - descend_val) > _METHOD_AGREEMENT:
-        raise ConvergenceError(
-            f"scaling methods disagree: spectral {rho:.3e} vs descent {descend_val:.3e}"
-        )
-    return float(min(rho, descend_val)), gamma
+    value = 0.0
+    x = np.ones(absTheta.shape[0])
+    classes, depth = _strong_classes(absTheta)
+    for idx in classes:
+        B = absTheta[np.ix_(idx, idx)]
+        if not B.any():
+            continue
+        rho = _power_root(B)
+        xc = _perron_vector(B, rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = (B @ xc) / xc  # a zero entry of xc fails the check below
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if not (hi - lo <= _METHOD_AGREEMENT
+                and lo - _METHOD_AGREEMENT <= rho <= hi + _METHOD_AGREEMENT):
+            raise ConvergenceError(
+                f"scaling methods disagree: power root {rho:.3e} vs "
+                f"Collatz-Wielandt bracket [{lo:.3e}, {hi:.3e}]")
+        value = max(value, hi)
+        x[idx] = xc
+    logx = np.log(x) + depth * np.log(_CROSS_CLASS_SCALE)
+    return value, np.exp(logx.mean() - logx)
 
 
 def characterizing_data(bspec: BoundarySpec) -> ThetaData:
@@ -464,30 +376,36 @@ def eval_boundary(bspec: BoundarySpec, side: str, t: float,
     return out
 
 
+def eval_map_batch(fn: Callable, h_vals: np.ndarray, u_out: np.ndarray) -> np.ndarray:
+    """One boundary map on batched data: h_vals (...,), u_out (..., n_out).
+
+    Tries one broadcast call and falls back to a loop for maps that only
+    accept scalars (or raise, or return the wrong shape when batched).
+    """
+    try:
+        vals = np.asarray(fn(h_vals, u_out), dtype=float)
+        if vals.shape == h_vals.shape:
+            return vals
+    except Exception:
+        pass
+    flat_h = h_vals.reshape(-1)
+    flat_u = u_out.reshape(-1, u_out.shape[-1])
+    return np.array([fn(flat_h[a], flat_u[a]) for a in range(flat_h.size)]
+                    ).reshape(h_vals.shape)
+
+
 def eval_incoming_batch(bspec: BoundarySpec, side: str, tvals: np.ndarray,
                         outgoing: np.ndarray) -> np.ndarray:
     """Batched boundary evaluation: tvals (...,), outgoing (..., n_out).
 
-    Tries one broadcast call per map and falls back to a loop for maps
-    that only accept scalars. Returns (..., n_incoming).
+    Evaluates each map with ``eval_map_batch``. Returns (..., n_incoming).
     """
     tvals = np.asarray(tvals, dtype=float)
     maps = bspec.left_maps if side == "left" else bspec.right_maps
     idx0 = bspec.m if side == "left" else 0
     out = np.empty(tvals.shape + (len(maps),))
     for k, fn in enumerate(maps):
-        hv = bspec.h_values(idx0 + k, tvals)
-        try:
-            vals = np.asarray(fn(hv, outgoing), dtype=float)
-            if vals.shape != tvals.shape:
-                raise ValueError
-        except Exception:
-            flat_t = hv.reshape(-1)
-            flat_u = outgoing.reshape(-1, outgoing.shape[-1])
-            vals = np.array(
-                [fn(flat_t[a], flat_u[a]) for a in range(flat_t.size)]
-            ).reshape(tvals.shape)
-        out[..., k] = vals
+        out[..., k] = eval_map_batch(fn, bspec.h_values(idx0 + k, tvals), outgoing)
     if not np.all(np.isfinite(out)):
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

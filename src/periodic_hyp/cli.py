@@ -6,9 +6,10 @@ reports), stability (solve, perturb, march the initial-value problem, fit
 decay rates), sweep (cross product over forcing amplitudes with one output
 directory per cell and an aggregate rate table).
 
-Exit codes: 0 success, 2 configuration error, 3 hypothesis failure,
-4 non-convergence, 5 I/O failure. Config files are YAML (JSON parses as a
-subset); unknown keys anywhere are rejected.
+Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
+library error not named below), 4 non-convergence (NonContractionError,
+ConvergenceError, StepSizeError), 5 I/O failure (IoError). Config files
+are YAML (JSON parses as a subset); unknown keys anywhere are rejected.
 """
 from __future__ import annotations
 
@@ -31,14 +32,17 @@ from . import periodic_solver as ps
 from . import systems
 from .errors import (
     BoundaryMapError,
+    ConvergenceError,
     DomainError,
     DominanceError,
     HyperbolicityError,
     IoError,
     NonContractionError,
+    PeriodicHypError,
     PeriodicityError,
     SignatureError,
     SourceOriginError,
+    StepSizeError,
 )
 from .system_model import gtilde_matrix, minimal_K, validate_hyperbolicity
 
@@ -53,6 +57,18 @@ EXIT_IO = 5
 _HYPOTHESIS_ERRORS = (HyperbolicityError, SignatureError, SourceOriginError,
                       DominanceError, PeriodicityError, BoundaryMapError,
                       DomainError)
+_EXIT_LABELS = {EXIT_HYPOTHESIS: "hypothesis failure",
+                EXIT_NO_CONVERGENCE: "non-convergence", EXIT_IO: "i/o failure"}
+
+
+def _exit_code(exc: PeriodicHypError) -> int:
+    """Exit code of a library error: 4 for the solver and time-step
+    failures, 5 for I/O, 3 for every other (hypothesis) error."""
+    if isinstance(exc, (NonContractionError, ConvergenceError, StepSizeError)):
+        return EXIT_NO_CONVERGENCE
+    if isinstance(exc, IoError):
+        return EXIT_IO
+    return EXIT_HYPOTHESIS
 
 
 class ConfigError(Exception):
@@ -409,12 +425,8 @@ def _sweep_worker(args):
     try:
         row = _stability_cell(cfg, eps, Path(out_str), seed)
         return eps, row, EXIT_OK
-    except NonContractionError:
-        return eps, None, EXIT_NO_CONVERGENCE
-    except _HYPOTHESIS_ERRORS:
-        return eps, None, EXIT_HYPOTHESIS
-    except IoError:
-        return eps, None, EXIT_IO
+    except PeriodicHypError as exc:
+        return eps, None, _exit_code(exc)
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
@@ -497,15 +509,10 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonContractionError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except IoError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except PeriodicHypError as exc:
+        code = _exit_code(exc)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

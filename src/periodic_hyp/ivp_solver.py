@@ -163,49 +163,35 @@ def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
                       bspec: bd.BoundarySpec, dx: float) -> tuple:
     """C0 and C1 corner mismatches of the initial data with the maps."""
     m = spec.m
-    c0 = 0.0
-    if spec.n - m:
-        want = bd.eval_boundary(bspec, "left", 0.0, u0[0, :m])
-        c0 = max(c0, float(np.abs(u0[0, m:] - want).max()))
-    if m:
-        want = bd.eval_boundary(bspec, "right", 0.0, u0[-1, m:])
-        c0 = max(c0, float(np.abs(u0[-1, :m] - want).max()))
-
-    # C1: time derivative of the incoming trace from the PDE vs the chain
-    # rule through the boundary map (finite differences on the map)
+    # C0: incoming trace vs the map of the outgoing trace. C1: time
+    # derivative of the incoming trace from the PDE vs the chain rule
+    # through the boundary map (finite differences on the map)
     ut = _rhs(u0, spec, dx)
     eps_fd = 1e-7
-    c1 = 0.0
-    if spec.n - m:
-        for idx in range(spec.n - m):
-            fn = bspec.left_maps[idx]
-            hv = float(bspec.h_values(m + idx, 0.0))
-            hp = (float(bspec.h_values(m + idx, eps_fd))
-                  - float(bspec.h_values(m + idx, -eps_fd))) / (2 * eps_fd)
-            out0 = u0[0, :m]
+    c0 = c1 = 0.0
+    # (side, maps, outgoing components, first incoming component, trace row)
+    ends = (("left", bspec.left_maps, slice(0, m), m, 0),
+            ("right", bspec.right_maps, slice(m, spec.n), 0, -1))
+    for side, maps, out_sl, in0, row in ends:
+        if not maps:
+            continue
+        out0 = u0[row, out_sl]
+        ut_out = ut[row, out_sl]
+        want = bd.eval_boundary(bspec, side, 0.0, out0)
+        c0 = max(c0, float(np.abs(u0[row, in0:in0 + len(maps)] - want).max()))
+        for idx, fn in enumerate(maps):
+            i = in0 + idx
+            hv = float(bspec.h_values(i, 0.0))
+            hp = (float(bspec.h_values(i, eps_fd))
+                  - float(bspec.h_values(i, -eps_fd))) / (2 * eps_fd)
             dgdh = (fn(hv + eps_fd, out0) - fn(hv - eps_fd, out0)) / (2 * eps_fd)
             chain = dgdh * hp
-            for r_ in range(m):
-                e = np.zeros(m)
+            for r_ in range(out0.size):
+                e = np.zeros(out0.size)
                 e[r_] = eps_fd
                 dgdu = (fn(hv, out0 + e) - fn(hv, out0 - e)) / (2 * eps_fd)
-                chain += dgdu * ut[0, r_]
-            c1 = max(c1, abs(float(ut[0, m + idx]) - float(chain)))
-    if m:
-        for idx in range(m):
-            fn = bspec.right_maps[idx]
-            hv = float(bspec.h_values(idx, 0.0))
-            hp = (float(bspec.h_values(idx, eps_fd))
-                  - float(bspec.h_values(idx, -eps_fd))) / (2 * eps_fd)
-            out0 = u0[-1, m:]
-            dgdh = (fn(hv + eps_fd, out0) - fn(hv - eps_fd, out0)) / (2 * eps_fd)
-            chain = dgdh * hp
-            for s_ in range(spec.n - m):
-                e = np.zeros(spec.n - m)
-                e[s_] = eps_fd
-                dgdu = (fn(hv, out0 + e) - fn(hv, out0 - e)) / (2 * eps_fd)
-                chain += dgdu * ut[-1, m + s_]
-            c1 = max(c1, abs(float(ut[-1, idx]) - float(chain)))
+                chain += dgdu * ut_out[r_]
+            c1 = max(c1, abs(float(ut[row, i]) - float(chain)))
     return c0, c1
 
 

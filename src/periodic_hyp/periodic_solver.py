@@ -125,20 +125,6 @@ def _cubic_refine_x(grid: np.ndarray, refine: int = _REFINE) -> np.ndarray:
     return np.einsum("tfa,fa->tf", grid[:, cols], w)
 
 
-def _eval_map_batch(fn, h_vals: np.ndarray, u_out: np.ndarray) -> np.ndarray:
-    """One boundary map on batched (h, outgoing) data, loop fallback."""
-    try:
-        vals = np.asarray(fn(h_vals, u_out), dtype=float)
-        if vals.shape == h_vals.shape:
-            return vals
-    except Exception:
-        pass
-    flat_h = h_vals.reshape(-1)
-    flat_u = u_out.reshape(-1, u_out.shape[-1])
-    return np.array([fn(flat_h[a], flat_u[a]) for a in range(flat_h.size)]
-                    ).reshape(h_vals.shape)
-
-
 def _source_grid(prev: Field, spec: SystemSpec, K: float,
                  gtilde: np.ndarray, mu: np.ndarray, B: np.ndarray,
                  mu0: np.ndarray) -> np.ndarray:
@@ -249,7 +235,7 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
             feet = t_grid - delay[k]
             u_out = _interp_rows_cubic(out_cols, feet, T)
             h_vals = bspec.h_values(i, feet)
-            bc = _eval_map_batch(fn, h_vals, u_out)
+            bc = bd.eval_map_batch(fn, h_vals, u_out)
             carry = np.exp(gii * (x_grid[k] - x_inflow))
             new_vals[:, k, i] = carry * bc + Jacc[k]
 

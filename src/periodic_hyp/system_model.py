@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     DegenerateEigenbasisError,
@@ -244,6 +243,29 @@ def eigen_decompose(A_val: np.ndarray, m: int) -> EigenStructure:
     )
 
 
+def _halton(samples: int, d: int) -> np.ndarray:
+    """Points 0..samples-1 of the unscrambled Halton sequence in [0, 1)^d.
+
+    Coordinate k is the radical inverse of the point index in the k-th
+    prime base, summed from the least significant digit.
+    """
+    bases = []
+    b = 2
+    while len(bases) < d:
+        if all(b % p for p in bases):
+            bases.append(b)
+        b += 1
+    bases = np.array(bases)
+    q = np.repeat(np.arange(samples)[:, None], d, axis=1)
+    scale = 1.0 / bases
+    pts = np.zeros((samples, d))
+    while q.any():
+        pts += (q % bases) * scale
+        scale /= bases
+        q //= bases
+    return pts
+
+
 def neighborhood_samples(spec: SystemSpec, samples: int) -> np.ndarray:
     """Low-discrepancy states covering the validated ball, origin included.
 
@@ -252,7 +274,7 @@ def neighborhood_samples(spec: SystemSpec, samples: int) -> np.ndarray:
     """
     n = spec.n
     r = spec.domain_radius
-    pts = qmc.Halton(d=n, scramble=False).random(samples)
+    pts = _halton(samples, n)
     cube = (2.0 * pts - 1.0) * r
     nrm = np.linalg.norm(cube, axis=1)
     factor = np.minimum(1.0, 0.999999 * r / np.maximum(nrm, 1e-300))

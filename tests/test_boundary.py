@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodic_hyp import boundary as bd
 from periodic_hyp.errors import BoundaryMapError, PeriodicityError
@@ -15,6 +17,46 @@ def make_reflect_spec(k=0.5, T_star=2.0, amp1=0.01, amp2=0.0):
         h=[h1, h2],
         T_star=T_star,
     )
+
+
+def attained(th, gamma):
+    """Max row sum of diag(gamma) |th| diag(1 / gamma)."""
+    return float(np.max(gamma * (np.abs(th) @ (1.0 / gamma))))
+
+
+def collatz_wielandt(th, gamma):
+    """[min, max] of (|th| x)_i / x_i at x = 1 / gamma."""
+    ratios = gamma * (np.abs(th) @ (1.0 / gamma))
+    return float(ratios.min()), float(ratios.max())
+
+
+def perron_root(th):
+    return float(np.abs(np.linalg.eigvals(np.abs(th))).max())
+
+
+def sparse_irreducible(seed):
+    """Gains in [0.05, 1) on n = 4..6 states, 30 % zeros, redrawn until
+    the graph of the nonzero entries is strongly connected."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = int(rng.integers(4, 7))
+        th = rng.uniform(0.05, 1.0, (n, n))
+        th[rng.random((n, n)) < 0.3] = 0.0
+        # (I + adjacency)^(n-1) > 0 iff every state reaches every other
+        reach = np.linalg.matrix_power(np.eye(n) + (th > 0), n - 1)
+        if np.all(reach > 0):
+            return th
+
+
+# exact zeros (absent feedback paths) or gains down to finite-difference
+# noise
+gains = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0))
+
+
+def gain_matrices(min_n=1, max_n=6):
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.lists(gains, min_size=n * n, max_size=n * n).map(
+            lambda vals: np.array(vals).reshape(n, n)))
 
 
 def make_scalar_spec(amp=0.01, T_star=1.0):
@@ -114,6 +156,49 @@ class TestMinimalCharacterizingNumber:
             value, _ = bd.minimal_characterizing_number(th)
             assert value >= -1e-12
             assert value <= np.abs(th).sum(axis=1).max() + 1e-9
+
+    def test_absorbing_design_is_zero(self):
+        # one end absorbs: nilpotent, no class has entries
+        th = np.array([[0, 0, .5, .5], [0, 0, .5, .5], [0, 0, 0, 0], [0, 0, 0, 0]])
+        value, gamma = bd.minimal_characterizing_number(th)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.all(gamma > 0)
+        # the infimum 0 is not attained, but approached
+        assert attained(th, gamma) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_sparse_irreducible_attains_perron_root(self, seed):
+        th = sparse_irreducible(seed)
+        value, gamma = bd.minimal_characterizing_number(th)
+        rho = perron_root(th)
+        assert value == pytest.approx(rho, abs=1e-9)
+        assert attained(th, gamma) == pytest.approx(rho, abs=1e-9)
+
+    def test_reducible_takes_largest_class(self):
+        # classes {0, 1} (root 0.5) and {2, 3} (root sqrt(0.18)) joined
+        # one way only
+        th = np.array([[0, .5, .3, 0], [.5, 0, 0, .1],
+                       [0, 0, 0, .9], [0, 0, .2, 0]])
+        value, gamma = bd.minimal_characterizing_number(th)
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert 0.5 <= attained(th, gamma) <= 0.5 + 1e-5
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gain_matrices(min_n=2), st.lists(
+        st.floats(min_value=-2.0, max_value=2.0), min_size=6, max_size=6))
+    def test_invariant_under_diagonal_similarity(self, th, logd):
+        d = np.exp(np.array(logd[:th.shape[0]]))
+        v1, _ = bd.minimal_characterizing_number(th)
+        v2, _ = bd.minimal_characterizing_number(d[:, None] * th / d[None, :])
+        assert v2 == pytest.approx(v1, abs=1e-9)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gain_matrices())
+    def test_value_in_bracket_of_scaling(self, th):
+        value, gamma = bd.minimal_characterizing_number(th)
+        lo, hi = collatz_wielandt(th, gamma)
+        assert lo - 1e-9 <= value <= hi + 1e-9
+        assert value == pytest.approx(perron_root(th), abs=1e-9)
 
 
 class TestCharacterizingData:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
+from periodic_hyp import boundary as bd
 from periodic_hyp import cli
+from periodic_hyp.errors import ConvergenceError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -73,6 +75,15 @@ class TestValidate:
         cfg = base_e2_cfg()
         cfg["system"]["params"]["speed"] = 0.5
         assert cli.run(["validate", "--config", write_cfg(tmp_path, cfg)]) == 3
+
+    def test_theta_convergence_error_exits_4(self, tmp_path, monkeypatch, capsys):
+        def disagree(theta):
+            raise ConvergenceError("scaling methods disagree")
+
+        monkeypatch.setattr(bd, "minimal_characterizing_number", disagree)
+        code = cli.run(["validate", "--config", write_cfg(tmp_path, base_e2_cfg())])
+        assert code == 4
+        assert "non-convergence: scaling methods disagree" in capsys.readouterr().err
 
     def test_prints_summary(self, tmp_path, capsys):
         cli.run(["validate", "--config", write_cfg(tmp_path, base_e2_cfg())])

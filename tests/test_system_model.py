@@ -145,6 +145,20 @@ class TestValidation:
         assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-12
 
 
+class TestNeighborhoodSamples:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("samples", [64, 256, 1000])
+    def test_matches_scipy_halton(self, n, samples, monkeypatch):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        spec = sm.SystemSpec(n=n, m=0, A=lambda u: np.eye(n),
+                             F=lambda u: -np.asarray(u), domain_radius=0.1, L=1.0)
+        ours = sm.neighborhood_samples(spec, samples)
+        monkeypatch.setattr(sm, "_halton", lambda N, d: qmc.Halton(
+            d=d, scramble=False).random(N))
+        reference = sm.neighborhood_samples(spec, samples)
+        assert ours.tobytes() == reference.tobytes()
+
+
 class TestRescaleTime:
     def test_slow_system_rescaled(self):
         spec = make_scalar_spec(lam=0.5, c=1.0)
