@@ -16,22 +16,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BoundaryMapError, ConvergenceError, PeriodicityError
+from .system_model import _probe_points, batched
 
 _FD_STEP = 1e-6
 _METHOD_AGREEMENT = 1e-6
 _CROSS_CLASS_SCALE = 1e-6
 _SAMPLES_PER_PERIOD = 4096
-
-
-def _wrap_signal(fn: Callable) -> Callable:
-    """Vectorize a scalar signal of time if it does not broadcast already."""
-    try:
-        out = np.asarray(fn(np.zeros(2)), dtype=float)
-        if out.shape == (2,):
-            return lambda t: np.asarray(fn(t), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
+_MAP_PROBE_SCALE = 0.01  # size of the (h, outgoing) pairs maps are probed at
 
 
 @dataclass
@@ -43,7 +34,9 @@ class BoundarySpec:
         m left-moving components; may broadcast over a leading batch axis.
     right_maps : one callable per incoming component at x = L (families
         1..m), receiving the n - m right-moving components.
-    h : one T-periodic signal of time per family, indexed like the state.
+    h : one T-periodic signal of time per family, indexed like the state;
+        may broadcast over arrays of times. Maps and signals that do not
+        broadcast are looped (see ``system_model.batched``).
     T_star : common period of the signals.
     h_c1_bound / h_second_deriv_bound : optional user-declared norm bounds;
         measured values are produced by ``validate_forcing``.
@@ -63,14 +56,16 @@ class BoundarySpec:
     right_grad_h: Optional[Sequence[Callable]] = None
     left_grad_u: Optional[Sequence[Callable]] = None
     right_grad_u: Optional[Sequence[Callable]] = None
-    _h_batch: list = field(init=False, repr=False)
+    # filled on first use: validate_forcing rebuilds specs it never evaluates
+    _h_batch: dict = field(init=False, repr=False)
+    _maps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.T_star <= 0:
             raise ValueError("T_star must be positive")
         if len(self.h) != self.n:
             raise ValueError("need one forcing signal per family")
-        self._h_batch = [_wrap_signal(fn) for fn in self.h]
+        self._h_batch, self._maps = {}, {}
 
     @property
     def n(self) -> int:
@@ -82,7 +77,27 @@ class BoundarySpec:
 
     def h_values(self, i: int, t) -> np.ndarray:
         """Signal i evaluated on scalar or array times."""
+        if i not in self._h_batch:
+            times = (self.T_star * np.array([0.3, 0.55]),)
+            self._h_batch[i] = batched(self.h[i], times, (), f"h[{i}]")
         return self._h_batch[i](np.asarray(t, dtype=float))
+
+    def incoming(self, i: int, t, u_out: np.ndarray) -> np.ndarray:
+        """Boundary value of component i: its map at h_i(t) and the outgoing
+        trace u_out, for times t (...,) and u_out (..., n_out).
+
+        Raises ValueError when u_out is not n_out wide.
+        """
+        if i not in self._maps:
+            fn, n_out = _map_for_component(self, i)
+            probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
+                     _probe_points(n_out, _MAP_PROBE_SCALE))
+            self._maps[i] = (batched(fn, probe, (), f"boundary map {i}"), n_out)
+        fn, n_out = self._maps[i]
+        u_out = np.asarray(u_out, dtype=float)
+        if u_out.shape[-1:] != (n_out,):
+            raise ValueError(f"outgoing trace of component {i} must have length {n_out}")
+        return fn(self.h_values(i, t), u_out)
 
 
 @dataclass
@@ -356,56 +371,22 @@ def eval_boundary(bspec: BoundarySpec, side: str, t: float,
     side "left" (x = 0) maps the m outgoing components to the n - m
     incoming ones; side "right" (x = L) the reverse.
     """
-    outgoing = np.asarray(outgoing, dtype=float)
-    if side == "left":
-        maps = bspec.left_maps
-        idx0, expect = bspec.m, bspec.m
-    elif side == "right":
-        maps = bspec.right_maps
-        idx0, expect = 0, bspec.n - bspec.m
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    if outgoing.shape[-1] != expect:
-        raise ValueError(f"outgoing must have length {expect}")
-    out = np.empty(len(maps))
-    for k, fn in enumerate(maps):
-        i = idx0 + k
-        out[k] = fn(float(bspec.h_values(i, t)), outgoing)
-    if not np.all(np.isfinite(out)):
-        raise BoundaryMapError(f"boundary map returned non-finite value at t={t}")
-    return out
-
-
-def eval_map_batch(fn: Callable, h_vals: np.ndarray, u_out: np.ndarray) -> np.ndarray:
-    """One boundary map on batched data: h_vals (...,), u_out (..., n_out).
-
-    Tries one broadcast call and falls back to a loop for maps that only
-    accept scalars (or raise, or return the wrong shape when batched).
-    """
-    try:
-        vals = np.asarray(fn(h_vals, u_out), dtype=float)
-        if vals.shape == h_vals.shape:
-            return vals
-    except Exception:
-        pass
-    flat_h = h_vals.reshape(-1)
-    flat_u = u_out.reshape(-1, u_out.shape[-1])
-    return np.array([fn(flat_h[a], flat_u[a]) for a in range(flat_h.size)]
-                    ).reshape(h_vals.shape)
+    return eval_incoming_batch(bspec, side, t, outgoing)
 
 
 def eval_incoming_batch(bspec: BoundarySpec, side: str, tvals: np.ndarray,
                         outgoing: np.ndarray) -> np.ndarray:
     """Batched boundary evaluation: tvals (...,), outgoing (..., n_out).
 
-    Evaluates each map with ``eval_map_batch``. Returns (..., n_incoming).
+    Evaluates each incoming component with ``BoundarySpec.incoming``.
+    Returns (..., n_incoming).
     """
-    tvals = np.asarray(tvals, dtype=float)
-    maps = bspec.left_maps if side == "left" else bspec.right_maps
-    idx0 = bspec.m if side == "left" else 0
-    out = np.empty(tvals.shape + (len(maps),))
-    for k, fn in enumerate(maps):
-        out[..., k] = eval_map_batch(fn, bspec.h_values(idx0 + k, tvals), outgoing)
-    if not np.all(np.isfinite(out)):
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
+    out = np.empty(np.asarray(tvals).shape + (len(comps),))
+    for k, i in enumerate(comps):
+        out[..., k] = bspec.incoming(i, tvals, outgoing)
+    if not np.isfinite(out).all():
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

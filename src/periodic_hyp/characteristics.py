@@ -5,7 +5,9 @@ A Field stores one period of a grid function u(t, x) on a uniform
 seam row). Characteristic curves t = t_i(x) of family i solve
 dt/dx = mu_i(u(t, x)) with the field held frozen; they are traced to the
 inflow boundary of the family (x = 0 for right-moving families, x = L for
-left-moving ones) with classical fixed-step RK4.
+left-moving ones) with classical fixed-step RK4. The grid stencils the
+solvers share live here too: the periodic phase, the 4-point Lagrange
+weights, and the 2nd-order x-difference.
 """
 from __future__ import annotations
 
@@ -92,13 +94,7 @@ class Field:
     def space_derivative_grid(self) -> np.ndarray:
         """Central differences in x, one-sided 2nd order at x = 0 and L, cached."""
         if self._dx_grid is None:
-            v = self.values
-            dx = self.dx
-            g = np.empty_like(v)
-            g[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * dx)
-            g[:, 0] = (-3 * v[:, 0] + 4 * v[:, 1] - v[:, 2]) / (2 * dx)
-            g[:, -1] = (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * dx)
-            self._dx_grid = g
+            self._dx_grid = _x_difference(self.values, self.dx)
         return self._dx_grid
 
     def interpolate(self, t, x) -> np.ndarray:
@@ -111,20 +107,69 @@ class Field:
         return _bilinear(self.space_derivative_grid(), self, t, x)
 
 
-def _time_index(fld: Field, t):
-    """Periodic fractional row index: (j0, j1, weight).
+def _x_difference(v: np.ndarray, dx: float) -> np.ndarray:
+    """2nd-order d/dx along axis -2: central inside, one-sided at the ends."""
+    g = np.empty_like(v)
+    g[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2 * dx)
+    g[..., 0, :] = (-3 * v[..., 0, :] + 4 * v[..., 1, :] - v[..., 2, :]) / (2 * dx)
+    g[..., -1, :] = (3 * v[..., -1, :] - 4 * v[..., -2, :] + v[..., -3, :]) / (2 * dx)
+    return g
+
+
+def _phase(t, T_star: float, Nt: int) -> tuple:
+    """Periodic row index j in [0, Nt) and fraction f with t = (j + f) T_star / Nt.
 
     The phase is recovered as frac(t / T_star) * Nt, which reproduces node
     values exactly and keeps t and t + T_star bit-identical for dyadic
     grids.
     """
-    u = np.asarray(t, dtype=float) / fld.T_star
-    s = (u - np.floor(u)) * fld.Nt
-    j0 = np.floor(s)
-    wt = s - j0
-    j0 = j0.astype(np.int64) % fld.Nt
-    j1 = (j0 + 1) % fld.Nt
-    return j0, j1, wt
+    u = np.asarray(t, dtype=float) / T_star
+    s = (u - np.floor(u)) * Nt
+    j = np.floor(s)
+    f = s - j
+    return j.astype(np.int64) % Nt, f
+
+
+def _lagrange4(f) -> tuple:
+    """Lagrange weights of the nodes -1, 0, 1, 2 at the point f."""
+    return (-f * (f - 1) * (f - 2) / 6.0,
+            (f + 1) * (f - 1) * (f - 2) / 2.0,
+            -(f + 1) * f * (f - 2) / 2.0,
+            (f + 1) * f * (f - 1) / 6.0)
+
+
+def _interp_rows_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float) -> np.ndarray:
+    """Periodic 4-point Lagrange interpolation in time (O(dt^4)).
+
+    rows holds one period of Nt rows; any trailing axes are carried along.
+    Used when composing per-column delay and source-integral maps, where
+    linear interpolation would accumulate a first-order error over the
+    sweep.
+    """
+    Nt = rows.shape[0]
+    j, f = _phase(tq, T_star, Nt)
+    w0, w1, w2, w3 = _lagrange4(f)
+    if rows.ndim > 1:
+        shape = f.shape + (1,) * (rows.ndim - 1)
+        w0, w1, w2, w3 = (w.reshape(shape) for w in (w0, w1, w2, w3))
+    return (w0 * rows[(j - 1) % Nt] + w1 * rows[j]
+            + w2 * rows[(j + 1) % Nt] + w3 * rows[(j + 2) % Nt])
+
+
+def _cubic_refine_x(grid: np.ndarray, refine: int) -> np.ndarray:
+    """Resample a (Nt, Nx+1) grid onto refine x Nx + 1 columns.
+
+    4-point Lagrange in x with stencils clamped at the ends. The smooth
+    O(dx^4) sampling error keeps the grid-scale roughness of the converged
+    fixed point below what the residual stencils can amplify to first
+    order, which piecewise-linear sampling does not.
+    """
+    Nx = grid.shape[1] - 1
+    q = np.arange(refine * Nx + 1) / refine
+    k = np.clip(np.floor(q).astype(np.int64), 1, Nx - 2)
+    w0, w1, w2, w3 = _lagrange4(q - k)
+    return (w0 * grid[:, k - 1] + w1 * grid[:, k]
+            + w2 * grid[:, k + 1] + w3 * grid[:, k + 2])
 
 
 def _space_index(fld: Field, x):
@@ -140,7 +185,8 @@ def _space_index(fld: Field, x):
 def _bilinear(grid: np.ndarray, fld: Field, t, x) -> np.ndarray:
     """Bilinear interpolation of a node grid shaped like fld.values."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    j0, j1, wt = _time_index(fld, t)
+    j0, wt = _phase(t, fld.T_star, fld.Nt)
+    j1 = (j0 + 1) % fld.Nt
     k0, k1, wx = _space_index(fld, x)
     wt = wt[..., None]
     wx = wx[..., None]

@@ -9,7 +9,9 @@ directory per cell and an aggregate rate table).
 Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
 library error not named below), 4 non-convergence (NonContractionError,
 ConvergenceError, StepSizeError), 5 I/O failure (IoError). Config files
-are YAML (JSON parses as a subset); unknown keys anywhere are rejected.
+are YAML (JSON parses as a subset); unknown keys anywhere are rejected,
+and so are grid sizes below 8, a max_iter that is not an integer of at
+least 1, and a tol, t_end or record_every that is not positive.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .errors import (
     SourceOriginError,
     StepSizeError,
 )
-from .system_model import gtilde_matrix, minimal_K, validate_hyperbolicity
+from .system_model import gtilde_matrix, minimal_K, shift_K, validate_hyperbolicity
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -129,6 +131,26 @@ def _as_float(value, name: str) -> float:
         raise ConfigError(f"'{name}' must be a number, got {value!r}")
 
 
+def _as_int(value, name: str, least: int) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out != _as_float(value, name) or out < least:
+        raise ConfigError(f"'{name}' must be an integer of at least {least}, got {value!r}")
+    return out
+
+
+def _positive(value, name: str) -> Optional[float]:
+    """None stays None; anything else must be a number above 0."""
+    if value is None:
+        return None
+    out = _as_float(value, name)
+    if not out > 0:
+        raise ConfigError(f"'{name}' must be positive, got {value!r}")
+    return out
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML/JSON config file."""
     try:
@@ -181,18 +203,16 @@ def load_config(path) -> RunConfig:
                 raise ConfigError("amplitudes must be nonnegative")
 
     grid = data["grid"]
-    try:
-        Nt, Nx = int(grid.get("Nt")), int(grid.get("Nx"))
-    except (TypeError, ValueError):
-        raise ConfigError("grid.Nt and grid.Nx must be integers")
+    Nt = _as_int(grid.get("Nt"), "grid.Nt", 8)
+    Nx = _as_int(grid.get("Nx"), "grid.Nx", 8)
 
     solver = data.get("solver", {}) or {}
     K = solver.get("K")
     K = None if K is None else _as_float(K, "solver.K")
     if K is not None and K < 0:
         raise ConfigError("solver.K must be nonnegative")
-    tol = _as_float(solver.get("tol", 1e-10), "solver.tol")
-    max_iter = int(solver.get("max_iter", 200))
+    tol = _positive(solver.get("tol", 1e-10), "solver.tol")
+    max_iter = _as_int(solver.get("max_iter", 200), "solver.max_iter", 1)
 
     exp = data["experiment"]
     mode = exp.get("mode")
@@ -207,11 +227,8 @@ def load_config(path) -> RunConfig:
     perturbation = _as_float(exp.get("perturbation", 0.0), "experiment.perturbation")
     if perturbation < 0:
         raise ConfigError("experiment.perturbation must be nonnegative")
-    t_end = exp.get("t_end")
-    t_end = None if t_end is None else _as_float(t_end, "experiment.t_end")
-    record_every = exp.get("record_every")
-    record_every = None if record_every is None else _as_float(
-        record_every, "experiment.record_every")
+    t_end = _positive(exp.get("t_end"), "experiment.t_end")
+    record_every = _positive(exp.get("record_every"), "experiment.record_every")
 
     return RunConfig(
         system_name=sysname, system_params=params,
@@ -278,9 +295,8 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
         lines.append(f"structural hypotheses FAILED: {exc}")
         return ValidationOutcome(ok=False, lines=lines)
 
-    g0 = spec.gradF_at(np.zeros(spec.n))
-    K_min = minimal_K(g0)
-    K = cfg.K if cfg.K is not None else K_min + 1e-6
+    K_min = minimal_K(spec.gradF_at(np.zeros(spec.n)))
+    K = shift_K(spec, cfg.K)
     lines.append(f"K_min: {K_min:.6g}, K: {K:.6g}")
     try:
         gt = gtilde_matrix(spec, K)

@@ -127,7 +127,7 @@ def regularity_measurements(fld: Field) -> RegularityReport:
     dt, dx = fld.dt, fld.dx
     d2t_grid = (np.roll(v, -1, axis=0) - 2 * v + np.roll(v, 1, axis=0)) / dt**2
     d2x_grid = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dx**2
-    ut = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * dt)
+    ut = fld.time_derivative_grid()
     dtdx_grid = (ut[:, 2:] - ut[:, :-2]) / (2 * dx)
     return RegularityReport(
         d2t=float(np.abs(d2t_grid[:, 1:-1]).max()),

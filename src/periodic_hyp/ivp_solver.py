@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import boundary as bd
-from .characteristics import Field
+from .characteristics import Field, _x_difference
 from .errors import DomainError, StepSizeError
 from .system_model import (
     SystemSpec,
@@ -153,8 +153,7 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
     f2 = _rhs(u1, spec, state.dx)
     u_new = u + 0.5 * dt * (f1 + f2)
     _impose_boundary(u_new, state.t + dt, spec, bspec)
-    r = np.linalg.norm(u_new, axis=-1)
-    if r.max() > spec.domain_radius * (1 + 1e-12):
+    if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
     return IvpState(t=state.t + dt, u=u_new, dx=state.dx)
 
@@ -250,15 +249,6 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     return traj
 
 
-def _profile_dx(u: np.ndarray, dx: float) -> np.ndarray:
-    """Same stencils as the periodic field's spatial derivative grid."""
-    g = np.empty_like(u)
-    g[1:-1] = (u[2:] - u[:-2]) / (2 * dx)
-    g[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
-    g[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
-    return g
-
-
 def _fit_log_decay(samples: list, T0: float) -> Optional[float]:
     """exp(slope) of log values against t / T0, None if underdetermined."""
     pts = [(t, v) for t, v in samples if v > _NOISE_FLOOR]
@@ -287,7 +277,7 @@ def _deviation_curves(traj: Trajectory, periodic: Field) -> tuple:
             dref = periodic.interpolate_dt(np.full_like(x, t_s), x)
             xref = periodic.interpolate_dx(np.full_like(x, t_s), x)
             dphi = max(float(np.abs(dtraj - dref).max()),
-                       float(np.abs(_profile_dx(prof, dx) - xref).max()))
+                       float(np.abs(_x_difference(prof, dx) - xref).max()))
             dphi_samples.append((t_s, dphi))
     return phi_samples, dphi_samples
 

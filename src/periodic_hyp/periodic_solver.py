@@ -13,27 +13,29 @@ smallness certificate holds, and the limit is the periodic solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import boundary as bd
 from . import diagnostics as dg
-from .characteristics import Field
+from .characteristics import Field, _cubic_refine_x, _interp_rows_cubic
 from .errors import BoundaryMapError, DomainError, NonContractionError
 from .system_model import (
     SystemSpec,
     eigen_fields,
     g_nonlinear_batch,
     gtilde_matrix,
-    minimal_K,
+    shift_K,
     _coupling_from_left,
+    _mu0,
 )
 
 logger = logging.getLogger("periodic_hyp")
 
 _SUBSTEPS = 4  # RK substeps per grid cell along a trace
+_REFINE = 2 * _SUBSTEPS  # fine columns per cell: substep endpoints + halves
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
@@ -74,60 +76,8 @@ class IterationReport:
     certificate: dg.Certificate
 
 
-def _interp_rows_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation in time (O(dt^4)).
-
-    Used when composing per-column delay and source-integral maps, where
-    linear interpolation would accumulate a first-order error over the
-    sweep.
-    """
-    Nt = rows.shape[0]
-    u = tq / T_star
-    s = (u - np.floor(u)) * Nt
-    j = np.floor(s)
-    f = s - j
-    j = j.astype(np.int64) % Nt
-    w0 = -f * (f - 1) * (f - 2) / 6.0
-    w1 = (f + 1) * (f - 1) * (f - 2) / 2.0
-    w2 = -(f + 1) * f * (f - 2) / 2.0
-    w3 = (f + 1) * f * (f - 1) / 6.0
-    if rows.ndim > 1:
-        shape = f.shape + (1,) * (rows.ndim - 1)
-        w0, w1, w2, w3 = (w.reshape(shape) for w in (w0, w1, w2, w3))
-    return (w0 * rows[(j - 1) % Nt] + w1 * rows[j]
-            + w2 * rows[(j + 1) % Nt] + w3 * rows[(j + 2) % Nt])
-
-
-_REFINE = 2 * _SUBSTEPS  # fine columns per cell: substep endpoints + halves
-
-
-def _cubic_refine_x(grid: np.ndarray, refine: int = _REFINE) -> np.ndarray:
-    """Resample a (Nt, Nx+1) grid onto refine x Nx + 1 columns.
-
-    4-point Lagrange in x with stencils clamped at the ends. The smooth
-    O(dx^4) sampling error keeps the grid-scale roughness of the converged
-    fixed point below what the residual stencils can amplify to first
-    order, which piecewise-linear sampling does not.
-    """
-    Nx = grid.shape[1] - 1
-    F = refine * Nx + 1
-    q = np.arange(F) / refine
-    base = np.clip(np.floor(q).astype(np.int64) - 1, 0, Nx - 3)
-    s = q - base
-    offs = np.arange(4)
-    # Lagrange weights on the 4 consecutive nodes base..base+3
-    w = np.ones((F, 4))
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[:, a] *= (s - offs[b]) / (offs[a] - offs[b])
-    cols = base[:, None] + offs[None, :]
-    return np.einsum("tfa,fa->tf", grid[:, cols], w)
-
-
 def _source_grid(prev: Field, spec: SystemSpec, K: float,
-                 gtilde: np.ndarray, mu: np.ndarray, B: np.ndarray,
-                 mu0: np.ndarray) -> np.ndarray:
+                 gtilde: np.ndarray, mu: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
@@ -143,7 +93,7 @@ def _source_grid(prev: Field, spec: SystemSpec, K: float,
     R = np.einsum("tkij,tkj->tki", B, dudx)
     R += mu * np.einsum("tkij,tkj->tki", B, dudt)
     R += np.einsum("ij,tkj->tki", gt_off, P)
-    R += K * mu0 * P
+    R += K * _mu0(spec) * P
     R += gNL
     return R
 
@@ -167,15 +117,13 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     t_grid = prev.t_nodes
     x_grid = prev.x_nodes
 
-    K = cfg.K if cfg.K is not None else minimal_K(spec.gradF_at(np.zeros(n))) + 1e-6
+    K = shift_K(spec, cfg.K)
     gtilde = gtilde_matrix(spec, K)
 
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
     B = _coupling_from_left(left)
-    lam0, _, _ = eigen_fields(spec, np.zeros((1, n)))
-    mu0 = 1.0 / lam0[0]
-    R = _source_grid(prev, spec, K, gtilde, mu, B, mu0)
+    R = _source_grid(prev, spec, K, gtilde, mu, B)
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
@@ -183,13 +131,11 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
         R_i = R[..., i]
         gii = gtilde[i, i]
         if i < m:
-            fn = bspec.right_maps[i]
             out_cols = prev.values[:, Nx, m:]
             col_order = range(Nx - 1, -1, -1)
             direction = +1.0
             x_inflow = L
         else:
-            fn = bspec.left_maps[i - m]
             out_cols = prev.values[:, 0, :m]
             col_order = range(1, Nx + 1)
             direction = -1.0
@@ -199,14 +145,11 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
         # therefore grows by exp(-gii * direction * h) per substep
         growth = np.exp(-gii * direction * dx)
         wfac = np.exp(-gii * direction * hsub)
-        mu_fine = _cubic_refine_x(mu_i)
-        R_fine = _cubic_refine_x(R_i)
+        mu_fine = _cubic_refine_x(mu_i, _REFINE)
+        R_fine = _cubic_refine_x(R_i, _REFINE)
         df = int(direction) * 2  # fine columns per RK substep
 
-        delay = np.zeros((Nx + 1, Nt))
-        Jacc = np.zeros((Nx + 1, Nt))
-        delay_prev = np.zeros(Nt)
-        J_prev = np.zeros(Nt)
+        DJ = np.zeros((Nx + 1, Nt, 2))  # per column: delay to the foot, source integral
         for k in col_order:
             fidx = k * _REFINE
             tcur = t_grid.copy()
@@ -226,28 +169,24 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
                 Rn = _interp_rows_cubic(R_fine[:, fidx], tnew, T)
                 qacc += (-direction) * (hsub / 2.0) * (w * Rv + wn * Rn)
                 w, Rv, tcur = wn, Rn, tnew
-            delay_prev = (t_grid - tcur) + _interp_rows_cubic(delay_prev, tcur, T)
-            J_prev = growth * _interp_rows_cubic(J_prev, tcur, T) + qacc
-            delay[k] = delay_prev
-            Jacc[k] = J_prev
+            dj = _interp_rows_cubic(DJ[k + int(direction)], tcur, T)
+            DJ[k, :, 0] = (t_grid - tcur) + dj[:, 0]
+            DJ[k, :, 1] = growth * dj[:, 1] + qacc
         # assemble every column of this family, feet first
         for k in range(Nx + 1):
-            feet = t_grid - delay[k]
+            feet = t_grid - DJ[k, :, 0]
             u_out = _interp_rows_cubic(out_cols, feet, T)
-            h_vals = bspec.h_values(i, feet)
-            bc = bd.eval_map_batch(fn, h_vals, u_out)
+            bc = bspec.incoming(i, feet, u_out)
             carry = np.exp(gii * (x_grid[k] - x_inflow))
-            new_vals[:, k, i] = carry * bc + Jacc[k]
+            new_vals[:, k, i] = carry * bc + DJ[k, :, 1]
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")
-    out = Field(values=new_vals, T_star=T, L=L)
-    r = np.linalg.norm(new_vals.reshape(-1, n), axis=-1)
-    if r.max() > spec.domain_radius * (1 + 1e-12):
+    if not spec.contains(new_vals):
         raise DomainError(
             "iterate left the validated neighborhood (forcing amplitude too large)"
         )
-    return out
+    return Field(values=new_vals, T_star=T, L=L)
 
 
 def fit_contraction_rate(deltas) -> Optional[float]:
@@ -280,9 +219,8 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
     with the deltas not decreasing over the last five sweeps.
     """
     n = spec.n
-    K = cfg.K if cfg.K is not None else minimal_K(spec.gradF_at(np.zeros(n))) + 1e-6
-    cfg = IterationConfig(Nt=cfg.Nt, Nx=cfg.Nx, K=K, tol=cfg.tol,
-                          max_iter=cfg.max_iter)
+    K = shift_K(spec, cfg.K)
+    cfg = replace(cfg, K=K)
     gtilde = gtilde_matrix(spec, K)
     theta = bd.characterizing_data(bspec).theta
     profile = dg.weights(gtilde, spec.L, n, spec.m)

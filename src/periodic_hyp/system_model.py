@@ -10,6 +10,7 @@ the structural hypotheses on a sampled neighborhood of the origin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,31 +30,56 @@ _IMAG_TOL = 1e-9
 _ZERO_EIG_TOL = 1e-12
 _GAP_TOL = 1e-10
 _ORIGIN_TOL = 1e-12
+_PROBE_RTOL = 1e-12  # batched against looped values of a probed callable
 
 
-def _batch_wrap(fn: Callable, n: int, out_shape: tuple) -> Callable:
-    """Return a batched version of ``fn``: (N, n) states -> (N, *out_shape).
+def _probe_points(n: int, radius: float) -> np.ndarray:
+    """Two distinct nonzero points of R^n inside the ball of the radius,
+    with distinct entries, for probing how a callable batches."""
+    v = np.arange(1.0, n + 1) / np.sqrt(np.sum(np.arange(1.0, n + 1) ** 2))
+    return radius * np.stack([0.5 * v, -0.3 * v[::-1]])
 
-    Probes whether ``fn`` already broadcasts over a leading batch axis; if
-    not, falls back to a Python loop.
+
+def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable:
+    """Form of ``fn`` that maps a leading batch shape over every argument.
+
+    probe holds one array per argument, each with a leading axis of two
+    distinct inputs; their trailing shapes are the shapes of one item. fn
+    is called once on the pair and once per item. When the pair call
+    raises or returns another shape than (2, *out_shape), fn takes one
+    item at a time and the batched form loops. When the shape is right
+    but the values differ from the looped ones by more than 1e-12
+    relative, fn broadcasts wrongly, and every call of the batched form
+    raises ValueError naming it (a spec that never evaluates fn on a
+    batch stays usable).
     """
-    probe = np.zeros((2, n))
+    probe = tuple(np.asarray(p, dtype=float) for p in probe)
+    item_ndim = [p.ndim - 1 for p in probe]
+
+    def looped(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        lead = args[0].shape[:args[0].ndim - item_ndim[0]]
+        size = math.prod(lead)
+        flat = [a.reshape((size,) + a.shape[a.ndim - d:]) for a, d in zip(args, item_ndim)]
+        out = np.empty((size,) + out_shape)
+        for k in range(size):
+            out[k] = fn(*(a[k] for a in flat))
+        return out.reshape(lead + out_shape)
+
     try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == (2, *out_shape):
-            return lambda U: np.asarray(fn(U), dtype=float)
-    except Exception:
-        pass
-
-    def looped(U):
-        U = np.asarray(U, dtype=float)
-        flat = U.reshape(-1, n)
-        out = np.empty((flat.shape[0], *out_shape))
-        for i, u in enumerate(flat):
-            out[i] = np.asarray(fn(u), dtype=float)
-        return out.reshape(U.shape[:-1] + out_shape)
-
-    return looped
+        together = np.asarray(fn(*probe), dtype=float)
+    except Exception:  # the callable takes one item at a time
+        return looped
+    if together.shape != (2,) + out_shape:
+        return looped
+    single = looped(*probe)
+    err = np.abs(together - single).max()
+    if err > _PROBE_RTOL * np.abs(single).max():
+        def wrong(*args):
+            raise ValueError(f"{name} broadcasts wrongly: on a batch it returns "
+                             "other values than one item at a time")
+        return wrong
+    return lambda *args: np.asarray(fn(*args), dtype=float)
 
 
 def fd_gradient(F: Callable, u: np.ndarray, n: int) -> np.ndarray:
@@ -85,8 +111,9 @@ class SystemSpec:
     n : state dimension.
     m : number of negative speeds; families 1..m move left.
     A : callable, state (n,) -> (n, n) coefficient matrix. May accept a
-        leading batch axis; if it does not, evaluations fall back to a loop.
-    F : callable, state (n,) -> (n,) source term, F(0) = 0.
+        leading batch axis; if it does not, evaluations fall back to a loop
+        (see ``batched`` for the probe that decides).
+    F : callable, state (n,) -> (n,) source term, F(0) = 0, batched like A.
     gradF : optional callable, state -> (n, n) Jacobian of F. Defaults to
         4th-order central finite differences.
     domain_radius : radius of the validated neighborhood of u = 0.
@@ -110,8 +137,9 @@ class SystemSpec:
             raise ValueError("m must lie in [0, n]")
         if self.domain_radius <= 0 or self.L <= 0:
             raise ValueError("domain_radius and L must be positive")
-        self._A_batch = _batch_wrap(self.A, self.n, (self.n, self.n))
-        self._F_batch = _batch_wrap(self.F, self.n, (self.n,))
+        probe = (_probe_points(self.n, self.domain_radius),)
+        self._A_batch = batched(self.A, probe, (self.n, self.n), "SystemSpec.A")
+        self._F_batch = batched(self.F, probe, (self.n,), "SystemSpec.F")
 
     def A_at(self, states: np.ndarray) -> np.ndarray:
         """A evaluated on states of shape (..., n); returns (..., n, n)."""
@@ -128,9 +156,8 @@ class SystemSpec:
 
     def contains(self, states: np.ndarray) -> bool:
         """True if every state lies in the closed validated ball."""
-        states = np.asarray(states, dtype=float)
-        r = np.linalg.norm(states.reshape(-1, self.n), axis=-1)
-        return bool(np.all(r <= self.domain_radius * (1 + 1e-12)))
+        r = np.linalg.norm(np.asarray(states, dtype=float), axis=-1)
+        return bool(r.max(initial=0.0) <= self.domain_radius * (1 + 1e-12))
 
 
 @dataclass
@@ -308,10 +335,7 @@ def validate_hyperbolicity(spec: SystemSpec, samples: int = 256) -> HypothesisRe
     a0_offdiag_max = float(np.abs(off).max()) if off.size else 0.0
     a0_diagonal = a0_offdiag_max <= _ORIGIN_TOL
 
-    pts = neighborhood_samples(spec, samples)
-    lam, _, _ = eigen_fields(spec, pts)
-    mu_max = float(np.abs(1.0 / lam).max())
-
+    mu_max = measured_mu_max(spec, samples)
     return HypothesisReport(
         samples=samples,
         signature=(spec.m, spec.n - spec.m),
@@ -391,12 +415,24 @@ def _coupling_from_left(left: np.ndarray) -> np.ndarray:
     return B
 
 
+def shift_K(spec: SystemSpec, K: Optional[float] = None) -> float:
+    """K when given, else the default shift: minimal_K(gradF(0)) + 1e-6."""
+    if K is not None:
+        return K
+    return minimal_K(spec.gradF_at(np.zeros(spec.n))) + 1e-6
+
+
+def _mu0(spec: SystemSpec) -> np.ndarray:
+    """Inverse speeds 1 / lambda_i at the origin."""
+    lam0, _, _ = eigen_fields(spec, np.zeros((1, spec.n)))
+    return 1.0 / lam0[0]
+
+
 def source_linearization(spec: SystemSpec, K: Optional[float] = None,
                          samples: int = 256) -> SourceLinearization:
-    """Assemble g0, the shift K (default: minimal + 1e-6), gtilde, mu_max."""
+    """Assemble g0, the shift K (default: see ``shift_K``), gtilde, mu_max."""
     g0 = spec.gradF_at(np.zeros(spec.n))
-    if K is None:
-        K = minimal_K(g0) + 1e-6
+    K = shift_K(spec, K)
     gt = gtilde_matrix(spec, K)
     return SourceLinearization(g0=g0, K=float(K), gtilde=gt,
                                mu_max=measured_mu_max(spec, samples))
@@ -414,8 +450,7 @@ def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
     g0 = spec.gradF_at(np.zeros(n))
-    lam0, _, _ = eigen_fields(spec, np.zeros((1, n)))
-    mu0 = 1.0 / lam0[0]
+    mu0 = _mu0(spec)
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
     check_dominance(gt, m)
@@ -456,8 +491,6 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     B = _coupling_from_left(left)
     Fv = spec.F_at(states)
     g0 = spec.gradF_at(np.zeros(n))
-    lam0, _, _ = eigen_fields(spec, np.zeros((1, n)))
-    mu0 = 1.0 / lam0[0]
-    linear = np.einsum("i,ij,...j->...i", mu0, g0, states)
+    linear = np.einsum("i,ij,...j->...i", _mu0(spec), g0, states)
     coupled = mu * np.einsum("...ij,...j->...i", B, Fv)
     return mu * Fv - linear - coupled

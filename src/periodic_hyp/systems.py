@@ -129,12 +129,7 @@ def reflection_boundary(k: float, h1, h2, T_star: float) -> BoundarySpec:
 
     x = 0: u2 = h2(t) + k u1;  x = L: u1 = h1(t) + k u2.
     """
-    return BoundarySpec(
-        left_maps=[lambda hv, u: hv + k * u[..., 0]],
-        right_maps=[lambda hv, u: hv + k * u[..., 0]],
-        h=[h1, h2],
-        T_star=T_star,
-    )
+    return two_gain_boundary(k, k, h1, h2, T_star)
 
 
 def two_gain_boundary(k_left: float, k_right: float, h1, h2,

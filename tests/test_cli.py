@@ -173,3 +173,21 @@ class TestSweep:
         rows = [line.split(",") for line in rates[1:]]
         c0s = [float(r[4]) for r in rows]
         assert 1.8 < c0s[1] / c0s[0] < 2.2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "Nt", 4),
+    ("grid", "Nx", 7),
+    ("solver", "max_iter", "abc"),
+    ("solver", "max_iter", 2.5),
+    ("solver", "max_iter", 0),
+    ("solver", "tol", 0.0),
+    ("solver", "tol", -1e-8),
+    ("experiment", "t_end", 0.0),
+    ("experiment", "record_every", -0.25),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
+    data = base_e2_cfg()
+    data[section][key] = value
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert f"config error: '{section}.{key}'" in capsys.readouterr().err

@@ -1,0 +1,150 @@
+"""The shared stencils and the batching probe behind A, F, signals and maps."""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodic_hyp import boundary as bd
+from periodic_hyp import characteristics as ch
+from periodic_hyp import ivp_solver as ivp
+from periodic_hyp import periodic_solver as ps
+from periodic_hyp import systems
+from periodic_hyp.system_model import SystemSpec
+
+T_STAR = 2.0
+
+
+class TestStencils:
+    def test_periodic_cubic_exact_at_nodes_and_under_period_shift(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(16, 3))
+        nodes = np.arange(16) * (T_STAR / 16)
+        assert np.array_equal(ch._interp_rows_cubic(rows, nodes, T_STAR), rows)
+        assert np.array_equal(ch._interp_rows_cubic(rows[:, 1], nodes, T_STAR), rows[:, 1])
+        tq = rng.integers(0, 2**20, size=64) / 2**19  # dyadic times in [0, T*)
+        base = ch._interp_rows_cubic(rows, tq, T_STAR)
+        for shift in (T_STAR, -T_STAR, 3 * T_STAR):
+            assert np.array_equal(ch._interp_rows_cubic(rows, tq + shift, T_STAR), base)
+
+    def test_x_refinement_reproduces_cubics_up_to_the_ends(self):
+        Nx, refine = 10, 8
+
+        def p(x):
+            return 0.3 - 1.2 * x + 2.0 * x**2 - 0.7 * x**3
+
+        x = np.arange(Nx + 1) / Nx
+        fine = ch._cubic_refine_x(np.stack([p(x), -2.0 * p(x)]), refine)
+        xf = np.arange(refine * Nx + 1) / (refine * Nx)
+        assert fine.shape == (2, refine * Nx + 1)
+        assert np.abs(fine - np.stack([p(xf), -2.0 * p(xf)])).max() <= 1e-13
+
+    def test_x_difference_on_profiles_and_fields(self):
+        x = np.linspace(0.0, 1.0, 9)
+        prof = np.stack([x**2, 1.0 - x], axis=-1)
+        want = np.stack([2 * x, -np.ones_like(x)], axis=-1)
+        assert np.abs(ch._x_difference(prof, x[1]) - want).max() <= 1e-13
+        fld = ch.Field(values=np.stack([prof, 2 * prof]), T_star=1.0, L=1.0)
+        assert np.array_equal(fld.space_derivative_grid()[1],
+                              ch._x_difference(2 * prof, x[1]))
+
+
+def one_at_a_time(fn, *item_ndim):
+    """fn restricted to single items: raises on anything batched."""
+
+    def single(*args):
+        if [np.ndim(a) for a in args] != list(item_ndim):
+            raise TypeError("one item at a time")
+        return fn(*args)
+
+    return single
+
+
+def euler_problem(shift=0.0):
+    spec = systems.quasilinear_euler_damping()
+    h1 = systems.harmonic_signal([{"amplitude": 0.01}], T_STAR)
+    h2 = systems.harmonic_signal([{"amplitude": 0.005, "phase": 1.0}], T_STAR)
+    hs = [lambda t, h=h: h(np.asarray(t, dtype=float) - shift) for h in (h1, h2)]
+    return spec, systems.two_gain_boundary(0.5, 0.5, hs[0], hs[1], T_STAR)
+
+
+class TestLoopPath:
+    def test_scalar_only_callables_match_the_broadcasting_builtins(self):
+        spec, bspec = euler_problem()
+        slow_spec = SystemSpec(n=2, m=1, A=one_at_a_time(spec.A, 1),
+                               F=one_at_a_time(spec.F, 1), gradF=spec.gradF,
+                               domain_radius=spec.domain_radius, L=spec.L)
+        slow_bspec = bd.BoundarySpec(
+            left_maps=[one_at_a_time(f, 0, 1) for f in bspec.left_maps],
+            right_maps=[one_at_a_time(f, 0, 1) for f in bspec.right_maps],
+            h=[one_at_a_time(h, 0) for h in bspec.h], T_star=T_STAR)
+        cfg = ps.IterationConfig(Nt=16, Nx=16)
+        fast, fast_rep = ps.solve_periodic(spec, bspec, cfg)
+        slow, slow_rep = ps.solve_periodic(slow_spec, slow_bspec, cfg)
+        assert slow_rep.iterations == fast_rep.iterations
+        assert np.abs(slow.values - fast.values).max() <= 1e-15
+
+        u0 = fast.values[0] + 0.002 * ivp.bump_profile(fast.x_nodes, spec.L)[:, None]
+        runs = [ivp.run(u0, s, b, t_end=1.0, record_every=0.25)
+                for s, b in ((spec, bspec), (slow_spec, slow_bspec))]
+        assert len(runs[0].profiles) == len(runs[1].profiles) == 5
+        for a, b in zip(runs[0].profiles, runs[1].profiles):
+            assert np.abs(a - b).max() <= 1e-15
+
+    def test_zero_width_outgoing_trace(self):
+        # the scalar inflow map sees m = 0 outgoing components
+        b = bd.BoundarySpec(left_maps=[one_at_a_time(lambda hv, u: 2.0 * hv, 0, 1)],
+                            right_maps=[], h=[np.sin], T_star=2 * np.pi)
+        ts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        out = bd.eval_incoming_batch(b, "left", ts, np.zeros((2, 2, 0)))
+        assert np.array_equal(out[..., 0], 2.0 * np.sin(ts))
+
+
+class TestProbe:
+    def test_wrongly_broadcasting_source_raises(self):
+        spec = SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
+                          F=lambda u: -0.5 * u * u[0], domain_radius=0.1, L=1.0)
+        with pytest.raises(ValueError, match="SystemSpec.F"):
+            spec.F_at(np.array([[0.01, 0.02], [0.03, 0.04]]))
+        assert spec.A_at(np.zeros((3, 2))).shape == (3, 2, 2)
+
+    def test_wrongly_broadcasting_map_and_signal_raise(self):
+        # u[0] is the first outgoing value of one item, the first row of a batch
+        b = bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
+                            right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                            h=[np.sin, np.cos], T_star=2 * np.pi)
+        with pytest.raises(ValueError, match="boundary map 1"):
+            bd.eval_boundary(b, "left", 0.3, np.array([0.01]))
+        right = bd.eval_boundary(b, "right", 0.3, np.array([0.02]))
+        assert right[0] == pytest.approx(np.sin(0.3) + 0.01, abs=1e-15)
+        b = systems.reflection_boundary(
+            0.5, np.sin, lambda t: np.sin(t) * np.atleast_1d(t)[0], 2 * np.pi)
+        with pytest.raises(ValueError, match=r"h\[1\]"):
+            b.h_values(1, np.array([0.1, 0.2]))
+        assert b.h_values(0, 0.3) == np.sin(0.3)
+
+    def test_batched_path_checks_side_and_width(self):
+        b = systems.reflection_boundary(0.5, np.sin, np.cos, 2 * np.pi)
+        ts = np.zeros(3)
+        with pytest.raises(ValueError, match="side"):
+            bd.eval_incoming_batch(b, "middle", ts, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="length 1"):
+            bd.eval_incoming_batch(b, "left", ts, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="length 1"):
+            b.incoming(0, ts, np.zeros((3, 0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(steps: int) -> np.ndarray:
+    Nt = 16
+    spec, bspec = euler_problem(shift=steps * T_STAR / Nt)
+    fld, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=Nt, Nx=Nt))
+    assert rep.converged
+    return fld.values
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(j=st.integers(min_value=1, max_value=15))
+def test_forcing_shift_rolls_the_field(j):
+    assert np.abs(_solved(j) - np.roll(_solved(0), j, axis=0)).max() <= 1e-13
