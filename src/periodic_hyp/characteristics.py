@@ -132,28 +132,32 @@ def _phase(t, T_star: float, Nt: int) -> tuple:
 
 def _lagrange4(f) -> tuple:
     """Lagrange weights of the nodes -1, 0, 1, 2 at the point f."""
-    return (-f * (f - 1) * (f - 2) / 6.0,
-            (f + 1) * (f - 1) * (f - 2) / 2.0,
-            -(f + 1) * f * (f - 2) / 2.0,
-            (f + 1) * f * (f - 1) / 6.0)
+    a, b, c = f + 1, f - 1, f - 2
+    return -f * b * c / 6.0, a * b * c / 2.0, -a * f * c / 2.0, a * f * b / 6.0
 
 
-def _interp_rows_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation in time (O(dt^4)).
+def _interp_cols_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float, cols) -> np.ndarray:
+    """Periodic 4-point Lagrange interpolation in time (O(dt^4)), column by column.
 
-    rows holds one period of Nt rows; any trailing axes are carried along.
+    rows holds one period of Nt rows; column cols[c] is read at the times
+    tq[..., c], and any axes of rows past the second are carried along.
     Used when composing per-column delay and source-integral maps, where
     linear interpolation would accumulate a first-order error over the
     sweep.
     """
     Nt = rows.shape[0]
     j, f = _phase(tq, T_star, Nt)
-    w0, w1, w2, w3 = _lagrange4(f)
-    if rows.ndim > 1:
-        shape = f.shape + (1,) * (rows.ndim - 1)
-        w0, w1, w2, w3 = (w.reshape(shape) for w in (w0, w1, w2, w3))
-    return (w0 * rows[(j - 1) % Nt] + w1 * rows[j]
-            + w2 * rows[(j + 1) % Nt] + w3 * rows[(j + 2) % Nt])
+    w0, w1, w2, w3 = (w.reshape(f.shape + (1,) * (rows.ndim - 2)) for w in _lagrange4(f))
+    return (w0 * rows[(j - 1) % Nt, cols] + w1 * rows[j, cols]
+            + w2 * rows[(j + 1) % Nt, cols] + w3 * rows[(j + 2) % Nt, cols])
+
+
+def _interp_rows_cubic(rows: np.ndarray, tq, T_star: float) -> np.ndarray:
+    """_interp_cols_cubic of the one column rows at the times tq of any shape;
+    trailing axes of rows are carried along."""
+    tq = np.asarray(tq, dtype=float)
+    out = _interp_cols_cubic(rows[:, None], tq[..., None], T_star, 0)
+    return out.reshape(tq.shape + rows.shape[1:])
 
 
 def _cubic_refine_x(grid: np.ndarray, refine: int) -> np.ndarray:

@@ -462,21 +462,19 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     else:
         results = [_sweep_worker(t) for t in tasks]
 
-    rows = []
+    # a failed cell keeps its row: eps, empty fields and its exit code
+    header = "eps,fitted_beta,fitted_decay,fitted_derivative_decay,c0,exit_code"
+    lines = [header]
     status = EXIT_OK
     for eps, row, code in sorted(results, key=lambda r: r[0]):
         if row is None:
             status = code
             print(f"eps={eps:g}: FAILED (exit {code})")
+            row = {"eps": eps}
         else:
-            rows.append(row)
             print(f"eps={eps:g}: beta={row['fitted_beta']}, decay={row['fitted_decay']}")
-    header = "eps,fitted_beta,fitted_decay,fitted_derivative_decay,c0"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            "" if row[k] is None else f"{row[k]:.17g}"
-            for k in header.split(",")))
+        values = [row.get(k) for k in header.split(",")[:-1]]
+        lines.append(",".join("" if v is None else f"{v:.17g}" for v in values) + f",{code}")
     try:
         (out / "rates.csv").write_text("\n".join(lines) + "\n")
     except OSError as exc:

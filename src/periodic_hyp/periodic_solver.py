@@ -20,16 +20,16 @@ import numpy as np
 
 from . import boundary as bd
 from . import diagnostics as dg
-from .characteristics import Field, _cubic_refine_x, _interp_rows_cubic
+from .characteristics import Field, _cubic_refine_x, _interp_cols_cubic, _interp_rows_cubic
 from .errors import BoundaryMapError, DomainError, NonContractionError
 from .system_model import (
     SystemSpec,
     eigen_fields,
-    g_nonlinear_batch,
     gtilde_matrix,
     shift_K,
     _coupling_from_left,
     _mu0,
+    _remainder,
 )
 
 logger = logging.getLogger("periodic_hyp")
@@ -76,24 +76,24 @@ class IterationReport:
     certificate: dg.Certificate
 
 
-def _source_grid(prev: Field, spec: SystemSpec, K: float,
-                 gtilde: np.ndarray, mu: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _source_grid(prev: Field, spec: SystemSpec, K: float, gtilde: np.ndarray,
+                 mu0: np.ndarray, mu: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
           + K mu_i(0) u_i + superlinear remainder, evaluated on the
-    previous iterate.
+    previous iterate, whose inverse speeds mu and couplings B are given.
     """
     P = prev.values
     dudt = prev.time_derivative_grid()
     dudx = prev.space_derivative_grid()
-    gNL = g_nonlinear_batch(spec, P)
+    gNL = _remainder(spec, P, mu, B, mu0)
     gt_off = gtilde.copy()
     np.fill_diagonal(gt_off, 0.0)
     R = np.einsum("tkij,tkj->tki", B, dudx)
     R += mu * np.einsum("tkij,tkj->tki", B, dudt)
     R += np.einsum("ij,tkj->tki", gt_off, P)
-    R += K * _mu0(spec) * P
+    R += K * mu0 * P
     R += gNL
     return R
 
@@ -103,82 +103,90 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     """One sweep of the lagged linear transport system.
 
     For every family and grid point, the characteristic of the previous
-    iterate is traced to its inflow boundary (cell by cell, RK4 with 4
-    substeps per cell, composing the per-column delay and weighted source
-    integrals with periodic cubic interpolation), the boundary value is
-    taken from the feedback map on the previous iterate at the foot, and
-    the diagonal term is applied as an exact exponential factor.
+    iterate is traced to its inflow boundary, the boundary value is taken
+    from the feedback map on the previous iterate at the foot, and the
+    diagonal term is applied as an exact exponential factor. Three batched
+    stages do this:
+
+    1. Trace: RK4 with 4 substeps crosses every cell of every family at
+       once, on (Nt, n * Nx) arrays whose column c is family c // Nx
+       crossing its cell c % Nx, and integrates the weighted source across
+       the cell by the trapezoid rule. Neither depends on another cell.
+    2. Compose, in order from the inflow boundary: a column's delay to the
+       foot and source integral are its cell's own plus the previous
+       column's maps, read by periodic cubic interpolation where the
+       cell's trace leaves. One step serves every family.
+    3. Assemble, once per family: the feet of all columns give the
+       outgoing trace and the boundary values in one call each.
     """
     n, m = spec.n, spec.m
     Nt, Nx = prev.Nt, prev.Nx
     T, L = prev.T_star, prev.L
-    dx = prev.dx
-    hsub = dx / _SUBSTEPS
+    hsub = prev.dx / _SUBSTEPS
     t_grid = prev.t_nodes
-    x_grid = prev.x_nodes
 
     K = shift_K(spec, cfg.K)
-    gtilde = gtilde_matrix(spec, K)
-
+    mu0 = _mu0(spec)
+    gtilde = gtilde_matrix(spec, K, mu0)
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
-    B = _coupling_from_left(left)
-    R = _source_grid(prev, spec, K, gtilde, mu, B)
+    R = _source_grid(prev, spec, K, gtilde, mu0, mu, _coupling_from_left(left))
+
+    # direction is the sign of dx when stepping from a column toward the
+    # inflow boundary (x = L for families i < m, x = 0 for the rest); the
+    # quadrature weight exp(gii (x_col - x)) therefore grows by wfac per
+    # substep and by growth per cell
+    families = np.arange(n)
+    left_moving = families < m
+    direction = np.where(left_moving, 1.0, -1.0)
+    gii = np.diag(gtilde)
+    growth = np.exp(-gii * direction * prev.dx)
+    fam = np.repeat(families, Nx)
+    d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
+    dstep = d * hsub
+    # mu and R refined in x; family i's fine column f is column i * nf + f
+    nf = _REFINE * Nx + 1
+    mu_fine, R_fine = (np.hstack([_cubic_refine_x(g[..., i], _REFINE) for i in range(n)])
+                       for g in (mu, R))
+    half = d.astype(np.int64)  # fine columns per half substep
+    # each trace starts on its cell's left edge (i < m) or right edge
+    fidx = fam * nf + (np.tile(np.arange(Nx), n) + ~left_moving[fam]) * _REFINE
+    tcur = np.repeat(t_grid[:, None], n * Nx, axis=1)
+    qacc = np.zeros((Nt, n * Nx))
+    w = np.ones(n * Nx)
+    Rv = R_fine[:, fidx]
+    for _ in range(_SUBSTEPS):
+        k1 = _interp_cols_cubic(mu_fine, tcur, T, fidx)
+        k2 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k1, T, fidx + half)
+        k3 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k2, T, fidx + half)
+        k4 = _interp_cols_cubic(mu_fine, tcur + dstep * k3, T, fidx + 2 * half)
+        tnew = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        fidx = fidx + 2 * half
+        wn = w * wfac
+        Rn = _interp_cols_cubic(R_fine, tnew, T, fidx)
+        qacc += (-d) * (hsub / 2.0) * (w * Rv + wn * Rn)
+        w, Rv, tcur = wn, Rn, tnew
+
+    # DJ[s, :, i] holds family i's delay to the foot and source integral at
+    # s columns from its inflow boundary: column Nx - s for i < m, s else
+    DJ = np.zeros((Nx + 1, Nt, n, 2))
+    for s in range(Nx):
+        c = families * Nx + np.where(left_moving, Nx - 1 - s, s)
+        tend = tcur[:, c]
+        dj = _interp_cols_cubic(DJ[s], tend, T, families)
+        DJ[s + 1, ..., 0] = (t_grid[:, None] - tend) + dj[..., 0]
+        DJ[s + 1, ..., 1] = growth * dj[..., 1] + qacc[:, c]
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
-        mu_i = mu[..., i]
-        R_i = R[..., i]
-        gii = gtilde[i, i]
-        if i < m:
-            out_cols = prev.values[:, Nx, m:]
-            col_order = range(Nx - 1, -1, -1)
-            direction = +1.0
-            x_inflow = L
+        if left_moving[i]:
+            DJi, out_cols, x_inflow = DJ[::-1, :, i], prev.values[:, Nx, m:], L
         else:
-            out_cols = prev.values[:, 0, :m]
-            col_order = range(1, Nx + 1)
-            direction = -1.0
-            x_inflow = 0.0
-        # direction is the sign of dx when stepping from a column toward
-        # the inflow boundary; the quadrature weight exp(gii (x_col - x))
-        # therefore grows by exp(-gii * direction * h) per substep
-        growth = np.exp(-gii * direction * dx)
-        wfac = np.exp(-gii * direction * hsub)
-        mu_fine = _cubic_refine_x(mu_i, _REFINE)
-        R_fine = _cubic_refine_x(R_i, _REFINE)
-        df = int(direction) * 2  # fine columns per RK substep
-
-        DJ = np.zeros((Nx + 1, Nt, 2))  # per column: delay to the foot, source integral
-        for k in col_order:
-            fidx = k * _REFINE
-            tcur = t_grid.copy()
-            qacc = np.zeros(Nt)
-            w = 1.0
-            Rv = R_fine[:, fidx]
-            for _ in range(_SUBSTEPS):
-                dstep = direction * hsub
-                half = fidx + df // 2
-                k1 = _interp_rows_cubic(mu_fine[:, fidx], tcur, T)
-                k2 = _interp_rows_cubic(mu_fine[:, half], tcur + 0.5 * dstep * k1, T)
-                k3 = _interp_rows_cubic(mu_fine[:, half], tcur + 0.5 * dstep * k2, T)
-                k4 = _interp_rows_cubic(mu_fine[:, fidx + df], tcur + dstep * k3, T)
-                tnew = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-                fidx += df
-                wn = w * wfac
-                Rn = _interp_rows_cubic(R_fine[:, fidx], tnew, T)
-                qacc += (-direction) * (hsub / 2.0) * (w * Rv + wn * Rn)
-                w, Rv, tcur = wn, Rn, tnew
-            dj = _interp_rows_cubic(DJ[k + int(direction)], tcur, T)
-            DJ[k, :, 0] = (t_grid - tcur) + dj[:, 0]
-            DJ[k, :, 1] = growth * dj[:, 1] + qacc
-        # assemble every column of this family, feet first
-        for k in range(Nx + 1):
-            feet = t_grid - DJ[k, :, 0]
-            u_out = _interp_rows_cubic(out_cols, feet, T)
-            bc = bspec.incoming(i, feet, u_out)
-            carry = np.exp(gii * (x_grid[k] - x_inflow))
-            new_vals[:, k, i] = carry * bc + DJ[k, :, 1]
+            DJi, out_cols, x_inflow = DJ[:, :, i], prev.values[:, 0, :m], 0.0
+        feet = t_grid - DJi[..., 0]
+        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T))
+        carry = np.exp(gii[i] * (prev.x_nodes - x_inflow))
+        new_vals[:, :, i] = (carry[:, None] * bc + DJi[..., 1]).T
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")

@@ -438,19 +438,20 @@ def source_linearization(spec: SystemSpec, K: Optional[float] = None,
                                mu_max=measured_mu_max(spec, samples))
 
 
-def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
+def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
     diagonal. Raises DominanceError unless the result is strictly
     diagonally dominant with the sign pattern required of the two families
     (positive diagonal for left-moving rows, negative for right-moving).
+    mu0 = 1 / lambda(0) is computed unless given.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
     g0 = spec.gradF_at(np.zeros(n))
-    mu0 = _mu0(spec)
+    mu0 = _mu0(spec) if mu0 is None else mu0
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
     check_dominance(gt, m)
@@ -485,12 +486,16 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
                   - sum_j B_ij(u) mu_i(u) f_j(u).
     """
     states = np.asarray(states, dtype=float)
-    n = spec.n
     lam, left, _ = eigen_fields(spec, states)
-    mu = 1.0 / lam
-    B = _coupling_from_left(left)
+    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), _mu0(spec))
+
+
+def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
+               B: np.ndarray, mu0: np.ndarray) -> np.ndarray:
+    """g_nonlinear_batch from the inverse speeds mu and couplings B at the
+    states and the inverse speeds mu0 at the origin."""
     Fv = spec.F_at(states)
-    g0 = spec.gradF_at(np.zeros(n))
-    linear = np.einsum("i,ij,...j->...i", _mu0(spec), g0, states)
+    g0 = spec.gradF_at(np.zeros(spec.n))
+    linear = np.einsum("i,ij,...j->...i", mu0, g0, states)
     coupled = mu * np.einsum("...ij,...j->...i", B, Fv)
     return mu * Fv - linear - coupled

@@ -174,6 +174,25 @@ class TestSweep:
         c0s = [float(r[4]) for r in rows]
         assert 1.8 < c0s[1] / c0s[0] < 2.2
 
+    def test_failed_cell_keeps_its_row(self, tmp_path):
+        # eps = 0.09 drives the reflected amplitude 1.33 eps past the
+        # neighborhood radius 0.1; validation runs at the smallest eps only
+        cfg = base_e2_cfg(Nt=16, Nx=16)
+        cfg["experiment"] = {"mode": "sweep", "eps": [0.09, 0.005],
+                             "perturbation": 0.002, "t_end": 2.0,
+                             "record_every": 0.25}
+        out = tmp_path / "sweep"
+        code = cli.run(["sweep", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out), "--jobs", "1"])
+        assert code == 3
+        rates = (out / "rates.csv").read_text().splitlines()
+        assert rates[0].startswith("eps,fitted_beta,fitted_decay")
+        assert rates[0].endswith(",exit_code")
+        ok, failed = (line.split(",") for line in rates[1:])
+        assert float(ok[0]) == 0.005 and ok[-1] == "0" and ok[4] != ""
+        assert float(failed[0]) == 0.09 and failed[-1] == "3"
+        assert failed[1:-1] == [""] * 4
+
 
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "Nt", 4),

@@ -28,6 +28,26 @@ class TestStencils:
         for shift in (T_STAR, -T_STAR, 3 * T_STAR):
             assert np.array_equal(ch._interp_rows_cubic(rows, tq + shift, T_STAR), base)
 
+    def test_column_gather_is_the_row_form_per_column(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(16, 9))
+        cols = np.array([4, 0, 8, 4, 2])
+        nodes = np.arange(16) * (T_STAR / 16)
+        at_nodes = np.repeat(nodes[:, None], cols.size, axis=1)
+        assert np.array_equal(ch._interp_cols_cubic(rows, at_nodes, T_STAR, cols),
+                              rows[:, cols])
+        tq = rng.integers(0, 2**20, size=(24, cols.size)) / 2**19  # dyadic times
+        got = ch._interp_cols_cubic(rows, tq, T_STAR, cols)
+        for shift in (T_STAR, -T_STAR, 3 * T_STAR):
+            assert np.array_equal(ch._interp_cols_cubic(rows, tq + shift, T_STAR, cols), got)
+        for c, col in enumerate(cols):
+            assert np.array_equal(got[:, c], ch._interp_rows_cubic(rows[:, col], tq[:, c], T_STAR))
+        # trailing axes ride along: columns of (value, 2 * value) pairs
+        pairs = np.stack([rows, 2 * rows], axis=-1)
+        both = ch._interp_cols_cubic(pairs, tq, T_STAR, cols)
+        assert np.array_equal(both[..., 0], got)
+        assert np.array_equal(both[..., 1], ch._interp_cols_cubic(2 * rows, tq, T_STAR, cols))
+
     def test_x_refinement_reproduces_cubics_up_to_the_ends(self):
         Nx, refine = 10, 8
 

@@ -247,10 +247,13 @@ class TestGtilde:
     def test_too_small_K_raises(self):
         spec = sm.SystemSpec(
             n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
-            F=lambda u: np.array([0.1 * u[0] + 0.3 * u[1], -1.0 * u[1]]),
+            F=lambda u: np.stack([0.1 * u[..., 0] + 0.3 * u[..., 1], -1.0 * u[..., 1]],
+                                 axis=-1),
             gradF=lambda u: np.array([[0.1, 0.3], [0.0, -1.0]]),
             domain_radius=0.05, L=1.0,
         )
+        batch = np.array([[0.01, 0.02], [0.03, -0.01]])
+        assert np.array_equal(spec.F_at(batch), np.stack([spec.F(u) for u in batch]))
         with pytest.raises(DominanceError):
             sm.gtilde_matrix(spec, K=0.2)
 
@@ -269,7 +272,7 @@ class TestGtilde:
             g0 = rng.normal(scale=0.5, size=(n, n))
             spec = sm.SystemSpec(
                 n=n, m=m, A=lambda u, lam=lam: np.diag(lam),
-                F=lambda u, g0=g0: g0 @ np.asarray(u),
+                F=lambda u, g0=g0: np.asarray(u) @ g0.T,
                 gradF=lambda u, g0=g0: g0,
                 domain_radius=0.05, L=1.0,
             )
