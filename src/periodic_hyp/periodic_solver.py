@@ -116,8 +116,9 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
        foot and source integral are its cell's own plus the previous
        column's maps, read by periodic cubic interpolation where the
        cell's trace leaves. One step serves every family.
-    3. Assemble, once per family: the feet of all columns give the
-       outgoing trace and the boundary values in one call each.
+    3. Assemble, once per family: the feet of all columns, as one flat
+       batch, give the outgoing trace and the boundary values in one
+       call each.
     """
     n, m = spec.n, spec.m
     Nt, Nx = prev.Nt, prev.Nx
@@ -127,7 +128,7 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     K = shift_K(spec, cfg.K)
     mu0 = _mu0(spec)
-    gtilde = gtilde_matrix(spec, K, mu0)
+    gtilde = gtilde_matrix(spec, K)
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
     R = _source_grid(prev, spec, K, gtilde, mu0, mu, _coupling_from_left(left))
@@ -183,8 +184,9 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
             DJi, out_cols, x_inflow = DJ[::-1, :, i], prev.values[:, Nx, m:], L
         else:
             DJi, out_cols, x_inflow = DJ[:, :, i], prev.values[:, 0, :m], 0.0
-        feet = t_grid - DJi[..., 0]
-        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T))
+        # the signals and maps see one flat batch, the shape their probe checks
+        feet = (t_grid - DJi[..., 0]).ravel()
+        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T)).reshape(Nx + 1, Nt)
         carry = np.exp(gii[i] * (prev.x_nodes - x_inflow))
         new_vals[:, :, i] = (carry[:, None] * bc + DJi[..., 1]).T
 

@@ -438,20 +438,19 @@ def source_linearization(spec: SystemSpec, K: Optional[float] = None,
                                mu_max=measured_mu_max(spec, samples))
 
 
-def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None) -> np.ndarray:
+def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
     diagonal. Raises DominanceError unless the result is strictly
     diagonally dominant with the sign pattern required of the two families
     (positive diagonal for left-moving rows, negative for right-moving).
-    mu0 = 1 / lambda(0) is computed unless given.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
     g0 = spec.gradF_at(np.zeros(n))
-    mu0 = _mu0(spec) if mu0 is None else mu0
+    mu0 = _mu0(spec)
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
     check_dominance(gt, m)

@@ -182,3 +182,19 @@ def test_kernel_equals_the_column_loop(name):
         assert np.array_equal(got.values, want.values)
         assert np.abs(got.values).max() > 0.0
         prev = got
+
+
+def test_maps_that_read_flat_batches():
+    """A map that reads its outgoing trace as u.T[0] is right on one item
+    and on the flat (N, n_out) batches its probe checks, but transposes a
+    two-axis batch. The sweep must hand it flat batches. Nt = Nx + 1, so a
+    transposed batch would broadcast without an error."""
+    spec, ref = reflect_problem()
+    flat_map = lambda hv, u: hv + 0.5 * u.T[0]  # noqa: E731
+    bspec = BoundarySpec(left_maps=[flat_map], right_maps=[flat_map],
+                         h=ref.h, T_star=T_STAR)
+    cfg = ps.IterationConfig(Nt=16, Nx=15, K=1e-6)
+    prev = smooth_field(16, 15, spec.n, 0.3 * spec.domain_radius)
+    got = ps.linearized_step(prev, spec, bspec, cfg)
+    assert np.array_equal(got.values, ps.linearized_step(prev, spec, ref, cfg).values)
+    assert np.array_equal(got.values, loop_step(prev, spec, bspec, cfg).values)
