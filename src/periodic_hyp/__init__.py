@@ -18,7 +18,7 @@ from .boundary import (
     theta_matrix,
     validate_forcing,
 )
-from .characteristics import CharacteristicTrace, Field, interpolate, trace_characteristic
+from .characteristics import Field, interpolate, trace_to_inflow
 from .diagnostics import (
     Certificate,
     FieldNorms,

@@ -38,24 +38,12 @@ class BoundarySpec:
         may broadcast over arrays of times. Maps and signals that do not
         broadcast are looped (see ``system_model.batched``).
     T_star : common period of the signals.
-    h_c1_bound / h_second_deriv_bound : optional user-declared norm bounds;
-        measured values are produced by ``validate_forcing``.
-    left_grad_h / right_grad_h : optional analytic d/dh of each map at a
-        point, f(h_value, outgoing) -> float; finite differences otherwise.
-    left_grad_u / right_grad_u : optional analytic outgoing-gradients,
-        f(h_value, outgoing) -> vector.
     """
 
     left_maps: Sequence[Callable]
     right_maps: Sequence[Callable]
     h: Sequence[Callable]
     T_star: float
-    h_c1_bound: Optional[float] = None
-    h_second_deriv_bound: Optional[float] = None
-    left_grad_h: Optional[Sequence[Callable]] = None
-    right_grad_h: Optional[Sequence[Callable]] = None
-    left_grad_u: Optional[Sequence[Callable]] = None
-    right_grad_u: Optional[Sequence[Callable]] = None
     # filled on first use: validate_forcing rebuilds specs it never evaluates
     _h_batch: dict = field(init=False, repr=False)
     _maps: dict = field(init=False, repr=False)
@@ -141,24 +129,18 @@ def theta_matrix(bspec: BoundarySpec, n: int, m: int) -> np.ndarray:
     """Feedback linearization at the origin, block anti-diagonal by layout.
 
     Entry (r, s) is dG_r/du_s(0, 0) for r < m <= s, entry (s, r) is
-    dG_s/du_r(0, 0); both blocks by central differences (step 1e-6) unless
-    analytic gradients were supplied.
+    dG_s/du_r(0, 0); both blocks by central differences (step 1e-6).
     """
     if n != bspec.n or m != bspec.m:
         raise ValueError("n, m inconsistent with the boundary spec")
     theta = np.zeros((n, n))
     for i in range(n):
         fn, n_out = _map_for_component(bspec, i)
-        grads = bspec.right_grad_u if i < m else bspec.left_grad_u
-        if grads is not None:
-            row = np.asarray(grads[i if i < m else i - m](0.0, np.zeros(n_out)),
-                             dtype=float)
-        else:
-            row = np.empty(n_out)
-            for j in range(n_out):
-                e = np.zeros(n_out)
-                e[j] = _FD_STEP
-                row[j] = (fn(0.0, e) - fn(0.0, -e)) / (2 * _FD_STEP)
+        row = np.empty(n_out)
+        for j in range(n_out):
+            e = np.zeros(n_out)
+            e[j] = _FD_STEP
+            row[j] = (fn(0.0, e) - fn(0.0, -e)) / (2 * _FD_STEP)
         if not np.all(np.isfinite(row)):
             raise BoundaryMapError(f"non-finite derivative of boundary map {i}")
         cols = slice(m, n) if i < m else slice(0, m)
@@ -286,10 +268,6 @@ def characterizing_data(bspec: BoundarySpec) -> ThetaData:
 
 def _gain_at_origin(bspec: BoundarySpec, i: int) -> float:
     fn, n_out = _map_for_component(bspec, i)
-    grads = bspec.right_grad_h if i < bspec.m else bspec.left_grad_h
-    if grads is not None:
-        g = grads[i if i < bspec.m else i - bspec.m](0.0, np.zeros(n_out))
-        return float(g)
     z = np.zeros(n_out)
     g = (fn(_FD_STEP, z) - fn(-_FD_STEP, z)) / (2 * _FD_STEP)
     if not np.isfinite(g):
@@ -312,8 +290,6 @@ def _rescale_forcing(bspec: BoundarySpec, M0: float) -> BoundarySpec:
         left_maps=[compensate(f) for f in bspec.left_maps],
         right_maps=[compensate(f) for f in bspec.right_maps],
         h=[scale_signal(f) for f in bspec.h],
-        left_grad_h=None, right_grad_h=None,
-        left_grad_u=None, right_grad_u=None,
     )
 
 
@@ -364,29 +340,20 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     )
 
 
-def eval_boundary(bspec: BoundarySpec, side: str, t: float,
-                  outgoing: np.ndarray) -> np.ndarray:
+def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray) -> np.ndarray:
     """Incoming components at one endpoint from the outgoing trace.
 
     side "left" (x = 0) maps the m outgoing components to the n - m
-    incoming ones; side "right" (x = L) the reverse.
-    """
-    return eval_incoming_batch(bspec, side, t, outgoing)
-
-
-def eval_incoming_batch(bspec: BoundarySpec, side: str, tvals: np.ndarray,
-                        outgoing: np.ndarray) -> np.ndarray:
-    """Batched boundary evaluation: tvals (...,), outgoing (..., n_out).
-
-    Evaluates each incoming component with ``BoundarySpec.incoming``.
-    Returns (..., n_incoming).
+    incoming ones; side "right" (x = L) the reverse. Takes times t (...,)
+    and outgoing (..., n_out), and evaluates each incoming component with
+    ``BoundarySpec.incoming``. Returns (..., n_incoming).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
-    out = np.empty(np.asarray(tvals).shape + (len(comps),))
+    out = np.empty(np.asarray(t).shape + (len(comps),))
     for k, i in enumerate(comps):
-        out[..., k] = bspec.incoming(i, tvals, outgoing)
+        out[..., k] = bspec.incoming(i, t, outgoing)
     if not np.isfinite(out).all():
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

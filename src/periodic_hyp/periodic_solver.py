@@ -20,7 +20,7 @@ import numpy as np
 
 from . import boundary as bd
 from . import diagnostics as dg
-from .characteristics import Field, _cubic_refine_x, _interp_cols_cubic, _interp_rows_cubic
+from .characteristics import Field, _interp_rows_cubic, trace_to_inflow
 from .errors import BoundaryMapError, DomainError, NonContractionError
 from .system_model import (
     SystemSpec,
@@ -34,8 +34,6 @@ from .system_model import (
 
 logger = logging.getLogger("periodic_hyp")
 
-_SUBSTEPS = 4  # RK substeps per grid cell along a trace
-_REFINE = 2 * _SUBSTEPS  # fine columns per cell: substep endpoints + halves
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
@@ -103,28 +101,15 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     """One sweep of the lagged linear transport system.
 
     For every family and grid point, the characteristic of the previous
-    iterate is traced to its inflow boundary, the boundary value is taken
-    from the feedback map on the previous iterate at the foot, and the
-    diagonal term is applied as an exact exponential factor. Three batched
-    stages do this:
-
-    1. Trace: RK4 with 4 substeps crosses every cell of every family at
-       once, on (Nt, n * Nx) arrays whose column c is family c // Nx
-       crossing its cell c % Nx, and integrates the weighted source across
-       the cell by the trapezoid rule. Neither depends on another cell.
-    2. Compose, in order from the inflow boundary: a column's delay to the
-       foot and source integral are its cell's own plus the previous
-       column's maps, read by periodic cubic interpolation where the
-       cell's trace leaves. One step serves every family.
-    3. Assemble, once per family: the feet of all columns, as one flat
-       batch, give the outgoing trace and the boundary values in one
-       call each.
+    iterate is traced to its inflow boundary (``trace_to_inflow``), the
+    boundary value is taken from the feedback map on the previous iterate
+    at the foot, and the diagonal term is applied as an exact exponential
+    factor. Each family's feet give its outgoing trace and boundary values
+    in one call each.
     """
     n, m = spec.n, spec.m
-    Nt, Nx = prev.Nt, prev.Nx
+    Nx = prev.Nx
     T, L = prev.T_star, prev.L
-    hsub = prev.dx / _SUBSTEPS
-    t_grid = prev.t_nodes
 
     K = shift_K(spec, cfg.K)
     mu0 = _mu0(spec)
@@ -132,63 +117,19 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
     R = _source_grid(prev, spec, K, gtilde, mu0, mu, _coupling_from_left(left))
-
-    # direction is the sign of dx when stepping from a column toward the
-    # inflow boundary (x = L for families i < m, x = 0 for the rest); the
-    # quadrature weight exp(gii (x_col - x)) therefore grows by wfac per
-    # substep and by growth per cell
-    families = np.arange(n)
-    left_moving = families < m
-    direction = np.where(left_moving, 1.0, -1.0)
     gii = np.diag(gtilde)
-    growth = np.exp(-gii * direction * prev.dx)
-    fam = np.repeat(families, Nx)
-    d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
-    dstep = d * hsub
-    # mu and R refined in x; family i's fine column f is column i * nf + f
-    nf = _REFINE * Nx + 1
-    mu_fine, R_fine = (np.hstack([_cubic_refine_x(g[..., i], _REFINE) for i in range(n)])
-                       for g in (mu, R))
-    half = d.astype(np.int64)  # fine columns per half substep
-    # each trace starts on its cell's left edge (i < m) or right edge
-    fidx = fam * nf + (np.tile(np.arange(Nx), n) + ~left_moving[fam]) * _REFINE
-    tcur = np.repeat(t_grid[:, None], n * Nx, axis=1)
-    qacc = np.zeros((Nt, n * Nx))
-    w = np.ones(n * Nx)
-    Rv = R_fine[:, fidx]
-    for _ in range(_SUBSTEPS):
-        k1 = _interp_cols_cubic(mu_fine, tcur, T, fidx)
-        k2 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k1, T, fidx + half)
-        k3 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k2, T, fidx + half)
-        k4 = _interp_cols_cubic(mu_fine, tcur + dstep * k3, T, fidx + 2 * half)
-        tnew = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        fidx = fidx + 2 * half
-        wn = w * wfac
-        Rn = _interp_cols_cubic(R_fine, tnew, T, fidx)
-        qacc += (-d) * (hsub / 2.0) * (w * Rv + wn * Rn)
-        w, Rv, tcur = wn, Rn, tnew
-
-    # DJ[s, :, i] holds family i's delay to the foot and source integral at
-    # s columns from its inflow boundary: column Nx - s for i < m, s else
-    DJ = np.zeros((Nx + 1, Nt, n, 2))
-    for s in range(Nx):
-        c = families * Nx + np.where(left_moving, Nx - 1 - s, s)
-        tend = tcur[:, c]
-        dj = _interp_cols_cubic(DJ[s], tend, T, families)
-        DJ[s + 1, ..., 0] = (t_grid[:, None] - tend) + dj[..., 0]
-        DJ[s + 1, ..., 1] = growth * dj[..., 1] + qacc[:, c]
+    delay, integral = trace_to_inflow(mu, R, gii, m, T, L)
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
-        if left_moving[i]:
-            DJi, out_cols, x_inflow = DJ[::-1, :, i], prev.values[:, Nx, m:], L
+        if i < m:
+            out_cols, x_inflow = prev.values[:, Nx, m:], L
         else:
-            DJi, out_cols, x_inflow = DJ[:, :, i], prev.values[:, 0, :m], 0.0
-        # the signals and maps see one flat batch, the shape their probe checks
-        feet = (t_grid - DJi[..., 0]).ravel()
-        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T)).reshape(Nx + 1, Nt)
+            out_cols, x_inflow = prev.values[:, 0, :m], 0.0
+        feet = prev.t_nodes[:, None] - delay[..., i]
+        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T))
         carry = np.exp(gii[i] * (prev.x_nodes - x_inflow))
-        new_vals[:, :, i] = (carry[:, None] * bc + DJi[..., 1]).T
+        new_vals[:, :, i] = carry * bc + integral[..., i]
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")

@@ -51,19 +51,25 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     but the values differ from the looped ones by more than 1e-12
     relative, fn broadcasts wrongly, and every call of the batched form
     raises ValueError naming it (a spec that never evaluates fn on a
-    batch stays usable).
+    batch stays usable). Otherwise fn sees at most one leading axis, the
+    shape its probe checks: more leading axes of the arrays passed to the
+    batched form are merged into one.
     """
     probe = tuple(np.asarray(p, dtype=float) for p in probe)
     item_ndim = [p.ndim - 1 for p in probe]
 
-    def looped(*args):
-        args = [np.asarray(a, dtype=float) for a in args]
+    def flat(args):
+        """Arrays args with their leading axes merged into one, and that shape."""
         lead = args[0].shape[:args[0].ndim - item_ndim[0]]
         size = math.prod(lead)
-        flat = [a.reshape((size,) + a.shape[a.ndim - d:]) for a, d in zip(args, item_ndim)]
-        out = np.empty((size,) + out_shape)
-        for k in range(size):
-            out[k] = fn(*(a[k] for a in flat))
+        return [a.reshape((size,) + a.shape[a.ndim - d:])
+                for a, d in zip(args, item_ndim)], lead
+
+    def looped(*args):
+        args, lead = flat([np.asarray(a, dtype=float) for a in args])
+        out = np.empty((len(args[0]),) + out_shape)
+        for k in range(len(out)):
+            out[k] = fn(*(a[k] for a in args))
         return out.reshape(lead + out_shape)
 
     try:
@@ -79,7 +85,13 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
             raise ValueError(f"{name} broadcasts wrongly: on a batch it returns "
                              "other values than one item at a time")
         return wrong
-    return lambda *args: np.asarray(fn(*args), dtype=float)
+
+    def merged(*args):
+        if args[0].ndim - item_ndim[0] <= 1:  # already flat
+            return np.asarray(fn(*args), dtype=float)
+        args, lead = flat(args)
+        return np.asarray(fn(*args), dtype=float).reshape(lead + out_shape)
+    return merged
 
 
 def fd_gradient(F: Callable, u: np.ndarray, n: int) -> np.ndarray:

@@ -309,7 +309,7 @@ class TestEvalBoundary:
         spec = make_reflect_spec(k=0.5)
         ts = np.linspace(0, 2, 7)
         outs = np.linspace(-0.01, 0.01, 7)[:, None]
-        batch = bd.eval_incoming_batch(spec, "left", ts, outs)
+        batch = bd.eval_boundary(spec, "left", ts, outs)
         for a, t in enumerate(ts):
             single = bd.eval_boundary(spec, "left", t, outs[a])
             assert batch[a, 0] == pytest.approx(single[0], abs=1e-15)

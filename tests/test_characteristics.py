@@ -2,21 +2,7 @@ import numpy as np
 import pytest
 
 from periodic_hyp import characteristics as ch
-from periodic_hyp import system_model as sm
 from periodic_hyp.errors import DomainError
-
-
-def scalar_spec(lam_fn=None, radius=0.2):
-    """Scalar right-moving system with speed 1 + u by default."""
-    if lam_fn is None:
-        lam_fn = lambda u: 1.0 + u
-
-    def A(u):
-        u = np.asarray(u, dtype=float)
-        return lam_fn(u[..., 0]).reshape(u.shape[:-1] + (1, 1))
-
-    return sm.SystemSpec(n=1, m=0, A=A, F=lambda u: np.zeros(np.shape(u)),
-                         domain_radius=radius, L=1.0)
 
 
 class TestInterpolate:
@@ -69,84 +55,74 @@ class TestInterpolate:
         assert dx_val == pytest.approx(-np.sin(2 * np.pi * t) * np.sin(x), abs=5e-3)
 
 
+def inverse_speeds(mu_fn, Nt, Nx):
+    """(Nt, Nx+1, 1) grid of mu_fn(t, x) for one family, T* = L = 1."""
+    t = (np.arange(Nt) / Nt)[:, None]
+    x = (np.arange(Nx + 1) / Nx)[None, :]
+    return np.broadcast_to(mu_fn(t, x), (Nt, Nx + 1))[..., None].astype(float)
+
+
+def trace(mu, m=0, R=None):
+    """Delay and source integral of one family with gii = 0 and source R
+    (zero by default)."""
+    R = np.zeros_like(mu) if R is None else R
+    delay, integral = ch.trace_to_inflow(mu, R, np.zeros(1), m, 1.0, 1.0)
+    return delay[..., 0], integral[..., 0]
+
+
+X32 = np.arange(33) / 32
+
+
 class TestTrace:
     def test_straight_line_unit_speed(self):
-        spec = scalar_spec(lam_fn=lambda u: np.ones_like(u))
-        fld = ch.Field.zeros(32, 32, 1, 1.0, 1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.5, x0=0.5)
-        t_end, x_end = tr.endpoint
-        assert x_end == 0.0
-        assert t_end == pytest.approx(0.0, abs=1e-13)
-        # dt/dx = 1 along the whole trace
-        slopes = np.diff(tr.ts) / np.diff(tr.xs)
-        assert np.abs(slopes - 1.0).max() <= 1e-12
+        delay, integral = trace(inverse_speeds(lambda t, x: 1.0, 32, 32))
+        assert np.abs(delay - X32).max() == 0.0
+        assert not integral.any()
 
     def test_left_moving_family(self):
-        spec = sm.SystemSpec(
-            n=1, m=1,
-            A=lambda u: -np.ones(np.shape(u)[:-1] + (1, 1)),
-            F=lambda u: np.zeros(np.shape(u)),
-            domain_radius=0.2, L=1.0)
-        fld = ch.Field.zeros(32, 32, 1, 1.0, 1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.5, x0=0.5)
-        t_end, x_end = tr.endpoint
-        assert x_end == 1.0
-        assert t_end == pytest.approx(0.0, abs=1e-13)
+        # lambda = -1: the curve runs to x = L, a delay of L - x
+        delay, _ = trace(inverse_speeds(lambda t, x: -1.0, 32, 32), m=1)
+        assert np.abs(delay - (1.0 - X32)).max() == 0.0
 
     def test_frozen_constant_state(self):
-        # constant field 0.01 with speed 1 + u: dt/dx = 1/1.01 exactly
-        spec = scalar_spec()
-        fld = ch.Field(values=np.full((32, 33, 1), 0.01), T_star=1.0, L=1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.5, x0=0.5)
-        t_end, _ = tr.endpoint
-        assert t_end == pytest.approx(0.5 - 0.5 / 1.01, abs=1e-10)
+        # constant state 0.01 with speed 1 + u: dt/dx = 1 / 1.01 exactly
+        delay, _ = trace(inverse_speeds(lambda t, x: 1.0 / 1.01, 32, 32))
+        assert np.abs(delay - X32 / 1.01).max() <= 1e-14
 
     def test_quadrature_against_closed_form(self):
-        # time-independent field u = c x is bilinear-exact; the delay is
-        # int dx / (1 + c x) = log(1 + c x0) / c
+        # u = c x with speed 1 + u: the delay is
+        # int_0^x ds / (1 + c s) = log(1 + c x) / c
         c = 0.15
-        spec = scalar_spec(radius=0.3)
-        fld = ch.Field.from_function(lambda t, x: c * x + 0 * t, 16, 64, 1.0, 1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.8, x0=1.0)
-        expected = 0.8 - np.log(1 + c) / c
-        t_end, _ = tr.endpoint
-        assert t_end == pytest.approx(expected, abs=1e-9)
+        delay, _ = trace(inverse_speeds(lambda t, x: 1.0 / (1.0 + c * x), 16, 64))
+        x = np.arange(65) / 64
+        assert np.abs(delay - np.log1p(c * x) / c).max() <= 1e-10
 
     def test_rk4_order(self):
-        # halving the step (doubling Nx on a bilinear-exact field) cuts the
-        # endpoint error by at least 8x
+        # halving dx cuts the delay error at x = 1 by at least 8x (12.6x measured)
         c = 0.15
-        spec = scalar_spec(radius=0.3)
-        expected = 0.8 - np.log(1 + c) / c
         errs = []
-        for Nx in (8, 16):
-            fld = ch.Field.from_function(lambda t, x: c * x + 0 * t, 8, Nx, 1.0, 1.0)
-            tr = ch.trace_characteristic(fld, spec, 0, t0=0.8, x0=1.0)
-            errs.append(abs(tr.endpoint[0] - expected))
+        for Nx in (16, 32):
+            delay, _ = trace(inverse_speeds(lambda t, x: 1.0 / (1.0 + c * x), 16, Nx))
+            errs.append(np.abs(delay[:, -1] - np.log1p(c) / c).max())
         assert errs[0] >= 8 * errs[1]
 
-    def test_periodicity_equivariance(self):
-        spec = scalar_spec()
-        fld = ch.Field.from_function(
-            lambda t, x: 0.05 * np.sin(2 * np.pi * t) * (1 + 0 * x), 32, 32, 1.0, 1.0)
-        tr0 = ch.trace_characteristic(fld, spec, 0, t0=0.375, x0=0.75)
-        tr1 = ch.trace_characteristic(fld, spec, 0, t0=0.375 + 1.0, x0=0.75)
-        assert np.array_equal(tr1.ts, tr0.ts + 1.0)
-        assert np.array_equal(tr1.xs, tr0.xs)
+    def test_unit_source_integral(self):
+        # R = 1 and gii = 0: the integral from the inflow x = 0 is x
+        mu = inverse_speeds(lambda t, x: 1.0 + 0.05 * np.sin(2 * np.pi * t), 32, 32)
+        _, integral = trace(mu, R=np.ones_like(mu))
+        assert np.abs(integral - X32).max() <= 1e-14
 
-    def test_semigroup_property(self):
-        spec = scalar_spec()
-        fld = ch.Field.from_function(
-            lambda t, x: 0.05 * np.sin(2 * np.pi * t) * (1 + 0 * x), 64, 64, 1.0, 1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.6, x0=0.9)
-        mid = len(tr.xs) // 2
-        tr2 = ch.trace_characteristic(fld, spec, 0, t0=tr.ts[mid], x0=tr.xs[mid])
-        assert tr2.endpoint[0] == pytest.approx(tr.endpoint[0], abs=1e-12)
+    def test_periodicity_equivariance(self):
+        # rolling mu by 5 rows rolls the delays by the same 5 rows
+        mu = inverse_speeds(lambda t, x: 1.0 / (1.0 + 0.05 * np.sin(2 * np.pi * t + x)), 32, 32)
+        delay, _ = trace(mu)
+        rolled, _ = trace(np.roll(mu, 5, axis=0))
+        assert np.abs(rolled - np.roll(delay, 5, axis=0)).max() <= 1e-14
 
     def test_speed_bound_invariant(self):
-        spec = scalar_spec()
-        fld = ch.Field.from_function(
-            lambda t, x: 0.05 * np.sin(2 * np.pi * t) * (1 + 0 * x), 32, 32, 1.0, 1.0)
-        tr = ch.trace_characteristic(fld, spec, 0, t0=0.2, x0=1.0)
-        mu_max = 1.0 / 0.95  # speed 1 + u >= 0.95 on the ball
-        assert np.all(np.abs(np.diff(tr.ts)) <= mu_max * np.abs(np.diff(tr.xs)) + 1e-12)
+        # speed 1 + u >= 0.95 on u = 0.05 sin(2 pi t): |d delay| <= mu_max dx
+        mu = inverse_speeds(lambda t, x: 1.0 / (1.0 + 0.05 * np.sin(2 * np.pi * t)), 32, 32)
+        delay, _ = trace(mu)
+        mu_max = 1.0 / 0.95
+        assert np.abs(delay[:, 0]).max() == 0.0
+        assert np.all(np.abs(np.diff(delay, axis=1)) <= mu_max / 32 + 1e-12)

@@ -117,7 +117,7 @@ class TestLoopPath:
         b = bd.BoundarySpec(left_maps=[one_at_a_time(lambda hv, u: 2.0 * hv, 0, 1)],
                             right_maps=[], h=[np.sin], T_star=2 * np.pi)
         ts = np.array([[0.1, 0.2], [0.3, 0.4]])
-        out = bd.eval_incoming_batch(b, "left", ts, np.zeros((2, 2, 0)))
+        out = bd.eval_boundary(b, "left", ts, np.zeros((2, 2, 0)))
         assert np.array_equal(out[..., 0], 2.0 * np.sin(ts))
 
 
@@ -148,9 +148,9 @@ class TestProbe:
         b = systems.reflection_boundary(0.5, np.sin, np.cos, 2 * np.pi)
         ts = np.zeros(3)
         with pytest.raises(ValueError, match="side"):
-            bd.eval_incoming_batch(b, "middle", ts, np.zeros((3, 1)))
+            bd.eval_boundary(b, "middle", ts, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="length 1"):
-            bd.eval_incoming_batch(b, "left", ts, np.zeros((3, 2)))
+            bd.eval_boundary(b, "left", ts, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="length 1"):
             b.incoming(0, ts, np.zeros((3, 0)))
 

@@ -198,3 +198,22 @@ def test_maps_that_read_flat_batches():
     got = ps.linearized_step(prev, spec, bspec, cfg)
     assert np.array_equal(got.values, ps.linearized_step(prev, spec, ref, cfg).values)
     assert np.array_equal(got.values, loop_step(prev, spec, bspec, cfg).values)
+
+
+def test_sources_that_read_flat_batches():
+    """The Euler source written to read its components as u.T[j] is right on
+    one state and on the flat (N, n) batches its probe checks, but
+    transposes the (Nt, Nx + 1, n) grid. The sweep must hand it flat
+    batches. Nt = Nx + 1, so a transposed grid broadcasts without an error."""
+    spec, bspec = euler_problem()
+
+    def F(u):
+        v = 0.5 * (u.T[0] + u.T[1])
+        return -0.5 * np.stack([v, v], axis=-1)
+
+    flat_spec = SystemSpec(n=2, m=1, A=spec.A, F=F, gradF=spec.gradF,
+                           domain_radius=spec.domain_radius, L=spec.L)
+    cfg = ps.IterationConfig(Nt=16, Nx=15)
+    prev = smooth_field(16, 15, spec.n, 0.3 * spec.domain_radius)
+    got = ps.linearized_step(prev, flat_spec, bspec, cfg)
+    assert np.array_equal(got.values, ps.linearized_step(prev, spec, bspec, cfg).values)
