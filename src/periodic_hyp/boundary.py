@@ -74,7 +74,9 @@ class BoundarySpec:
         """Boundary value of component i: its map at h_i(t) and the outgoing
         trace u_out, for times t (...,) and u_out (..., n_out).
 
-        Raises ValueError when u_out is not n_out wide.
+        The signal and the map see one flat batch: more leading axes are
+        merged once here and restored on the result. Raises ValueError
+        when u_out is not n_out wide.
         """
         if i not in self._maps:
             fn, n_out = _map_for_component(self, i)
@@ -85,7 +87,11 @@ class BoundarySpec:
         u_out = np.asarray(u_out, dtype=float)
         if u_out.shape[-1:] != (n_out,):
             raise ValueError(f"outgoing trace of component {i} must have length {n_out}")
-        return fn(self.h_values(i, t), u_out)
+        t = np.asarray(t, dtype=float)
+        if t.ndim <= 1:
+            return fn(self.h_values(i, t), u_out)
+        flat = fn(self.h_values(i, t.reshape(-1)), u_out.reshape(t.size, n_out))
+        return flat.reshape(t.shape)
 
 
 @dataclass

@@ -6,8 +6,10 @@ seam row). ``trace_to_inflow`` is the one characteristic tracer: with the
 inverse speeds mu_i of a frozen field on the grid, it follows the curve
 dt/dx = mu_i of every family from every node to the family's inflow
 boundary (x = L for left-moving families, x = 0 for right-moving ones)
-with fixed-step RK4, and integrates the source terms along it. The grid
-stencils the solvers share live here too: the periodic phase, the
+with fixed-step RK4, and integrates the source terms along it. The part
+of a trace that depends on the speeds alone comes back as a
+``TraceGeometry``, which a later trace with the same speeds reuses. The
+grid stencils the solvers share live here too: the periodic phase, the
 4-point Lagrange weights, and the 2nd-order x-difference.
 """
 from __future__ import annotations
@@ -139,6 +141,18 @@ def _lagrange4(f) -> tuple:
     return -f * b * c / 6.0, a * b * c / 2.0, -a * f * c / 2.0, a * f * b / 6.0
 
 
+def _gather_cubic(rows: np.ndarray, j: np.ndarray, f: np.ndarray, cols) -> np.ndarray:
+    """Periodic 4-point Lagrange sum of rows at the phases (j, f) of ``_phase``.
+
+    Column cols[c] is read at row j[..., c] plus the fraction f[..., c];
+    any axes of rows past the second are carried along.
+    """
+    Nt = rows.shape[0]
+    w0, w1, w2, w3 = (w.reshape(f.shape + (1,) * (rows.ndim - 2)) for w in _lagrange4(f))
+    return (w0 * rows[(j - 1) % Nt, cols] + w1 * rows[j, cols]
+            + w2 * rows[(j + 1) % Nt, cols] + w3 * rows[(j + 2) % Nt, cols])
+
+
 def _interp_cols_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float, cols) -> np.ndarray:
     """Periodic 4-point Lagrange interpolation in time (O(dt^4)), column by column.
 
@@ -148,11 +162,7 @@ def _interp_cols_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float, cols) ->
     linear interpolation would accumulate a first-order error over the
     sweep.
     """
-    Nt = rows.shape[0]
-    j, f = _phase(tq, T_star, Nt)
-    w0, w1, w2, w3 = (w.reshape(f.shape + (1,) * (rows.ndim - 2)) for w in _lagrange4(f))
-    return (w0 * rows[(j - 1) % Nt, cols] + w1 * rows[j, cols]
-            + w2 * rows[(j + 1) % Nt, cols] + w3 * rows[(j + 2) % Nt, cols])
+    return _gather_cubic(rows, *_phase(tq, T_star, rows.shape[0]), cols)
 
 
 def _interp_rows_cubic(rows: np.ndarray, tq, T_star: float) -> np.ndarray:
@@ -212,33 +222,96 @@ def interpolate(fld: Field, t, x) -> np.ndarray:
     return _bilinear(fld.values, fld, t, x)
 
 
+@dataclass
+class TraceGeometry:
+    """The part of a characteristic trace that depends on mu alone.
+
+    ``trace_to_inflow`` returns one and takes one back. While the inverse
+    speeds mu (and m, T_star and L) stay the same, every curve is the same,
+    so a trace handed a geometry that fits redoes only the work that is
+    linear in the source, with the same arithmetic: its output is
+    bit-identical to a fresh trace. rows and fracs hold the periodic row and
+    Lagrange fraction (see ``_phase``) of every RK4 substep end, one
+    (Nt, n * Nx) array per substep, whose column i * Nx + s is family i
+    crossing the cell s cells from its inflow boundary; the last pair is
+    where each cell's trace leaves it. delay is the trace's delay, read-only.
+    """
+
+    mu: np.ndarray
+    frame: tuple  # (m, T_star, L)
+    rows: list
+    fracs: list
+    delay: np.ndarray
+
+    def fits(self, mu: np.ndarray, frame: tuple) -> bool:
+        return self.frame == frame and np.array_equal(self.mu, mu)
+
+
+def _refine(grid: np.ndarray) -> np.ndarray:
+    """(Nt, Nx+1, n) grid refined _REFINE times in x, family i in the fine
+    columns i * nf to (i + 1) * nf - 1, nf = _REFINE * Nx + 1."""
+    return np.hstack([_cubic_refine_x(grid[..., i], _REFINE) for i in range(grid.shape[-1])])
+
+
+def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray,
+           T_star: float) -> tuple:
+    """RK4 across every cell at once: _SUBSTEPS steps of dstep along
+    dt/dx = mu from the fine columns fidx, half fine columns per half step.
+
+    Returns the times where the traces leave their cells, and the rows and
+    fractions of every substep end (see ``TraceGeometry``).
+    """
+    mu_fine = _refine(mu)
+    Nt = mu.shape[0]
+    tcur = np.repeat((np.arange(Nt) * (T_star / Nt))[:, None], fidx.size, axis=1)
+    rows, fracs = [], []
+    for _ in range(_SUBSTEPS):
+        k1 = _interp_cols_cubic(mu_fine, tcur, T_star, fidx)
+        k2 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k1, T_star, fidx + half)
+        k3 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k2, T_star, fidx + half)
+        k4 = _interp_cols_cubic(mu_fine, tcur + dstep * k3, T_star, fidx + 2 * half)
+        tcur = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        fidx = fidx + 2 * half
+        j, f = _phase(tcur, T_star, Nt)
+        rows.append(j)
+        fracs.append(f)
+    return tcur, rows, fracs
+
+
 def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
-                    T_star: float, L: float) -> tuple:
+                    T_star: float, L: float,
+                    geometry: Optional[TraceGeometry] = None) -> tuple:
     """Delay from every node to the inflow foot of its characteristic, and
     the weighted source integral along the way.
 
     mu and R are (Nt, Nx+1, n) grids of the inverse speeds 1 / lambda_i
     and the source terms, held frozen; gii holds the n diagonal rates.
     Family i's curve dt/dx = mu_i runs from node (t_j, x_k) to its inflow
-    boundary x_in (L for i < m, 0 for the rest). Returns (delay, integral),
-    both (Nt, Nx+1, n): the foot lies at time t_j - delay, and integral is
-    the integral of exp(gii (x_k - x)) R_i from x_in to x_k along the curve.
-    Two batched stages compute them:
+    boundary x_in (L for i < m, 0 for the rest). Returns (delay, integral,
+    geometry): delay and integral are (Nt, Nx+1, n), the foot lies at time
+    t_j - delay, and integral is the integral of exp(gii (x_k - x)) R_i
+    from x_in to x_k along the curve. Three batched stages compute them:
 
-    1. Trace: RK4 with 4 substeps crosses every cell of every family at
-       once, on (Nt, n * Nx) arrays whose column c is family c // Nx
-       crossing its cell c % Nx, with mu and R resampled 8 times finer in
-       x, and integrates the weighted source across the cell by the
-       trapezoid rule. Neither depends on another cell.
-    2. Compose, in order from the inflow boundary: a column's delay and
+    1. March: RK4 with 4 substeps crosses every cell of every family at
+       once, on (Nt, n * Nx) arrays whose column i * Nx + s is family i
+       crossing the cell s cells from its inflow boundary, with mu
+       resampled 8 times finer in x. No cell depends on another.
+    2. Integrate: the weighted source across each cell by the trapezoid
+       rule on the substep ends, with R resampled the same way.
+    3. Compose, in order from the inflow boundary: a column's delay and
        integral are its cell's own plus the previous column's, read by
        periodic cubic interpolation where the cell's trace leaves. One
        step serves every family.
+
+    The march and the delay depend on mu alone, and the returned geometry
+    keeps them (see ``TraceGeometry``). Given a geometry that fits mu, the
+    trace skips the march and composes the integral alone; the result is
+    bit-identical to a fresh trace. Otherwise it traces afresh and returns
+    a new geometry.
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
     dx = L / Nx
     hsub = dx / _SUBSTEPS
-    t_grid = np.arange(Nt) * (T_star / Nt)
 
     # direction is the sign of dx when stepping from a column toward the
     # inflow boundary; the quadrature weight exp(gii (x_col - x)) therefore
@@ -249,41 +322,58 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
     growth = np.exp(-gii * direction * dx)
     fam = np.repeat(families, Nx)
     d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
-    dstep = d * hsub
-    # mu and R refined in x; family i's fine column f is column i * nf + f
-    nf = _REFINE * Nx + 1
-    mu_fine, R_fine = (np.hstack([_cubic_refine_x(g[..., i], _REFINE) for i in range(n)])
-                       for g in (mu, R))
     half = d.astype(np.int64)  # fine columns per half substep
     # each trace starts on its cell's left edge (i < m) or right edge
-    fidx = fam * nf + (np.tile(np.arange(Nx), n) + ~left_moving[fam]) * _REFINE
-    tcur = np.repeat(t_grid[:, None], n * Nx, axis=1)
+    steps = np.tile(np.arange(Nx), n)
+    fidx = (fam * (_REFINE * Nx + 1)
+            + np.where(left_moving[fam], Nx - 1 - steps, steps + 1) * _REFINE)
+    frame = (m, T_star, L)
+    march = geometry is None or not geometry.fits(mu, frame)
+    if march:
+        tend, rows, fracs = _march(mu, fidx, d * hsub, half, T_star)
+    else:
+        rows, fracs = geometry.rows, geometry.fracs
+
+    R_fine = _refine(R)
     qacc = np.zeros((Nt, n * Nx))
     w = np.ones(n * Nx)
     Rv = R_fine[:, fidx]
-    for _ in range(_SUBSTEPS):
-        k1 = _interp_cols_cubic(mu_fine, tcur, T_star, fidx)
-        k2 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k1, T_star, fidx + half)
-        k3 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k2, T_star, fidx + half)
-        k4 = _interp_cols_cubic(mu_fine, tcur + dstep * k3, T_star, fidx + 2 * half)
-        tnew = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    for j, f in zip(rows, fracs):
         fidx = fidx + 2 * half
         wn = w * wfac
-        Rn = _interp_cols_cubic(R_fine, tnew, T_star, fidx)
+        Rn = _gather_cubic(R_fine, j, f, fidx)
         qacc += (-d) * (hsub / 2.0) * (w * Rv + wn * Rn)
-        w, Rv, tcur = wn, Rn, tnew
+        w, Rv = wn, Rn
 
-    # DJ[s, :, i] holds family i's delay and integral at s columns from its
-    # inflow boundary: column Nx - s for i < m, s else
-    DJ = np.zeros((Nx + 1, Nt, n, 2))
+    # DJ[s, :, i] holds family i's delay (on a march) and integral at s
+    # columns from its inflow boundary: column Nx - s for i < m, s else.
+    # Step s reads DJ[s], flat over (Nt, n), at the flat rows taps[a][s].
+    by_step = (Nt, n, Nx)
+    qacc = qacc.reshape(by_step).transpose(2, 0, 1)
+    feet = rows[-1].reshape(by_step).transpose(2, 0, 1)
+    taps = [np.ascontiguousarray(((feet + o) % Nt) * n + families) for o in (-1, 0, 1, 2)]
+    wts = [wt.reshape(by_step).transpose(2, 0, 1)[..., None]
+           for wt in _lagrange4(fracs[-1])]
+    if march:
+        t_grid = np.arange(Nt) * (T_star / Nt)
+        tend = tend.reshape(by_step).transpose(2, 0, 1)
+    DJ = np.zeros((Nx + 1, Nt, n, 2 if march else 1))
+    flat = DJ.reshape(Nx + 1, Nt * n, -1)
     for s in range(Nx):
-        c = families * Nx + np.where(left_moving, Nx - 1 - s, s)
-        tend = tcur[:, c]
-        dj = _interp_cols_cubic(DJ[s], tend, T_star, families)
-        DJ[s + 1, ..., 0] = (t_grid[:, None] - tend) + dj[..., 0]
-        DJ[s + 1, ..., 1] = growth * dj[..., 1] + qacc[:, c]
+        prev = flat[s]
+        dj = (wts[0][s] * prev.take(taps[0][s], axis=0)
+              + wts[1][s] * prev.take(taps[1][s], axis=0)
+              + wts[2][s] * prev.take(taps[2][s], axis=0)
+              + wts[3][s] * prev.take(taps[3][s], axis=0))
+        if march:
+            DJ[s + 1, ..., 0] = (t_grid[:, None] - tend[s]) + dj[..., 0]
+        DJ[s + 1, ..., -1] = growth * dj[..., -1] + qacc[s]
     # to column order, one contiguous (Nt, Nx+1) block per family
-    out = np.empty((2, n, Nt, Nx + 1))
+    out = np.empty((DJ.shape[-1], n, Nt, Nx + 1))
     out[:, :m] = DJ[::-1, :, :m].transpose(3, 2, 1, 0)
     out[:, m:] = DJ[:, :, m:].transpose(3, 2, 1, 0)
-    return out[0].transpose(1, 2, 0), out[1].transpose(1, 2, 0)
+    if march:
+        delay = out[0].transpose(1, 2, 0)
+        delay.flags.writeable = False
+        geometry = TraceGeometry(mu.copy(), frame, rows, fracs, delay)
+    return geometry.delay, out[-1].transpose(1, 2, 0), geometry

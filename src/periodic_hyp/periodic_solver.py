@@ -13,14 +13,14 @@ smallness certificate holds, and the limit is the periodic solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import boundary as bd
 from . import diagnostics as dg
-from .characteristics import Field, _interp_rows_cubic, trace_to_inflow
+from .characteristics import Field, TraceGeometry, _interp_rows_cubic, trace_to_inflow
 from .errors import BoundaryMapError, DomainError, NonContractionError
 from .system_model import (
     SystemSpec,
@@ -62,6 +62,31 @@ class IterationConfig:
 
 
 @dataclass
+class SweepContext:
+    """What the sweeps of one solve share.
+
+    The shift K, the inverse speeds mu0 at the origin, gtilde and its
+    diagonal gii are fixed for the solve; geometry is the last sweep's
+    characteristic geometry, which the next sweep reuses while its inverse
+    speeds stay the same (see ``trace_to_inflow``).
+    """
+
+    K: float
+    mu0: np.ndarray
+    gtilde: np.ndarray
+    gii: np.ndarray
+    geometry: Optional[TraceGeometry] = None
+
+    @classmethod
+    def for_solve(cls, spec: SystemSpec, K: Optional[float]) -> "SweepContext":
+        """The context for the shift K (None: the default, see ``shift_K``)."""
+        K = shift_K(spec, K)
+        mu0 = _mu0(spec)
+        gtilde = gtilde_matrix(spec, K, mu0)
+        return cls(K=K, mu0=mu0, gtilde=gtilde, gii=np.diag(gtilde))
+
+
+@dataclass
 class IterationReport:
     """Per-iteration sup-norm deltas, the fitted contraction ratio, and the
     boundary/source smallness certificate."""
@@ -74,8 +99,8 @@ class IterationReport:
     certificate: dg.Certificate
 
 
-def _source_grid(prev: Field, spec: SystemSpec, K: float, gtilde: np.ndarray,
-                 mu0: np.ndarray, mu: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
+                 mu: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
@@ -85,19 +110,19 @@ def _source_grid(prev: Field, spec: SystemSpec, K: float, gtilde: np.ndarray,
     P = prev.values
     dudt = prev.time_derivative_grid()
     dudx = prev.space_derivative_grid()
-    gNL = _remainder(spec, P, mu, B, mu0)
-    gt_off = gtilde.copy()
+    gNL = _remainder(spec, P, mu, B, ctx.mu0)
+    gt_off = ctx.gtilde.copy()
     np.fill_diagonal(gt_off, 0.0)
     R = np.einsum("tkij,tkj->tki", B, dudx)
     R += mu * np.einsum("tkij,tkj->tki", B, dudt)
     R += np.einsum("ij,tkj->tki", gt_off, P)
-    R += K * mu0 * P
+    R += ctx.K * ctx.mu0 * P
     R += gNL
     return R
 
 
 def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
-                    cfg: IterationConfig) -> Field:
+                    cfg: IterationConfig, ctx: Optional[SweepContext] = None) -> Field:
     """One sweep of the lagged linear transport system.
 
     For every family and grid point, the characteristic of the previous
@@ -106,19 +131,23 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     at the foot, and the diagonal term is applied as an exact exponential
     factor. Each family's feet give its outgoing trace and boundary values
     in one call each.
+
+    ctx is the solve's ``SweepContext``; without one the sweep builds a
+    fresh context from cfg.K. The sweep stores its characteristic geometry
+    in ctx, and reuses the stored one when the inverse speeds of prev equal
+    those of the previous sweep; the result is the same to the last bit.
     """
     n, m = spec.n, spec.m
     Nx = prev.Nx
     T, L = prev.T_star, prev.L
 
-    K = shift_K(spec, cfg.K)
-    mu0 = _mu0(spec)
-    gtilde = gtilde_matrix(spec, K)
+    if ctx is None:
+        ctx = SweepContext.for_solve(spec, cfg.K)
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
-    R = _source_grid(prev, spec, K, gtilde, mu0, mu, _coupling_from_left(left))
-    gii = np.diag(gtilde)
-    delay, integral = trace_to_inflow(mu, R, gii, m, T, L)
+    R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left))
+    gii = ctx.gii
+    delay, integral, ctx.geometry = trace_to_inflow(mu, R, gii, m, T, L, ctx.geometry)
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
@@ -170,12 +199,10 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
     with the deltas not decreasing over the last five sweeps.
     """
     n = spec.n
-    K = shift_K(spec, cfg.K)
-    cfg = replace(cfg, K=K)
-    gtilde = gtilde_matrix(spec, K)
+    ctx = SweepContext.for_solve(spec, cfg.K)
     theta = bd.characterizing_data(bspec).theta
-    profile = dg.weights(gtilde, spec.L, n, spec.m)
-    cert = dg.smallness_certificate(theta, K, spec.L, profile.M3)
+    profile = dg.weights(ctx.gtilde, spec.L, n, spec.m)
+    cert = dg.smallness_certificate(theta, ctx.K, spec.L, profile.M3)
     if not cert.ok:
         logger.warning("smallness certificate fails (margin %.3e); "
                        "contraction is not guaranteed", cert.margin)
@@ -185,7 +212,7 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        new = linearized_step(u, spec, bspec, cfg)
+        new = linearized_step(u, spec, bspec, cfg, ctx)
         diff = Field(values=new.values - u.values, T_star=bspec.T_star, L=spec.L)
         dn = dg.norms(diff)
         deltas.append(dn.c0)

@@ -221,7 +221,7 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray):
     Returns (lambdas, left, right) with shapes (..., n), (..., n, n),
     (..., n, n). Diagonal coefficient matrices take a fast path. Raises
     HyperbolicityError / SignatureError if any sampled state violates
-    the hypotheses.
+    the hypotheses, HyperbolicityError also where A is not finite.
     """
     states = np.asarray(states, dtype=float)
     n, m = spec.n, spec.m
@@ -237,6 +237,9 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray):
         right = (order[..., None, :] == np.arange(n)[..., :, None]).astype(float)
         left = np.swapaxes(right, -1, -2)
     else:
+        # a non-finite entry always lands here: NaN * 0 is NaN in off
+        if not np.all(np.isfinite(A_vals)):
+            raise HyperbolicityError("A is not finite at some state")
         w, v = np.linalg.eig(A_vals)
         scale = max(1.0, float(np.abs(w).max()))
         if np.abs(w.imag).max() > _IMAG_TOL * scale:
@@ -450,19 +453,21 @@ def source_linearization(spec: SystemSpec, K: Optional[float] = None,
                                mu_max=measured_mu_max(spec, samples))
 
 
-def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
+def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
-    diagonal. Raises DominanceError unless the result is strictly
-    diagonally dominant with the sign pattern required of the two families
-    (positive diagonal for left-moving rows, negative for right-moving).
+    diagonal, with the inverse speeds mu0 = mu(0) computed when not given.
+    Raises DominanceError unless the result is strictly diagonally dominant
+    with the sign pattern required of the two families (positive diagonal
+    for left-moving rows, negative for right-moving).
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
     g0 = spec.gradF_at(np.zeros(n))
-    mu0 = _mu0(spec)
+    if mu0 is None:
+        mu0 = _mu0(spec)
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
     check_dominance(gt, m)

@@ -66,7 +66,7 @@ def trace(mu, m=0, R=None):
     """Delay and source integral of one family with gii = 0 and source R
     (zero by default)."""
     R = np.zeros_like(mu) if R is None else R
-    delay, integral = ch.trace_to_inflow(mu, R, np.zeros(1), m, 1.0, 1.0)
+    delay, integral, _ = ch.trace_to_inflow(mu, R, np.zeros(1), m, 1.0, 1.0)
     return delay[..., 0], integral[..., 0]
 
 
@@ -126,3 +126,43 @@ class TestTrace:
         mu_max = 1.0 / 0.95
         assert np.abs(delay[:, 0]).max() == 0.0
         assert np.all(np.abs(np.diff(delay, axis=1)) <= mu_max / 32 + 1e-12)
+
+
+class TestGeometryReuse:
+    """A stored geometry reused with another source and other rates gives
+    the fresh trace to the last bit; one of other speeds is not reused."""
+
+    @staticmethod
+    def three_families(m, Nt=24, Nx=16):
+        t = (np.arange(Nt) / Nt)[:, None, None]
+        x = (np.arange(Nx + 1) / Nx)[None, :, None]
+        speeds = np.array([-1.3, 1.0, 1.6]) if m == 1 else np.array([-1.5, -0.9, 1.2])
+        return 1.0 / (speeds * (1.0 + 0.05 * np.sin(2 * np.pi * t + x + np.arange(3))))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_reuse_is_exact(self, m):
+        mu = self.three_families(m)
+        rng = np.random.default_rng(m)
+        R1, R2 = rng.normal(size=(2,) + mu.shape)
+        gii1, gii2 = np.array([0.3, -0.2, -0.4]), np.array([0.5, 0.1, -0.7])
+        _, _, geometry = ch.trace_to_inflow(mu, R1, gii1, m, 1.0, 1.0)
+        delay, integral, kept = ch.trace_to_inflow(mu.copy(), R2, gii2, m, 1.0, 1.0, geometry)
+        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(mu, R2, gii2, m, 1.0, 1.0)
+        assert kept is geometry
+        assert np.array_equal(delay, fresh_delay)
+        assert np.array_equal(integral, fresh_integral)
+        assert np.abs(integral).max() > 0.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_other_speeds_trace_afresh(self, m):
+        mu = self.three_families(m)
+        R = np.random.default_rng(m).normal(size=mu.shape)
+        gii = np.array([0.3, -0.2, -0.4])
+        _, _, geometry = ch.trace_to_inflow(mu, R, gii, m, 1.0, 1.0)
+        other = mu.copy()
+        other[5, 7, 1] = np.nextafter(other[5, 7, 1], 0.0)
+        delay, integral, new = ch.trace_to_inflow(other, R, gii, m, 1.0, 1.0, geometry)
+        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(other, R, gii, m, 1.0, 1.0)
+        assert new is not geometry
+        assert np.array_equal(delay, fresh_delay)
+        assert np.array_equal(integral, fresh_integral)

@@ -7,6 +7,8 @@ interpolation. The batched kernel must reproduce it bit for bit.
 import numpy as np
 import pytest
 
+from periodic_hyp import characteristics as ch
+from periodic_hyp import diagnostics as dg
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.boundary import BoundarySpec
@@ -217,3 +219,30 @@ def test_sources_that_read_flat_batches():
     prev = smooth_field(16, 15, spec.n, 0.3 * spec.domain_radius)
     got = ps.linearized_step(prev, flat_spec, bspec, cfg)
     assert np.array_equal(got.values, ps.linearized_step(prev, spec, bspec, cfg).values)
+
+
+@pytest.mark.parametrize("name, reuses", [("linear_reflect_2x2", True),
+                                          ("quasilinear_euler_damping", False)])
+def test_solve_reuses_the_characteristics_while_the_speeds_stay(name, reuses, monkeypatch):
+    """The linear system's speeds never change, so its solve marches mu
+    once; the Euler speeds change every sweep, so its solve marches every
+    sweep. Either way the solve equals standalone sweeps, each with a
+    fresh context, bit for bit."""
+    make, Nt, Nx, K = CASES[name]
+    spec, bspec = make()
+    cfg = ps.IterationConfig(Nt=Nt, Nx=Nx, K=K)
+    marches = []
+    march = ch._march
+    monkeypatch.setattr(ch, "_march", lambda *args: marches.append(1) or march(*args))
+    got, report = ps.solve_periodic(spec, bspec, cfg)
+    assert len(marches) == (1 if reuses else report.iterations)
+    assert report.converged and report.iterations > 3
+
+    u = Field.zeros(Nt, Nx, spec.n, T_STAR, spec.L)
+    deltas = []
+    for _ in range(report.iterations):
+        new = ps.linearized_step(u, spec, bspec, cfg)
+        deltas.append(dg.norms(Field(values=new.values - u.values, T_star=T_STAR, L=spec.L)).c0)
+        u = new
+    assert np.array_equal(got.values, u.values)
+    assert np.array_equal(report.deltas, deltas)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from periodic_hyp import cli
 from periodic_hyp import system_model as sm
 from periodic_hyp.errors import (
     DomainError,
@@ -87,6 +88,30 @@ class TestEigenDecompose:
         assert np.abs(np.linalg.norm(es.right, axis=0) - 1).max() <= 1e-10
         assert np.abs(es.left @ A - es.lambdas[:, None] * es.left).max() <= 1e-8
         assert np.abs(A @ es.right - es.lambdas[None, :] * es.right).max() <= 1e-8
+
+
+class TestNonFiniteA:
+    """An A that is finite on its probe points but NaN at one state of a
+    batch raises HyperbolicityError (CLI exit 3), not numpy's LinAlgError."""
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.1])
+    def test_nan_at_one_state(self, coupling):
+        def A(u):
+            u = np.asarray(u, dtype=float)
+            out = np.zeros(u.shape[:-1] + (2, 2))
+            out[..., 0, 0] = np.where(u[..., 0] > 0.08, np.nan, -1.0)
+            out[..., 1, 1] = 1.0
+            out[..., 0, 1] = out[..., 1, 0] = coupling
+            return out
+
+        spec = sm.SystemSpec(n=2, m=1, A=A, F=lambda u: np.zeros(np.shape(u)),
+                             domain_radius=0.1, L=1.0)
+        states = np.zeros((4, 3, 2))
+        sm.eigen_fields(spec, states)
+        states[2, 1, 0] = 0.09
+        with pytest.raises(HyperbolicityError) as exc:
+            sm.eigen_fields(spec, states)
+        assert cli._exit_code(exc.value) == 3
 
 
 class TestValidation:
