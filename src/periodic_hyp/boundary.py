@@ -70,6 +70,26 @@ class BoundarySpec:
             self._h_batch[i] = batched(self.h[i], times, (), f"h[{i}]")
         return self._h_batch[i](np.asarray(t, dtype=float))
 
+    def _map(self, i: int, u_out: np.ndarray) -> Callable:
+        """Batched map of component i; raises ValueError when u_out is not
+        as wide as the outgoing trace of component i."""
+        if i not in self._maps:
+            fn, n_out = _map_for_component(self, i)
+            probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
+                     _probe_points(n_out, _MAP_PROBE_SCALE))
+            self._maps[i] = (batched(fn, probe, (), f"boundary map {i}"), n_out)
+        fn, n_out = self._maps[i]
+        if u_out.shape[-1:] != (n_out,):
+            raise ValueError(f"outgoing trace of component {i} must have length {n_out}")
+        return fn
+
+    def map_values(self, i: int, hv, u_out: np.ndarray) -> np.ndarray:
+        """Map of component i at signal values hv (...,) and the outgoing
+        trace u_out (..., n_out): ``incoming`` for a caller that already
+        holds h_i at the times."""
+        u_out = np.asarray(u_out, dtype=float)
+        return self._map(i, u_out)(hv, u_out)
+
     def incoming(self, i: int, t, u_out: np.ndarray) -> np.ndarray:
         """Boundary value of component i: its map at h_i(t) and the outgoing
         trace u_out, for times t (...,) and u_out (..., n_out).
@@ -78,19 +98,12 @@ class BoundarySpec:
         merged once here and restored on the result. Raises ValueError
         when u_out is not n_out wide.
         """
-        if i not in self._maps:
-            fn, n_out = _map_for_component(self, i)
-            probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
-                     _probe_points(n_out, _MAP_PROBE_SCALE))
-            self._maps[i] = (batched(fn, probe, (), f"boundary map {i}"), n_out)
-        fn, n_out = self._maps[i]
         u_out = np.asarray(u_out, dtype=float)
-        if u_out.shape[-1:] != (n_out,):
-            raise ValueError(f"outgoing trace of component {i} must have length {n_out}")
+        fn = self._map(i, u_out)
         t = np.asarray(t, dtype=float)
         if t.ndim <= 1:
             return fn(self.h_values(i, t), u_out)
-        flat = fn(self.h_values(i, t.reshape(-1)), u_out.reshape(t.size, n_out))
+        flat = fn(self.h_values(i, t.reshape(-1)), u_out.reshape(t.size, u_out.shape[-1]))
         return flat.reshape(t.shape)
 
 
@@ -346,20 +359,26 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     )
 
 
-def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray) -> np.ndarray:
+def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray,
+                  signals=None) -> np.ndarray:
     """Incoming components at one endpoint from the outgoing trace.
 
     side "left" (x = 0) maps the m outgoing components to the n - m
     incoming ones; side "right" (x = L) the reverse. Takes times t (...,)
     and outgoing (..., n_out), and evaluates each incoming component with
-    ``BoundarySpec.incoming``. Returns (..., n_incoming).
+    ``BoundarySpec.incoming``. A caller that holds the signal values at
+    the times already passes them as signals, signals[i] being h_i(t) for
+    every component i; each map is then evaluated on them with
+    ``BoundarySpec.map_values`` and no signal is called. Returns
+    (..., n_incoming).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
     out = np.empty(np.asarray(t).shape + (len(comps),))
     for k, i in enumerate(comps):
-        out[..., k] = bspec.incoming(i, t, outgoing)
+        out[..., k] = (bspec.incoming(i, t, outgoing) if signals is None
+                       else bspec.map_values(i, signals[i], outgoing))
     if not np.isfinite(out).all():
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

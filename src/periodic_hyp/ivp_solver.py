@@ -8,6 +8,12 @@ du/dt = -sum_i lambda_i (l_i . d_x u) r_i + F(u). Time stepping is Heun's
 2-stage method with the boundary maps imposed after every stage. A von
 Neumann check of the one-sided stencil puts the stability margin near
 CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
+
+Each step computes the eigenstructure twice, once per stage: the first
+stage's serves the CFL check too. Each stage builds one upwind
+derivative per direction, shared by all families moving that way, and
+both stages impose the boundary at the same time, from one evaluation of
+every forcing signal per step.
 """
 from __future__ import annotations
 
@@ -50,6 +56,9 @@ class Trajectory:
     du_center[k] holds (u_before, u_after, dt) around sample k when both
     neighbors exist, else None. compat_c0 / compat_c1 are the corner
     compatibility residuals of the initial data (reported, not enforced).
+    steps counts the Heun steps completed; rhs_evals and eigen_calls count
+    every semi-discrete right-hand side and every eigenstructure the run
+    computed, a step that left the neighborhood and the set-up included.
     """
 
     x: np.ndarray
@@ -61,6 +70,9 @@ class Trajectory:
     compat_c1: float
     completed: bool
     failure: Optional[str] = None
+    steps: int = 0
+    rhs_evals: int = 0
+    eigen_calls: int = 0
 
 
 @dataclass
@@ -110,52 +122,68 @@ def _upwind_dx(u: np.ndarray, dx: float, from_left: bool) -> np.ndarray:
     return g
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, dx: float) -> np.ndarray:
-    """Semi-discrete du/dt in characteristic variables."""
-    lam, left, right = eigen_fields(spec, u)
+def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
+         eig: Optional[tuple] = None) -> np.ndarray:
+    """Semi-discrete du/dt in characteristic variables.
+
+    eig is ``eigen_fields(spec, u)`` when the caller has it already. The
+    upwind derivative is built once per direction: the m left-moving
+    families share the stencil biased to larger x, the others the one
+    biased to smaller x.
+    """
+    lam, left, right = eigen_fields(spec, u) if eig is None else eig
+    m = spec.m
+    # indexed by from_left, i.e. by i >= m
+    dxu = (_upwind_dx(u, dx, from_left=False) if m else None,
+           _upwind_dx(u, dx, from_left=True) if m < spec.n else None)
     du = spec.F_at(u)
     for i in range(spec.n):
-        dxu = _upwind_dx(u, dx, from_left=i >= spec.m)
-        w = np.einsum("kc,kc->k", left[:, i, :], dxu)
+        w = np.einsum("kc,kc->k", left[:, i, :], dxu[i >= m])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
     return du
 
 
-def _impose_boundary(u: np.ndarray, t: float, spec: SystemSpec,
+def _impose_boundary(u: np.ndarray, t: float, signals: list, spec: SystemSpec,
                      bspec: bd.BoundarySpec) -> None:
-    """Overwrite incoming components from the feedback maps (in place)."""
+    """Overwrite incoming components from the feedback maps (in place),
+    with signals[i] = h_i(t) for every component i."""
     m = spec.m
     if spec.n - m:
-        u[0, m:] = bd.eval_boundary(bspec, "left", t, u[0, :m])
+        u[0, m:] = bd.eval_boundary(bspec, "left", t, u[0, :m], signals)
     if m:
-        u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:])
+        u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:], signals)
 
 
 def step(state: IvpState, dt: float, spec: SystemSpec,
          bspec: bd.BoundarySpec) -> IvpState:
     """One Heun step with per-stage boundary imposition.
 
+    The eigenstructure of the current profile serves the CFL check and
+    the first stage; the second stage computes its own. Both stages impose
+    the boundary at t + dt, from one evaluation of each forcing signal.
     Raises StepSizeError when dt exceeds 0.8 dx / max |lambda| on the
     current profile and DomainError when the new profile leaves the
     validated neighborhood (the blow-up proxy).
     """
     u = state.u
-    lam, _, _ = eigen_fields(spec, u)
-    lam_max = float(np.abs(lam).max())
+    eig = eigen_fields(spec, u)
+    lam_max = float(np.abs(eig[0]).max())
     if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_CFL_CAP} dx / max|lambda| = "
             f"{_CFL_CAP * state.dx / lam_max:.3e}"
         )
-    f1 = _rhs(u, spec, state.dx)
+    t_new = state.t + dt
+    signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
+    f1 = _rhs(u, spec, state.dx, eig)
     u1 = u + dt * f1
-    _impose_boundary(u1, state.t + dt, spec, bspec)
+    _impose_boundary(u1, t_new, signals, spec, bspec)
     f2 = _rhs(u1, spec, state.dx)
     u_new = u + 0.5 * dt * (f1 + f2)
-    _impose_boundary(u_new, state.t + dt, spec, bspec)
+    _impose_boundary(u_new, t_new, signals, spec, bspec)
     if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
-    return IvpState(t=state.t + dt, u=u_new, dx=state.dx)
+    return IvpState(t=t_new, u=u_new, dx=state.dx)
 
 
 def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
@@ -217,9 +245,12 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     c0, c1 = _compat_residuals(u0, spec, bspec, dx)
     x = np.arange(Nx + 1) * dx
+    # set-up: the eigenstructure of the neighborhood sample, and the rhs
+    # of the compatibility residuals with its eigenstructure
     traj = Trajectory(x=x, times=[0.0], profiles=[u0.copy()],
                       du_center=[None], dt_used=dt,
-                      compat_c0=c0, compat_c1=c1, completed=True)
+                      compat_c0=c0, compat_c1=c1, completed=True,
+                      rhs_evals=1, eigen_calls=2)
     if t_end <= 0:
         return traj
 
@@ -231,7 +262,11 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         for s in range(1, n_samples + 1):
             for q in range(n_sub):
                 before = state.u
+                # two stages, each with one rhs and one eigenstructure
+                traj.rhs_evals += 2
+                traj.eigen_calls += 2
                 state = step(state, dt, spec, bspec)
+                traj.steps += 1
                 if pending is not None:
                     u_before, _ = pending
                     traj.du_center[-1] = (u_before, state.u.copy(), dt)

@@ -65,14 +65,16 @@ class IterationConfig:
 class SweepContext:
     """What the sweeps of one solve share.
 
-    The shift K, the inverse speeds mu0 at the origin, gtilde and its
-    diagonal gii are fixed for the solve; geometry is the last sweep's
-    characteristic geometry, which the next sweep reuses while its inverse
-    speeds stay the same (see ``trace_to_inflow``).
+    The shift K, the inverse speeds mu0 and source Jacobian g0 at the
+    origin, gtilde and its diagonal gii are fixed for the solve; geometry
+    is the last sweep's characteristic geometry, which the next sweep
+    reuses while its inverse speeds stay the same (see
+    ``trace_to_inflow``).
     """
 
     K: float
     mu0: np.ndarray
+    g0: np.ndarray
     gtilde: np.ndarray
     gii: np.ndarray
     geometry: Optional[TraceGeometry] = None
@@ -82,8 +84,9 @@ class SweepContext:
         """The context for the shift K (None: the default, see ``shift_K``)."""
         K = shift_K(spec, K)
         mu0 = _mu0(spec)
-        gtilde = gtilde_matrix(spec, K, mu0)
-        return cls(K=K, mu0=mu0, gtilde=gtilde, gii=np.diag(gtilde))
+        g0 = spec.gradF_at(np.zeros(spec.n))
+        gtilde = gtilde_matrix(spec, K, mu0, g0)
+        return cls(K=K, mu0=mu0, g0=g0, gtilde=gtilde, gii=np.diag(gtilde))
 
 
 @dataclass
@@ -110,7 +113,7 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
     P = prev.values
     dudt = prev.time_derivative_grid()
     dudx = prev.space_derivative_grid()
-    gNL = _remainder(spec, P, mu, B, ctx.mu0)
+    gNL = _remainder(spec, P, mu, B, ctx.mu0, ctx.g0)
     gt_off = ctx.gtilde.copy()
     np.fill_diagonal(gt_off, 0.0)
     R = np.einsum("tkij,tkj->tki", B, dudx)

@@ -229,10 +229,9 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray):
 
     diag = np.einsum("...ii->...i", A_vals)
     off = A_vals - diag[..., None] * np.eye(n)
-    if not np.any(off):
-        lam_raw = diag
-        order = np.argsort(lam_raw, axis=-1)
-        lam = np.take_along_axis(lam_raw, order, axis=-1)
+    if not off.any():
+        order = np.argsort(diag, axis=-1)
+        lam = np.sort(diag, axis=-1)
         # permuted identity columns: right[..., :, i] = e_{order[i]}
         right = (order[..., None, :] == np.arange(n)[..., :, None]).astype(float)
         left = np.swapaxes(right, -1, -2)
@@ -257,14 +256,14 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray):
         except np.linalg.LinAlgError as exc:
             raise HyperbolicityError("defective eigenbasis") from exc
 
-    scale = max(1.0, float(np.abs(lam).max()))
-    if np.abs(lam).min() < _ZERO_EIG_TOL * scale:
+    abs_lam = np.abs(lam)
+    scale = max(1.0, float(abs_lam.max()))
+    if abs_lam.min() < _ZERO_EIG_TOL * scale:
         raise HyperbolicityError("zero eigenvalue encountered")
-    if n > 1 and np.diff(lam, axis=-1).min() < _GAP_TOL * scale:
+    if n > 1 and (lam[..., 1:] - lam[..., :-1]).min() < _GAP_TOL * scale:
         raise HyperbolicityError("repeated eigenvalue (not strictly hyperbolic)")
-    neg = int((lam < 0).sum(axis=-1).min()) if lam.size else 0
-    neg_max = int((lam < 0).sum(axis=-1).max()) if lam.size else 0
-    if neg != m or neg_max != m:
+    neg = (lam < 0).sum(axis=-1)
+    if (neg != m).any():
         raise SignatureError(
             f"signature is not ({m}, {n - m}) at every sampled state"
         )
@@ -453,11 +452,13 @@ def source_linearization(spec: SystemSpec, K: Optional[float] = None,
                                mu_max=measured_mu_max(spec, samples))
 
 
-def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None) -> np.ndarray:
+def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None,
+                  g0: Optional[np.ndarray] = None) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
-    diagonal, with the inverse speeds mu0 = mu(0) computed when not given.
+    diagonal, with the inverse speeds mu0 = mu(0) and the source Jacobian
+    g0 = g(0) computed when not given.
     Raises DominanceError unless the result is strictly diagonally dominant
     with the sign pattern required of the two families (positive diagonal
     for left-moving rows, negative for right-moving).
@@ -465,7 +466,8 @@ def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None) 
     if K < 0:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
-    g0 = spec.gradF_at(np.zeros(n))
+    if g0 is None:
+        g0 = spec.gradF_at(np.zeros(n))
     if mu0 is None:
         mu0 = _mu0(spec)
     gt = mu0[:, None] * g0
@@ -503,15 +505,15 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     lam, left, _ = eigen_fields(spec, states)
-    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), _mu0(spec))
+    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), _mu0(spec),
+                      spec.gradF_at(np.zeros(spec.n)))
 
 
 def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
-               B: np.ndarray, mu0: np.ndarray) -> np.ndarray:
+               B: np.ndarray, mu0: np.ndarray, g0: np.ndarray) -> np.ndarray:
     """g_nonlinear_batch from the inverse speeds mu and couplings B at the
-    states and the inverse speeds mu0 at the origin."""
+    states, and the inverse speeds mu0 and source Jacobian g0 at the origin."""
     Fv = spec.F_at(states)
-    g0 = spec.gradF_at(np.zeros(spec.n))
     linear = np.einsum("i,ij,...j->...i", mu0, g0, states)
     coupled = mu * np.einsum("...ij,...j->...i", B, Fv)
     return mu * Fv - linear - coupled

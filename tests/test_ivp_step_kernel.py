@@ -1,0 +1,144 @@
+"""The IVP step kernel against the per-stage step it replaced.
+
+``loop_step`` is the earlier ``ivp_solver.step``: it computes the
+eigenstructure for the CFL check and again in each stage (3 calls per
+step), builds the upwind derivative once per family, and evaluates every
+forcing signal again in each stage. The kernel shares the first stage's
+eigenstructure with the CFL check, one upwind derivative per direction
+and one signal evaluation per step; ``ivp.run`` must reproduce the loop
+bit for bit.
+"""
+import numpy as np
+import pytest
+from test_sweep_kernel import euler_problem, reflect_problem, three_family
+
+from periodic_hyp import boundary as bd
+from periodic_hyp import ivp_solver as ivp
+from periodic_hyp.errors import DomainError, StepSizeError
+from periodic_hyp.system_model import eigen_fields
+
+
+def loop_rhs(u, spec, dx):
+    lam, left, right = eigen_fields(spec, u)
+    du = spec.F_at(u)
+    for i in range(spec.n):
+        dxu = ivp._upwind_dx(u, dx, from_left=i >= spec.m)
+        w = np.einsum("kc,kc->k", left[:, i, :], dxu)
+        du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
+    return du
+
+
+def loop_impose(u, t, spec, bspec):
+    m = spec.m
+    if spec.n - m:
+        u[0, m:] = bd.eval_boundary(bspec, "left", t, u[0, :m])
+    if m:
+        u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:])
+
+
+def loop_step(state, dt, spec, bspec):
+    u = state.u
+    lam, _, _ = eigen_fields(spec, u)
+    lam_max = float(np.abs(lam).max())
+    if dt > 0.8 * state.dx / lam_max * (1 + 1e-12):
+        raise StepSizeError("dt above the CFL cap")
+    f1 = loop_rhs(u, spec, state.dx)
+    u1 = u + dt * f1
+    loop_impose(u1, state.t + dt, spec, bspec)
+    f2 = loop_rhs(u1, spec, state.dx)
+    u_new = u + 0.5 * dt * (f1 + f2)
+    loop_impose(u_new, state.t + dt, spec, bspec)
+    if not spec.contains(u_new):
+        raise DomainError("profile left the validated neighborhood")
+    return ivp.IvpState(t=state.t + dt, u=u_new, dx=state.dx)
+
+
+def initial_profile(spec, Nx):
+    """A smooth profile at 40 % of the neighborhood radius, nonzero at
+    both ends so that the corners start incompatible."""
+    x = np.linspace(0.0, spec.L, Nx + 1)[:, None]
+    k = np.arange(1, spec.n + 1)[None, :]
+    return 0.4 * spec.domain_radius * np.cos(k * np.pi * x / spec.L + 0.3 * k) / np.sqrt(spec.n)
+
+
+CASES = {
+    "quasilinear_euler_damping": (euler_problem, 24),
+    "linear_reflect_2x2": (reflect_problem, 20),
+    "three_family_m1": (lambda: three_family(1), 16),
+    "three_family_m2": (lambda: three_family(2), 16),
+}
+
+
+def run_both(name, monkeypatch):
+    make, Nx = CASES[name]
+    spec, bspec = make()
+    u0 = initial_profile(spec, Nx)
+    args = (u0, spec, bspec)
+    kw = dict(t_end=1.5 * spec.L, record_every=0.25 * spec.L)
+    got = ivp.run(*args, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(ivp, "step", loop_step)
+        mp.setattr(ivp, "_rhs", loop_rhs)
+        want = ivp.run(*args, **kw)
+    return got, want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_equals_the_per_stage_loop(name, monkeypatch):
+    got, want = run_both(name, monkeypatch)
+    assert got.completed and want.completed
+    assert got.dt_used == want.dt_used
+    assert (got.compat_c0, got.compat_c1) == (want.compat_c0, want.compat_c1)
+    assert got.times == want.times
+    assert len(got.profiles) == len(want.profiles) == 7
+    for a, b in zip(got.profiles, want.profiles):
+        assert np.array_equal(a, b)
+    assert np.abs(got.profiles[-1] - got.profiles[0]).max() > 0.0
+    for a, b in zip(got.du_center, want.du_center):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            assert a[2] == b[2]
+
+
+def counting(fn, calls, key):
+    def wrapped(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
+    make, Nx = CASES[name]
+    spec, bspec = make()
+    state = ivp.IvpState(t=0.1, u=initial_profile(spec, Nx), dx=spec.L / Nx)
+    calls = {"eigen": 0, "upwind": 0, "h": 0}
+    monkeypatch.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "eigen"))
+    monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "upwind"))
+    monkeypatch.setattr(bd.BoundarySpec, "h_values",
+                        counting(bd.BoundarySpec.h_values, calls, "h"))
+    ivp.step(state, 0.2 * state.dx, spec, bspec)
+    directions = (spec.m > 0) + (spec.m < spec.n)
+    assert calls == {"eigen": 2, "upwind": 2 * directions, "h": spec.n}
+
+
+def test_run_counts_its_work(monkeypatch):
+    """Trajectory.steps / rhs_evals / eigen_calls against counted calls,
+    on a run that completes and on one that leaves the neighborhood."""
+    spec, bspec = euler_problem()
+    u0 = initial_profile(spec, 16)
+    big = bd.BoundarySpec(left_maps=bspec.left_maps, right_maps=bspec.right_maps,
+                          h=[lambda t: 0.2 * np.sin(np.pi * np.asarray(t))] * 2,
+                          T_star=bspec.T_star)
+    for boundary, completed in ((bspec, True), (big, False)):
+        calls = {"eigen": 0, "rhs": 0}
+        with monkeypatch.context() as mp:
+            mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "eigen"))
+            mp.setattr(ivp, "_rhs", counting(ivp._rhs, calls, "rhs"))
+            traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
+        assert traj.completed is completed
+        failed = 0 if completed else 1
+        assert traj.eigen_calls == calls["eigen"] == 2 + 2 * (traj.steps + failed)
+        assert traj.rhs_evals == calls["rhs"] == 1 + 2 * (traj.steps + failed)
+        assert traj.steps > 0

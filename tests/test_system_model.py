@@ -114,6 +114,51 @@ class TestNonFiniteA:
         assert cli._exit_code(exc.value) == 3
 
 
+class TestDiagonalPath:
+    """Diagonal A: speeds -1, 1, 2 except at states with u_0 > 0.08,
+    where the diagonal is ``bad``. One such state in a batch raises the
+    error of its fault."""
+
+    BASE = np.array([-1.0, 1.0, 2.0])
+
+    def spec(self, bad):
+        def A(u):
+            u = np.asarray(u, dtype=float)
+            d = np.where(u[..., :1] > 0.08, bad, self.BASE)
+            return d[..., None] * np.eye(3)
+
+        return sm.SystemSpec(n=3, m=1, A=A, F=lambda u: np.zeros(np.shape(u)),
+                             domain_radius=0.1, L=1.0)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([-1.0, -0.5, 2.0], SignatureError),
+        ([-1.0, 0.0, 2.0], HyperbolicityError),
+        ([-1.0, 2.0, 2.0], HyperbolicityError),
+        ([-1.0, np.nan, 2.0], HyperbolicityError),
+    ], ids=["signature_flip", "zero_speed", "equal_speeds", "nan_on_diagonal"])
+    def test_one_bad_state_in_a_batch(self, bad, error):
+        spec = self.spec(np.array(bad))
+        states = np.zeros((4, 3, 3))
+        sm.eigen_fields(spec, states)
+        states[1, 2, 0] = 0.09
+        with pytest.raises(error):
+            sm.eigen_fields(spec, states)
+
+    def test_sorted_speeds_and_permuted_basis(self):
+        rng = np.random.default_rng(4)
+        diag = np.stack([rng.uniform(-2.0, -0.5, 50), rng.uniform(0.5, 1.0, 50),
+                         rng.uniform(1.5, 2.0, 50)], axis=-1)
+        diag = rng.permuted(diag, axis=-1).reshape(5, 10, 3)
+        spec = sm.SystemSpec(n=3, m=1, A=lambda u: u[..., None] * np.eye(3),
+                             F=lambda u: np.zeros(np.shape(u)),
+                             domain_radius=10.0, L=1.0)
+        lam, left, right = sm.eigen_fields(spec, diag)
+        order = np.argsort(diag, axis=-1)
+        assert np.array_equal(lam, np.take_along_axis(diag, order, axis=-1))
+        assert np.array_equal(right, np.eye(3)[order].swapaxes(-1, -2))
+        assert np.array_equal(left, np.eye(3)[order])
+
+
 class TestValidation:
     def test_scalar_damped_valid(self):
         rep = sm.validate_hyperbolicity(make_scalar_spec())
