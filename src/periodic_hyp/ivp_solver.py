@@ -9,11 +9,13 @@ du/dt = -sum_i lambda_i (l_i . d_x u) r_i + F(u). Time stepping is Heun's
 Neumann check of the one-sided stencil puts the stability margin near
 CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 
-Each step computes the eigenstructure twice, once per stage: the first
-stage's serves the CFL check too. Each stage builds one upwind
-derivative per direction, shared by all families moving that way, and
-both stages impose the boundary at the same time, from one evaluation of
-every forcing signal per step.
+Each step evaluates A twice, once per stage: the first stage's speeds
+serve the CFL check too. When A is diagonal, as for any system written
+in Riemann invariants, the speeds are diag A and no eigenvectors are
+built; otherwise each stage computes the eigenstructure. Each stage makes
+one stencil pass that gives the upwind derivative of both directions,
+and both stages impose the boundary at the same time, from one
+evaluation of every forcing signal per step.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .characteristics import Field, _x_difference
 from .errors import DomainError, StepSizeError
 from .system_model import (
     SystemSpec,
+    characteristic_speeds,
     eigen_fields,
     measured_mu_max,
     neighborhood_samples,
@@ -56,9 +59,11 @@ class Trajectory:
     du_center[k] holds (u_before, u_after, dt) around sample k when both
     neighbors exist, else None. compat_c0 / compat_c1 are the corner
     compatibility residuals of the initial data (reported, not enforced).
-    steps counts the Heun steps completed; rhs_evals and eigen_calls count
-    every semi-discrete right-hand side and every eigenstructure the run
-    computed, a step that left the neighborhood and the set-up included.
+    steps counts the Heun steps completed; rhs_evals and speed_evals count
+    every semi-discrete right-hand side and every evaluation of the
+    characteristic speeds (``characteristic_speeds`` or ``eigen_fields``)
+    the run made, a step that left the neighborhood and the set-up
+    included.
     """
 
     x: np.ndarray
@@ -72,7 +77,7 @@ class Trajectory:
     failure: Optional[str] = None
     steps: int = 0
     rhs_evals: int = 0
-    eigen_calls: int = 0
+    speed_evals: int = 0
 
 
 @dataclass
@@ -103,42 +108,48 @@ def bump_profile(x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-def _upwind_dx(u: np.ndarray, dx: float, from_left: bool) -> np.ndarray:
-    """Fully one-sided 2nd-order derivative of every component.
+def _upwind_dx(u: np.ndarray, dx: float) -> np.ndarray:
+    """Fully one-sided 2nd-order derivatives of every component, both ways.
 
-    from_left=True biases the stencil toward smaller x (right-moving
-    families); close to the starved boundary the stencil degrades to
-    central (one node in) and fully opposite-sided (boundary node).
+    Returns g of shape (2,) + u.shape: g[1] is biased toward smaller x
+    (for right-moving families), g[0] toward larger x (left-moving). Near
+    the starved boundary each degrades to central (one node in) and to
+    the other side's stencil (boundary node). Both share 3u and 4u[1:-1].
     """
-    g = np.empty_like(u)
-    if from_left:
-        g[2:] = (3 * u[2:] - 4 * u[1:-1] + u[:-2]) / (2 * dx)
-        g[1] = (u[2] - u[0]) / (2 * dx)
-        g[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
-    else:
-        g[:-2] = (-3 * u[:-2] + 4 * u[1:-1] - u[2:]) / (2 * dx)
-        g[-2] = (u[-1] - u[-3]) / (2 * dx)
-        g[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
+    g = np.empty((2,) + u.shape)
+    from_right, from_left = g
+    u3 = 3 * u
+    u4 = 4 * u[1:-1]
+    np.subtract(u4, u3[:-2], out=from_right[:-2])
+    from_right[:-2] -= u[2:]
+    np.subtract(u3[2:], u4, out=from_left[2:])
+    from_left[2:] += u[:-2]
+    from_left[1] = u[2] - u[0]
+    from_right[-2] = u[-1] - u[-3]
+    from_left[0] = from_right[0]
+    from_right[-1] = from_left[-1]
+    g /= 2 * dx
     return g
 
 
 def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
-         eig: Optional[tuple] = None) -> np.ndarray:
+         speeds: Optional[tuple] = None) -> np.ndarray:
     """Semi-discrete du/dt in characteristic variables.
 
-    eig is ``eigen_fields(spec, u)`` when the caller has it already. The
-    upwind derivative is built once per direction: the m left-moving
-    families share the stencil biased to larger x, the others the one
-    biased to smaller x.
+    speeds is ``characteristic_speeds(spec, u)`` when the caller has it.
+    One stencil pass gives the upwind derivative of both directions. For
+    a diagonal A the components are the characteristic variables and
+    du = F - d * (each component's upwind derivative), d = diag A;
+    otherwise each family is projected through its eigenvectors, the m
+    left-moving ones sharing the stencil biased to larger x.
     """
-    lam, left, right = eigen_fields(spec, u) if eig is None else eig
-    m = spec.m
-    # indexed by from_left, i.e. by i >= m
-    dxu = (_upwind_dx(u, dx, from_left=False) if m else None,
-           _upwind_dx(u, dx, from_left=True) if m < spec.n else None)
+    lam, left, right = characteristic_speeds(spec, u) if speeds is None else speeds
+    dxu = _upwind_dx(u, dx)
     du = spec.F_at(u)
+    if left is None:
+        return du - lam * np.where(lam > 0, dxu[1], dxu[0])
     for i in range(spec.n):
-        w = np.einsum("kc,kc->k", left[:, i, :], dxu[i >= m])
+        w = np.einsum("kc,kc->k", left[:, i, :], dxu[int(i >= spec.m)])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
     return du
 
@@ -158,16 +169,16 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
          bspec: bd.BoundarySpec) -> IvpState:
     """One Heun step with per-stage boundary imposition.
 
-    The eigenstructure of the current profile serves the CFL check and
-    the first stage; the second stage computes its own. Both stages impose
+    The speeds of the current profile serve the CFL check and the first
+    stage; the second stage computes its own. Both stages impose
     the boundary at t + dt, from one evaluation of each forcing signal.
     Raises StepSizeError when dt exceeds 0.8 dx / max |lambda| on the
     current profile and DomainError when the new profile leaves the
     validated neighborhood (the blow-up proxy).
     """
     u = state.u
-    eig = eigen_fields(spec, u)
-    lam_max = float(np.abs(eig[0]).max())
+    speeds = characteristic_speeds(spec, u)
+    lam_max = float(np.abs(speeds[0]).max())
     if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_CFL_CAP} dx / max|lambda| = "
@@ -175,7 +186,7 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
         )
     t_new = state.t + dt
     signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
-    f1 = _rhs(u, spec, state.dx, eig)
+    f1 = _rhs(u, spec, state.dx, speeds)
     u1 = u + dt * f1
     _impose_boundary(u1, t_new, signals, spec, bspec)
     f2 = _rhs(u1, spec, state.dx)
@@ -246,11 +257,11 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     c0, c1 = _compat_residuals(u0, spec, bspec, dx)
     x = np.arange(Nx + 1) * dx
     # set-up: the eigenstructure of the neighborhood sample, and the rhs
-    # of the compatibility residuals with its eigenstructure
+    # of the compatibility residuals with its speeds
     traj = Trajectory(x=x, times=[0.0], profiles=[u0.copy()],
                       du_center=[None], dt_used=dt,
                       compat_c0=c0, compat_c1=c1, completed=True,
-                      rhs_evals=1, eigen_calls=2)
+                      rhs_evals=1, speed_evals=2)
     if t_end <= 0:
         return traj
 
@@ -262,9 +273,9 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         for s in range(1, n_samples + 1):
             for q in range(n_sub):
                 before = state.u
-                # two stages, each with one rhs and one eigenstructure
+                # two stages, each with one rhs and one speed evaluation
                 traj.rhs_evals += 2
-                traj.eigen_calls += 2
+                traj.speed_evals += 2
                 state = step(state, dt, spec, bspec)
                 traj.steps += 1
                 if pending is not None:
@@ -296,24 +307,29 @@ def _fit_log_decay(samples: list, T0: float) -> Optional[float]:
 
 
 def _deviation_curves(traj: Trajectory, periodic: Field) -> tuple:
-    """(t, Phi) and (t, dPhi) curves of a trajectory against a field."""
+    """(t, Phi) and (t, dPhi) curves of a trajectory against a field.
+
+    Every sample is interpolated in one batch; dPhi is taken at the
+    samples with both time neighbors recorded.
+    """
     x = traj.x
     dx = x[1] - x[0]
-    phi_samples = []
-    dphi_samples = []
-    for idx, (t_s, prof) in enumerate(zip(traj.times, traj.profiles)):
-        ref = periodic.interpolate(np.full_like(x, t_s), x)
-        phi = float(np.abs(prof - ref).max())
-        phi_samples.append((t_s, phi))
-        pair = traj.du_center[idx]
-        if pair is not None:
-            u_before, u_after, dt = pair
-            dtraj = (u_after - u_before) / (2 * dt)
-            dref = periodic.interpolate_dt(np.full_like(x, t_s), x)
-            xref = periodic.interpolate_dx(np.full_like(x, t_s), x)
-            dphi = max(float(np.abs(dtraj - dref).max()),
-                       float(np.abs(_x_difference(prof, dx) - xref).max()))
-            dphi_samples.append((t_s, dphi))
+    times = np.asarray(traj.times, dtype=float)
+    profiles = np.stack(traj.profiles)
+    ref = periodic.interpolate(times[:, None], x)
+    phi = np.abs(profiles - ref).max(axis=(1, 2))
+    phi_samples = list(zip(traj.times, phi.tolist()))
+    idx = [k for k, pair in enumerate(traj.du_center) if pair is not None]
+    if not idx:
+        return phi_samples, []
+    before, after, dt = (np.stack(v) for v in zip(*(traj.du_center[k] for k in idx)))
+    dtraj = (after - before) / (2 * dt)[:, None, None]
+    t_d = times[idx][:, None]
+    t_err = np.abs(dtraj - periodic.interpolate_dt(t_d, x)).max(axis=(1, 2))
+    x_err = np.abs(_x_difference(profiles[idx], dx)
+                   - periodic.interpolate_dx(t_d, x)).max(axis=(1, 2))
+    dphi_samples = [(traj.times[k], max(a, b))
+                    for k, a, b in zip(idx, t_err.tolist(), x_err.tolist())]
     return phi_samples, dphi_samples
 
 

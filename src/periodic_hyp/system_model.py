@@ -215,58 +215,97 @@ class HypothesisReport:
         return self.a0_diagonal and not self.needs_time_rescaling
 
 
-def eigen_fields(spec: SystemSpec, states: np.ndarray):
+def _diagonal(A_vals: np.ndarray) -> Optional[np.ndarray]:
+    """diag A (a view) when every matrix of A_vals is diagonal, else None.
+
+    A non-finite off-diagonal entry counts as nonzero, so it lands in the
+    general path; a non-finite diagonal is caught by ``_check_speeds``.
+    """
+    d = np.einsum("...ii->...i", A_vals)
+    return d if np.count_nonzero(A_vals) == np.count_nonzero(d) else None
+
+
+def _check_speeds(speeds: np.ndarray, m: int) -> None:
+    """Raise unless every row of speeds, in any order, is finite with m
+    negative entries and none zero or repeated (HyperbolicityError, or
+    SignatureError for a wrong count of negatives)."""
+    n = speeds.shape[-1]
+    lam = np.sort(speeds, axis=-1) if n > 1 else speeds
+    abs_lam = np.abs(lam)
+    top = float(abs_lam.max())
+    if not math.isfinite(top):
+        raise HyperbolicityError("A is not finite at some state")
+    scale = max(1.0, top)
+    if abs_lam.min() < _ZERO_EIG_TOL * scale:
+        raise HyperbolicityError("zero eigenvalue encountered")
+    if n > 1 and (lam[..., 1:] - lam[..., :-1]).min() < _GAP_TOL * scale:
+        raise HyperbolicityError("repeated eigenvalue (not strictly hyperbolic)")
+    # sorted rows without zeros hold m negatives iff lam_m < 0 < lam_(m+1)
+    if (m and lam[..., m - 1].max() > 0) or (m < n and lam[..., m].min() < 0):
+        raise SignatureError(
+            f"signature is not ({m}, {n - m}) at every sampled state"
+        )
+
+
+def characteristic_speeds(spec: SystemSpec, states: np.ndarray):
+    """Checked speeds at states of shape (..., n), with A evaluated once.
+
+    Where A is diagonal at every state the characteristic variables are
+    the components themselves: returns (diag A, None, None), the speeds in
+    component order. Otherwise returns ``eigen_fields`` of the states.
+    Raises as ``eigen_fields`` does.
+    """
+    states = np.asarray(states, dtype=float)
+    A_vals = spec.A_at(states)
+    d = _diagonal(A_vals)
+    if d is None:
+        return eigen_fields(spec, states, A_vals)
+    _check_speeds(d, spec.m)
+    return d, None, None
+
+
+def eigen_fields(spec: SystemSpec, states: np.ndarray,
+                 A_vals: Optional[np.ndarray] = None):
     """Batched eigenstructure at states of shape (..., n).
 
     Returns (lambdas, left, right) with shapes (..., n), (..., n, n),
-    (..., n, n). Diagonal coefficient matrices take a fast path. Raises
+    (..., n, n). A_vals is ``spec.A_at(states)`` when the caller has it.
+    Diagonal coefficient matrices take a fast path. Raises
     HyperbolicityError / SignatureError if any sampled state violates
     the hypotheses, HyperbolicityError also where A is not finite.
     """
     states = np.asarray(states, dtype=float)
     n, m = spec.n, spec.m
-    A_vals = spec.A_at(states)
+    if A_vals is None:
+        A_vals = spec.A_at(states)
 
-    diag = np.einsum("...ii->...i", A_vals)
-    off = A_vals - diag[..., None] * np.eye(n)
-    if not off.any():
-        order = np.argsort(diag, axis=-1)
-        lam = np.sort(diag, axis=-1)
+    d = _diagonal(A_vals)
+    if d is not None:
+        _check_speeds(d, m)
+        order = np.argsort(d, axis=-1)
         # permuted identity columns: right[..., :, i] = e_{order[i]}
         right = (order[..., None, :] == np.arange(n)[..., :, None]).astype(float)
-        left = np.swapaxes(right, -1, -2)
-    else:
-        # a non-finite entry always lands here: NaN * 0 is NaN in off
-        if not np.all(np.isfinite(A_vals)):
-            raise HyperbolicityError("A is not finite at some state")
-        w, v = np.linalg.eig(A_vals)
-        scale = max(1.0, float(np.abs(w).max()))
-        if np.abs(w.imag).max() > _IMAG_TOL * scale:
-            raise HyperbolicityError("complex eigenvalue encountered")
-        lam_raw = w.real
-        order = np.argsort(lam_raw, axis=-1)
-        lam = np.take_along_axis(lam_raw, order, axis=-1)
-        right = np.take_along_axis(v.real, order[..., None, :], axis=-1)
-        right = right / np.linalg.norm(right, axis=-2, keepdims=True)
-        idx = np.argmax(np.abs(right), axis=-2)
-        vals = np.take_along_axis(right, idx[..., None, :], axis=-2)[..., 0, :]
-        right = right * np.where(vals < 0, -1.0, 1.0)[..., None, :]
-        try:
-            left = np.linalg.inv(right)
-        except np.linalg.LinAlgError as exc:
-            raise HyperbolicityError("defective eigenbasis") from exc
+        return np.sort(d, axis=-1), np.swapaxes(right, -1, -2), right
 
-    abs_lam = np.abs(lam)
-    scale = max(1.0, float(abs_lam.max()))
-    if abs_lam.min() < _ZERO_EIG_TOL * scale:
-        raise HyperbolicityError("zero eigenvalue encountered")
-    if n > 1 and (lam[..., 1:] - lam[..., :-1]).min() < _GAP_TOL * scale:
-        raise HyperbolicityError("repeated eigenvalue (not strictly hyperbolic)")
-    neg = (lam < 0).sum(axis=-1)
-    if (neg != m).any():
-        raise SignatureError(
-            f"signature is not ({m}, {n - m}) at every sampled state"
-        )
+    if not np.all(np.isfinite(A_vals)):
+        raise HyperbolicityError("A is not finite at some state")
+    w, v = np.linalg.eig(A_vals)
+    scale = max(1.0, float(np.abs(w).max()))
+    if np.abs(w.imag).max() > _IMAG_TOL * scale:
+        raise HyperbolicityError("complex eigenvalue encountered")
+    lam_raw = w.real
+    order = np.argsort(lam_raw, axis=-1)
+    lam = np.take_along_axis(lam_raw, order, axis=-1)
+    right = np.take_along_axis(v.real, order[..., None, :], axis=-1)
+    right = right / np.linalg.norm(right, axis=-2, keepdims=True)
+    idx = np.argmax(np.abs(right), axis=-2)
+    vals = np.take_along_axis(right, idx[..., None, :], axis=-2)[..., 0, :]
+    right = right * np.where(vals < 0, -1.0, 1.0)[..., None, :]
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError as exc:
+        raise HyperbolicityError("defective eigenbasis") from exc
+    _check_speeds(lam, m)
     return lam, left, right
 
 

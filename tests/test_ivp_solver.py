@@ -4,7 +4,7 @@ import pytest
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
-from periodic_hyp.characteristics import Field
+from periodic_hyp.characteristics import Field, _x_difference
 from periodic_hyp.errors import DomainError, StepSizeError
 
 
@@ -111,16 +111,22 @@ class TestRun:
             assert np.abs(prof - ref).max() <= 2e-4
 
 
+def exact_match_case():
+    """The scalar periodic field and a hand-built trajectory that repeats
+    its first row, without time neighbors."""
+    spec, bspec = make_e1()
+    fld, _ = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=32, Nx=32))
+    traj = ivp.Trajectory(
+        x=fld.x_nodes, times=[0.0, 1.0],
+        profiles=[fld.values[0].copy(), fld.values[0].copy()],
+        du_center=[None, None], dt_used=0.1,
+        compat_c0=0.0, compat_c1=0.0, completed=True)
+    return spec, fld, traj
+
+
 class TestStabilityMetrics:
     def test_exact_match_flag(self):
-        spec, bspec = make_e1()
-        fld, _ = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=32, Nx=32))
-        u0 = ps.extract_initial_data(fld)
-        traj = ivp.Trajectory(
-            x=fld.x_nodes, times=[0.0, 1.0],
-            profiles=[fld.values[0].copy(), fld.values[0].copy()],
-            du_center=[None, None], dt_used=0.1,
-            compat_c0=0.0, compat_c1=0.0, completed=True)
+        spec, fld, traj = exact_match_case()
         rep = ivp.stability_metrics(traj, fld, spec)
         assert rep.exact_match
 
@@ -160,6 +166,74 @@ class TestStabilityMetrics:
         assert rep.fitted_derivative_decay is not None
         assert rep.fitted_derivative_decay <= 2 * rep.fitted_decay
         assert rep.fitted_derivative_decay >= rep.fitted_decay / 2
+
+
+def loop_deviation_curves(traj, periodic):
+    """The per-sample deviation curves that the batched ones replaced."""
+    x = traj.x
+    dx = x[1] - x[0]
+    phi_samples = []
+    dphi_samples = []
+    for idx, (t_s, prof) in enumerate(zip(traj.times, traj.profiles)):
+        ref = periodic.interpolate(np.full_like(x, t_s), x)
+        phi = float(np.abs(prof - ref).max())
+        phi_samples.append((t_s, phi))
+        pair = traj.du_center[idx]
+        if pair is not None:
+            u_before, u_after, dt = pair
+            dtraj = (u_after - u_before) / (2 * dt)
+            dref = periodic.interpolate_dt(np.full_like(x, t_s), x)
+            xref = periodic.interpolate_dx(np.full_like(x, t_s), x)
+            dphi = max(float(np.abs(dtraj - dref).max()),
+                       float(np.abs(_x_difference(prof, dx) - xref).max()))
+            dphi_samples.append((t_s, dphi))
+    return phi_samples, dphi_samples
+
+
+class TestDeviationCurves:
+    """The batched ``_deviation_curves`` equals the per-sample loop."""
+
+    @staticmethod
+    def euler_run(h):
+        spec = systems.quasilinear_euler_damping()
+        bspec = systems.two_gain_boundary(0.5, 0.5, h, h, 2.0)
+        x = np.linspace(0.0, 1.0, 25)[:, None]
+        u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
+        traj = ivp.run(u0, spec, bspec, t_end=2.0, record_every=0.25)
+        # a smooth stand-in for the periodic field, on another grid; on the
+        # completed run dPhi comes from the t part at one sample, from the
+        # x part at the others
+        fld = Field.from_function(
+            lambda t, x: 0.01 * np.stack([np.sin(np.pi * t + 5 * x), np.cos(np.pi * t - 2 * x)],
+                                         axis=-1), Nt=16, Nx=20, T_star=2.0, L=1.0)
+        return traj, fld
+
+    def assert_same(self, traj, fld):
+        got = ivp._deviation_curves(traj, fld)
+        want = loop_deviation_curves(traj, fld)
+        for g, w in zip(got, want):
+            assert [t for t, _ in g] == [t for t, _ in w]
+            assert np.array_equal(np.array(g), np.array(w))
+            assert all(type(v) is float for _, v in g)
+        return got
+
+    def test_completed_run(self):
+        traj, fld = self.euler_run(systems.harmonic_signal([{"amplitude": 0.01}], 2.0))
+        assert traj.completed
+        phi, dphi = self.assert_same(traj, fld)
+        assert len(phi) == 9 and len(dphi) == 7
+
+    def test_run_that_left_the_neighborhood(self):
+        # a forcing ramp pushes the profile out of the ball at t = 1.425
+        traj, fld = self.euler_run(lambda t: 0.03 * np.asarray(t, dtype=float))
+        assert not traj.completed
+        phi, dphi = self.assert_same(traj, fld)
+        assert len(phi) == 6 and len(dphi) == 5
+
+    def test_hand_built_trajectory_without_neighbors(self):
+        _, fld, traj = exact_match_case()
+        phi, dphi = self.assert_same(traj, fld)
+        assert len(phi) == 2 and dphi == []
 
 
 class TestBump:

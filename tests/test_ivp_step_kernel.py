@@ -2,27 +2,43 @@
 
 ``loop_step`` is the earlier ``ivp_solver.step``: it computes the
 eigenstructure for the CFL check and again in each stage (3 calls per
-step), builds the upwind derivative once per family, and evaluates every
-forcing signal again in each stage. The kernel shares the first stage's
-eigenstructure with the CFL check, one upwind derivative per direction
-and one signal evaluation per step; ``ivp.run`` must reproduce the loop
-bit for bit.
+step), projects every family through its eigenvectors, builds the upwind
+derivative once per family with its own copy of the one-sided stencil,
+and evaluates every forcing signal again in each stage. The kernel
+evaluates A once per stage, takes the speeds from diag A when A is
+diagonal, makes one stencil pass per stage for both directions and one
+signal evaluation per step; ``ivp.run`` must reproduce the loop bit for
+bit.
 """
 import numpy as np
 import pytest
-from test_sweep_kernel import euler_problem, reflect_problem, three_family
+from test_sweep_kernel import e1_problem, euler_problem, reflect_problem, three_family
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
+from periodic_hyp import system_model as sm
 from periodic_hyp.errors import DomainError, StepSizeError
-from periodic_hyp.system_model import eigen_fields
+from periodic_hyp.system_model import SystemSpec, characteristic_speeds, eigen_fields
+
+
+def loop_upwind_dx(u, dx, from_left):
+    g = np.empty_like(u)
+    if from_left:
+        g[2:] = (3 * u[2:] - 4 * u[1:-1] + u[:-2]) / (2 * dx)
+        g[1] = (u[2] - u[0]) / (2 * dx)
+        g[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
+    else:
+        g[:-2] = (-3 * u[:-2] + 4 * u[1:-1] - u[2:]) / (2 * dx)
+        g[-2] = (u[-1] - u[-3]) / (2 * dx)
+        g[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
+    return g
 
 
 def loop_rhs(u, spec, dx):
     lam, left, right = eigen_fields(spec, u)
     du = spec.F_at(u)
     for i in range(spec.n):
-        dxu = ivp._upwind_dx(u, dx, from_left=i >= spec.m)
+        dxu = loop_upwind_dx(u, dx, from_left=i >= spec.m)
         w = np.einsum("kc,kc->k", left[:, i, :], dxu)
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
     return du
@@ -61,12 +77,44 @@ def initial_profile(spec, Nx):
     return 0.4 * spec.domain_radius * np.cos(k * np.pi * x / spec.L + 0.3 * k) / np.sqrt(spec.n)
 
 
+def swapping_diagonal(m):
+    """Diagonal n = 3 with m left-movers: two speeds of one group cross
+    at u_0 = 0.014, so their order changes from node to node. The
+    boundary and the source are those of ``three_family(m)``."""
+    three, bspec = three_family(m)
+
+    def A(u):
+        u = np.asarray(u, dtype=float)
+        a, b = 1.0 + 3.0 * u[..., 0], 1.07 - 2.0 * u[..., 0]
+        c = 1.3 + 0.2 * u[..., 2]
+        d = np.stack([-c, a, b] if m == 1 else [-a, -b, c], axis=-1)
+        return d[..., None] * np.eye(3)
+
+    spec = SystemSpec(n=3, m=m, A=A, F=three.F, domain_radius=0.2, L=1.0)
+    return spec, bspec
+
+
 CASES = {
+    "linear_damped_scalar": (e1_problem, 20),
     "quasilinear_euler_damping": (euler_problem, 24),
     "linear_reflect_2x2": (reflect_problem, 20),
     "three_family_m1": (lambda: three_family(1), 16),
     "three_family_m2": (lambda: three_family(2), 16),
+    "swapping_diagonal_m1": (lambda: swapping_diagonal(1), 16),
+    "swapping_diagonal_m2": (lambda: swapping_diagonal(2), 16),
 }
+DIAGONAL = {"linear_damped_scalar", "quasilinear_euler_damping", "linear_reflect_2x2",
+            "swapping_diagonal_m1", "swapping_diagonal_m2"}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_swapping_speeds_change_order_between_nodes(m):
+    spec, _ = swapping_diagonal(m)
+    speeds, left, _ = characteristic_speeds(spec, initial_profile(spec, 16))
+    assert left is None
+    group = slice(1, 3) if m == 1 else slice(0, 2)
+    orders = {tuple(np.argsort(d[group])) for d in speeds}
+    assert orders == {(0, 1), (1, 0)}
 
 
 def run_both(name, monkeypatch):
@@ -110,21 +158,26 @@ def counting(fn, calls, key):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
+    """Per step: 2 speed evaluations (one per stage), eigenvectors only
+    for a non-diagonal A, one stencil pass per stage and one evaluation
+    of each forcing signal."""
     make, Nx = CASES[name]
     spec, bspec = make()
     state = ivp.IvpState(t=0.1, u=initial_profile(spec, Nx), dx=spec.L / Nx)
-    calls = {"eigen": 0, "upwind": 0, "h": 0}
-    monkeypatch.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "eigen"))
-    monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "upwind"))
+    calls = {"speeds": 0, "eigen": 0, "stencil": 0, "h": 0}
+    monkeypatch.setattr(ivp, "characteristic_speeds",
+                        counting(characteristic_speeds, calls, "speeds"))
+    monkeypatch.setattr(sm, "eigen_fields", counting(eigen_fields, calls, "eigen"))
+    monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))
     monkeypatch.setattr(bd.BoundarySpec, "h_values",
                         counting(bd.BoundarySpec.h_values, calls, "h"))
     ivp.step(state, 0.2 * state.dx, spec, bspec)
-    directions = (spec.m > 0) + (spec.m < spec.n)
-    assert calls == {"eigen": 2, "upwind": 2 * directions, "h": spec.n}
+    assert calls == {"speeds": 2, "eigen": 0 if name in DIAGONAL else 2,
+                     "stencil": 2, "h": spec.n}
 
 
 def test_run_counts_its_work(monkeypatch):
-    """Trajectory.steps / rhs_evals / eigen_calls against counted calls,
+    """Trajectory.steps / rhs_evals / speed_evals against counted calls,
     on a run that completes and on one that leaves the neighborhood."""
     spec, bspec = euler_problem()
     u0 = initial_profile(spec, 16)
@@ -132,13 +185,16 @@ def test_run_counts_its_work(monkeypatch):
                           h=[lambda t: 0.2 * np.sin(np.pi * np.asarray(t))] * 2,
                           T_star=bspec.T_star)
     for boundary, completed in ((bspec, True), (big, False)):
-        calls = {"eigen": 0, "rhs": 0}
+        calls = {"speeds": 0, "eigen": 0, "rhs": 0}
         with monkeypatch.context() as mp:
+            mp.setattr(ivp, "characteristic_speeds",
+                       counting(characteristic_speeds, calls, "speeds"))
             mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "eigen"))
             mp.setattr(ivp, "_rhs", counting(ivp._rhs, calls, "rhs"))
             traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
         assert traj.completed is completed
         failed = 0 if completed else 1
-        assert traj.eigen_calls == calls["eigen"] == 2 + 2 * (traj.steps + failed)
+        assert calls["eigen"] == 1  # the neighborhood sample's speed bound
+        assert traj.speed_evals == calls["speeds"] + calls["eigen"] == 2 + 2 * (traj.steps + failed)
         assert traj.rhs_evals == calls["rhs"] == 1 + 2 * (traj.steps + failed)
         assert traj.steps > 0

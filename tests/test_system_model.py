@@ -125,24 +125,47 @@ class TestDiagonalPath:
         def A(u):
             u = np.asarray(u, dtype=float)
             d = np.where(u[..., :1] > 0.08, bad, self.BASE)
-            return d[..., None] * np.eye(3)
+            out = np.zeros(d.shape + (3,))  # zero off the diagonal, even for inf
+            out[..., [0, 1, 2], [0, 1, 2]] = d
+            return out
 
         return sm.SystemSpec(n=3, m=1, A=A, F=lambda u: np.zeros(np.shape(u)),
                              domain_radius=0.1, L=1.0)
 
-    @pytest.mark.parametrize("bad, error", [
+    BAD = pytest.mark.parametrize("bad, error", [
         ([-1.0, -0.5, 2.0], SignatureError),
+        ([0.5, 1.0, 2.0], SignatureError),
         ([-1.0, 0.0, 2.0], HyperbolicityError),
         ([-1.0, 2.0, 2.0], HyperbolicityError),
         ([-1.0, np.nan, 2.0], HyperbolicityError),
-    ], ids=["signature_flip", "zero_speed", "equal_speeds", "nan_on_diagonal"])
-    def test_one_bad_state_in_a_batch(self, bad, error):
+        ([-1.0, np.inf, 2.0], HyperbolicityError),
+    ], ids=["signature_flip", "signature_flip_up", "zero_speed", "equal_speeds",
+            "nan_on_diagonal", "inf_on_diagonal"])
+
+    def one_bad_state(self, entry, bad, error):
         spec = self.spec(np.array(bad))
         states = np.zeros((4, 3, 3))
-        sm.eigen_fields(spec, states)
+        entry(spec, states)
         states[1, 2, 0] = 0.09
         with pytest.raises(error):
-            sm.eigen_fields(spec, states)
+            entry(spec, states)
+
+    @BAD
+    def test_one_bad_state_in_a_batch(self, bad, error):
+        self.one_bad_state(sm.eigen_fields, bad, error)
+
+    @BAD
+    def test_one_bad_state_in_a_batch_of_speeds(self, bad, error):
+        """characteristic_speeds, the IVP's entry point, raises alike."""
+        self.one_bad_state(sm.characteristic_speeds, bad, error)
+
+    def test_speeds_in_component_order(self):
+        spec = self.spec(np.array([-1.0, 2.0, 1.5]))
+        states = np.zeros((2, 3))
+        states[1, 0] = 0.09
+        speeds, left, right = sm.characteristic_speeds(spec, states)
+        assert left is None and right is None
+        assert np.array_equal(speeds, [[-1.0, 1.0, 2.0], [-1.0, 2.0, 1.5]])
 
     def test_sorted_speeds_and_permuted_basis(self):
         rng = np.random.default_rng(4)
