@@ -11,7 +11,6 @@ import numpy as np
 from periodic_hyp import (
     characterizing_data,
     gtilde_matrix,
-    minimal_K,
     smallness_certificate,
     systems,
     validate_forcing,
@@ -49,9 +48,10 @@ for name, (spec, bspec) in cases.items():
           f"mu_max = {rep.mu_max:.4f}")
     print(f"A(0) diagonal: {rep.a0_diagonal}, F(0) residual: {rep.f0_norm:.1e}")
 
-    g0 = spec.gradF_at(np.zeros(spec.n))
-    K_min = minimal_K(g0)
+    # computed once per spec: g0 = gradF(0), mu0 = 1 / lambda(0), K_min
+    g0, K_min = spec.origin.g0, spec.origin.K_min
     K = K_min + 1e-6
+    print(f"source Jacobian at the origin: {np.round(g0, 4).tolist()}")
     gt = gtilde_matrix(spec, K)
     prof = weights(gt, spec.L, spec.n, spec.m)
     print(f"K_min = {K_min:.3g}, chosen K = {K:.3g}, weight bound M3 = {prof.M3:.4f}")

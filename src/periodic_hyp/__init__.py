@@ -67,7 +67,6 @@ from .periodic_solver import (
 from .system_model import (
     EigenStructure,
     HypothesisReport,
-    SourceLinearization,
     SystemSpec,
     coupling_B,
     eigen_decompose,
@@ -76,7 +75,6 @@ from .system_model import (
     minimal_K,
     origin_diagonalizer,
     rescale_time,
-    source_linearization,
     validate_hyperbolicity,
 )
 

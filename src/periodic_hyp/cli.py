@@ -46,7 +46,8 @@ from .errors import (
     SourceOriginError,
     StepSizeError,
 )
-from .system_model import gtilde_matrix, minimal_K, shift_K, validate_hyperbolicity
+from .system_model import (SystemSpec, gtilde_matrix, measured_mu_max, shift_K,
+                           validate_hyperbolicity)
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -268,9 +269,8 @@ def build_boundary(cfg: RunConfig, n: int, eps: float) -> bd.BoundarySpec:
 class ValidationOutcome:
     ok: bool
     lines: list
-    theta: float = float("nan")
-    K: float = float("nan")
-    M3: float = float("nan")
+    spec: SystemSpec
+    bspec: bd.BoundarySpec
 
 
 def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
@@ -293,18 +293,17 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
             ok = False
     except _HYPOTHESIS_ERRORS as exc:
         lines.append(f"structural hypotheses FAILED: {exc}")
-        return ValidationOutcome(ok=False, lines=lines)
+        return ValidationOutcome(False, lines, spec, bspec)
 
-    K_min = minimal_K(spec.gradF_at(np.zeros(spec.n)))
     K = shift_K(spec, cfg.K)
-    lines.append(f"K_min: {K_min:.6g}, K: {K:.6g}")
+    lines.append(f"K_min: {spec.origin.K_min:.6g}, K: {K:.6g}")
     try:
         gt = gtilde_matrix(spec, K)
         profile = dg.weights(gt, spec.L, spec.n, spec.m)
         lines.append(f"M3: {profile.M3:.6g}")
     except DominanceError as exc:
         lines.append(f"source dominance FAILED: {exc}")
-        return ValidationOutcome(ok=False, lines=lines)
+        return ValidationOutcome(False, lines, spec, bspec)
 
     try:
         theta_data = bd.characterizing_data(bspec)
@@ -315,7 +314,7 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
             ok = False
     except _HYPOTHESIS_ERRORS as exc:
         lines.append(f"boundary linearization FAILED: {exc}")
-        return ValidationOutcome(ok=False, lines=lines)
+        return ValidationOutcome(False, lines, spec, bspec)
 
     try:
         forcing_rep = bd.validate_forcing(bspec)
@@ -326,7 +325,7 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
                          f"signals rescaled by {2 * forcing_rep.max_gain:.3g} in the report")
     except PeriodicityError as exc:
         lines.append(f"forcing periodicity FAILED: {exc}")
-        return ValidationOutcome(ok=False, lines=lines)
+        return ValidationOutcome(False, lines, spec, bspec)
 
     cert = dg.smallness_certificate(theta, K, spec.L, profile.M3)
     state = "PASS" if cert.ok else "FAIL"
@@ -335,7 +334,7 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     if not cert.ok:
         ok = False
     lines.append(f"hypotheses: {'PASS' if ok else 'FAIL'}")
-    return ValidationOutcome(ok=ok, lines=lines, theta=theta, K=K, M3=profile.M3)
+    return ValidationOutcome(ok, lines, spec, bspec)
 
 
 def _write_field(fld, path: Path) -> None:
@@ -353,16 +352,15 @@ def _make_out_dir(out: Path) -> None:
         raise IoError(f"cannot create output directory {out}: {exc}")
 
 
-def _solve_and_emit(cfg: RunConfig, eps: float, out: Path):
-    spec = build_system(cfg)
-    bspec = build_boundary(cfg, spec.n, eps)
+def _solve_and_emit(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
+                    out: Path):
     iter_cfg = ps.IterationConfig(Nt=cfg.Nt, Nx=cfg.Nx, K=cfg.K,
                                   tol=cfg.tol, max_iter=cfg.max_iter)
     fld, report = ps.solve_periodic(spec, bspec, iter_cfg)
     _make_out_dir(out)
     _write_field(fld, out / "field.npz")
     dg.emit_report(report, "csv", out / "iteration_report.csv")
-    return spec, bspec, fld, report
+    return fld, report
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
@@ -378,7 +376,7 @@ def _cmd_periodic(cfg: RunConfig, out: Path) -> int:
         print(line)
     if not outcome.ok:
         return EXIT_HYPOTHESIS
-    spec, bspec, fld, report = _solve_and_emit(cfg, cfg.eps[0], out)
+    fld, report = _solve_and_emit(cfg, outcome.spec, outcome.bspec, out)
     if not report.converged:
         print(f"not converged after {report.iterations} sweeps")
         return EXIT_NO_CONVERGENCE
@@ -389,12 +387,12 @@ def _cmd_periodic(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _stability_cell(cfg: RunConfig, eps: float, out: Path, seed: int) -> dict:
+def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
+                    eps: float, out: Path, seed: int) -> dict:
     """One solve + perturb + march + fit cycle; returns the aggregate row."""
-    spec, bspec, fld, report = _solve_and_emit(cfg, eps, out)
+    fld, report = _solve_and_emit(cfg, spec, bspec, out)
     if not report.converged:
         raise NonContractionError("periodic solve did not converge")
-    from .system_model import measured_mu_max
     T0 = spec.L * measured_mu_max(spec)
     record_every = cfg.record_every if cfg.record_every else T0 / 4.0
     t_end = cfg.t_end if cfg.t_end else 12.0 * T0
@@ -427,7 +425,7 @@ def _cmd_stability(cfg: RunConfig, out: Path, seed: int) -> int:
         print(line)
     if not outcome.ok:
         return EXIT_HYPOTHESIS
-    row = _stability_cell(cfg, cfg.eps[0], out, seed)
+    row = _stability_cell(cfg, outcome.spec, outcome.bspec, cfg.eps[0], out, seed)
     print(f"stability: fitted per-transit decay {row['fitted_decay']}, "
           f"derivative decay {row['fitted_derivative_decay']}")
     if not row["completed"]:
@@ -439,7 +437,9 @@ def _sweep_worker(args):
     cfg_dict, eps, out_str, seed = args
     cfg = RunConfig(**cfg_dict)
     try:
-        row = _stability_cell(cfg, eps, Path(out_str), seed)
+        spec = build_system(cfg)
+        bspec = build_boundary(cfg, spec.n, eps)
+        row = _stability_cell(cfg, spec, bspec, eps, Path(out_str), seed)
         return eps, row, EXIT_OK
     except PeriodicHypError as exc:
         return eps, None, _exit_code(exc)

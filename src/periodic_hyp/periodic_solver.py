@@ -28,7 +28,6 @@ from .system_model import (
     gtilde_matrix,
     shift_K,
     _coupling_from_left,
-    _mu0,
     _remainder,
 )
 
@@ -65,16 +64,13 @@ class IterationConfig:
 class SweepContext:
     """What the sweeps of one solve share.
 
-    The shift K, the inverse speeds mu0 and source Jacobian g0 at the
-    origin, gtilde and its diagonal gii are fixed for the solve; geometry
-    is the last sweep's characteristic geometry, which the next sweep
-    reuses while its inverse speeds stay the same (see
-    ``trace_to_inflow``).
+    The shift K, gtilde and its diagonal gii are fixed for the solve (the
+    origin data they come from is ``spec.origin``); geometry is the last
+    sweep's characteristic geometry, which the next sweep reuses while its
+    inverse speeds stay the same (see ``trace_to_inflow``).
     """
 
     K: float
-    mu0: np.ndarray
-    g0: np.ndarray
     gtilde: np.ndarray
     gii: np.ndarray
     geometry: Optional[TraceGeometry] = None
@@ -83,10 +79,8 @@ class SweepContext:
     def for_solve(cls, spec: SystemSpec, K: Optional[float]) -> "SweepContext":
         """The context for the shift K (None: the default, see ``shift_K``)."""
         K = shift_K(spec, K)
-        mu0 = _mu0(spec)
-        g0 = spec.gradF_at(np.zeros(spec.n))
-        gtilde = gtilde_matrix(spec, K, mu0, g0)
-        return cls(K=K, mu0=mu0, g0=g0, gtilde=gtilde, gii=np.diag(gtilde))
+        gtilde = gtilde_matrix(spec, K)
+        return cls(K=K, gtilde=gtilde, gii=np.diag(gtilde))
 
 
 @dataclass
@@ -113,13 +107,13 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
     P = prev.values
     dudt = prev.time_derivative_grid()
     dudx = prev.space_derivative_grid()
-    gNL = _remainder(spec, P, mu, B, ctx.mu0, ctx.g0)
+    gNL = _remainder(spec, P, mu, B)
     gt_off = ctx.gtilde.copy()
     np.fill_diagonal(gt_off, 0.0)
     R = np.einsum("tkij,tkj->tki", B, dudx)
     R += mu * np.einsum("tkij,tkj->tki", B, dudt)
     R += np.einsum("ij,tkj->tki", gt_off, P)
-    R += ctx.K * ctx.mu0 * P
+    R += ctx.K * spec.origin.mu0 * P
     R += gNL
     return R
 

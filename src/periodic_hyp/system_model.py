@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,7 +115,16 @@ def fd_gradient(F: Callable, u: np.ndarray, n: int) -> np.ndarray:
     return J
 
 
-@dataclass
+@dataclass(frozen=True)
+class Origin:
+    """The system at u = 0: g0 = gradF(0), mu0 = 1 / lambda(0), K_min."""
+
+    g0: np.ndarray
+    mu0: np.ndarray
+    K_min: float
+
+
+@dataclass(frozen=True)
 class SystemSpec:
     """The tuple (n, m, A, F, neighborhood radius, L) defining the system.
 
@@ -130,6 +140,8 @@ class SystemSpec:
         4th-order central finite differences.
     domain_radius : radius of the validated neighborhood of u = 0.
     L : spatial interval length.
+
+    A spec is immutable; ``origin`` and ``sampled_speeds`` are kept.
     """
 
     n: int
@@ -150,8 +162,27 @@ class SystemSpec:
         if self.domain_radius <= 0 or self.L <= 0:
             raise ValueError("domain_radius and L must be positive")
         probe = (_probe_points(self.n, self.domain_radius),)
-        self._A_batch = batched(self.A, probe, (self.n, self.n), "SystemSpec.A")
-        self._F_batch = batched(self.F, probe, (self.n,), "SystemSpec.F")
+        object.__setattr__(self, "_A_batch",
+                           batched(self.A, probe, (self.n, self.n), "SystemSpec.A"))
+        object.__setattr__(self, "_F_batch",
+                           batched(self.F, probe, (self.n,), "SystemSpec.F"))
+
+    # each computed on first use, read-only: a solve needs only the
+    # origin and must not sample the neighborhood
+    @cached_property
+    def origin(self) -> Origin:
+        """g0, mu0 and K_min at u = 0 (see ``Origin``)."""
+        g0 = np.array(self.gradF_at(np.zeros(self.n)))  # a copy, made read-only
+        mu0 = 1.0 / eigen_fields(self, np.zeros((1, self.n)))[0][0]
+        g0.flags.writeable = mu0.flags.writeable = False
+        return Origin(g0=g0, mu0=mu0, K_min=minimal_K(g0))
+
+    @cached_property
+    def sampled_speeds(self) -> np.ndarray:
+        """Speeds at the 256 ``neighborhood_samples`` states."""
+        lam, _, _ = eigen_fields(self, neighborhood_samples(self, 256))
+        lam.flags.writeable = False
+        return lam
 
     def A_at(self, states: np.ndarray) -> np.ndarray:
         """A evaluated on states of shape (..., n); returns (..., n, n)."""
@@ -186,16 +217,6 @@ class EigenStructure:
     left: np.ndarray
     right: np.ndarray
     mus: np.ndarray
-
-
-@dataclass
-class SourceLinearization:
-    """Source Jacobian at the origin and its shifted, speed-scaled form."""
-
-    g0: np.ndarray
-    K: float
-    gtilde: np.ndarray
-    mu_max: float
 
 
 @dataclass
@@ -363,15 +384,14 @@ def neighborhood_samples(spec: SystemSpec, samples: int) -> np.ndarray:
     return cube
 
 
-def measured_mu_max(spec: SystemSpec, samples: int = 256) -> float:
+def measured_mu_max(spec: SystemSpec) -> float:
     """max_i sup |1 / lambda_i| over the sampled neighborhood."""
-    pts = neighborhood_samples(spec, samples)
-    lam, _, _ = eigen_fields(spec, pts)
-    return float(np.abs(1.0 / lam).max())
+    return float(np.abs(1.0 / spec.sampled_speeds).max())
 
 
-def validate_hyperbolicity(spec: SystemSpec, samples: int = 256) -> HypothesisReport:
-    """Check the structural hypotheses on a sampled neighborhood of u = 0.
+def validate_hyperbolicity(spec: SystemSpec) -> HypothesisReport:
+    """Check the structural hypotheses on the sampled neighborhood of u = 0
+    (``SystemSpec.sampled_speeds``).
 
     Raises SignatureError if the signature flips inside the neighborhood,
     HyperbolicityError on complex/zero/repeated eigenvalues, and
@@ -388,9 +408,9 @@ def validate_hyperbolicity(spec: SystemSpec, samples: int = 256) -> HypothesisRe
     a0_offdiag_max = float(np.abs(off).max()) if off.size else 0.0
     a0_diagonal = a0_offdiag_max <= _ORIGIN_TOL
 
-    mu_max = measured_mu_max(spec, samples)
+    mu_max = measured_mu_max(spec)
     return HypothesisReport(
-        samples=samples,
+        samples=len(spec.sampled_speeds),
         signature=(spec.m, spec.n - spec.m),
         mu_max=mu_max,
         a0_diagonal=a0_diagonal,
@@ -406,12 +426,11 @@ def origin_diagonalizer(spec: SystemSpec) -> np.ndarray:
     Returned for explicit opt-in: conjugating also transforms F and the
     boundary maps, so the change of variables is never applied silently.
     """
-    A0 = spec.A_at(np.zeros((1, spec.n)))[0]
-    es = eigen_decompose(A0, spec.m)
-    return es.right
+    _, _, right = eigen_fields(spec, np.zeros((1, spec.n)))
+    return right[0]
 
 
-def rescale_time(spec: SystemSpec, samples: int = 256) -> SystemSpec:
+def rescale_time(spec: SystemSpec) -> SystemSpec:
     """Return an equivalent system with max |1/lambda| = 1.
 
     If the measured mu_max exceeds 1, both A and F are multiplied by
@@ -420,18 +439,17 @@ def rescale_time(spec: SystemSpec, samples: int = 256) -> SystemSpec:
     forcing signals reparametrized h(sigma * t') by the caller. Identity
     when mu_max <= 1 already.
     """
-    mu_max = measured_mu_max(spec, samples)
+    mu_max = measured_mu_max(spec)
     if mu_max <= 1.0:
         return spec
     sigma = mu_max
-    A_old, F_old, gradF_old = spec.A, spec.F, spec.gradF
-    gradF_new = None if gradF_old is None else (lambda u: sigma * np.asarray(gradF_old(u)))
+    gradF = None if spec.gradF is None else (lambda u: sigma * np.asarray(spec.gradF(u)))
     return SystemSpec(
         n=spec.n,
         m=spec.m,
-        A=lambda u: sigma * np.asarray(A_old(u)),
-        F=lambda u: sigma * np.asarray(F_old(u)),
-        gradF=gradF_new,
+        A=lambda u: sigma * np.asarray(spec.A(u)),
+        F=lambda u: sigma * np.asarray(spec.F(u)),
+        gradF=gradF,
         domain_radius=spec.domain_radius,
         L=spec.L,
     )
@@ -472,32 +490,14 @@ def shift_K(spec: SystemSpec, K: Optional[float] = None) -> float:
     """K when given, else the default shift: minimal_K(gradF(0)) + 1e-6."""
     if K is not None:
         return K
-    return minimal_K(spec.gradF_at(np.zeros(spec.n))) + 1e-6
+    return spec.origin.K_min + 1e-6
 
 
-def _mu0(spec: SystemSpec) -> np.ndarray:
-    """Inverse speeds 1 / lambda_i at the origin."""
-    lam0, _, _ = eigen_fields(spec, np.zeros((1, spec.n)))
-    return 1.0 / lam0[0]
-
-
-def source_linearization(spec: SystemSpec, K: Optional[float] = None,
-                         samples: int = 256) -> SourceLinearization:
-    """Assemble g0, the shift K (default: see ``shift_K``), gtilde, mu_max."""
-    g0 = spec.gradF_at(np.zeros(spec.n))
-    K = shift_K(spec, K)
-    gt = gtilde_matrix(spec, K)
-    return SourceLinearization(g0=g0, K=float(K), gtilde=gt,
-                               mu_max=measured_mu_max(spec, samples))
-
-
-def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None,
-                  g0: Optional[np.ndarray] = None) -> np.ndarray:
+def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
-    diagonal, with the inverse speeds mu0 = mu(0) and the source Jacobian
-    g0 = g(0) computed when not given.
+    diagonal, from ``spec.origin``.
     Raises DominanceError unless the result is strictly diagonally dominant
     with the sign pattern required of the two families (positive diagonal
     for left-moving rows, negative for right-moving).
@@ -505,10 +505,7 @@ def gtilde_matrix(spec: SystemSpec, K: float, mu0: Optional[np.ndarray] = None,
     if K < 0:
         raise ValueError("K must be nonnegative")
     n, m = spec.n, spec.m
-    if g0 is None:
-        g0 = spec.gradF_at(np.zeros(n))
-    if mu0 is None:
-        mu0 = _mu0(spec)
+    g0, mu0 = spec.origin.g0, spec.origin.mu0
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
     check_dominance(gt, m)
@@ -544,15 +541,14 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     lam, left, _ = eigen_fields(spec, states)
-    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), _mu0(spec),
-                      spec.gradF_at(np.zeros(spec.n)))
+    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left))
 
 
 def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
-               B: np.ndarray, mu0: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    """g_nonlinear_batch from the inverse speeds mu and couplings B at the
-    states, and the inverse speeds mu0 and source Jacobian g0 at the origin."""
+               B: np.ndarray) -> np.ndarray:
+    """g_nonlinear_batch from the inverse speeds mu and couplings B at the states."""
     Fv = spec.F_at(states)
-    linear = np.einsum("i,ij,...j->...i", mu0, g0, states)
+    origin = spec.origin
+    linear = np.einsum("i,ij,...j->...i", origin.mu0, origin.g0, states)
     coupled = mu * np.einsum("...ij,...j->...i", B, Fv)
     return mu * Fv - linear - coupled

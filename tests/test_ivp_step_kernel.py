@@ -194,7 +194,7 @@ def test_run_counts_its_work(monkeypatch):
             traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
         assert traj.completed is completed
         failed = 0 if completed else 1
-        assert calls["eigen"] == 1  # the neighborhood sample's speed bound
-        assert traj.speed_evals == calls["speeds"] + calls["eigen"] == 2 + 2 * (traj.steps + failed)
+        assert calls["eigen"] == 0  # the step-size bound reads spec.sampled_speeds
+        assert traj.speed_evals == calls["speeds"] + calls["eigen"] == 1 + 2 * (traj.steps + failed)
         assert traj.rhs_evals == calls["rhs"] == 1 + 2 * (traj.steps + failed)
         assert traj.steps > 0

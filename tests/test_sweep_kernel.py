@@ -14,7 +14,7 @@ from periodic_hyp import systems
 from periodic_hyp.boundary import BoundarySpec
 from periodic_hyp.characteristics import Field, _cubic_refine_x, _lagrange4, _phase
 from periodic_hyp.system_model import (
-    SystemSpec, _coupling_from_left, _mu0, eigen_fields, g_nonlinear_batch,
+    SystemSpec, _coupling_from_left, eigen_fields, g_nonlinear_batch,
     gtilde_matrix, shift_K,
 )
 
@@ -37,7 +37,7 @@ def loop_source_grid(prev, spec, K, gtilde, mu, B):
     R = np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
     R += mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())
     R += np.einsum("ij,tkj->tki", gt_off, P)
-    R += K * _mu0(spec) * P
+    R += K * spec.origin.mu0 * P
     R += g_nonlinear_batch(spec, P)
     return R
 

@@ -1,5 +1,9 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from periodic_hyp import cli
 from periodic_hyp import system_model as sm
@@ -10,6 +14,8 @@ from periodic_hyp.errors import (
     SignatureError,
     SourceOriginError,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_scalar_spec(lam=1.0, c=0.5, radius=0.1, L=1.0):
@@ -455,16 +461,103 @@ class TestFdGradient:
 class TestSourceLinearization:
     def test_default_shift_and_fields(self):
         spec = make_scalar_spec(lam=2.0, c=0.5)
-        lin = sm.source_linearization(spec)
-        assert lin.g0[0, 0] == pytest.approx(-0.5, abs=1e-9)
-        assert lin.K == pytest.approx(1e-6)  # strictly dominant: minimal is 0
-        assert lin.gtilde[0, 0] == pytest.approx(0.5 * (-0.5 - 1e-6), abs=1e-9)
-        assert lin.mu_max == pytest.approx(0.5)
+        K = sm.shift_K(spec)
+        assert spec.origin.g0[0, 0] == pytest.approx(-0.5, abs=1e-9)
+        assert K == pytest.approx(1e-6)  # strictly dominant: minimal is 0
+        gtilde = sm.gtilde_matrix(spec, K)
+        assert gtilde[0, 0] == pytest.approx(0.5 * (-0.5 - 1e-6), abs=1e-9)
+        assert sm.measured_mu_max(spec) == pytest.approx(0.5)
 
     def test_explicit_shift(self):
         spec = sm.SystemSpec(
             n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
             F=lambda u: -np.asarray(u), domain_radius=0.05, L=1.0,
         )
-        lin = sm.source_linearization(spec, K=0.1)
-        assert np.allclose(np.diag(lin.gtilde), [1.1, -1.1], atol=1e-9)
+        gtilde = sm.gtilde_matrix(spec, sm.shift_K(spec, K=0.1))
+        assert np.allclose(np.diag(gtilde), [1.1, -1.1], atol=1e-9)
+
+
+def count_origin_work(monkeypatch):
+    """Count gradF_at calls, and eigen_fields calls at the origin alone and
+    on the neighborhood sample, in every module that holds eigen_fields."""
+    from periodic_hyp import characteristics, ivp_solver, periodic_solver
+
+    calls = {"gradF": 0, "origin": 0, "neighborhood": 0}
+    gradF_at, eigen_fields = sm.SystemSpec.gradF_at, sm.eigen_fields
+
+    def counted_gradF(self, u):
+        calls["gradF"] += 1
+        return gradF_at(self, u)
+
+    def counted_eigen(spec, states, *args):
+        size = np.asarray(states)[..., 0].size
+        key = {1: "origin", 256: "neighborhood"}.get(size)
+        if key:
+            calls[key] += 1
+        return eigen_fields(spec, states, *args)
+
+    monkeypatch.setattr(sm.SystemSpec, "gradF_at", counted_gradF)
+    for mod in (sm, characteristics, ivp_solver, periodic_solver):
+        monkeypatch.setattr(mod, "eigen_fields", counted_eigen)
+    return calls
+
+
+class TestOriginRecord:
+    def test_spec_is_frozen(self):
+        spec = make_scalar_spec(lam=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.A = lambda u: np.ones(np.shape(u)[:-1] + (1, 1))
+        assert spec.A_at(np.zeros((1, 1)))[0, 0, 0] == 2.0
+
+    def test_arrays_are_read_only_copies(self):
+        G = np.array([[-0.5, 0.1], [0.0, -0.5]])
+        spec = sm.SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
+                             F=lambda u: np.asarray(u) @ G.T, gradF=lambda u: G,
+                             domain_radius=0.05, L=1.0)
+        origin = spec.origin
+        assert np.array_equal(origin.g0, G) and origin.g0 is not G
+        assert G.flags.writeable  # the user's array is not touched
+        assert np.array_equal(origin.mu0, [-1.0, 1.0])
+        assert origin.K_min == sm.minimal_K(G)
+        for arr in (origin.g0, origin.mu0, spec.sampled_speeds):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            origin.K_min = 0.0
+
+    def test_solves_and_runs_reuse_the_record(self, monkeypatch):
+        from test_sweep_kernel import euler_problem
+
+        from periodic_hyp import ivp_solver as ivp
+        from periodic_hyp import periodic_solver as ps
+
+        calls = count_origin_work(monkeypatch)
+        spec, bspec = euler_problem()
+        cfg = ps.IterationConfig(Nt=16, Nx=16)
+        fld, _ = ps.solve_periodic(spec, bspec, cfg)
+        # a solve needs the origin and never samples the neighborhood
+        assert calls == {"gradF": 1, "origin": 1, "neighborhood": 0}
+        ps.solve_periodic(spec, bspec, cfg)
+        assert calls == {"gradF": 1, "origin": 1, "neighborhood": 0}
+        u0 = ps.extract_initial_data(fld)
+        for _ in range(2):  # the first run samples the neighborhood, once
+            traj = ivp.run(u0, spec, bspec, t_end=1.0, record_every=0.5)
+            ivp.stability_metrics(traj, fld, spec)
+            assert calls == {"gradF": 1, "origin": 1, "neighborhood": 1}
+
+    def test_cli_stability_computes_the_origin_once(self, tmp_path, monkeypatch):
+        data = yaml.safe_load((CONFIGS / "quasilinear_euler_damping.yaml").read_text())
+        data["grid"] = {"Nt": 32, "Nx": 32}
+        path = tmp_path / "euler.yaml"
+        path.write_text(yaml.safe_dump(data))
+        calls = count_origin_work(monkeypatch)
+        assert cli.run(["stability", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"gradF": 1, "origin": 1, "neighborhood": 1}
+
+    def test_rescaled_spec_has_its_own_record(self):
+        spec = make_scalar_spec(lam=0.5, c=1.0)
+        assert sm.measured_mu_max(spec) == 2.0
+        out = sm.rescale_time(spec)
+        assert sm.measured_mu_max(out) == 1.0
+        assert out.origin.g0[0, 0] == pytest.approx(2.0 * spec.origin.g0[0, 0])
