@@ -7,6 +7,12 @@ of the feedback at the origin forms a block anti-diagonal matrix whose
 minimal characterizing number (the infimum over positive diagonal scalings
 of the max-row-sum norm) quantifies how much amplitude a reflected wave
 can retain; values below 1 make the boundary dissipative.
+
+``BoundarySpec.map_values`` is the one place a map is called: the sweep,
+the IVP and every derivative go through it. ``BoundarySpec.map_gradient``
+differentiates a map centrally with step 1e-6 in h and in each outgoing
+component, and raises BoundaryMapError on a non-finite derivative; values
+are checked once per side in ``eval_boundary``.
 """
 from __future__ import annotations
 
@@ -38,6 +44,10 @@ class BoundarySpec:
         may broadcast over arrays of times. Maps and signals that do not
         broadcast are looped (see ``system_model.batched``).
     T_star : common period of the signals.
+
+    ``map_values`` is the one entry point to the maps and ``map_gradient``
+    their one derivative (central differences, step 1e-6, BoundaryMapError
+    when not finite); ``outgoing(i)`` is the trace map i reads.
     """
 
     left_maps: Sequence[Callable]
@@ -70,11 +80,19 @@ class BoundarySpec:
             self._h_batch[i] = batched(self.h[i], times, (), f"h[{i}]")
         return self._h_batch[i](np.asarray(t, dtype=float))
 
+    def outgoing(self, i: int) -> slice:
+        """Components that map i reads: component i < m (entering at x = L)
+        the n - m right-moving ones, the others (entering at x = 0) the m
+        left-moving ones."""
+        return slice(self.m, self.n) if i < self.m else slice(0, self.m)
+
     def _map(self, i: int, u_out: np.ndarray) -> Callable:
         """Batched map of component i; raises ValueError when u_out is not
         as wide as the outgoing trace of component i."""
         if i not in self._maps:
-            fn, n_out = _map_for_component(self, i)
+            fn = self.right_maps[i] if i < self.m else self.left_maps[i - self.m]
+            cols = self.outgoing(i)
+            n_out = cols.stop - cols.start
             probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
                      _probe_points(n_out, _MAP_PROBE_SCALE))
             self._maps[i] = (batched(fn, probe, (), f"boundary map {i}"), n_out)
@@ -85,26 +103,24 @@ class BoundarySpec:
 
     def map_values(self, i: int, hv, u_out: np.ndarray) -> np.ndarray:
         """Map of component i at signal values hv (...,) and the outgoing
-        trace u_out (..., n_out): ``incoming`` for a caller that already
-        holds h_i at the times."""
+        trace u_out (..., n_out), e.g. hv = ``h_values(i, t)``."""
         u_out = np.asarray(u_out, dtype=float)
-        return self._map(i, u_out)(hv, u_out)
+        return self._map(i, u_out)(np.asarray(hv, dtype=float), u_out)
 
-    def incoming(self, i: int, t, u_out: np.ndarray) -> np.ndarray:
-        """Boundary value of component i: its map at h_i(t) and the outgoing
-        trace u_out, for times t (...,) and u_out (..., n_out).
-
-        The signal and the map see one flat batch: more leading axes are
-        merged once here and restored on the result. Raises ValueError
-        when u_out is not n_out wide.
-        """
+    def map_gradient(self, i: int, hv, u_out: np.ndarray) -> tuple:
+        """(dG_i/dh, dG_i/du_out) at one point (hv, u_out), by central
+        differences with step 1e-6 from one ``map_values`` call on the
+        2 (n_out + 1) stencil points. Raises BoundaryMapError when a
+        derivative is not finite."""
         u_out = np.asarray(u_out, dtype=float)
-        fn = self._map(i, u_out)
-        t = np.asarray(t, dtype=float)
-        if t.ndim <= 1:
-            return fn(self.h_values(i, t), u_out)
-        flat = fn(self.h_values(i, t.reshape(-1)), u_out.reshape(t.size, u_out.shape[-1]))
-        return flat.reshape(t.shape)
+        k = u_out.size + 1
+        steps = _FD_STEP * np.eye(k)  # row 0 moves h, row j + 1 moves u_j
+        steps = np.concatenate([steps, -steps])
+        vals = self.map_values(i, hv + steps[:, 0], u_out + steps[:, 1:])
+        grad = (vals[:k] - vals[k:]) / (2 * _FD_STEP)
+        if not np.all(np.isfinite(grad)):
+            raise BoundaryMapError(f"non-finite derivative of boundary map {i}")
+        return float(grad[0]), grad[1:]
 
 
 @dataclass
@@ -136,34 +152,17 @@ class ForcingReport:
     h_second_deriv_max: float
 
 
-def _map_for_component(bspec: BoundarySpec, i: int):
-    """(map, n_outgoing) pair for the boundary condition of component i."""
-    m = bspec.m
-    if i < m:
-        return bspec.right_maps[i], bspec.n - m
-    return bspec.left_maps[i - m], m
-
-
-def theta_matrix(bspec: BoundarySpec, n: int, m: int) -> np.ndarray:
+def theta_matrix(bspec: BoundarySpec) -> np.ndarray:
     """Feedback linearization at the origin, block anti-diagonal by layout.
 
-    Entry (r, s) is dG_r/du_s(0, 0) for r < m <= s, entry (s, r) is
-    dG_s/du_r(0, 0); both blocks by central differences (step 1e-6).
+    Row i holds dG_i/du_out(0, 0) (``BoundarySpec.map_gradient``) in the
+    columns of its outgoing trace (``BoundarySpec.outgoing``).
     """
-    if n != bspec.n or m != bspec.m:
-        raise ValueError("n, m inconsistent with the boundary spec")
-    theta = np.zeros((n, n))
-    for i in range(n):
-        fn, n_out = _map_for_component(bspec, i)
-        row = np.empty(n_out)
-        for j in range(n_out):
-            e = np.zeros(n_out)
-            e[j] = _FD_STEP
-            row[j] = (fn(0.0, e) - fn(0.0, -e)) / (2 * _FD_STEP)
-        if not np.all(np.isfinite(row)):
-            raise BoundaryMapError(f"non-finite derivative of boundary map {i}")
-        cols = slice(m, n) if i < m else slice(0, m)
-        theta[i, cols] = row
+    zero = np.zeros(bspec.n)
+    theta = np.zeros((bspec.n, bspec.n))
+    for i in range(bspec.n):
+        cols = bspec.outgoing(i)
+        theta[i, cols] = bspec.map_gradient(i, 0.0, zero[cols])[1]
     return theta
 
 
@@ -280,18 +279,9 @@ def minimal_characterizing_number(theta: np.ndarray) -> tuple:
 
 def characterizing_data(bspec: BoundarySpec) -> ThetaData:
     """Convenience wrapper building the full feedback-dissipation record."""
-    th = theta_matrix(bspec, bspec.n, bspec.m)
+    th = theta_matrix(bspec)
     value, gamma = minimal_characterizing_number(th)
     return ThetaData(theta_matrix=th, theta=value, optimal_scaling=gamma)
-
-
-def _gain_at_origin(bspec: BoundarySpec, i: int) -> float:
-    fn, n_out = _map_for_component(bspec, i)
-    z = np.zeros(n_out)
-    g = (fn(_FD_STEP, z) - fn(-_FD_STEP, z)) / (2 * _FD_STEP)
-    if not np.isfinite(g):
-        raise BoundaryMapError(f"non-finite forcing derivative of boundary map {i}")
-    return float(g)
 
 
 def _rescale_forcing(bspec: BoundarySpec, M0: float) -> BoundarySpec:
@@ -342,7 +332,9 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     if per_res > 1e-8:
         raise PeriodicityError(f"forcing not {T}-periodic: residual {per_res:.3e}")
 
-    gains = np.array([_gain_at_origin(bspec, i) for i in range(n)])
+    zero = np.zeros(n)
+    gains = np.array([bspec.map_gradient(i, 0.0, zero[bspec.outgoing(i)])[0]
+                      for i in range(n)])
     max_gain = float(np.abs(gains).max()) if n else 0.0
     rescaled = max_gain > 0.5
     rescaled_spec = _rescale_forcing(bspec, max_gain) if rescaled else None
@@ -365,20 +357,19 @@ def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray,
 
     side "left" (x = 0) maps the m outgoing components to the n - m
     incoming ones; side "right" (x = L) the reverse. Takes times t (...,)
-    and outgoing (..., n_out), and evaluates each incoming component with
-    ``BoundarySpec.incoming``. A caller that holds the signal values at
-    the times already passes them as signals, signals[i] being h_i(t) for
-    every component i; each map is then evaluated on them with
-    ``BoundarySpec.map_values`` and no signal is called. Returns
-    (..., n_incoming).
+    and outgoing (..., n_out) and returns (..., n_incoming), each map
+    evaluated by ``BoundarySpec.map_values`` at h_i(t). A caller that
+    holds the signal values at the times passes them as signals,
+    signals[i] being h_i(t) for every component i, and no signal is
+    called. Raises BoundaryMapError on a non-finite value.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
     out = np.empty(np.asarray(t).shape + (len(comps),))
     for k, i in enumerate(comps):
-        out[..., k] = (bspec.incoming(i, t, outgoing) if signals is None
-                       else bspec.map_values(i, signals[i], outgoing))
+        hv = bspec.h_values(i, t) if signals is None else signals[i]
+        out[..., k] = bspec.map_values(i, hv, outgoing)
     if not np.isfinite(out).all():
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

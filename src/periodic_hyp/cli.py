@@ -11,7 +11,9 @@ library error not named below), 4 non-convergence (NonContractionError,
 ConvergenceError, StepSizeError), 5 I/O failure (IoError). Config files
 are YAML (JSON parses as a subset); unknown keys anywhere are rejected,
 and so are grid sizes below 8, a max_iter that is not an integer of at
-least 1, and a tol, t_end or record_every that is not positive.
+least 1, a tol, t_end, record_every or T_star that is not positive, a
+forcing harmonic or phase that is not a number, and any system parameter
+or gain a builder rejects.
 """
 from __future__ import annotations
 
@@ -184,7 +186,8 @@ def load_config(path) -> RunConfig:
     params = {k: _as_float(v, f"system.params.{k}") for k, v in params.items()}
 
     boundary = data["boundary"]
-    T_star = _as_float(boundary.get("T_star"), "boundary.T_star")
+    T_star = _positive(_as_float(boundary.get("T_star"), "boundary.T_star"),
+                       "boundary.T_star")
     gains = boundary.get("gains", {}) or {}
     _check_keys("boundary.gains", gains, _SYSTEM_GAINS[sysname])
     gains = {k: _as_float(v, f"boundary.gains.{k}") for k, v in gains.items()}
@@ -202,6 +205,8 @@ def load_config(path) -> RunConfig:
                 raise ConfigError("each harmonic needs an amplitude")
             if _as_float(harm["amplitude"], "amplitude") < 0:
                 raise ConfigError("amplitudes must be nonnegative")
+            _as_float(harm.get("harmonic", 1), "harmonic")
+            _as_float(harm.get("phase", 0.0), "phase")
 
     grid = data["grid"]
     Nt = _as_int(grid.get("Nt"), "grid.Nt", 8)
@@ -265,6 +270,16 @@ def build_boundary(cfg: RunConfig, n: int, eps: float) -> bd.BoundarySpec:
                                      hs[0], hs[1], cfg.T_star)
 
 
+def _build(cfg: RunConfig, eps: float) -> tuple:
+    """System and boundary of a config; a value a builder rejects
+    (ValueError) is a configuration error."""
+    try:
+        spec = build_system(cfg)
+        return spec, build_boundary(cfg, spec.n, eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 @dataclass
 class ValidationOutcome:
     ok: bool
@@ -277,8 +292,7 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     """Run every hypothesis gate, collecting a printable summary."""
     lines = []
     ok = True
-    spec = build_system(cfg)
-    bspec = build_boundary(cfg, spec.n, eps)
+    spec, bspec = _build(cfg, eps)
     lines.append(f"system: {cfg.system_name} (n={spec.n}, m={spec.m})")
 
     try:
@@ -437,8 +451,7 @@ def _sweep_worker(args):
     cfg_dict, eps, out_str, seed = args
     cfg = RunConfig(**cfg_dict)
     try:
-        spec = build_system(cfg)
-        bspec = build_boundary(cfg, spec.n, eps)
+        spec, bspec = _build(cfg, eps)
         row = _stability_cell(cfg, spec, bspec, eps, Path(out_str), seed)
         return eps, row, EXIT_OK
     except PeriodicHypError as exc:

@@ -148,12 +148,10 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
-        if i < m:
-            out_cols, x_inflow = prev.values[:, Nx, m:], L
-        else:
-            out_cols, x_inflow = prev.values[:, 0, :m], 0.0
+        row, x_inflow = (Nx, L) if i < m else (0, 0.0)
         feet = prev.t_nodes[:, None] - delay[..., i]
-        bc = bspec.incoming(i, feet, _interp_rows_cubic(out_cols, feet, T))
+        out_tr = _interp_rows_cubic(prev.values[:, row, bspec.outgoing(i)], feet, T)
+        bc = bspec.map_values(i, bspec.h_values(i, feet), out_tr)
         carry = np.exp(gii[i] * (prev.x_nodes - x_inflow))
         new_vals[:, :, i] = carry * bc + integral[..., i]
 

@@ -72,12 +72,12 @@ def make_scalar_spec(amp=0.01, T_star=1.0):
 class TestThetaMatrix:
     def test_decoupled_is_zero(self):
         spec = make_reflect_spec(k=0.0)
-        th = bd.theta_matrix(spec, 2, 1)
+        th = bd.theta_matrix(spec)
         assert np.abs(th).max() <= 1e-9
 
     def test_reflection_gain(self):
         spec = make_reflect_spec(k=0.5)
-        th = bd.theta_matrix(spec, 2, 1)
+        th = bd.theta_matrix(spec)
         assert np.allclose(th, [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
 
     def test_quadratic_feedback_zero_linearization(self):
@@ -87,13 +87,52 @@ class TestThetaMatrix:
             h=[lambda t: np.zeros_like(np.asarray(t, dtype=float))] * 2,
             T_star=1.0,
         )
-        th = bd.theta_matrix(spec, 2, 1)
+        th = bd.theta_matrix(spec)
         assert np.abs(th).max() <= 1e-6
 
     def test_scalar_system_zero_matrix(self):
         spec = make_scalar_spec()
-        th = bd.theta_matrix(spec, 1, 0)
+        th = bd.theta_matrix(spec)
         assert th.shape == (1, 1) and th[0, 0] == 0.0
+
+
+class TestMapGradient:
+    @staticmethod
+    def closed_form(hv, u):
+        # G(h, u) = h (1 + u0) + u1^2
+        return 1.0 + u[0], np.array([hv, 2.0 * u[1]])
+
+    @pytest.mark.parametrize("one_at_a_time", [False, True])
+    def test_nonlinear_map_matches_closed_form(self, one_at_a_time):
+        # float(hv) fails on a batch, so that map is looped item by item
+        fn = ((lambda hv, u: float(hv) * (1 + u[0]) + u[1] ** 2) if one_at_a_time
+              else (lambda hv, u: hv * (1 + u[..., 0]) + u[..., 1] ** 2))
+        # n = 3, m = 1: the map at x = L reads the two right-moving components
+        spec = bd.BoundarySpec(left_maps=[lambda hv, u: hv] * 2, right_maps=[fn],
+                               h=[np.sin] * 3, T_star=2 * np.pi)
+        hv, u = 0.3, np.array([0.2, -0.4])
+        dgdh, dgdu = spec.map_gradient(0, hv, u)
+        want_h, want_u = self.closed_form(hv, u)
+        assert dgdh == pytest.approx(want_h, abs=1e-8)
+        assert np.allclose(dgdu, want_u, rtol=0, atol=1e-8)
+
+    def test_nan_near_origin_raises_from_theta_and_forcing(self):
+        nan_near_0 = lambda hv, u: hv + 0.5 * u[..., 0] + np.where(
+            np.abs(u[..., 0]) < 1e-3, np.nan, 0.0)
+        spec = bd.BoundarySpec(left_maps=[nan_near_0], right_maps=[lambda hv, u: hv],
+                               h=[np.sin, np.cos], T_star=2 * np.pi)
+        with pytest.raises(BoundaryMapError, match="boundary map 1"):
+            bd.characterizing_data(spec)
+        with pytest.raises(BoundaryMapError, match="boundary map 1"):
+            bd.validate_forcing(spec)
+
+    def test_wrongly_broadcasting_map_fails_in_theta(self):
+        # u[0] is the first outgoing value of one item, the first row of a batch
+        spec = bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
+                               right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                               h=[np.sin, np.cos], T_star=2 * np.pi)
+        with pytest.raises(ValueError, match="boundary map 1 broadcasts wrongly"):
+            bd.characterizing_data(spec)
 
 
 class TestMinimalCharacterizingNumber:
@@ -289,6 +328,10 @@ class TestEvalBoundary:
         spec = make_reflect_spec(k=0.5, amp1=0.0, amp2=0.0)
         out = bd.eval_boundary(spec, "left", 0.0, np.array([0.02]))
         assert out[0] == pytest.approx(0.01)
+        # signal values given as plain floats
+        out = bd.eval_boundary(spec, "left", 0.0, np.array([0.02]), signals=[0.1, 0.2])
+        assert out[0] == pytest.approx(0.21)
+        assert spec.map_values(1, 0.3, np.array([0.02])) == pytest.approx(0.31)
 
     def test_scalar_sine_quarter_period(self):
         spec = make_scalar_spec(amp=0.01, T_star=1.0)

@@ -204,9 +204,24 @@ class TestSweep:
     ("solver", "tol", -1e-8),
     ("experiment", "t_end", 0.0),
     ("experiment", "record_every", -0.25),
+    ("boundary", "T_star", -2.0),
+    ("boundary", "T_star", 0.0),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     data = base_e2_cfg()
     data[section][key] = value
     assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
     assert f"config error: '{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["system"]["params"].update(speed=-1.0),
+    lambda d: d["system"]["params"].update(domain_radius=0.0),
+    lambda d: d["boundary"]["forcing"][0][0].update(harmonic="abc"),
+    lambda d: d["boundary"]["forcing"][0][0].update(phase="xyz"),
+], ids=["speed", "domain_radius", "harmonic", "phase"])
+def test_values_a_builder_rejects_exit_2(tmp_path, capsys, edit):
+    data = base_e2_cfg()
+    edit(data)
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -152,7 +152,7 @@ class TestProbe:
         with pytest.raises(ValueError, match="length 1"):
             bd.eval_boundary(b, "left", ts, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="length 1"):
-            b.incoming(0, ts, np.zeros((3, 0)))
+            b.map_values(0, b.h_values(0, ts), np.zeros((3, 0)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -94,7 +94,8 @@ def loop_step(prev, spec, bspec, cfg):
             DJ[k, :, 1] = growth * dj[:, 1] + qacc
         for k in range(Nx + 1):
             feet = t_grid - DJ[k, :, 0]
-            bc = bspec.incoming(i, feet, loop_interp(out_cols, feet, T))
+            bc = bspec.map_values(i, bspec.h_values(i, feet),
+                                  loop_interp(out_cols, feet, T))
             carry = np.exp(gii * (x_grid[k] - x_inflow))
             new_vals[:, k, i] = carry * bc + DJ[k, :, 1]
     return Field(values=new_vals, T_star=T, L=L)
