@@ -16,6 +16,7 @@ are checked once per side in ``eval_boundary``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -309,7 +310,8 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     grid (4096 points per period, central differences). Signals whose maps
     have forcing gain above 1/2 are reported together with the rescaled
     equivalent spec; an already-rescaled spec is returned unchanged.
-    Raises PeriodicityError when a signal fails h(t + T) = h(t) beyond 1e-8.
+    Raises BoundaryMapError naming a signal with a non-finite sample and
+    PeriodicityError when a signal fails h(t + T) = h(t) beyond 1e-8.
     """
     n = bspec.n
     T = bspec.T_star
@@ -321,14 +323,17 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     per_res = 0.0
     for i in range(n):
         vals = bspec.h_values(i, ts)
-        shifted = bspec.h_values(i, ts + T)
-        per_res = max(per_res, float(np.abs(shifted - vals).max()))
+        res = float(np.abs(bspec.h_values(i, ts + T) - vals).max())
         plus = bspec.h_values(i, ts + dt)
         minus = bspec.h_values(i, ts - dt)
         deriv = (plus - minus) / (2 * dt)
-        c1[i] = max(float(np.abs(vals).max()), float(np.abs(deriv).max()))
-        second = (plus - 2 * vals + minus) / dt**2
-        h2max = max(h2max, float(np.abs(second).max()))
+        c1[i] = np.maximum(np.abs(vals).max(), np.abs(deriv).max())
+        second = float(np.abs((plus - 2 * vals + minus) / dt**2).max())
+        # numpy keeps a NaN through max, Python's max would drop it
+        if not math.isfinite(res + c1[i] + second):
+            raise BoundaryMapError(f"forcing signal {i} is not finite at some sample")
+        per_res = max(per_res, res)
+        h2max = max(h2max, second)
     if per_res > 1e-8:
         raise PeriodicityError(f"forcing not {T}-periodic: residual {per_res:.3e}")
 

@@ -1,10 +1,12 @@
 """Configuration-driven front end.
 
-Subcommands: validate (check every structural hypothesis and print the
-certificate), periodic (solve for the time-periodic field and write
-reports), stability (solve, perturb, march the initial-value problem, fit
-decay rates), sweep (cross product over forcing amplitudes with one output
-directory per cell and an aggregate rate table).
+The subcommand selects the run. Each one first checks every structural
+hypothesis and prints the certificate (at the first eps, the smallest for
+sweep); validate stops there. periodic solves for the time-periodic field
+and writes reports; stability also perturbs it, marches the initial-value
+problem and fits decay rates; sweep runs stability once per eps, one
+output directory each, plus an aggregate rate table. The system is one of
+``systems.BUILTINS``, and its builder's keywords are its ``system.params``.
 
 Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
 library error not named below), 4 non-convergence (NonContractionError,
@@ -12,12 +14,13 @@ ConvergenceError, StepSizeError), 5 I/O failure (IoError). Config files
 are YAML (JSON parses as a subset); unknown keys anywhere are rejected,
 and so are grid sizes below 8, a max_iter that is not an integer of at
 least 1, a tol, t_end, record_every or T_star that is not positive, a
-forcing harmonic or phase that is not a number, and any system parameter
-or gain a builder rejects.
+number that is not finite, and any system parameter or gain a builder
+rejects.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -80,24 +83,13 @@ class ConfigError(Exception):
     pass
 
 
-_SYSTEM_PARAMS = {
-    "linear_damped_scalar": {"lam", "c", "L", "domain_radius"},
-    "linear_reflect_2x2": {"speed", "L", "domain_radius"},
-    "quasilinear_euler_damping": {"gamma", "a", "base_c", "L", "domain_radius"},
-}
-_SYSTEM_GAINS = {
-    "linear_damped_scalar": set(),
-    "linear_reflect_2x2": {"k"},
-    "quasilinear_euler_damping": {"k_left", "k_right"},
-}
 _SECTION_KEYS = {
     "system": {"name", "params"},
     "boundary": {"T_star", "gains", "forcing"},
     "grid": {"Nt", "Nx"},
     "solver": {"K", "tol", "max_iter"},
-    "experiment": {"mode", "eps", "perturbation", "t_end", "record_every"},
+    "experiment": {"eps", "perturbation", "t_end", "record_every"},
 }
-_MODES = {"validate", "periodic", "stability", "sweep"}
 
 
 @dataclass
@@ -114,14 +106,15 @@ class RunConfig:
     K: Optional[float]
     tol: float
     max_iter: int
-    mode: str
     eps: list
     perturbation: float
     t_end: Optional[float]
     record_every: Optional[float]
 
 
-def _check_keys(section: str, data: dict, allowed: set) -> None:
+def _check_keys(section: str, data, allowed: set) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{section}' must be a mapping")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
@@ -129,15 +122,18 @@ def _check_keys(section: str, data: dict, allowed: set) -> None:
 
 def _as_float(value, name: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{name}' must be a number, got {value!r}")
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = np.nan
+    if not np.isfinite(out):
+        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value, name: str, least: int) -> int:
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != _as_float(value, name) or out < least:
         raise ConfigError(f"'{name}' must be an integer of at least {least}, got {value!r}")
@@ -172,24 +168,23 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing required section '{name}'")
 
     for name, allowed in _SECTION_KEYS.items():
-        section = data.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section '{name}' must be a mapping")
-        _check_keys(name, section, allowed)
+        _check_keys(name, data.get(name, {}), allowed)
 
     sysname = data["system"].get("name")
-    if sysname not in _SYSTEM_PARAMS:
+    if not isinstance(sysname, str) or sysname not in systems.BUILTINS:
         raise ConfigError(
-            f"unknown system {sysname!r}; builtins: {sorted(_SYSTEM_PARAMS)}")
+            f"unknown system {sysname!r}; builtins: {sorted(systems.BUILTINS)}")
+    builtin = systems.BUILTINS[sysname]
     params = data["system"].get("params", {}) or {}
-    _check_keys("system.params", params, _SYSTEM_PARAMS[sysname])
+    _check_keys("system.params", params,
+                set(inspect.signature(builtin.system).parameters))
     params = {k: _as_float(v, f"system.params.{k}") for k, v in params.items()}
 
     boundary = data["boundary"]
     T_star = _positive(_as_float(boundary.get("T_star"), "boundary.T_star"),
                        "boundary.T_star")
     gains = boundary.get("gains", {}) or {}
-    _check_keys("boundary.gains", gains, _SYSTEM_GAINS[sysname])
+    _check_keys("boundary.gains", gains, set(builtin.gains))
     gains = {k: _as_float(v, f"boundary.gains.{k}") for k, v in gains.items()}
     forcing = boundary.get("forcing", [])
     if not isinstance(forcing, list):
@@ -198,8 +193,6 @@ def load_config(path) -> RunConfig:
         if not isinstance(comp, list):
             raise ConfigError("each forcing entry must be a list of harmonics")
         for harm in comp:
-            if not isinstance(harm, dict):
-                raise ConfigError("each harmonic must be a mapping")
             _check_keys("forcing harmonic", harm, {"amplitude", "harmonic", "phase"})
             if "amplitude" not in harm:
                 raise ConfigError("each harmonic needs an amplitude")
@@ -212,7 +205,7 @@ def load_config(path) -> RunConfig:
     Nt = _as_int(grid.get("Nt"), "grid.Nt", 8)
     Nx = _as_int(grid.get("Nx"), "grid.Nx", 8)
 
-    solver = data.get("solver", {}) or {}
+    solver = data.get("solver", {})
     K = solver.get("K")
     K = None if K is None else _as_float(K, "solver.K")
     if K is not None and K < 0:
@@ -221,9 +214,6 @@ def load_config(path) -> RunConfig:
     max_iter = _as_int(solver.get("max_iter", 200), "solver.max_iter", 1)
 
     exp = data["experiment"]
-    mode = exp.get("mode")
-    if mode not in _MODES:
-        raise ConfigError(f"experiment.mode must be one of {sorted(_MODES)}")
     eps = exp.get("eps", [0.01])
     if isinstance(eps, (int, float)):
         eps = [eps]
@@ -240,42 +230,23 @@ def load_config(path) -> RunConfig:
         system_name=sysname, system_params=params,
         T_star=T_star, gains=gains, forcing=forcing,
         Nt=Nt, Nx=Nx, K=K, tol=tol, max_iter=max_iter,
-        mode=mode, eps=eps, perturbation=perturbation,
+        eps=eps, perturbation=perturbation,
         t_end=t_end, record_every=record_every,
     )
 
 
-def build_system(cfg: RunConfig):
-    builders = {
-        "linear_damped_scalar": systems.linear_damped_scalar,
-        "linear_reflect_2x2": systems.linear_reflect_2x2,
-        "quasilinear_euler_damping": systems.quasilinear_euler_damping,
-    }
-    return builders[cfg.system_name](**cfg.system_params)
-
-
-def build_boundary(cfg: RunConfig, n: int, eps: float) -> bd.BoundarySpec:
-    forcing = list(cfg.forcing) + [[]] * (n - len(cfg.forcing))
-    if len(forcing) != n:
-        raise ConfigError(f"forcing has {len(cfg.forcing)} entries; system has {n}")
-    hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) if comp
-          else systems.zero_signal for comp in forcing]
-    if cfg.system_name == "linear_damped_scalar":
-        return systems.scalar_inflow_boundary(hs[0], cfg.T_star)
-    if cfg.system_name == "linear_reflect_2x2":
-        return systems.reflection_boundary(cfg.gains.get("k", 0.0),
-                                           hs[0], hs[1], cfg.T_star)
-    return systems.two_gain_boundary(cfg.gains.get("k_left", 0.0),
-                                     cfg.gains.get("k_right", 0.0),
-                                     hs[0], hs[1], cfg.T_star)
-
-
 def _build(cfg: RunConfig, eps: float) -> tuple:
-    """System and boundary of a config; a value a builder rejects
-    (ValueError) is a configuration error."""
+    """System and boundary of a config, the forcing scaled by eps; a value
+    a builder rejects (ValueError) is a configuration error."""
+    builtin = systems.BUILTINS[cfg.system_name]
     try:
-        spec = build_system(cfg)
-        return spec, build_boundary(cfg, spec.n, eps)
+        spec = builtin.system(**cfg.system_params)
+        if len(cfg.forcing) > spec.n:
+            raise ConfigError(f"forcing has {len(cfg.forcing)} entries; system has {spec.n}")
+        forcing = cfg.forcing + [[]] * (spec.n - len(cfg.forcing))
+        hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) if comp
+              else systems.zero_signal for comp in forcing]
+        return spec, builtin.boundary(cfg.gains, hs, cfg.T_star)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -291,7 +262,6 @@ class ValidationOutcome:
 def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     """Run every hypothesis gate, collecting a printable summary."""
     lines = []
-    ok = True
     spec, bspec = _build(cfg, eps)
     lines.append(f"system: {cfg.system_name} (n={spec.n}, m={spec.m})")
 
@@ -303,8 +273,7 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
         lines.append(f"A(0) diagonal: {'yes' if rep.a0_diagonal else 'no'} "
                      f"(off-diagonal max {rep.a0_offdiag_max:.2e})")
         lines.append(f"F(0) residual: {rep.f0_norm:.2e}")
-        if not rep.ok:
-            ok = False
+        ok = rep.ok
     except _HYPOTHESIS_ERRORS as exc:
         lines.append(f"structural hypotheses FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
@@ -312,16 +281,14 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     K = shift_K(spec, cfg.K)
     lines.append(f"K_min: {spec.origin.K_min:.6g}, K: {K:.6g}")
     try:
-        gt = gtilde_matrix(spec, K)
-        profile = dg.weights(gt, spec.L, spec.n, spec.m)
+        profile = dg.weights(gtilde_matrix(spec, K), spec.L, spec.n, spec.m)
         lines.append(f"M3: {profile.M3:.6g}")
     except DominanceError as exc:
         lines.append(f"source dominance FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
 
     try:
-        theta_data = bd.characterizing_data(bspec)
-        theta = theta_data.theta
+        theta = bd.characterizing_data(bspec).theta
         lines.append(f"theta: {theta:.6g}")
         if theta >= 1.0:
             lines.append("boundary dissipativity FAILED: theta >= 1")
@@ -345,18 +312,9 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     state = "PASS" if cert.ok else "FAIL"
     lines.append(f"certificate: theta + K L M3 = {theta + K * spec.L * profile.M3:.6g} "
                  f"< 1: {state} (margin {cert.margin:.6g})")
-    if not cert.ok:
-        ok = False
+    ok = ok and cert.ok
     lines.append(f"hypotheses: {'PASS' if ok else 'FAIL'}")
     return ValidationOutcome(ok, lines, spec, bspec)
-
-
-def _write_field(fld, path: Path) -> None:
-    try:
-        np.savez(path, values=fld.values, T_star=fld.T_star, L=fld.L,
-                 t_nodes=fld.t_nodes, x_nodes=fld.x_nodes)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}")
 
 
 def _make_out_dir(out: Path) -> None:
@@ -372,24 +330,16 @@ def _solve_and_emit(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
                                   tol=cfg.tol, max_iter=cfg.max_iter)
     fld, report = ps.solve_periodic(spec, bspec, iter_cfg)
     _make_out_dir(out)
-    _write_field(fld, out / "field.npz")
+    try:
+        np.savez(out / "field.npz", values=fld.values, T_star=fld.T_star, L=fld.L,
+                 t_nodes=fld.t_nodes, x_nodes=fld.x_nodes)
+    except OSError as exc:
+        raise IoError(f"cannot write {out / 'field.npz'}: {exc}")
     dg.emit_report(report, "csv", out / "iteration_report.csv")
     return fld, report
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    outcome = _validate_all(cfg, cfg.eps[0])
-    for line in outcome.lines:
-        print(line)
-    return EXIT_OK if outcome.ok else EXIT_HYPOTHESIS
-
-
-def _cmd_periodic(cfg: RunConfig, out: Path) -> int:
-    outcome = _validate_all(cfg, cfg.eps[0])
-    for line in outcome.lines:
-        print(line)
-    if not outcome.ok:
-        return EXIT_HYPOTHESIS
+def _cmd_periodic(cfg: RunConfig, outcome: ValidationOutcome, out: Path) -> int:
     fld, report = _solve_and_emit(cfg, outcome.spec, outcome.bspec, out)
     if not report.converged:
         print(f"not converged after {report.iterations} sweeps")
@@ -433,12 +383,8 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
     }
 
 
-def _cmd_stability(cfg: RunConfig, out: Path, seed: int) -> int:
-    outcome = _validate_all(cfg, cfg.eps[0])
-    for line in outcome.lines:
-        print(line)
-    if not outcome.ok:
-        return EXIT_HYPOTHESIS
+def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
+                   seed: int) -> int:
     row = _stability_cell(cfg, outcome.spec, outcome.bspec, cfg.eps[0], out, seed)
     print(f"stability: fitted per-transit decay {row['fitted_decay']}, "
           f"derivative decay {row['fitted_derivative_decay']}")
@@ -448,27 +394,18 @@ def _cmd_stability(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def _sweep_worker(args):
-    cfg_dict, eps, out_str, seed = args
-    cfg = RunConfig(**cfg_dict)
+    cfg, eps, out, seed = args
     try:
         spec, bspec = _build(cfg, eps)
-        row = _stability_cell(cfg, spec, bspec, eps, Path(out_str), seed)
+        row = _stability_cell(cfg, spec, bspec, eps, out, seed)
         return eps, row, EXIT_OK
     except PeriodicHypError as exc:
         return eps, None, _exit_code(exc)
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    outcome = _validate_all(cfg, min(cfg.eps))
-    for line in outcome.lines:
-        print(line)
-    if not outcome.ok:
-        return EXIT_HYPOTHESIS
     _make_out_dir(out)
-    tasks = []
-    for eps in cfg.eps:
-        cell = out / f"eps_{eps:g}"
-        tasks.append((cfg.__dict__.copy(), eps, str(cell), seed))
+    tasks = [(cfg, eps, out / f"eps_{eps:g}", seed) for eps in cfg.eps]
     if jobs > 1 and len(tasks) > 1:
         with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_sweep_worker, tasks)
@@ -526,12 +463,18 @@ def run(argv) -> int:
         return EXIT_CONFIG
 
     try:
+        outcome = _validate_all(cfg, min(cfg.eps) if args.command == "sweep"
+                                else cfg.eps[0])
+        for line in outcome.lines:
+            print(line)
+        if not outcome.ok:
+            return EXIT_HYPOTHESIS
         if args.command == "validate":
-            return _cmd_validate(cfg)
+            return EXIT_OK
         if args.command == "periodic":
-            return _cmd_periodic(cfg, Path(args.out))
+            return _cmd_periodic(cfg, outcome, Path(args.out))
         if args.command == "stability":
-            return _cmd_stability(cfg, Path(args.out), args.seed)
+            return _cmd_stability(cfg, outcome, Path(args.out), args.seed)
         return _cmd_sweep(cfg, Path(args.out), args.seed, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ class DomainError(PeriodicHypError):
 
 
 class BoundaryMapError(PeriodicHypError):
-    """A boundary map produced a non-finite value or non-finite derivative."""
+    """A boundary map or forcing signal gave a non-finite value or derivative."""
 
 
 class PeriodicityError(PeriodicHypError):

@@ -207,7 +207,7 @@ class SystemSpec:
 class EigenStructure:
     """Eigenvalues and biorthonormal eigenvectors at one state.
 
-    lambdas are sorted negatives-first ascending, then positives ascending.
+    lambdas hold the m negative speeds first (sorted, or diag A in order).
     Rows of ``left`` are l_i, columns of ``right`` are r_i, normalized so
     that l_i . r_j = delta_ij and |r_i| = 1, with the largest-magnitude
     entry of each r_i positive. mus = 1 / lambdas.
@@ -247,22 +247,21 @@ def _diagonal(A_vals: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _check_speeds(speeds: np.ndarray, m: int) -> None:
-    """Raise unless every row of speeds, in any order, is finite with m
-    negative entries and none zero or repeated (HyperbolicityError, or
-    SignatureError for a wrong count of negatives)."""
+    """Raise unless every row of speeds is finite, none zero or repeated
+    (HyperbolicityError), and in the order given m negative then n - m
+    positive (SignatureError)."""
     n = speeds.shape[-1]
-    lam = np.sort(speeds, axis=-1) if n > 1 else speeds
-    abs_lam = np.abs(lam)
+    abs_lam = np.abs(speeds)
     top = float(abs_lam.max())
     if not math.isfinite(top):
         raise HyperbolicityError("A is not finite at some state")
     scale = max(1.0, top)
     if abs_lam.min() < _ZERO_EIG_TOL * scale:
         raise HyperbolicityError("zero eigenvalue encountered")
+    lam = np.sort(speeds, axis=-1)
     if n > 1 and (lam[..., 1:] - lam[..., :-1]).min() < _GAP_TOL * scale:
         raise HyperbolicityError("repeated eigenvalue (not strictly hyperbolic)")
-    # sorted rows without zeros hold m negatives iff lam_m < 0 < lam_(m+1)
-    if (m and lam[..., m - 1].max() > 0) or (m < n and lam[..., m].min() < 0):
+    if (m and speeds[..., :m].max() > 0) or (m < n and speeds[..., m:].min() < 0):
         raise SignatureError(
             f"signature is not ({m}, {n - m}) at every sampled state"
         )
@@ -272,8 +271,8 @@ def characteristic_speeds(spec: SystemSpec, states: np.ndarray):
     """Checked speeds at states of shape (..., n), with A evaluated once.
 
     Where A is diagonal at every state the characteristic variables are
-    the components themselves: returns (diag A, None, None), the speeds in
-    component order. Otherwise returns ``eigen_fields`` of the states.
+    the components themselves: returns (diag A, None, None). Otherwise
+    returns ``eigen_fields`` of the states.
     Raises as ``eigen_fields`` does.
     """
     states = np.asarray(states, dtype=float)
@@ -291,7 +290,8 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
 
     Returns (lambdas, left, right) with shapes (..., n), (..., n, n),
     (..., n, n). A_vals is ``spec.A_at(states)`` when the caller has it.
-    Diagonal coefficient matrices take a fast path. Raises
+    Diagonal A takes a fast path: component i is family i (speeds diag A,
+    identity bases). Raises
     HyperbolicityError / SignatureError if any sampled state violates
     the hypotheses, HyperbolicityError also where A is not finite.
     """
@@ -303,10 +303,8 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     d = _diagonal(A_vals)
     if d is not None:
         _check_speeds(d, m)
-        order = np.argsort(d, axis=-1)
-        # permuted identity columns: right[..., :, i] = e_{order[i]}
-        right = (order[..., None, :] == np.arange(n)[..., :, None]).astype(float)
-        return np.sort(d, axis=-1), np.swapaxes(right, -1, -2), right
+        eye = np.broadcast_to(np.eye(n), A_vals.shape)
+        return d, eye, eye
 
     if not np.all(np.isfinite(A_vals)):
         raise HyperbolicityError("A is not finite at some state")

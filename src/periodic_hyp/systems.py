@@ -15,6 +15,8 @@ Three vetted configurations parameterize the library's experiment surface:
 """
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .boundary import BoundarySpec
@@ -141,3 +143,27 @@ def two_gain_boundary(k_left: float, k_right: float, h1, h2,
         h=[h1, h2],
         T_star=T_star,
     )
+
+
+class Builtin(NamedTuple):
+    """A built-in system: its builder, whose keywords are its parameters,
+    its gain names, and ``boundary(gains, signals, T_star)``, which builds
+    its boundary from a dict of gains (an absent one is 0) and one forcing
+    signal per family."""
+    system: Callable[..., SystemSpec]
+    gains: tuple
+    boundary: Callable[..., BoundarySpec]
+
+
+BUILTINS = {
+    "linear_damped_scalar": Builtin(
+        linear_damped_scalar, (),
+        lambda gains, hs, T_star: scalar_inflow_boundary(hs[0], T_star)),
+    "linear_reflect_2x2": Builtin(
+        linear_reflect_2x2, ("k",),
+        lambda gains, hs, T_star: reflection_boundary(gains.get("k", 0.0), *hs, T_star)),
+    "quasilinear_euler_damping": Builtin(
+        quasilinear_euler_damping, ("k_left", "k_right"),
+        lambda gains, hs, T_star: two_gain_boundary(
+            gains.get("k_left", 0.0), gains.get("k_right", 0.0), *hs, T_star)),
+}

@@ -285,7 +285,7 @@ def test_criterion_8_hypothesis_gates(tmp_path):
                          "forcing": [[{"amplitude": 1.0, "harmonic": 1}], []]},
             "grid": {"Nt": 32, "Nx": 32},
             "solver": {"K": 1e-6},
-            "experiment": {"mode": "validate", "eps": [0.01]},
+            "experiment": {"eps": [0.01]},
         }
         for path, value in changes.items():
             node = data

@@ -286,6 +286,20 @@ class TestValidateForcing:
         with pytest.raises(PeriodicityError):
             bd.validate_forcing(spec)
 
+    def test_non_finite_signal_raises_naming_it(self):
+        # NaN on part of the period: Python's max would drop it from the
+        # periodicity residual
+        def nan_late(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t % 1.0 > 0.5, np.nan, np.sin(2 * np.pi * t))
+
+        spec = bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                               right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                               h=[lambda t: np.sin(2 * np.pi * np.asarray(t)), nan_late],
+                               T_star=1.0)
+        with pytest.raises(BoundaryMapError, match="forcing signal 1"):
+            bd.validate_forcing(spec)
+
     def test_large_gain_rescaled(self):
         spec = bd.BoundarySpec(
             left_maps=[lambda hv, u: 2.0 * hv],

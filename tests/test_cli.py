@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from periodic_hyp import boundary as bd
-from periodic_hyp import cli
+from periodic_hyp import cli, systems
 from periodic_hyp.errors import ConvergenceError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,7 +27,7 @@ def base_e2_cfg(Nt=32, Nx=32, k=0.5, K=1e-6):
                      "forcing": [[{"amplitude": 1.0, "harmonic": 1}], []]},
         "grid": {"Nt": Nt, "Nx": Nx},
         "solver": {"K": K, "tol": 1e-10, "max_iter": 200},
-        "experiment": {"mode": "periodic", "eps": [0.01]},
+        "experiment": {"eps": [0.01]},
     }
 
 
@@ -48,6 +49,26 @@ class TestConfigParsing:
 
     def test_missing_file(self):
         assert cli.run(["validate", "--config", "/nope/absent.yaml"]) == 2
+
+    def test_mode_key_rejected(self, tmp_path, capsys):
+        # the subcommand selects the run; the old key names itself
+        data = base_e2_cfg()
+        data["experiment"]["mode"] = "periodic"
+        assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+        assert "unknown keys in 'experiment': ['mode']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(systems.BUILTINS))
+    def test_builder_keywords_are_the_params(self, tmp_path, capsys, name):
+        """Every builder keyword is a config param; set to its default it
+        validates as the config without params does."""
+        data = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+        outs = []
+        for params in ({p.name: p.default for p in inspect.signature(
+                systems.BUILTINS[name].system).parameters.values()}, None):
+            data["system"]["params"] = params
+            assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and f"system: {name}" in outs[0]
 
     def test_json_config_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -139,7 +160,7 @@ class TestPeriodic:
 class TestStability:
     def test_reflection_decay(self, tmp_path):
         cfg = base_e2_cfg(Nt=64, Nx=64)
-        cfg["experiment"] = {"mode": "stability", "eps": [0.01],
+        cfg["experiment"] = {"eps": [0.01],
                              "perturbation": 0.005, "t_end": 8.0,
                              "record_every": 0.25}
         out = tmp_path / "out"
@@ -156,7 +177,7 @@ class TestStability:
 class TestSweep:
     def test_cells_and_aggregate(self, tmp_path):
         cfg = base_e2_cfg(Nt=32, Nx=32)
-        cfg["experiment"] = {"mode": "sweep", "eps": [0.005, 0.01],
+        cfg["experiment"] = {"eps": [0.005, 0.01],
                              "perturbation": 0.002, "t_end": 6.0,
                              "record_every": 0.25}
         out = tmp_path / "sweep"
@@ -174,11 +195,27 @@ class TestSweep:
         c0s = [float(r[4]) for r in rows]
         assert 1.8 < c0s[1] / c0s[0] < 2.2
 
+    def test_process_pool_matches_one_job(self, tmp_path):
+        """--jobs 2 sends each cell's RunConfig to a spawned worker; the
+        aggregate and every cell's files match the in-process run."""
+        cfg = base_e2_cfg(Nt=16, Nx=16)
+        cfg["experiment"] = {"eps": [0.005, 0.01], "perturbation": 0.002,
+                             "t_end": 2.0, "record_every": 0.25}
+        path = write_cfg(tmp_path, cfg)
+        for jobs in ("1", "2"):
+            assert cli.run(["sweep", "--config", path, "--out",
+                            str(tmp_path / jobs), "--jobs", jobs]) == 0
+        files = sorted(p.relative_to(tmp_path / "1")
+                       for p in (tmp_path / "1").rglob("*") if p.is_file())
+        assert len(files) == 11  # rates.csv and five files per cell
+        for rel in files:
+            assert (tmp_path / "2" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
+
     def test_failed_cell_keeps_its_row(self, tmp_path):
         # eps = 0.09 drives the reflected amplitude 1.33 eps past the
         # neighborhood radius 0.1; validation runs at the smallest eps only
         cfg = base_e2_cfg(Nt=16, Nx=16)
-        cfg["experiment"] = {"mode": "sweep", "eps": [0.09, 0.005],
+        cfg["experiment"] = {"eps": [0.09, 0.005],
                              "perturbation": 0.002, "t_end": 2.0,
                              "record_every": 0.25}
         out = tmp_path / "sweep"
@@ -197,6 +234,7 @@ class TestSweep:
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "Nt", 4),
     ("grid", "Nx", 7),
+    ("grid", "Nt", float("inf")),
     ("solver", "max_iter", "abc"),
     ("solver", "max_iter", 2.5),
     ("solver", "max_iter", 0),
@@ -219,7 +257,15 @@ def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     lambda d: d["system"]["params"].update(domain_radius=0.0),
     lambda d: d["boundary"]["forcing"][0][0].update(harmonic="abc"),
     lambda d: d["boundary"]["forcing"][0][0].update(phase="xyz"),
-], ids=["speed", "domain_radius", "harmonic", "phase"])
+    lambda d: d["experiment"].update(eps=[float("nan")]),
+    lambda d: d["boundary"]["forcing"][0][0].update(amplitude=float("inf")),
+    lambda d: d["system"].update(name=["linear_reflect_2x2"]),
+    lambda d: d["system"].update(params=["speed"]),
+    lambda d: d["boundary"].update(gains=0.5),
+    lambda d: d["boundary"]["forcing"][0].append(0.5),
+    lambda d: d.update(solver=None),
+], ids=["speed", "domain_radius", "harmonic", "phase", "eps_nan", "amplitude_inf",
+        "name_list", "params_list", "gains_number", "harmonic_number", "solver_null"])
 def test_values_a_builder_rejects_exit_2(tmp_path, capsys, edit):
     data = base_e2_cfg()
     edit(data)

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 import yaml
 
+from periodic_hyp import boundary as bd
 from periodic_hyp import cli
+from periodic_hyp import ivp_solver as ivp
+from periodic_hyp import periodic_solver as ps
 from periodic_hyp import system_model as sm
+from periodic_hyp import systems
 from periodic_hyp.errors import (
     DomainError,
     DominanceError,
@@ -16,6 +20,17 @@ from periodic_hyp.errors import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def diagonal_spec(speeds, m, damping=0.0):
+    """Constant A = diag(speeds), F = -damping u."""
+    D = np.diag(speeds)
+    return sm.SystemSpec(
+        n=len(speeds), m=m,
+        A=lambda u: np.broadcast_to(D, np.shape(u)[:-1] + D.shape).copy(),
+        F=lambda u: -damping * np.asarray(u, dtype=float),
+        domain_radius=0.1, L=1.0,
+    )
 
 
 def make_scalar_spec(lam=1.0, c=0.5, radius=0.1, L=1.0):
@@ -173,19 +188,53 @@ class TestDiagonalPath:
         assert left is None and right is None
         assert np.array_equal(speeds, [[-1.0, 1.0, 2.0], [-1.0, 2.0, 1.5]])
 
-    def test_sorted_speeds_and_permuted_basis(self):
-        rng = np.random.default_rng(4)
-        diag = np.stack([rng.uniform(-2.0, -0.5, 50), rng.uniform(0.5, 1.0, 50),
-                         rng.uniform(1.5, 2.0, 50)], axis=-1)
-        diag = rng.permuted(diag, axis=-1).reshape(5, 10, 3)
-        spec = sm.SystemSpec(n=3, m=1, A=lambda u: u[..., None] * np.eye(3),
-                             F=lambda u: np.zeros(np.shape(u)),
-                             domain_radius=10.0, L=1.0)
-        lam, left, right = sm.eigen_fields(spec, diag)
-        order = np.argsort(diag, axis=-1)
-        assert np.array_equal(lam, np.take_along_axis(diag, order, axis=-1))
-        assert np.array_equal(right, np.eye(3)[order].swapaxes(-1, -2))
-        assert np.array_equal(left, np.eye(3)[order])
+    def test_component_order_and_identity_basis(self):
+        spec = diagonal_spec([-1.0, 2.0, 1.0], m=1)
+        lam, left, right = sm.eigen_fields(spec, np.zeros((2, 4, 3)))
+        assert np.array_equal(lam, np.broadcast_to([-1.0, 2.0, 1.0], (2, 4, 3)))
+        assert np.array_equal(left, np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+        assert np.array_equal(right, left)
+
+    def test_outgoing_component_first_is_a_signature_error(self):
+        """diag(1, -1) with m = 1: component 0 moves right, so it cannot
+        be the left-moving family; no entry point relabels it."""
+        spec = diagonal_spec([1.0, -1.0], m=1)
+        h = lambda t: 0.01 * np.sin(np.pi * np.asarray(t, dtype=float))
+        bspec = systems.two_gain_boundary(0.5, 0.5, h, h, 2.0)
+        with pytest.raises(SignatureError):
+            sm.eigen_fields(spec, np.zeros((1, 2)))
+        with pytest.raises(SignatureError):
+            sm.validate_hyperbolicity(spec)
+        with pytest.raises(SignatureError):
+            ivp.run(np.zeros((17, 2)), spec, bspec, t_end=1.0, record_every=0.5)
+
+    def test_periodic_solve_is_equivariant_under_relabelling(self):
+        """diag(-1, 2, 1) solves as diag(-1, 1, 2) with families 1 and 2
+        swapped in the maps, the signals and the field."""
+        def solve(speeds, perm):
+            h = [lambda t: 0.01 * np.sin(np.pi * np.asarray(t, dtype=float)),
+                 lambda t: 0.005 * np.cos(np.pi * np.asarray(t, dtype=float)),
+                 lambda t: 0.004 * np.sin(2 * np.pi * np.asarray(t, dtype=float))]
+            gains = [0.4, 0.25]  # x = 0 maps of components 1 and 2
+            into_0 = [0.3, 0.2]  # the x = L map's weights of components 1 and 2
+            a, b = perm
+
+            def left(g):
+                return lambda hv, u: hv + g * u[..., 0]
+
+            bspec = bd.BoundarySpec(
+                left_maps=[left(gains[a]), left(gains[b])],
+                right_maps=[lambda hv, u: hv + into_0[a] * u[..., 0] + into_0[b] * u[..., 1]],
+                h=[h[0], h[1 + a], h[1 + b]], T_star=2.0)
+            spec = diagonal_spec(speeds, m=1, damping=0.5)
+            fld, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16))
+            assert rep.converged
+            return fld.values
+
+        unsorted = solve([-1.0, 2.0, 1.0], (0, 1))
+        swapped = solve([-1.0, 1.0, 2.0], (1, 0))
+        assert np.abs(unsorted).max() > 1e-3
+        assert np.abs(unsorted - swapped[..., [0, 2, 1]]).max() <= 1e-12
 
 
 class TestValidation:
