@@ -41,6 +41,7 @@ from .errors import (
     HyperbolicityError,
     IoError,
     NonContractionError,
+    NormalizationError,
     PeriodicHypError,
     PeriodicityError,
     SignatureError,

@@ -11,8 +11,10 @@ can retain; values below 1 make the boundary dissipative.
 ``BoundarySpec.map_values`` is the one place a map is called: the sweep,
 the IVP and every derivative go through it. ``BoundarySpec.map_gradient``
 differentiates a map centrally with step 1e-6 in h and in each outgoing
-component, and raises BoundaryMapError on a non-finite derivative; values
-are checked once per side in ``eval_boundary``.
+component, and raises BoundaryMapError on a non-finite derivative. Map
+values are checked where they are used: once per side in
+``eval_boundary``, on the whole new iterate by the sweep, and by the IVP
+on the incoming entries each stage writes.
 """
 from __future__ import annotations
 

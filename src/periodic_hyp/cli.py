@@ -9,13 +9,14 @@ output directory each, plus an aggregate rate table. The system is one of
 ``systems.BUILTINS``, and its builder's keywords are its ``system.params``.
 
 Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
-library error not named below), 4 non-convergence (NonContractionError,
-ConvergenceError, StepSizeError), 5 I/O failure (IoError). Config files
-are YAML (JSON parses as a subset); unknown keys anywhere are rejected,
-and so are grid sizes below 8, a max_iter that is not an integer of at
-least 1, a tol, t_end, record_every or T_star that is not positive, a
-number that is not finite, and any system parameter or gain a builder
-rejects.
+library error not named below, NormalizationError among them: the
+periodic solve refuses an A(0) that is not diagonal), 4 non-convergence
+(NonContractionError, ConvergenceError, StepSizeError), 5 I/O failure
+(IoError). Config files are YAML (JSON parses as a subset); unknown keys
+anywhere are rejected, and so are grid sizes below 8, a max_iter that is
+not an integer of at least 1, a tol, t_end, record_every or T_star that
+is not positive, a number that is not finite, and any system parameter
+or gain a builder rejects.
 """
 from __future__ import annotations
 

@@ -25,6 +25,10 @@ class DominanceError(PeriodicHypError):
     """The shifted source linearization fails the strict diagonal dominance conditions."""
 
 
+class NormalizationError(PeriodicHypError):
+    """The system is not in the normalized form a solver needs (A(0) diagonal)."""
+
+
 class DomainError(PeriodicHypError):
     """A state or query point left the admissible neighborhood / domain."""
 

@@ -12,14 +12,20 @@ CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 Each step evaluates A twice, once per stage: the first stage's speeds
 serve the CFL check too. When A is diagonal, as for any system written
 in Riemann invariants, the speeds are diag A and no eigenvectors are
-built; otherwise each stage computes the eigenstructure. Each stage makes
-one stencil pass that gives the upwind derivative of both directions,
-and both stages impose the boundary at the same time, from one
-evaluation of every forcing signal per step.
+built; otherwise each stage computes the eigenstructure. The speeds of a
+stage pass one accept test, which implies every hyperbolicity and
+signature check; only speeds that fail it go through the ordered
+diagnosis that names the error. Each stage makes one stencil pass that
+gives the upwind derivative of both directions, and both stages impose
+the boundary at the same time, from one evaluation of every forcing
+signal per step: each incoming entry is written straight from
+``BoundarySpec.map_values``, and the entries written are checked to be
+finite.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import boundary as bd
 from .characteristics import Field, _x_difference
-from .errors import DomainError, StepSizeError
+from .errors import BoundaryMapError, DomainError, StepSizeError
 from .system_model import (
     SystemSpec,
     characteristic_speeds,
@@ -153,15 +159,21 @@ def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
     return du
 
 
-def _impose_boundary(u: np.ndarray, t: float, signals: list, spec: SystemSpec,
+def _impose_boundary(u: np.ndarray, signals: list, spec: SystemSpec,
                      bspec: bd.BoundarySpec) -> None:
     """Overwrite incoming components from the feedback maps (in place),
-    with signals[i] = h_i(t) for every component i."""
-    m = spec.m
-    if spec.n - m:
-        u[0, m:] = bd.eval_boundary(bspec, "left", t, u[0, :m], signals)
-    if m:
-        u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:], signals)
+    with signals[i] = h_i(t) for every component i: x = 0 first, then
+    x = L. Each component is written straight from ``map_values``; after
+    each side, raises BoundaryMapError if a value it wrote is not finite
+    (the outgoing trace it read is not checked)."""
+    m, n = spec.m, spec.n
+    for row, lo, hi in ((0, m, n), (-1, 0, m)):
+        if lo == hi:
+            continue
+        for i in range(lo, hi):
+            u[row, i] = bspec.map_values(i, signals[i], u[row, bspec.outgoing(i)])
+        if not all(map(math.isfinite, u[row, lo:hi].tolist())):
+            raise BoundaryMapError("boundary map returned non-finite values")
 
 
 def step(state: IvpState, dt: float, spec: SystemSpec,
@@ -187,10 +199,10 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
     signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
     f1 = _rhs(u, spec, state.dx, speeds)
     u1 = u + dt * f1
-    _impose_boundary(u1, t_new, signals, spec, bspec)
+    _impose_boundary(u1, signals, spec, bspec)
     f2 = _rhs(u1, spec, state.dx)
     u_new = u + 0.5 * dt * (f1 + f2)
-    _impose_boundary(u_new, t_new, signals, spec, bspec)
+    _impose_boundary(u_new, signals, spec, bspec)
     if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
     return IvpState(t=t_new, u=u_new, dx=state.dx)
@@ -226,7 +238,20 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     worst-case dx / |lambda| over the whole validated neighborhood, so one
     step size serves the entire run. Returns early (completed=False, with
     the failure message) if the profile leaves the neighborhood.
+    Raises ValueError unless record_every is finite and positive and
+    t_end is 0 or a whole multiple (at least 1) of record_every, within
+    1e-9 relative: no other t_end is reached on the cadence.
     """
+    if not (math.isfinite(record_every) and record_every > 0):
+        raise ValueError(f"record_every must be finite and positive, got {record_every!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    ratio = t_end / record_every
+    n_samples = round(ratio) if math.isfinite(ratio) else 0
+    if t_end > 0 and not (n_samples >= 1
+                          and abs(n_samples * record_every - t_end) <= 1e-9 * t_end):
+        raise ValueError(f"t_end={t_end!r} is not a whole multiple of "
+                         f"record_every={record_every!r}")
     u0 = np.asarray(u0, dtype=float)
     Nx = u0.shape[0] - 1
     dx = spec.L / Nx
@@ -248,7 +273,6 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         return traj
 
     state = IvpState(t=0.0, u=u0.copy(), dx=dx)
-    n_samples = int(round(t_end / record_every))
     prev_profile = None
     pending = None  # sample index waiting for its forward neighbor
     try:

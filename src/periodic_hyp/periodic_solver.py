@@ -21,8 +21,9 @@ import numpy as np
 from . import boundary as bd
 from . import diagnostics as dg
 from .characteristics import Field, TraceGeometry, _interp_rows_cubic, trace_to_inflow
-from .errors import BoundaryMapError, DomainError, NonContractionError
+from .errors import BoundaryMapError, DomainError, NonContractionError, NormalizationError
 from .system_model import (
+    _ORIGIN_TOL,
     SystemSpec,
     eigen_fields,
     gtilde_matrix,
@@ -191,8 +192,16 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
 
     Returns (field, report). The returned field is periodic in t by
     construction. Raises NonContractionError when max_iter is exhausted
-    with the deltas not decreasing over the last five sweeps.
+    with the deltas not decreasing over the last five sweeps, and
+    NormalizationError when A(0) is not diagonal: the fixed point is the
+    periodic solution only when the families are the components at the
+    origin (one sweep, ``linearized_step``, runs on any A).
     """
+    off = spec.origin.a0_offdiag_max
+    if off > _ORIGIN_TOL:
+        raise NormalizationError(
+            f"A(0) is not diagonal (off-diagonal max {off:.2e}); write the "
+            "system in the eigenbasis of A(0)")
     n = spec.n
     ctx = SweepContext.for_solve(spec, cfg.K)
     theta = bd.characterizing_data(bspec).theta

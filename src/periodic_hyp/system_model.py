@@ -117,11 +117,14 @@ def fd_gradient(F: Callable, u: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Origin:
-    """The system at u = 0: g0 = gradF(0), mu0 = 1 / lambda(0), K_min."""
+    """The system at u = 0: g0 = gradF(0), mu0 = 1 / lambda(0), K_min, and
+    a0_offdiag_max, the largest off-diagonal |A(0)| (0 when A(0) is
+    diagonal, as the periodic solve needs)."""
 
     g0: np.ndarray
     mu0: np.ndarray
     K_min: float
+    a0_offdiag_max: float
 
 
 @dataclass(frozen=True)
@@ -171,11 +174,15 @@ class SystemSpec:
     # origin and must not sample the neighborhood
     @cached_property
     def origin(self) -> Origin:
-        """g0, mu0 and K_min at u = 0 (see ``Origin``)."""
+        """g0, mu0, K_min and the off-diagonal size of A(0) (see ``Origin``)."""
         g0 = np.array(self.gradF_at(np.zeros(self.n)))  # a copy, made read-only
-        mu0 = 1.0 / eigen_fields(self, np.zeros((1, self.n)))[0][0]
+        zero = np.zeros((1, self.n))
+        A0 = self.A_at(zero)
+        mu0 = 1.0 / eigen_fields(self, zero, A0)[0][0]
         g0.flags.writeable = mu0.flags.writeable = False
-        return Origin(g0=g0, mu0=mu0, K_min=minimal_K(g0))
+        off = np.abs(A0[0] - np.diag(np.diag(A0[0])))
+        return Origin(g0=g0, mu0=mu0, K_min=minimal_K(g0),
+                      a0_offdiag_max=float(off.max()))
 
     @cached_property
     def sampled_speeds(self) -> np.ndarray:
@@ -199,8 +206,11 @@ class SystemSpec:
 
     def contains(self, states: np.ndarray) -> bool:
         """True if every state lies in the closed validated ball."""
-        r = np.linalg.norm(np.asarray(states, dtype=float), axis=-1)
-        return bool(r.max(initial=0.0) <= self.domain_radius * (1 + 1e-12))
+        s = np.asarray(states, dtype=float)
+        # np.linalg.norm(s, axis=-1) without its argument handling; the
+        # square root is monotone, so it is taken once, of the largest
+        r2 = np.add.reduce(s * s, axis=-1).max(initial=0.0)
+        return math.sqrt(r2) <= self.domain_radius * (1 + 1e-12)
 
 
 @dataclass
@@ -246,6 +256,12 @@ def _diagonal(A_vals: np.ndarray) -> Optional[np.ndarray]:
     return d if np.count_nonzero(A_vals) == np.count_nonzero(d) else None
 
 
+def _gaps_at_least(speeds: np.ndarray, gap: float) -> bool:
+    """True if the sorted speeds of every row are at least gap apart."""
+    return speeds.shape[-1] < 2 or bool(
+        np.diff(np.sort(speeds, axis=-1), axis=-1).min() >= gap)
+
+
 def _check_speeds(speeds: np.ndarray, m: int) -> None:
     """Raise unless every row of speeds is finite, none zero or repeated
     (HyperbolicityError), and in the order given m negative then n - m
@@ -253,6 +269,15 @@ def _check_speeds(speeds: np.ndarray, m: int) -> None:
     n = speeds.shape[-1]
     abs_lam = np.abs(speeds)
     top = float(abs_lam.max())
+    # one accept test: speeds finite, beyond the gap tolerance of zero on
+    # their side and, within a side, that far apart imply the four tests
+    # below; any other input takes them for its diagnosis
+    g = _GAP_TOL * max(1.0, top)
+    left, right = speeds[..., :m], speeds[..., m:]
+    if (math.isfinite(top) and (not m or left.max() < -g)
+            and (m == n or right.min() > g)
+            and _gaps_at_least(left, g) and _gaps_at_least(right, g)):
+        return
     if not math.isfinite(top):
         raise HyperbolicityError("A is not finite at some state")
     scale = max(1.0, top)
@@ -393,20 +418,18 @@ def validate_hyperbolicity(spec: SystemSpec) -> HypothesisReport:
 
     Raises SignatureError if the signature flips inside the neighborhood,
     HyperbolicityError on complex/zero/repeated eigenvalues, and
-    SourceOriginError if F(0) != 0. A non-diagonal A(0) does not raise;
-    it is reported (see ``origin_diagonalizer`` for the opt-in fix).
+    SourceOriginError if F(0) != 0. A non-diagonal A(0) does not raise
+    here; it is reported, and ``solve_periodic`` refuses it
+    (NormalizationError; see ``origin_diagonalizer`` for the opt-in fix).
     """
     f0 = np.asarray(spec.F_at(np.zeros((1, spec.n)))[0], dtype=float)
     f0_norm = float(np.abs(f0).max()) if f0.size else 0.0
     if f0_norm > _ORIGIN_TOL:
         raise SourceOriginError(f"F(0) = {f0} is nonzero beyond tolerance")
 
-    A0 = spec.A_at(np.zeros((1, spec.n)))[0]
-    off = A0 - np.diag(np.diag(A0))
-    a0_offdiag_max = float(np.abs(off).max()) if off.size else 0.0
-    a0_diagonal = a0_offdiag_max <= _ORIGIN_TOL
-
     mu_max = measured_mu_max(spec)
+    a0_offdiag_max = spec.origin.a0_offdiag_max
+    a0_diagonal = a0_offdiag_max <= _ORIGIN_TOL
     return HypothesisReport(
         samples=len(spec.sampled_speeds),
         signature=(spec.m, spec.n - spec.m),

@@ -85,7 +85,9 @@ def quasilinear_euler_damping(gamma: float = 2.0, a: float = 0.5,
 
     def F(u):
         v, _ = vel_sound(u)
-        return -a * np.stack([v, v], axis=-1)
+        out = np.empty(v.shape + (2,))
+        out[..., 0] = out[..., 1] = -a * v
+        return out
 
     return SystemSpec(n=2, m=1, A=A, F=F,
                       gradF=lambda u: np.full((2, 2), -a / 2.0),
@@ -104,7 +106,9 @@ def harmonic_signal(harmonics, T_star: float, scale: float = 1.0):
 
     def signal(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
+        if not terms:
+            return np.zeros_like(t)
+        out = 0.0
         for amp, harm, phase in terms:
             out = out + scale * amp * np.sin(2 * np.pi * harm * t / T_star + phase)
         return out

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_hyp import boundary as bd
+from periodic_hyp import systems
 from periodic_hyp.errors import BoundaryMapError, PeriodicityError
 
 
@@ -370,3 +371,45 @@ class TestEvalBoundary:
         for a, t in enumerate(ts):
             single = bd.eval_boundary(spec, "left", t, outs[a])
             assert batch[a, 0] == pytest.approx(single[0], abs=1e-15)
+
+
+def reference_harmonic_signal(harmonics, T_star, scale=1.0):
+    """``systems.harmonic_signal`` as it was, summing from a zeros array."""
+    terms = [(float(h["amplitude"]), float(h.get("harmonic", 1)),
+              float(h.get("phase", 0.0))) for h in harmonics]
+
+    def signal(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for amp, harm, phase in terms:
+            out = out + scale * amp * np.sin(2 * np.pi * harm * t / T_star + phase)
+        return out
+
+    return signal
+
+
+class TestBuiltinCallables:
+    TIMES = [0.37, np.linspace(-1.0, 3.0, 12).reshape(3, 4)]
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_no_terms_give_zeros_shaped_like_t(self, t):
+        out = systems.harmonic_signal([], 2.0)(t)
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(t)
+        assert not out.any()
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_terms_sum_as_before(self, t):
+        harmonics = [{"amplitude": 1.0}, {"amplitude": 0.5, "harmonic": 3, "phase": 1.0},
+                     {"amplitude": 0.25, "harmonic": 2, "phase": -0.4}]
+        for k in (1, 3):
+            got = systems.harmonic_signal(harmonics[:k], 2.0, scale=0.01)(t)
+            want = reference_harmonic_signal(harmonics[:k], 2.0, scale=0.01)(t)
+            assert type(got) is type(want) and np.array_equal(got, want)
+
+    def test_euler_source_is_the_drag_in_both_components(self):
+        a = 0.5
+        spec = systems.quasilinear_euler_damping(a=a)
+        u = np.linspace(-0.03, 0.03, 14).reshape(7, 2)
+        v = 0.5 * (u[..., 0] + u[..., 1])
+        assert np.array_equal(spec.F(u), -a * np.stack([v, v], axis=-1))
+        assert np.array_equal(spec.F(u[3]), -a * np.stack([v[3], v[3]], axis=-1))

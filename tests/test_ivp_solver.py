@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.characteristics import Field, _x_difference
-from periodic_hyp.errors import DomainError, StepSizeError
+from periodic_hyp.errors import BoundaryMapError, DomainError, StepSizeError
 
 
 def e1_exact(eps=0.01, c=0.5):
@@ -50,6 +51,29 @@ class TestStep:
             for _ in range(50):
                 s = ivp.step(s, 0.4 * s.dx, spec, bspec_big)
 
+    def test_non_finite_boundary_value_raises(self):
+        spec, _ = make_e2()
+        nan_map = lambda hv, u: hv + np.nan * u[..., 0]
+        keep = lambda hv, u: hv + 0.5 * u[..., 0]
+        state = ivp.IvpState(t=0.0, u=np.zeros((33, 2)), dx=1.0 / 32)
+        for left, right in ((nan_map, keep), (keep, nan_map)):
+            bspec = bd.BoundarySpec(left_maps=[left], right_maps=[right],
+                                    h=[systems.zero_signal] * 2, T_star=2.0)
+            with pytest.raises(BoundaryMapError,
+                               match="boundary map returned non-finite values"):
+                ivp.step(state, 0.4 * state.dx, spec, bspec)
+
+    def test_outgoing_trace_is_not_checked(self):
+        # a map that ignores its NaN input writes a finite value; the NaN
+        # is caught as a state outside the neighborhood
+        spec, _ = make_e2()
+        bspec = bd.BoundarySpec(left_maps=[lambda hv, u: hv], right_maps=[lambda hv, u: hv],
+                                h=[systems.zero_signal] * 2, T_star=2.0)
+        u = np.zeros((33, 2))
+        u[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            ivp.step(ivp.IvpState(t=0.0, u=u, dx=1.0 / 32), 0.01, spec, bspec)
+
     def test_periodic_profile_advances_one_period(self):
         spec, bspec = make_e1()
         exact = e1_exact()
@@ -70,6 +94,23 @@ class TestRun:
         traj = ivp.run(u0, spec, bspec, t_end=0.0, record_every=0.25)
         assert len(traj.profiles) == 1
         assert np.array_equal(traj.profiles[0], u0)
+
+    @pytest.mark.parametrize("t_end, record_every", [
+        (1.0, 0.0), (1.0, -0.25), (1.0, np.nan), (1.0, np.inf),
+        (-1.0, 0.25), (np.nan, 0.25), (np.inf, 0.25),
+        (1.0, 0.3),  # would stop at t = 0.9
+        (0.1, 0.3),  # would make no step
+    ])
+    def test_rejects_a_cadence_it_cannot_honour(self, t_end, record_every):
+        spec, bspec = make_e1()
+        with pytest.raises(ValueError):
+            ivp.run(np.zeros((33, 1)), spec, bspec, t_end=t_end, record_every=record_every)
+
+    def test_accepts_a_multiple_up_to_rounding(self):
+        spec, bspec = make_e1()
+        assert 3 * 0.1 != 0.3
+        traj = ivp.run(np.zeros((33, 1)), spec, bspec, t_end=0.3, record_every=0.1)
+        assert traj.completed and len(traj.times) == 4
 
     def test_transient_swept_out(self):
         # start from rest; after the transient crosses the domain the

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from periodic_hyp import cli
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.characteristics import Field
-from periodic_hyp.errors import NonContractionError
+from periodic_hyp.errors import NonContractionError, NormalizationError
+from periodic_hyp.system_model import SystemSpec, validate_hyperbolicity
 
 
 def e1_exact(eps=0.01, c=0.5):
@@ -138,6 +140,21 @@ class TestSolvePeriodic:
         cfg = ps.IterationConfig(Nt=16, Nx=8, K=1e-6, max_iter=40)
         with pytest.raises(NonContractionError):
             ps.solve_periodic(small, bspec, cfg)
+
+    def test_nondiagonal_origin_raises_instead_of_looping(self):
+        # the families at the origin are (u1 -+ u2) / sqrt 2, not the
+        # components; the sweeps would run max_iter and stop unconverged
+        spec = SystemSpec(n=2, m=1, A=lambda u: np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          F=lambda u: -0.5 * np.asarray(u, dtype=float),
+                          domain_radius=0.05, L=1.0)
+        h1 = systems.harmonic_signal([{"amplitude": 0.01}], 2.0)
+        bspec = systems.reflection_boundary(0.5, h1, systems.zero_signal, 2.0)
+        with pytest.raises(NormalizationError, match="A\\(0\\) is not diagonal"):
+            ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16))
+        assert spec.origin.a0_offdiag_max == 1.0
+        rep = validate_hyperbolicity(spec)
+        assert rep.a0_offdiag_max == 1.0 and not rep.a0_diagonal
+        assert cli._exit_code(NormalizationError("x")) == cli.EXIT_HYPOTHESIS
 
     def test_coupled_nondiagonal_system_converges(self):
         # off-diagonal coefficient matrix exercises the interaction terms;

@@ -1,9 +1,12 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli
@@ -610,3 +613,119 @@ class TestOriginRecord:
         out = sm.rescale_time(spec)
         assert sm.measured_mu_max(out) == 1.0
         assert out.origin.g0[0, 0] == pytest.approx(2.0 * spec.origin.g0[0, 0])
+
+
+def reference_check_speeds(speeds: np.ndarray, m: int) -> None:
+    """``system_model._check_speeds`` before its one-test accept, verbatim."""
+    n = speeds.shape[-1]
+    abs_lam = np.abs(speeds)
+    top = float(abs_lam.max())
+    if not math.isfinite(top):
+        raise HyperbolicityError("A is not finite at some state")
+    scale = max(1.0, top)
+    if abs_lam.min() < sm._ZERO_EIG_TOL * scale:
+        raise HyperbolicityError("zero eigenvalue encountered")
+    lam = np.sort(speeds, axis=-1)
+    if n > 1 and (lam[..., 1:] - lam[..., :-1]).min() < sm._GAP_TOL * scale:
+        raise HyperbolicityError("repeated eigenvalue (not strictly hyperbolic)")
+    if (m and speeds[..., :m].max() > 0) or (m < n and speeds[..., m:].min() < 0):
+        raise SignatureError(
+            f"signature is not ({m}, {n - m}) at every sampled state"
+        )
+
+
+def check_outcome(fn, speeds, m):
+    """None when fn accepts the speeds, else the class and message it raised."""
+    try:
+        fn(speeds, m)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# (kind, value) edits of one entry, unit = max(1, |top|): set to value * unit
+# (scaled), another entry of its row moved by value * unit (near), a
+# non-finite value (raw), negated (flip), or the entry of another row (row)
+_EDITS = st.one_of(
+    st.tuples(st.just("scaled"), st.sampled_from(
+        [0.0, -0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10,
+         1.000001e-10, -1.000001e-10, 0.999999e-10, -0.999999e-10])),
+    st.tuples(st.just("near"), st.sampled_from(
+        [0.0, 1e-11, -1e-11, 0.999999e-10, 1e-10, 1.000001e-10, 3e-10])),
+    st.tuples(st.just("raw"), st.sampled_from([np.nan, np.inf, -np.inf])),
+    st.tuples(st.just("flip"), st.just(0.0)),
+    st.tuples(st.just("row"), st.just(0.0)),
+)
+
+
+@st.composite
+def speed_rows(draw):
+    """(speeds, m): k rows of n speeds, valid apart from a few edits, as an
+    array or as the diagonal view of a stack of matrices."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, n))
+    k = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    mags = draw(st.lists(st.floats(0.05, 3.0), min_size=k * n, max_size=k * n))
+    speeds = size * np.array(mags).reshape(k, n)
+    speeds[:, :m] *= -1.0
+    unit = max(1.0, float(np.abs(speeds).max()))
+    for kind, value in draw(st.lists(_EDITS, max_size=3)):
+        r, c = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        if kind == "scaled":
+            speeds[r, c] = value * unit
+        elif kind == "near":
+            speeds[r, c] = speeds[r, draw(st.integers(0, n - 1))] + value * unit
+        elif kind == "raw":
+            speeds[r, c] = value
+        elif kind == "flip":
+            speeds[r, c] = -speeds[r, c]
+        else:  # a repeat across rows
+            speeds[r, c] = speeds[draw(st.integers(0, k - 1)), c]
+    if draw(st.booleans()):
+        stack = np.zeros((k, n, n))
+        stack[:, np.arange(n), np.arange(n)] = speeds
+        speeds = np.einsum("...ii->...i", stack)
+    return speeds, m
+
+
+class TestCheckSpeeds:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(speed_rows())
+    @example((np.array([[-1.0, 1.0]]), 1))
+    @example((np.array([[-1.0, 0.0]]), 1))
+    @example((np.array([[-1.0, -1.0 + 1e-11, 2.0]]), 2))
+    @example((np.array([[1.0, -1.0]]), 1))
+    @example((np.array([[-1.0, np.nan]]), 1))
+    @example((np.array([[-1.0, 1e-11]]), 1))
+    @example((np.array([[-1e-10, 1.0]]), 1))
+    @example((np.array([[-1e-13, 1.0]]), 1))
+    @example((np.array([[-1.0, 1e-13]]), 1))
+    def test_same_outcome_as_the_four_tests(self, case):
+        speeds, m = case
+        want = check_outcome(reference_check_speeds, speeds, m)
+        assert check_outcome(sm._check_speeds, speeds, m) == want
+
+
+def norm_predicate(spec, states):
+    """``SystemSpec.contains`` by ``np.linalg.norm``, as it was written."""
+    r = np.linalg.norm(np.asarray(states, dtype=float), axis=-1)
+    return bool(r.max(initial=0.0) <= spec.domain_radius * (1 + 1e-12))
+
+
+class TestContains:
+    @pytest.mark.parametrize("states", [
+        np.zeros((0, 2)), np.zeros((3, 0, 2)), np.array([0.03, 0.04]),
+        np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0], [0.0, 0.0]]),
+        np.array([[0.0, -np.inf]]), np.full((4, 5, 2), 0.01),
+    ] + [np.array([[0.0, 0.0], [0.06, 0.08]]) * f
+         for f in (1 - 1e-12, 1.0, 1 + 1e-12, 1 + 2e-12, 1 + 1e-11)])
+    def test_matches_the_norm_predicate(self, states):
+        spec = diagonal_spec([-1.0, 1.0], 1)
+        assert spec.contains(states) is norm_predicate(spec, states)
+
+    def test_radius_edge_is_inside(self):
+        spec = diagonal_spec([-1.0, 1.0], 1)
+        edge = np.array([spec.domain_radius, 0.0])
+        assert spec.contains(edge * (1 + 1e-12))
+        assert not spec.contains(edge * (1 + 1e-11))
