@@ -66,16 +66,12 @@ from .periodic_solver import (
     solve_periodic,
 )
 from .system_model import (
-    EigenStructure,
     HypothesisReport,
     SystemSpec,
     coupling_B,
-    eigen_decompose,
     g_nonlinear,
     gtilde_matrix,
     minimal_K,
-    origin_diagonalizer,
-    rescale_time,
     validate_hyperbolicity,
 )
 

@@ -34,7 +34,7 @@ _SAMPLES_PER_PERIOD = 4096
 _MAP_PROBE_SCALE = 0.01  # size of the (h, outgoing) pairs maps are probed at
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundarySpec:
     """Boundary maps, their forcing signals, and the common period.
 
@@ -51,6 +51,9 @@ class BoundarySpec:
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
     when not finite); ``outgoing(i)`` is the trace map i reads.
+
+    A spec is immutable, so the batched forms it keeps of its maps and
+    signals stay those of the callables it holds.
     """
 
     left_maps: Sequence[Callable]
@@ -66,7 +69,8 @@ class BoundarySpec:
             raise ValueError("T_star must be positive")
         if len(self.h) != self.n:
             raise ValueError("need one forcing signal per family")
-        self._h_batch, self._maps = {}, {}
+        object.__setattr__(self, "_h_batch", {})
+        object.__setattr__(self, "_maps", {})
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RegularityReport:
     d2t: float
     dtdx: float
     d2x: float
-    grid_pair_ratio: Optional[float] = None
 
 
 def norms(fld: Field) -> FieldNorms:

@@ -34,12 +34,7 @@ import numpy as np
 from . import boundary as bd
 from .characteristics import Field, _x_difference
 from .errors import BoundaryMapError, DomainError, StepSizeError
-from .system_model import (
-    SystemSpec,
-    characteristic_speeds,
-    measured_mu_max,
-)
-from .system_model import eigen_fields  # noqa: F401  perfbench's tracer test wraps it here too
+from .system_model import SystemSpec, eigen_fields, measured_mu_max
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -65,8 +60,7 @@ class Trajectory:
     neighbors exist, else None. compat_c0 / compat_c1 are the corner
     compatibility residuals of the initial data (reported, not enforced).
     steps counts the Heun steps completed; rhs_evals and speed_evals count
-    every semi-discrete right-hand side and every evaluation of the
-    characteristic speeds (``characteristic_speeds`` or ``eigen_fields``)
+    every semi-discrete right-hand side and every ``eigen_fields`` call
     the run made, a step that left the neighborhood and the set-up
     included; the step-size bound reads ``spec.sampled_speeds``.
     """
@@ -141,14 +135,14 @@ def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
          speeds: Optional[tuple] = None) -> np.ndarray:
     """Semi-discrete du/dt in characteristic variables.
 
-    speeds is ``characteristic_speeds(spec, u)`` when the caller has it.
+    speeds is ``eigen_fields(spec, u)`` when the caller has it.
     One stencil pass gives the upwind derivative of both directions. For
     a diagonal A the components are the characteristic variables and
     du = F - d * (each component's upwind derivative), d = diag A;
     otherwise each family is projected through its eigenvectors, the m
     left-moving ones sharing the stencil biased to larger x.
     """
-    lam, left, right = characteristic_speeds(spec, u) if speeds is None else speeds
+    lam, left, right = eigen_fields(spec, u) if speeds is None else speeds
     dxu = _upwind_dx(u, dx)
     du = spec.F_at(u)
     if left is None:
@@ -188,7 +182,7 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
     validated neighborhood (the blow-up proxy).
     """
     u = state.u
-    speeds = characteristic_speeds(spec, u)
+    speeds = eigen_fields(spec, u)
     lam_max = float(np.abs(speeds[0]).max())
     if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError(

@@ -98,22 +98,23 @@ class IterationReport:
 
 
 def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
-                 mu: np.ndarray, B: np.ndarray) -> np.ndarray:
+                 mu: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
           + K mu_i(0) u_i + superlinear remainder, evaluated on the
     previous iterate, whose inverse speeds mu and couplings B are given.
+    B is None where A is diagonal: the coupling terms vanish, and neither
+    they nor the derivative grids are computed.
     """
     P = prev.values
-    dudt = prev.time_derivative_grid()
-    dudx = prev.space_derivative_grid()
     gNL = _remainder(spec, P, mu, B)
     gt_off = ctx.gtilde.copy()
     np.fill_diagonal(gt_off, 0.0)
-    R = np.einsum("tkij,tkj->tki", B, dudx)
-    R += mu * np.einsum("tkij,tkj->tki", B, dudt)
-    R += np.einsum("ij,tkj->tki", gt_off, P)
+    R = np.einsum("ij,tkj->tki", gt_off, P)
+    if B is not None:
+        R = (np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
+             + mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())) + R
     R += ctx.K * spec.origin.mu0 * P
     R += gNL
     return R

@@ -214,22 +214,6 @@ class SystemSpec:
 
 
 @dataclass
-class EigenStructure:
-    """Eigenvalues and biorthonormal eigenvectors at one state.
-
-    lambdas hold the m negative speeds first (sorted, or diag A in order).
-    Rows of ``left`` are l_i, columns of ``right`` are r_i, normalized so
-    that l_i . r_j = delta_ij and |r_i| = 1, with the largest-magnitude
-    entry of each r_i positive. mus = 1 / lambdas.
-    """
-
-    lambdas: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    mus: np.ndarray
-
-
-@dataclass
 class HypothesisReport:
     """Outcome of sampling the structural hypotheses over the neighborhood."""
 
@@ -292,44 +276,31 @@ def _check_speeds(speeds: np.ndarray, m: int) -> None:
         )
 
 
-def characteristic_speeds(spec: SystemSpec, states: np.ndarray):
-    """Checked speeds at states of shape (..., n), with A evaluated once.
-
-    Where A is diagonal at every state the characteristic variables are
-    the components themselves: returns (diag A, None, None). Otherwise
-    returns ``eigen_fields`` of the states.
-    Raises as ``eigen_fields`` does.
-    """
-    states = np.asarray(states, dtype=float)
-    A_vals = spec.A_at(states)
-    d = _diagonal(A_vals)
-    if d is None:
-        return eigen_fields(spec, states, A_vals)
-    _check_speeds(d, spec.m)
-    return d, None, None
-
-
 def eigen_fields(spec: SystemSpec, states: np.ndarray,
                  A_vals: Optional[np.ndarray] = None):
-    """Batched eigenstructure at states of shape (..., n).
+    """Checked speeds and eigenbases at states of shape (..., n), the one
+    routine that computes them.
 
-    Returns (lambdas, left, right) with shapes (..., n), (..., n, n),
-    (..., n, n). A_vals is ``spec.A_at(states)`` when the caller has it.
-    Diagonal A takes a fast path: component i is family i (speeds diag A,
-    identity bases). Raises
-    HyperbolicityError / SignatureError if any sampled state violates
-    the hypotheses, HyperbolicityError also where A is not finite.
+    Returns (lambdas, left, right). A_vals is ``spec.A_at(states)`` when
+    the caller has it; otherwise A is evaluated once. Where A is diagonal
+    at every state, the characteristic variables are the components
+    themselves (component i is family i) and the result is
+    (diag A, None, None): no bases are built. Otherwise the families are
+    sorted by speed, left has rows l_i and right columns r_i of shape
+    (..., n, n), with l_i . r_j = delta_ij, |r_i| = 1 and the largest
+    entry of each r_i positive. Raises HyperbolicityError /
+    SignatureError if any state violates the hypotheses,
+    HyperbolicityError also where A is not finite.
     """
     states = np.asarray(states, dtype=float)
-    n, m = spec.n, spec.m
+    m = spec.m
     if A_vals is None:
         A_vals = spec.A_at(states)
 
     d = _diagonal(A_vals)
     if d is not None:
         _check_speeds(d, m)
-        eye = np.broadcast_to(np.eye(n), A_vals.shape)
-        return d, eye, eye
+        return d, None, None
 
     if not np.all(np.isfinite(A_vals)):
         raise HyperbolicityError("A is not finite at some state")
@@ -351,20 +322,6 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
         raise HyperbolicityError("defective eigenbasis") from exc
     _check_speeds(lam, m)
     return lam, left, right
-
-
-def eigen_decompose(A_val: np.ndarray, m: int) -> EigenStructure:
-    """Eigenstructure of a single coefficient matrix with m negative speeds."""
-    A_val = np.asarray(A_val, dtype=float)
-    n = A_val.shape[0]
-    spec = SystemSpec(
-        n=n, m=m, A=lambda u: A_val, F=lambda u: np.zeros(n),
-        domain_radius=1.0, L=1.0,
-    )
-    lam, left, right = eigen_fields(spec, np.zeros((1, n)))
-    return EigenStructure(
-        lambdas=lam[0], left=left[0], right=right[0], mus=1.0 / lam[0]
-    )
 
 
 def _halton(samples: int, d: int) -> np.ndarray:
@@ -419,8 +376,8 @@ def validate_hyperbolicity(spec: SystemSpec) -> HypothesisReport:
     Raises SignatureError if the signature flips inside the neighborhood,
     HyperbolicityError on complex/zero/repeated eigenvalues, and
     SourceOriginError if F(0) != 0. A non-diagonal A(0) does not raise
-    here; it is reported, and ``solve_periodic`` refuses it
-    (NormalizationError; see ``origin_diagonalizer`` for the opt-in fix).
+    here; it is reported, and ``solve_periodic`` refuses it with a
+    NormalizationError.
     """
     f0 = np.asarray(spec.F_at(np.zeros((1, spec.n)))[0], dtype=float)
     f0_norm = float(np.abs(f0).max()) if f0.size else 0.0
@@ -441,41 +398,6 @@ def validate_hyperbolicity(spec: SystemSpec) -> HypothesisReport:
     )
 
 
-def origin_diagonalizer(spec: SystemSpec) -> np.ndarray:
-    """Constant similarity transform R with R^-1 A(0) R diagonal.
-
-    Returned for explicit opt-in: conjugating also transforms F and the
-    boundary maps, so the change of variables is never applied silently.
-    """
-    _, _, right = eigen_fields(spec, np.zeros((1, spec.n)))
-    return right[0]
-
-
-def rescale_time(spec: SystemSpec) -> SystemSpec:
-    """Return an equivalent system with max |1/lambda| = 1.
-
-    If the measured mu_max exceeds 1, both A and F are multiplied by
-    sigma = mu_max, which is the change of variables t -> t / sigma.
-    Caller contract: the boundary period must be divided by sigma and the
-    forcing signals reparametrized h(sigma * t') by the caller. Identity
-    when mu_max <= 1 already.
-    """
-    mu_max = measured_mu_max(spec)
-    if mu_max <= 1.0:
-        return spec
-    sigma = mu_max
-    gradF = None if spec.gradF is None else (lambda u: sigma * np.asarray(spec.gradF(u)))
-    return SystemSpec(
-        n=spec.n,
-        m=spec.m,
-        A=lambda u: sigma * np.asarray(spec.A(u)),
-        F=lambda u: sigma * np.asarray(spec.F(u)),
-        gradF=gradF,
-        domain_radius=spec.domain_radius,
-        L=spec.L,
-    )
-
-
 def minimal_K(g0: np.ndarray) -> float:
     """Least nonnegative shift making the source linearization dominated.
 
@@ -489,13 +411,18 @@ def minimal_K(g0: np.ndarray) -> float:
 
 
 def coupling_B(spec: SystemSpec, u: np.ndarray) -> np.ndarray:
-    """Interaction coefficients B_ij(u) = -l_ij / l_ii off the diagonal."""
+    """Interaction coefficients B_ij(u) = -l_ij / l_ii off the diagonal;
+    all zero where A is diagonal."""
     _, left, _ = eigen_fields(spec, np.asarray(u, dtype=float)[None, :])
-    return _coupling_from_left(left)[0]
+    B = _coupling_from_left(left)
+    return np.zeros((spec.n, spec.n)) if B is None else B[0]
 
 
-def _coupling_from_left(left: np.ndarray) -> np.ndarray:
-    """Batched B from left eigenvector rows; zero diagonal by construction."""
+def _coupling_from_left(left: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Batched B from left eigenvector rows, zero diagonal by construction;
+    None (no coupling) when ``eigen_fields`` gave no bases."""
+    if left is None:
+        return None
     n = left.shape[-1]
     lii = np.einsum("...ii->...i", left)
     if np.abs(lii).min() < 1e-12:
@@ -558,7 +485,8 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     """Batched superlinear remainder on states of shape (..., n).
 
     remainder_i = mu_i(u) f_i(u) - sum_j mu_i(0) g_ij(0) u_j
-                  - sum_j B_ij(u) mu_i(u) f_j(u).
+                  - sum_j B_ij(u) mu_i(u) f_j(u),
+    the last sum absent where A is diagonal.
     """
     states = np.asarray(states, dtype=float)
     lam, left, _ = eigen_fields(spec, states)
@@ -566,10 +494,13 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
 
 
 def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
-               B: np.ndarray) -> np.ndarray:
-    """g_nonlinear_batch from the inverse speeds mu and couplings B at the states."""
+               B: Optional[np.ndarray]) -> np.ndarray:
+    """g_nonlinear_batch from the inverse speeds mu and couplings B at the
+    states (B None: no coupling term)."""
     Fv = spec.F_at(states)
     origin = spec.origin
     linear = np.einsum("i,ij,...j->...i", origin.mu0, origin.g0, states)
-    coupled = mu * np.einsum("...ij,...j->...i", B, Fv)
-    return mu * Fv - linear - coupled
+    out = mu * Fv - linear
+    if B is not None:
+        out = out - mu * np.einsum("...ij,...j->...i", B, Fv)
+    return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,24 @@ class TestCharacterizingData:
         assert np.all(data.optimal_scaling > 0)
         # zero diagonal blocks by construction
         assert data.theta_matrix[0, 0] == 0.0 and data.theta_matrix[1, 1] == 0.0
+
+
+class TestFrozenSpec:
+    """A spec keeps the batched forms of its maps and signals, so it must
+    not let them change: assigning a gain-0.9 map after one evaluation
+    would leave the gain-0.5 form in use."""
+
+    def test_assignment_raises(self):
+        spec = systems.reflection_boundary(0.5, systems.zero_signal,
+                                           systems.zero_signal, 2.0)
+        assert spec.map_values(1, 0.0, [1.0]) == 0.5
+        for name, value in (("left_maps", [lambda hv, u: hv + 0.9 * u[..., 0]]),
+                            ("h", [systems.zero_signal] * 2), ("T_star", 1.0),
+                            ("_maps", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert spec.map_values(1, 0.0, [1.0]) == 0.5
+        assert bd.characterizing_data(spec).theta == pytest.approx(0.5, abs=1e-8)
 
 
 class TestValidateForcing:

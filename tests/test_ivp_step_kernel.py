@@ -6,9 +6,10 @@ step), projects every family through its eigenvectors, builds the upwind
 derivative once per family with its own copy of the one-sided stencil,
 and evaluates every forcing signal again in each stage. The kernel
 evaluates A once per stage, takes the speeds from diag A when A is
-diagonal, makes one stencil pass per stage for both directions and one
-signal evaluation per step; ``ivp.run`` must reproduce the loop bit for
-bit.
+diagonal (``eigen_fields`` then gives no bases; the loop fills in the
+identity and projects through it), makes one stencil pass per stage for
+both directions and one signal evaluation per step; ``ivp.run`` must
+reproduce the loop bit for bit.
 """
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from test_sweep_kernel import e1_problem, euler_problem, reflect_problem, three_
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
-from periodic_hyp import system_model as sm
 from periodic_hyp.errors import DomainError, StepSizeError
-from periodic_hyp.system_model import SystemSpec, characteristic_speeds, eigen_fields
+from periodic_hyp.system_model import SystemSpec, eigen_fields
 
 
 def loop_upwind_dx(u, dx, from_left):
@@ -36,6 +36,8 @@ def loop_upwind_dx(u, dx, from_left):
 
 def loop_rhs(u, spec, dx):
     lam, left, right = eigen_fields(spec, u)
+    if left is None:  # diagonal A: component i is family i
+        left = right = np.broadcast_to(np.eye(spec.n), lam.shape + (spec.n,))
     du = spec.F_at(u)
     for i in range(spec.n):
         dxu = loop_upwind_dx(u, dx, from_left=i >= spec.m)
@@ -110,7 +112,7 @@ DIAGONAL = {"linear_damped_scalar", "quasilinear_euler_damping", "linear_reflect
 @pytest.mark.parametrize("m", [1, 2])
 def test_the_swapping_speeds_change_order_between_nodes(m):
     spec, _ = swapping_diagonal(m)
-    speeds, left, _ = characteristic_speeds(spec, initial_profile(spec, 16))
+    speeds, left, _ = eigen_fields(spec, initial_profile(spec, 16))
     assert left is None
     group = slice(1, 3) if m == 1 else slice(0, 2)
     orders = {tuple(np.argsort(d[group])) for d in speeds}
@@ -164,15 +166,20 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
     make, Nx = CASES[name]
     spec, bspec = make()
     state = ivp.IvpState(t=0.1, u=initial_profile(spec, Nx), dx=spec.L / Nx)
-    calls = {"speeds": 0, "eigen": 0, "stencil": 0, "h": 0}
-    monkeypatch.setattr(ivp, "characteristic_speeds",
-                        counting(characteristic_speeds, calls, "speeds"))
-    monkeypatch.setattr(sm, "eigen_fields", counting(eigen_fields, calls, "eigen"))
+    calls = {"speeds": 0, "bases": 0, "stencil": 0, "h": 0}
+
+    def counted_fields(*args):
+        calls["speeds"] += 1
+        lam, left, right = eigen_fields(*args)
+        calls["bases"] += left is not None
+        return lam, left, right
+
+    monkeypatch.setattr(ivp, "eigen_fields", counted_fields)
     monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))
     monkeypatch.setattr(bd.BoundarySpec, "h_values",
                         counting(bd.BoundarySpec.h_values, calls, "h"))
     ivp.step(state, 0.2 * state.dx, spec, bspec)
-    assert calls == {"speeds": 2, "eigen": 0 if name in DIAGONAL else 2,
+    assert calls == {"speeds": 2, "bases": 0 if name in DIAGONAL else 2,
                      "stencil": 2, "h": spec.n}
 
 
@@ -185,16 +192,15 @@ def test_run_counts_its_work(monkeypatch):
                           h=[lambda t: 0.2 * np.sin(np.pi * np.asarray(t))] * 2,
                           T_star=bspec.T_star)
     for boundary, completed in ((bspec, True), (big, False)):
-        calls = {"speeds": 0, "eigen": 0, "rhs": 0}
+        calls = {"speeds": 0, "rhs": 0}
         with monkeypatch.context() as mp:
-            mp.setattr(ivp, "characteristic_speeds",
-                       counting(characteristic_speeds, calls, "speeds"))
-            mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "eigen"))
+            # the step-size bound reads spec.sampled_speeds, which
+            # system_model computes: the IVP's own calls are counted
+            mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "speeds"))
             mp.setattr(ivp, "_rhs", counting(ivp._rhs, calls, "rhs"))
             traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
         assert traj.completed is completed
         failed = 0 if completed else 1
-        assert calls["eigen"] == 0  # the step-size bound reads spec.sampled_speeds
-        assert traj.speed_evals == calls["speeds"] + calls["eigen"] == 1 + 2 * (traj.steps + failed)
+        assert traj.speed_evals == calls["speeds"] == 1 + 2 * (traj.steps + failed)
         assert traj.rhs_evals == calls["rhs"] == 1 + 2 * (traj.steps + failed)
         assert traj.steps > 0

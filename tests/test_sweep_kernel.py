@@ -2,7 +2,9 @@
 
 ``loop_step`` is the earlier ``linearized_step``: one family, one column
 and one RK substep at a time, with its own copy of the periodic cubic row
-interpolation. The batched kernel must reproduce it bit for bit.
+interpolation. Where A is diagonal it fills in the identity bases that
+``eigen_fields`` leaves out and computes the (zero) coupling terms the
+kernel skips. The batched kernel must reproduce it bit for bit.
 """
 import numpy as np
 import pytest
@@ -53,6 +55,8 @@ def loop_step(prev, spec, bspec, cfg):
     K = shift_K(spec, cfg.K)
     gtilde = gtilde_matrix(spec, K)
     lam, left, _ = eigen_fields(spec, prev.values)
+    if left is None:  # diagonal A: component i is family i
+        left = np.broadcast_to(np.eye(n), lam.shape + (n,))
     mu = 1.0 / lam
     R = loop_source_grid(prev, spec, K, gtilde, mu, _coupling_from_left(left))
     new_vals = np.empty_like(prev.values)

@@ -63,39 +63,48 @@ def make_2x2_spec(alpha=0.0, radius=0.1):
     )
 
 
+def constant_fields(A, m):
+    """``eigen_fields`` of the constant coefficient matrix A at one state:
+    (speeds, left, right) of that state, the bases None for a diagonal A."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    spec = sm.SystemSpec(n=n, m=m, A=lambda u: A, F=lambda u: np.zeros(n),
+                         domain_radius=1.0, L=1.0)
+    lam, left, right = sm.eigen_fields(spec, np.zeros((1, n)))
+    return lam[0], *(None if b is None else b[0] for b in (left, right))
+
+
 class TestEigenDecompose:
     def test_diagonal_matrix(self):
-        es = sm.eigen_decompose(np.diag([-1.0, 1.0]), m=1)
-        assert np.allclose(es.lambdas, [-1.0, 1.0])
-        assert np.allclose(es.left, np.eye(2))
-        assert np.allclose(es.right, np.eye(2))
-        assert np.allclose(es.mus, [-1.0, 1.0])
+        lam, left, right = constant_fields(np.diag([-1.0, 1.0]), m=1)
+        assert np.array_equal(lam, [-1.0, 1.0])
+        assert left is None and right is None
 
     def test_symmetric_offdiagonal(self):
         # hand eigen-solve of [[0,1],[1,0]]: lambda = -1 with (1,-1)/sqrt 2,
         # lambda = +1 with (1,1)/sqrt 2; rows of left equal the transposes.
-        es = sm.eigen_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
+        lam, left, right = constant_fields(np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(es.lambdas, [-1.0, 1.0])
-        assert np.allclose(es.right[:, 0], [s, -s])
-        assert np.allclose(es.right[:, 1], [s, s])
-        assert np.allclose(es.left, es.right.T)
+        assert np.allclose(lam, [-1.0, 1.0])
+        assert np.allclose(right[:, 0], [s, -s])
+        assert np.allclose(right[:, 1], [s, s])
+        assert np.allclose(left, right.T)
 
     def test_defective_matrix_raises(self):
         with pytest.raises(HyperbolicityError):
-            sm.eigen_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), m=1)
+            constant_fields(np.array([[0.0, 1.0], [0.0, 0.0]]), m=1)
 
     def test_wrong_signature_raises(self):
         with pytest.raises(SignatureError):
-            sm.eigen_decompose(np.diag([-1.0, 1.0]), m=0)
+            constant_fields(np.diag([-1.0, 1.0]), m=0)
 
     def test_complex_eigenvalues_raise(self):
         with pytest.raises(HyperbolicityError):
-            sm.eigen_decompose(np.array([[0.0, -1.0], [1.0, 0.0]]), m=1)
+            constant_fields(np.array([[0.0, -1.0], [1.0, 0.0]]), m=1)
 
     def test_repeated_eigenvalue_raises(self):
         with pytest.raises(HyperbolicityError):
-            sm.eigen_decompose(np.diag([2.0, 2.0]), m=0)
+            constant_fields(np.diag([2.0, 2.0]), m=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_biorthonormality_random(self, seed):
@@ -107,11 +116,11 @@ class TestEigenDecompose:
         m = int((lam < 0).sum())
         R = rng.normal(size=(n, n)) + 2 * np.eye(n)
         A = R @ np.diag(lam) @ np.linalg.inv(R)
-        es = sm.eigen_decompose(A, m=m)
-        assert np.abs(es.left @ es.right - np.eye(n)).max() <= 1e-10
-        assert np.abs(np.linalg.norm(es.right, axis=0) - 1).max() <= 1e-10
-        assert np.abs(es.left @ A - es.lambdas[:, None] * es.left).max() <= 1e-8
-        assert np.abs(A @ es.right - es.lambdas[None, :] * es.right).max() <= 1e-8
+        speeds, left, right = constant_fields(A, m=m)
+        assert np.abs(left @ right - np.eye(n)).max() <= 1e-10
+        assert np.abs(np.linalg.norm(right, axis=0) - 1).max() <= 1e-10
+        assert np.abs(left @ A - speeds[:, None] * left).max() <= 1e-8
+        assert np.abs(A @ right - speeds[None, :] * right).max() <= 1e-8
 
 
 class TestNonFiniteA:
@@ -180,23 +189,25 @@ class TestDiagonalPath:
 
     @BAD
     def test_one_bad_state_in_a_batch_of_speeds(self, bad, error):
-        """characteristic_speeds, the IVP's entry point, raises alike."""
-        self.one_bad_state(sm.characteristic_speeds, bad, error)
+        """The IVP's right-hand side, on the batch as one profile, raises
+        alike before it uses a speed."""
+        self.one_bad_state(
+            lambda spec, states: ivp._rhs(states.reshape(-1, 3), spec, 0.1), bad, error)
 
     def test_speeds_in_component_order(self):
         spec = self.spec(np.array([-1.0, 2.0, 1.5]))
         states = np.zeros((2, 3))
         states[1, 0] = 0.09
-        speeds, left, right = sm.characteristic_speeds(spec, states)
+        speeds, left, right = sm.eigen_fields(spec, states)
         assert left is None and right is None
         assert np.array_equal(speeds, [[-1.0, 1.0, 2.0], [-1.0, 2.0, 1.5]])
 
     def test_component_order_and_identity_basis(self):
+        """Component i is family i: the identity basis, carried as None."""
         spec = diagonal_spec([-1.0, 2.0, 1.0], m=1)
         lam, left, right = sm.eigen_fields(spec, np.zeros((2, 4, 3)))
         assert np.array_equal(lam, np.broadcast_to([-1.0, 2.0, 1.0], (2, 4, 3)))
-        assert np.array_equal(left, np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
-        assert np.array_equal(right, left)
+        assert left is None and right is None
 
     def test_outgoing_component_first_is_a_signature_error(self):
         """diag(1, -1) with m = 1: component 0 moves right, so it cannot
@@ -285,16 +296,6 @@ class TestValidation:
         with pytest.raises((SignatureError, HyperbolicityError)):
             sm.validate_hyperbolicity(spec)
 
-    def test_origin_diagonalizer(self):
-        A0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        spec = sm.SystemSpec(
-            n=2, m=1, A=lambda u: A0, F=lambda u: np.zeros(2),
-            domain_radius=0.05, L=1.0,
-        )
-        R = sm.origin_diagonalizer(spec)
-        D = np.linalg.inv(R) @ A0 @ R
-        assert np.abs(D - np.diag(np.diag(D))).max() <= 1e-12
-
 
 class TestNeighborhoodSamples:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -308,28 +309,6 @@ class TestNeighborhoodSamples:
             d=d, scramble=False).random(N))
         reference = sm.neighborhood_samples(spec, samples)
         assert ours.tobytes() == reference.tobytes()
-
-
-class TestRescaleTime:
-    def test_slow_system_rescaled(self):
-        spec = make_scalar_spec(lam=0.5, c=1.0)
-        out = sm.rescale_time(spec)
-        # mu_max was 2: A and F are both doubled, making the new mu_max 1
-        assert out.A_at(np.zeros((1, 1)))[0, 0, 0] == pytest.approx(1.0)
-        u = np.array([0.01])
-        assert out.F_at(u[None, :])[0, 0] == pytest.approx(2.0 * (-1.0 * 0.01))
-        assert sm.measured_mu_max(out) == pytest.approx(1.0)
-
-    def test_identity_when_mu_max_at_most_one(self):
-        spec = make_scalar_spec(lam=1.0)
-        assert sm.rescale_time(spec) is spec
-
-    def test_identity_for_fast_mixed_speeds(self):
-        spec = sm.SystemSpec(
-            n=2, m=1, A=lambda u: np.diag([-2.0, 4.0]),
-            F=lambda u: np.zeros(2), domain_radius=0.05, L=1.0,
-        )
-        assert sm.rescale_time(spec) is spec
 
 
 class TestMinimalK:
@@ -353,7 +332,10 @@ class TestCouplingB:
 
     def test_diagonal_A_gives_zero(self):
         spec = make_scalar_spec()
-        assert sm.coupling_B(spec, np.array([0.05])).max() == 0.0
+        B = sm.coupling_B(spec, np.array([0.05]))
+        assert B.shape == (1, 1) and B.max() == 0.0
+        B = sm.coupling_B(diagonal_spec([-1.0, 2.0, 1.0], m=1), np.array([0.01, 0.0, 0.0]))
+        assert np.array_equal(B, np.zeros((3, 3)))
 
     def test_against_independent_eigensolve(self):
         spec = make_2x2_spec(alpha=1.0)
@@ -453,6 +435,25 @@ class TestGNonlinear:
         )
         val = sm.g_nonlinear(spec, np.array([0.01]))
         assert val[0] == pytest.approx(1e-4, abs=1e-12)
+
+    def test_coupling_term_against_independent_eigensolve(self):
+        """A not diagonal away from 0: the remainder's coupling term
+        -sum_j B_ij mu_i f_j, from rows of inv(V) of numpy's eigensolve."""
+        coupled = make_2x2_spec(alpha=1.0)
+        spec = sm.SystemSpec(n=2, m=1, A=coupled.A,
+                             F=lambda u: -np.asarray(u) + np.asarray(u) ** 2,
+                             gradF=lambda u: -np.eye(2), domain_radius=0.1, L=1.0)
+        states = np.array([[0.03, -0.02], [-0.01, 0.04], [0.02, 0.02]])
+        for u, got in zip(states, sm.g_nonlinear_batch(spec, states)):
+            w, V = np.linalg.eig(spec.A_at(u[None, :])[0])
+            order = np.argsort(w.real)
+            mu, Lt = 1.0 / w.real[order], np.linalg.inv(V[:, order].real)
+            B = -Lt / np.diag(Lt)[:, None]
+            np.fill_diagonal(B, 0.0)
+            f = spec.F(u)
+            want = mu * f - np.array([-1.0, 1.0]) * -u - mu * (B @ f)
+            assert np.abs(mu * (B @ f)).max() > 1e-5
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-15)
 
     def test_outside_domain_raises(self):
         spec = make_scalar_spec(radius=0.05)
@@ -608,9 +609,13 @@ class TestOriginRecord:
         assert calls == {"gradF": 1, "origin": 1, "neighborhood": 1}
 
     def test_rescaled_spec_has_its_own_record(self):
+        """A spec built from the callables of another, scaled by 2 (time
+        rescaled by 2), computes its own origin and sample."""
         spec = make_scalar_spec(lam=0.5, c=1.0)
         assert sm.measured_mu_max(spec) == 2.0
-        out = sm.rescale_time(spec)
+        out = sm.SystemSpec(n=1, m=0, A=lambda u: 2.0 * spec.A(u),
+                            F=lambda u: 2.0 * spec.F(u),
+                            domain_radius=spec.domain_radius, L=spec.L)
         assert sm.measured_mu_max(out) == 1.0
         assert out.origin.g0[0, 0] == pytest.approx(2.0 * spec.origin.g0[0, 0])
 
