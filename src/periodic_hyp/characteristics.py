@@ -10,10 +10,12 @@ with fixed-step RK4, and integrates the source terms along it. The part
 of a trace that depends on the speeds alone comes back as a
 ``TraceGeometry``, which a later trace with the same speeds reuses. The
 grid stencils the solvers share live here too: the periodic phase, the
-4-point Lagrange weights, and the 2nd-order x-difference.
+4-point Lagrange weights, the 2nd-order x-difference and the one periodic
+cubic read in time, of a flat table padded by a row before, two after.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +27,7 @@ from .system_model import eigen_fields  # noqa: F401  perfbench's tracer test wr
 _X_FUZZ = 1e-12
 _SUBSTEPS = 4  # RK substeps per grid cell along a trace
 _REFINE = 2 * _SUBSTEPS  # fine columns per cell: substep endpoints + halves
+_DIVISORS = np.array([-6.0, 2.0, -2.0, 6.0])  # of _lagrange4, signs moved in
 
 
 @dataclass
@@ -135,58 +138,71 @@ def _phase(t, T_star: float, Nt: int) -> tuple:
     return j.astype(np.int64) % Nt, f
 
 
-def _lagrange4(f) -> tuple:
-    """Lagrange weights of the nodes -1, 0, 1, 2 at the point f."""
+def _lagrange4(f) -> np.ndarray:
+    """Lagrange weights of the nodes -1, 0, 1, 2 at the points f, stacked
+    on a new leading axis: -f b c / 6, a b c / 2, -a f c / 2, a f b / 6."""
+    f = np.asarray(f)
     a, b, c = f + 1, f - 1, f - 2
-    return -f * b * c / 6.0, a * b * c / 2.0, -a * f * c / 2.0, a * f * b / 6.0
+    w = np.empty((4,) + f.shape)
+    np.multiply(f, b, out=w[0])
+    np.multiply(a, b, out=w[1])
+    np.multiply(a, f, out=w[2])
+    np.multiply(w[2], b, out=w[3])
+    w[:3] *= c
+    w /= _DIVISORS.reshape((4,) + (1,) * f.ndim)
+    return w
 
 
-def _gather_cubic(rows: np.ndarray, j: np.ndarray, f: np.ndarray, cols) -> np.ndarray:
-    """Periodic 4-point Lagrange sum of rows at the phases (j, f) of ``_phase``.
+def _padded(rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """One period along axis padded periodically: one row before, two after."""
+    Nt = rows.shape[axis]
+    return rows.take(np.arange(-1, Nt + 2) % Nt, axis=axis)
 
-    Column cols[c] is read at row j[..., c] plus the fraction f[..., c];
-    any axes of rows past the second are carried along.
-    """
-    Nt = rows.shape[0]
-    w0, w1, w2, w3 = (w.reshape(f.shape + (1,) * (rows.ndim - 2)) for w in _lagrange4(f))
-    return (w0 * rows[(j - 1) % Nt, cols] + w1 * rows[j, cols]
-            + w2 * rows[(j + 1) % Nt, cols] + w3 * rows[(j + 2) % Nt, cols])
+
+def _stencil(t, T_star: float, Nt: int, cols, ncols: int) -> tuple:
+    """First-tap flat index and stacked weights of the times t in the
+    columns cols of a padded table of Nt rows and ncols columns."""
+    j, f = _phase(t, T_star, Nt)
+    return j * ncols + cols, _lagrange4(f)
+
+
+def _read(table: np.ndarray, base, weights: np.ndarray, step: int) -> np.ndarray:
+    """A flat padded table read at a ``_stencil``: sum over o = 0..3, in order,
+    of weights[o] times table[base + o step], trailing axes carried along."""
+    taps = np.add.outer(np.arange(0, 4 * step, step), base)
+    w = weights.reshape(weights.shape + (1,) * (table.ndim - 1))
+    return (w * table.take(taps, axis=0)).sum(axis=0)
 
 
 def _interp_cols_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float, cols) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation in time (O(dt^4)), column by column.
-
-    rows holds one period of Nt rows; column cols[c] is read at the times
-    tq[..., c], and any axes of rows past the second are carried along.
-    Used when composing per-column delay and source-integral maps, where
-    linear interpolation would accumulate a first-order error over the
-    sweep.
-    """
-    return _gather_cubic(rows, *_phase(tq, T_star, rows.shape[0]), cols)
+    """Periodic 4-point Lagrange interpolation in time (O(dt^4)): column
+    cols[c] of one period of rows at the times tq[..., c]."""
+    table = _padded(rows).reshape((-1,) + rows.shape[2:])
+    return _read(table, *_stencil(tq, T_star, len(rows), cols, rows.shape[1]), rows.shape[1])
 
 
 def _interp_rows_cubic(rows: np.ndarray, tq, T_star: float) -> np.ndarray:
-    """_interp_cols_cubic of the one column rows at the times tq of any shape;
-    trailing axes of rows are carried along."""
-    tq = np.asarray(tq, dtype=float)
-    out = _interp_cols_cubic(rows[:, None], tq[..., None], T_star, 0)
-    return out.reshape(tq.shape + rows.shape[1:])
+    """``_interp_cols_cubic`` of all of one period of rows at times tq of any shape."""
+    return _read(_padded(rows), *_stencil(tq, T_star, len(rows), 0, 1), 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _refine_stencil(Nx: int, refine: int) -> tuple:
+    """Taps and weights of ``_cubic_refine_x``, computed once, read-only."""
+    q = np.arange(refine * Nx + 1) / refine
+    k = np.clip(np.floor(q).astype(np.int64), 1, Nx - 2)
+    taps, w = np.add.outer(np.arange(-1, 3), k), _lagrange4(q - k)
+    taps.flags.writeable = w.flags.writeable = False
+    return taps, w
 
 
 def _cubic_refine_x(grid: np.ndarray, refine: int) -> np.ndarray:
-    """Resample a (Nt, Nx+1) grid onto refine x Nx + 1 columns.
-
-    4-point Lagrange in x with stencils clamped at the ends. The smooth
-    O(dx^4) sampling error keeps the grid-scale roughness of the converged
-    fixed point below what the residual stencils can amplify to first
-    order, which piecewise-linear sampling does not.
-    """
-    Nx = grid.shape[1] - 1
-    q = np.arange(refine * Nx + 1) / refine
-    k = np.clip(np.floor(q).astype(np.int64), 1, Nx - 2)
-    w0, w1, w2, w3 = _lagrange4(q - k)
-    return (w0 * grid[:, k - 1] + w1 * grid[:, k]
-            + w2 * grid[:, k + 1] + w3 * grid[:, k + 2])
+    """Resample the last axis of grid from Nx + 1 points onto refine x Nx + 1
+    by 4-point Lagrange clamped at the ends: an O(dx^4) error that, unlike
+    linear sampling, the residual stencils do not amplify to first order."""
+    taps, w = _refine_stencil(grid.shape[-1] - 1, refine)
+    return (w[0] * grid.take(taps[0], axis=-1) + w[1] * grid.take(taps[1], axis=-1)
+            + w[2] * grid.take(taps[2], axis=-1) + w[3] * grid.take(taps[3], axis=-1))
 
 
 def _space_index(fld: Field, x):
@@ -224,58 +240,56 @@ def interpolate(fld: Field, t, x) -> np.ndarray:
 
 @dataclass
 class TraceGeometry:
-    """The part of a characteristic trace that depends on mu alone.
-
-    ``trace_to_inflow`` returns one and takes one back. While the inverse
-    speeds mu (and m, T_star and L) stay the same, every curve is the same,
-    so a trace handed a geometry that fits redoes only the work that is
-    linear in the source, with the same arithmetic: its output is
-    bit-identical to a fresh trace. rows and fracs hold the periodic row and
-    Lagrange fraction (see ``_phase``) of every RK4 substep end, one
-    (Nt, n * Nx) array per substep, whose column i * Nx + s is family i
-    crossing the cell s cells from its inflow boundary; the last pair is
-    where each cell's trace leaves it. delay is the trace's delay, read-only.
-    """
+    """The part of a characteristic trace that depends on mu alone: while mu
+    (and m, T_star, L) stays the same, ``trace_to_inflow`` handed it redoes
+    only the work linear in the source, with the same arithmetic. bases and
+    weights are the ``_stencil`` of each RK4 substep end in the refined
+    tables, (Nt, n * Nx) flat first-tap indices and (4, Nt, n * Nx) weights;
+    the last pair is where each cell's trace leaves it. All are read-only."""
 
     mu: np.ndarray
     frame: tuple  # (m, T_star, L)
-    rows: list
-    fracs: list
+    bases: tuple
+    weights: tuple
     delay: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.mu, self.delay) + self.bases + self.weights:
+            a.flags.writeable = False
 
     def fits(self, mu: np.ndarray, frame: tuple) -> bool:
         return self.frame == frame and np.array_equal(self.mu, mu)
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
-    """(Nt, Nx+1, n) grid refined _REFINE times in x, family i in the fine
-    columns i * nf to (i + 1) * nf - 1, nf = _REFINE * Nx + 1."""
-    return np.hstack([_cubic_refine_x(grid[..., i], _REFINE) for i in range(grid.shape[-1])])
+    """(Nt, Nx+1, n) grid refined _REFINE times in x into one flat padded
+    table, family i in the fine columns i nf .. (i + 1) nf - 1 of a row."""
+    return _cubic_refine_x(_padded(grid.transpose(0, 2, 1)), _REFINE).reshape(-1)
 
 
 def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray,
            T_star: float) -> tuple:
     """RK4 across every cell at once: _SUBSTEPS steps of dstep along
-    dt/dx = mu from the fine columns fidx, half fine columns per half step.
-
-    Returns the times where the traces leave their cells, and the rows and
-    fractions of every substep end (see ``TraceGeometry``).
-    """
-    mu_fine = _refine(mu)
-    Nt = mu.shape[0]
+    dt/dx = mu from the fine columns fidx, half fine columns per half step,
+    a first stage reading at the last end's stencil. Returns the times the
+    traces leave their cells and the ``TraceGeometry`` bases and weights."""
+    Nt, table = mu.shape[0], _refine(mu)
+    ncols = table.size // (Nt + 3)
     tcur = np.repeat((np.arange(Nt) * (T_star / Nt))[:, None], fidx.size, axis=1)
-    rows, fracs = [], []
+
+    def at(t, cols):
+        return _stencil(t, T_star, Nt, cols, ncols)
+
+    ends = [at(tcur, fidx)]
     for _ in range(_SUBSTEPS):
-        k1 = _interp_cols_cubic(mu_fine, tcur, T_star, fidx)
-        k2 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k1, T_star, fidx + half)
-        k3 = _interp_cols_cubic(mu_fine, tcur + 0.5 * dstep * k2, T_star, fidx + half)
-        k4 = _interp_cols_cubic(mu_fine, tcur + dstep * k3, T_star, fidx + 2 * half)
+        k1 = _read(table, *ends[-1], ncols)
+        k2 = _read(table, *at(tcur + 0.5 * dstep * k1, fidx + half), ncols)
+        k3 = _read(table, *at(tcur + 0.5 * dstep * k2, fidx + half), ncols)
+        k4 = _read(table, *at(tcur + dstep * k3, fidx + 2 * half), ncols)
         tcur = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         fidx = fidx + 2 * half
-        j, f = _phase(tcur, T_star, Nt)
-        rows.append(j)
-        fracs.append(f)
-    return tcur, rows, fracs
+        ends.append(at(tcur, fidx))
+    return (tcur,) + tuple(zip(*ends[1:]))
 
 
 def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
@@ -290,90 +304,76 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
     boundary x_in (L for i < m, 0 for the rest). Returns (delay, integral,
     geometry): delay and integral are (Nt, Nx+1, n), the foot lies at time
     t_j - delay, and integral is the integral of exp(gii (x_k - x)) R_i
-    from x_in to x_k along the curve. Three batched stages compute them:
+    from x_in to x_k along the curve. Three batched stages compute them,
+    every read a periodic cubic one of a table padded in time (``_stencil``):
 
     1. March: RK4 with 4 substeps crosses every cell of every family at
        once, on (Nt, n * Nx) arrays whose column i * Nx + s is family i
-       crossing the cell s cells from its inflow boundary, with mu
+       crossing the cell s cells from its inflow boundary, reading mu
        resampled 8 times finer in x. No cell depends on another.
     2. Integrate: the weighted source across each cell by the trapezoid
-       rule on the substep ends, with R resampled the same way.
+       rule on the substep ends, reading R resampled the same way.
     3. Compose, in order from the inflow boundary: a column's delay and
-       integral are its cell's own plus the previous column's, read by
-       periodic cubic interpolation where the cell's trace leaves. One
-       step serves every family.
+       integral are its cell's own plus the previous column's, read where
+       the cell's trace leaves. A step serves every family: one take of
+       the stacked taps, a weighted sum over them, and one multiply-add
+       with the coefficients [1, growth] and the cells' (t - tend, qacc).
 
-    The march and the delay depend on mu alone, and the returned geometry
-    keeps them (see ``TraceGeometry``). Given a geometry that fits mu, the
-    trace skips the march and composes the integral alone; the result is
-    bit-identical to a fresh trace. Otherwise it traces afresh and returns
-    a new geometry.
+    The march, its stencils and the delay depend on mu alone, and the
+    returned geometry keeps them. Given one that fits mu, the trace skips
+    the march and computes no weights, bit-identically; otherwise it
+    returns a new geometry.
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
     dx = L / Nx
     hsub = dx / _SUBSTEPS
-
-    # direction is the sign of dx when stepping from a column toward the
-    # inflow boundary; the quadrature weight exp(gii (x_col - x)) therefore
-    # grows by wfac per substep and by growth per cell
+    # direction: the sign of dx stepping from a column toward the inflow
+    # boundary; exp(gii (x_col - x)) grows by wfac per substep, growth per cell
     families = np.arange(n)
-    left_moving = families < m
-    direction = np.where(left_moving, 1.0, -1.0)
+    direction = np.where(families < m, 1.0, -1.0)
     growth = np.exp(-gii * direction * dx)
-    fam = np.repeat(families, Nx)
+    fam, steps = np.repeat(families, Nx), np.tile(np.arange(Nx), n)
     d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
     half = d.astype(np.int64)  # fine columns per half substep
     # each trace starts on its cell's left edge (i < m) or right edge
-    steps = np.tile(np.arange(Nx), n)
-    fidx = (fam * (_REFINE * Nx + 1)
-            + np.where(left_moving[fam], Nx - 1 - steps, steps + 1) * _REFINE)
-    frame = (m, T_star, L)
-    march = geometry is None or not geometry.fits(mu, frame)
+    fidx = fam * (_REFINE * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _REFINE
+    march = geometry is None or not geometry.fits(mu, (m, T_star, L))
     if march:
-        tend, rows, fracs = _march(mu, fidx, d * hsub, half, T_star)
+        tend, bases, weights = _march(mu, fidx, d * hsub, half, T_star)
     else:
-        rows, fracs = geometry.rows, geometry.fracs
+        bases, weights = geometry.bases, geometry.weights
 
-    R_fine = _refine(R)
+    table = _refine(R)
+    ncols = table.size // (Nt + 3)
     qacc = np.zeros((Nt, n * Nx))
-    w = np.ones(n * Nx)
-    Rv = R_fine[:, fidx]
-    for j, f in zip(rows, fracs):
-        fidx = fidx + 2 * half
+    w, Rv = np.ones(n * Nx), table.reshape(Nt + 3, ncols)[1:Nt + 1, fidx]
+    for base, wts in zip(bases, weights):
         wn = w * wfac
-        Rn = _gather_cubic(R_fine, j, f, fidx)
+        Rn = _read(table, base, wts, ncols)
         qacc += (-d) * (hsub / 2.0) * (w * Rv + wn * Rn)
         w, Rv = wn, Rn
 
-    # DJ[s, :, i] holds family i's delay (on a march) and integral at s
-    # columns from its inflow boundary: column Nx - s for i < m, s else.
-    # Step s reads DJ[s], flat over (Nt, n), at the flat rows taps[a][s].
-    by_step = (Nt, n, Nx)
-    qacc = qacc.reshape(by_step).transpose(2, 0, 1)
-    feet = rows[-1].reshape(by_step).transpose(2, 0, 1)
-    taps = [np.ascontiguousarray(((feet + o) % Nt) * n + families) for o in (-1, 0, 1, 2)]
-    wts = [wt.reshape(by_step).transpose(2, 0, 1)[..., None]
-           for wt in _lagrange4(fracs[-1])]
+    # DJ[s, :, i]: family i's delay (on a march) and integral, padded in time,
+    # s columns from its inflow boundary (column Nx - s for i < m, s else)
+    def by_step(a):  # (..., Nt, n * Nx) to (Nx, ..., Nt+3, n), padded
+        return np.moveaxis(_padded(a.reshape(a.shape[:-1] + (n, Nx)), axis=-3), -1, 0)
+
+    feet = (by_step(bases[-1] // ncols) * n + families).reshape(Nx, -1)
+    wts = by_step(weights[-1]).reshape(Nx, 4, -1)
+    own, coef = [by_step(qacc)], [growth]
     if march:
-        t_grid = np.arange(Nt) * (T_star / Nt)
-        tend = tend.reshape(by_step).transpose(2, 0, 1)
-    DJ = np.zeros((Nx + 1, Nt, n, 2 if march else 1))
-    flat = DJ.reshape(Nx + 1, Nt * n, -1)
+        own.insert(0, by_step(np.arange(Nt)[:, None] * (T_star / Nt) - tend))
+        coef.insert(0, np.ones(n))
+    own, coef = np.stack(own, axis=-1), np.stack(coef, axis=-1)
+    DJ = np.zeros((Nx + 1, Nt + 3, n, coef.shape[-1]))
     for s in range(Nx):
-        prev = flat[s]
-        dj = (wts[0][s] * prev.take(taps[0][s], axis=0)
-              + wts[1][s] * prev.take(taps[1][s], axis=0)
-              + wts[2][s] * prev.take(taps[2][s], axis=0)
-              + wts[3][s] * prev.take(taps[3][s], axis=0))
-        if march:
-            DJ[s + 1, ..., 0] = (t_grid[:, None] - tend[s]) + dj[..., 0]
-        DJ[s + 1, ..., -1] = growth * dj[..., -1] + qacc[s]
+        dj = _read(DJ[s].reshape(-1, coef.shape[-1]), feet[s], wts[s], n)
+        np.add(coef * dj.reshape(DJ.shape[1:]), own[s], out=DJ[s + 1])
     # to column order, one contiguous (Nt, Nx+1) block per family
-    out = np.empty((DJ.shape[-1], n, Nt, Nx + 1))
-    out[:, :m] = DJ[::-1, :, :m].transpose(3, 2, 1, 0)
-    out[:, m:] = DJ[:, :, m:].transpose(3, 2, 1, 0)
+    out = np.empty((coef.shape[-1], n, Nt, Nx + 1))
+    out[:, :m] = DJ[::-1, 1:Nt + 1, :m].transpose(3, 2, 1, 0)
+    out[:, m:] = DJ[:, 1:Nt + 1, m:].transpose(3, 2, 1, 0)
     if march:
-        delay = out[0].transpose(1, 2, 0)
-        delay.flags.writeable = False
-        geometry = TraceGeometry(mu.copy(), frame, rows, fracs, delay)
+        geometry = TraceGeometry(mu.copy(), (m, T_star, L), bases, weights,
+                                 out[0].transpose(1, 2, 0))
     return geometry.delay, out[-1].transpose(1, 2, 0), geometry

@@ -65,15 +65,17 @@ class IterationConfig:
 class SweepContext:
     """What the sweeps of one solve share.
 
-    The shift K, gtilde and its diagonal gii are fixed for the solve (the
-    origin data they come from is ``spec.origin``); geometry is the last
-    sweep's characteristic geometry, which the next sweep reuses while its
-    inverse speeds stay the same (see ``trace_to_inflow``).
+    The shift K, gtilde, its diagonal gii, its off-diagonal part gt_off and
+    k_mu0 = K mu0 are fixed for the solve (from ``spec.origin``); geometry
+    is the last sweep's characteristic geometry, which the next sweep reuses
+    while its inverse speeds stay the same (see ``trace_to_inflow``).
     """
 
     K: float
     gtilde: np.ndarray
     gii: np.ndarray
+    gt_off: np.ndarray
+    k_mu0: np.ndarray
     geometry: Optional[TraceGeometry] = None
 
     @classmethod
@@ -81,7 +83,9 @@ class SweepContext:
         """The context for the shift K (None: the default, see ``shift_K``)."""
         K = shift_K(spec, K)
         gtilde = gtilde_matrix(spec, K)
-        return cls(K=K, gtilde=gtilde, gii=np.diag(gtilde))
+        gt_off = np.where(np.eye(spec.n, dtype=bool), 0.0, gtilde)
+        return cls(K=K, gtilde=gtilde, gii=np.diag(gtilde), gt_off=gt_off,
+                   k_mu0=K * spec.origin.mu0)
 
 
 @dataclass
@@ -108,15 +112,12 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
     they nor the derivative grids are computed.
     """
     P = prev.values
-    gNL = _remainder(spec, P, mu, B)
-    gt_off = ctx.gtilde.copy()
-    np.fill_diagonal(gt_off, 0.0)
-    R = np.einsum("ij,tkj->tki", gt_off, P)
+    R = np.einsum("ij,tkj->tki", ctx.gt_off, P)
     if B is not None:
         R = (np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
              + mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())) + R
-    R += ctx.K * spec.origin.mu0 * P
-    R += gNL
+    R += ctx.k_mu0 * P
+    R += _remainder(spec, P, mu, B)
     return R
 
 
@@ -145,8 +146,7 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
     R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left))
-    gii = ctx.gii
-    delay, integral, ctx.geometry = trace_to_inflow(mu, R, gii, m, T, L, ctx.geometry)
+    delay, integral, ctx.geometry = trace_to_inflow(mu, R, ctx.gii, m, T, L, ctx.geometry)
 
     new_vals = np.empty_like(prev.values)
     for i in range(n):
@@ -154,7 +154,7 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
         feet = prev.t_nodes[:, None] - delay[..., i]
         out_tr = _interp_rows_cubic(prev.values[:, row, bspec.outgoing(i)], feet, T)
         bc = bspec.map_values(i, bspec.h_values(i, feet), out_tr)
-        carry = np.exp(gii[i] * (prev.x_nodes - x_inflow))
+        carry = np.exp(ctx.gii[i] * (prev.x_nodes - x_inflow))
         new_vals[:, :, i] = carry * bc + integral[..., i]
 
     if not np.all(np.isfinite(new_vals)):

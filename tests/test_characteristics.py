@@ -166,3 +166,35 @@ class TestGeometryReuse:
         assert new is not geometry
         assert np.array_equal(delay, fresh_delay)
         assert np.array_equal(integral, fresh_integral)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_reuse_is_exact_at_a_non_dyadic_period(self, m):
+        # odd grids and grid times t_j = 2.7 j / 21 that are not dyadic: the
+        # padded tables wrap in every column
+        mu = self.three_families(m, Nt=21, Nx=13)
+        R1, R2 = np.random.default_rng(10 + m).normal(size=(2,) + mu.shape)
+        gii = np.array([0.3, -0.2, -0.4])
+        _, _, geometry = ch.trace_to_inflow(mu, R1, gii, m, 2.7, 1.3)
+        delay, integral, kept = ch.trace_to_inflow(mu.copy(), R2, -gii, m, 2.7, 1.3, geometry)
+        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(mu, R2, -gii, m, 2.7, 1.3)
+        assert kept is geometry
+        assert np.array_equal(delay, fresh_delay)
+        assert np.array_equal(integral, fresh_integral)
+        assert np.abs(integral).max() > 0.0
+
+    def test_stored_arrays_are_read_only_and_kept_by_reuse(self):
+        mu = self.three_families(1, Nt=21, Nx=13)
+        R = np.random.default_rng(7).normal(size=mu.shape)
+        gii = np.array([0.3, -0.2, -0.4])
+        _, _, geometry = ch.trace_to_inflow(mu, R, gii, 1, 2.7, 1.3)
+        stored = [geometry.mu, geometry.delay, *geometry.bases, *geometry.weights]
+        assert len(geometry.bases) == len(geometry.weights) == ch._SUBSTEPS
+        before = [a.copy() for a in stored]
+        ch.trace_to_inflow(mu, 2.0 * R, -gii, 1, 2.7, 1.3, geometry)
+        for a, b in zip(stored, before):
+            assert np.array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[...] = 0
+        for a in ch._refine_stencil(13, ch._REFINE):
+            with pytest.raises(ValueError):
+                a[...] = 0

@@ -108,7 +108,7 @@ def loop_step(prev, spec, bspec, cfg):
 T_STAR = 2.0
 
 
-def three_family(m):
+def three_family(m, T_star=T_STAR):
     """n = 3 with m left-movers: state-dependent A with off-diagonal
     coupling (the general eigen path) and a linear plus quadratic F."""
     base = np.array([-1.3, 1.0, 1.6]) if m == 1 else np.array([-1.5, -0.9, 1.2])
@@ -127,7 +127,7 @@ def three_family(m):
         return u @ G.T + 0.3 * u * u[..., [1, 2, 0]]
 
     spec = SystemSpec(n=3, m=m, A=A, F=F, domain_radius=0.2, L=1.0)
-    hs = [systems.harmonic_signal([{"amplitude": 0.01 * (k + 1), "phase": 0.7 * k}], T_STAR)
+    hs = [systems.harmonic_signal([{"amplitude": 0.01 * (k + 1), "phase": 0.7 * k}], T_star)
           for k in range(3)]
     gains = 0.3 + 0.1 * np.arange(3)
 
@@ -137,52 +137,60 @@ def three_family(m):
     bspec = BoundarySpec(
         left_maps=[gain_map(k, slice(None)) for k in range(m, 3)],
         right_maps=[gain_map(k, slice(None)) for k in range(m)],
-        h=hs, T_star=T_STAR)
+        h=hs, T_star=T_star)
     return spec, bspec
 
 
-def smooth_field(Nt, Nx, n, amp):
-    t = (np.arange(Nt) * T_STAR / Nt)[:, None, None]
+def smooth_field(Nt, Nx, n, amp, T_star=T_STAR):
+    """A field periodic in t with period T_star, nonzero in every component."""
+    t = (np.arange(Nt) * T_star / Nt)[:, None, None]
     x = np.linspace(0.0, 1.0, Nx + 1)[None, :, None]
     k = np.arange(1, n + 1)[None, None, :]
-    vals = amp * np.sin(np.pi * t + k * x) * np.cos(k * np.pi * t / T_STAR - x)
-    return Field(values=vals, T_star=T_STAR, L=1.0)
+    vals = amp * np.sin(2 * np.pi * t / T_star + k * x) * np.cos(k * np.pi * t / T_star - x)
+    return Field(values=vals, T_star=T_star, L=1.0)
 
 
-def e1_problem():
+def e1_problem(T_star=T_STAR):
     spec = systems.linear_damped_scalar()
-    h = systems.harmonic_signal([{"amplitude": 0.01}], T_STAR)
-    return spec, systems.scalar_inflow_boundary(h, T_STAR)
+    h = systems.harmonic_signal([{"amplitude": 0.01}], T_star)
+    return spec, systems.scalar_inflow_boundary(h, T_star)
 
 
-def reflect_problem():
+def reflect_problem(T_star=T_STAR):
     spec = systems.linear_reflect_2x2()
-    h1 = systems.harmonic_signal([{"amplitude": 0.01}], T_STAR)
-    return spec, systems.reflection_boundary(0.5, h1, systems.zero_signal, T_STAR)
+    h1 = systems.harmonic_signal([{"amplitude": 0.01}], T_star)
+    return spec, systems.reflection_boundary(0.5, h1, systems.zero_signal, T_star)
 
 
-def euler_problem():
+def euler_problem(T_star=T_STAR):
     spec = systems.quasilinear_euler_damping()
-    h1 = systems.harmonic_signal([{"amplitude": 0.01}], T_STAR)
-    h2 = systems.harmonic_signal([{"amplitude": 0.005, "phase": 1.0}], T_STAR)
-    return spec, systems.two_gain_boundary(0.5, 0.5, h1, h2, T_STAR)
+    h1 = systems.harmonic_signal([{"amplitude": 0.01}], T_star)
+    h2 = systems.harmonic_signal([{"amplitude": 0.005, "phase": 1.0}], T_star)
+    return spec, systems.two_gain_boundary(0.5, 0.5, h1, h2, T_star)
 
 
+# name: (problem, Nt, Nx, K, T_star). The last four wrap the padded tables
+# at a period whose grid times are not dyadic, on odd grids and on the
+# smallest Nt a solve accepts.
 CASES = {
-    "linear_damped_scalar": (e1_problem, 16, 12, None),
-    "linear_reflect_2x2": (reflect_problem, 16, 20, 1e-6),
-    "quasilinear_euler_damping": (euler_problem, 20, 16, None),
-    "three_family_m1": (lambda: three_family(1), 24, 12, None),
-    "three_family_m2": (lambda: three_family(2), 12, 20, None),
+    "linear_damped_scalar": (e1_problem, 16, 12, None, T_STAR),
+    "linear_reflect_2x2": (reflect_problem, 16, 20, 1e-6, T_STAR),
+    "quasilinear_euler_damping": (euler_problem, 20, 16, None, T_STAR),
+    "three_family_m1": (lambda T: three_family(1, T), 24, 12, None, T_STAR),
+    "three_family_m2": (lambda T: three_family(2, T), 12, 20, None, T_STAR),
+    "linear_reflect_2x2_T2.7_21x13": (reflect_problem, 21, 13, 1e-6, 2.7),
+    "three_family_m2_T2.7_21x13": (lambda T: three_family(2, T), 21, 13, None, 2.7),
+    "quasilinear_euler_damping_Nt8": (euler_problem, 8, 11, None, T_STAR),
+    "three_family_m1_T2.7_Nt8": (lambda T: three_family(1, T), 8, 9, None, 2.7),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_equals_the_column_loop(name):
-    make, Nt, Nx, K = CASES[name]
-    spec, bspec = make()
+    make, Nt, Nx, K, T_star = CASES[name]
+    spec, bspec = make(T_star)
     cfg = ps.IterationConfig(Nt=Nt, Nx=Nx, K=K)
-    prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius)
+    prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius, T_star)
     for _ in range(2):  # from a nonzero field, then from the kernel's own sweep
         got = ps.linearized_step(prev, spec, bspec, cfg)
         want = loop_step(prev, spec, bspec, cfg)
@@ -233,7 +241,7 @@ def test_solve_reuses_the_characteristics_while_the_speeds_stay(name, reuses, mo
     once; the Euler speeds change every sweep, so its solve marches every
     sweep. Either way the solve equals standalone sweeps, each with a
     fresh context, bit for bit."""
-    make, Nt, Nx, K = CASES[name]
+    make, Nt, Nx, K, _ = CASES[name]
     spec, bspec = make()
     cfg = ps.IterationConfig(Nt=Nt, Nx=Nx, K=K)
     marches = []
