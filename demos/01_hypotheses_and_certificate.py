@@ -8,15 +8,7 @@ periodic construction contract.
 """
 import numpy as np
 
-from periodic_hyp import (
-    characterizing_data,
-    gtilde_matrix,
-    smallness_certificate,
-    systems,
-    validate_forcing,
-    validate_hyperbolicity,
-    weights,
-)
+from periodic_hyp import SweepContext, systems, validate_forcing, validate_hyperbolicity
 
 EPS = 0.01
 
@@ -50,18 +42,16 @@ for name, (spec, bspec) in cases.items():
 
     # computed once per spec: g0 = gradF(0), mu0 = 1 / lambda(0), K_min
     g0, K_min = spec.origin.g0, spec.origin.K_min
-    K = K_min + 1e-6
     print(f"source Jacobian at the origin: {np.round(g0, 4).tolist()}")
-    gt = gtilde_matrix(spec, K)
-    prof = weights(gt, spec.L, spec.n, spec.m)
-    print(f"K_min = {K_min:.3g}, chosen K = {K:.3g}, weight bound M3 = {prof.M3:.4f}")
+    # the solve's set-up at the default shift: K, gtilde, M3, theta and the
+    # certificate, as solve_periodic and the CLI derive it
+    cert = SweepContext.for_solve(spec, bspec, None).certificate
+    print(f"K_min = {K_min:.3g}, chosen K = {cert.K:.3g}, weight bound M3 = {cert.M3:.4f}")
 
-    theta = characterizing_data(bspec).theta
     forcing = validate_forcing(bspec)
-    print(f"theta = {theta:.4f}, forcing C1 norm = {forcing.h_c1_max:.4g}, "
+    print(f"theta = {cert.theta:.4f}, forcing C1 norm = {forcing.h_c1_max:.4g}, "
           f"periodic to {forcing.periodicity_residual:.1e}")
 
-    cert = smallness_certificate(theta, K, spec.L, prof.M3)
     verdict = "holds" if cert.ok else "FAILS"
     print(f"certificate: theta + K L M3 = {1 - cert.margin:.6f} < 1 {verdict} "
           f"(margin {cert.margin:.4f})")

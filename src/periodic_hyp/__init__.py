@@ -18,7 +18,7 @@ from .boundary import (
     theta_matrix,
     validate_forcing,
 )
-from .characteristics import Field, interpolate, trace_to_inflow
+from .characteristics import Field, trace_to_inflow
 from .diagnostics import (
     Certificate,
     FieldNorms,
@@ -60,6 +60,7 @@ from .ivp_solver import (
 from .periodic_solver import (
     IterationConfig,
     IterationReport,
+    SweepContext,
     extract_initial_data,
     fit_contraction_rate,
     linearized_step,

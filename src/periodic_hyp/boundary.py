@@ -362,25 +362,21 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     )
 
 
-def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray,
-                  signals=None) -> np.ndarray:
+def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray) -> np.ndarray:
     """Incoming components at one endpoint from the outgoing trace.
 
     side "left" (x = 0) maps the m outgoing components to the n - m
     incoming ones; side "right" (x = L) the reverse. Takes times t (...,)
     and outgoing (..., n_out) and returns (..., n_incoming), each map
-    evaluated by ``BoundarySpec.map_values`` at h_i(t). A caller that
-    holds the signal values at the times passes them as signals,
-    signals[i] being h_i(t) for every component i, and no signal is
-    called. Raises BoundaryMapError on a non-finite value.
+    evaluated by ``BoundarySpec.map_values`` at h_i(t). Raises
+    BoundaryMapError on a non-finite value.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
     out = np.empty(np.asarray(t).shape + (len(comps),))
     for k, i in enumerate(comps):
-        hv = bspec.h_values(i, t) if signals is None else signals[i]
-        out[..., k] = bspec.map_values(i, hv, outgoing)
+        out[..., k] = bspec.map_values(i, bspec.h_values(i, t), outgoing)
     if not np.isfinite(out).all():
         raise BoundaryMapError("boundary map returned non-finite values")
     return out

@@ -106,7 +106,12 @@ class Field:
         return self._dx_grid
 
     def interpolate(self, t, x) -> np.ndarray:
-        return interpolate(self, t, x)
+        """Field value at (t, x): bilinear, periodic wrap in t, exact at nodes.
+
+        Accepts scalars or broadcastable arrays; x must stay in [0, L] up
+        to 1e-12 or DomainError is raised.
+        """
+        return _bilinear(self.values, self, t, x)
 
     def interpolate_dt(self, t, x) -> np.ndarray:
         return _bilinear(self.time_derivative_grid(), self, t, x)
@@ -174,15 +179,9 @@ def _read(table: np.ndarray, base, weights: np.ndarray, step: int) -> np.ndarray
     return (w * table.take(taps, axis=0)).sum(axis=0)
 
 
-def _interp_cols_cubic(rows: np.ndarray, tq: np.ndarray, T_star: float, cols) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation in time (O(dt^4)): column
-    cols[c] of one period of rows at the times tq[..., c]."""
-    table = _padded(rows).reshape((-1,) + rows.shape[2:])
-    return _read(table, *_stencil(tq, T_star, len(rows), cols, rows.shape[1]), rows.shape[1])
-
-
 def _interp_rows_cubic(rows: np.ndarray, tq, T_star: float) -> np.ndarray:
-    """``_interp_cols_cubic`` of all of one period of rows at times tq of any shape."""
+    """Periodic 4-point Lagrange interpolation in time (O(dt^4)) of one
+    period of rows at the times tq, of any shape."""
     return _read(_padded(rows), *_stencil(tq, T_star, len(rows), 0, 1), 1)
 
 
@@ -227,15 +226,6 @@ def _bilinear(grid: np.ndarray, fld: Field, t, x) -> np.ndarray:
             + wt * (1 - wx) * grid[j1, k0]
             + (1 - wt) * wx * grid[j0, k1]
             + wt * wx * grid[j1, k1])
-
-
-def interpolate(fld: Field, t, x) -> np.ndarray:
-    """Field value at (t, x): bilinear, periodic wrap in t, exact at nodes.
-
-    Accepts scalars or broadcastable arrays; x must stay in [0, L] up to
-    1e-12 or DomainError is raised.
-    """
-    return _bilinear(fld.values, fld, t, x)
 
 
 @dataclass

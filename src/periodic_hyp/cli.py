@@ -52,8 +52,7 @@ from .errors import (
     SourceOriginError,
     StepSizeError,
 )
-from .system_model import (SystemSpec, gtilde_matrix, measured_mu_max, shift_K,
-                           validate_hyperbolicity)
+from .system_model import SystemSpec, measured_mu_max, shift_K, validate_hyperbolicity
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -279,24 +278,20 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
         lines.append(f"structural hypotheses FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
 
-    K = shift_K(spec, cfg.K)
-    lines.append(f"K_min: {spec.origin.K_min:.6g}, K: {K:.6g}")
+    lines.append(f"K_min: {spec.origin.K_min:.6g}, K: {shift_K(spec, cfg.K):.6g}")
     try:
-        profile = dg.weights(gtilde_matrix(spec, K), spec.L, spec.n, spec.m)
-        lines.append(f"M3: {profile.M3:.6g}")
+        cert = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
     except DominanceError as exc:
         lines.append(f"source dominance FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
-
-    try:
-        theta = bd.characterizing_data(bspec).theta
-        lines.append(f"theta: {theta:.6g}")
-        if theta >= 1.0:
-            lines.append("boundary dissipativity FAILED: theta >= 1")
-            ok = False
     except _HYPOTHESIS_ERRORS as exc:
         lines.append(f"boundary linearization FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
+    lines.append(f"M3: {cert.M3:.6g}")
+    lines.append(f"theta: {cert.theta:.6g}")
+    if cert.theta >= 1.0:
+        lines.append("boundary dissipativity FAILED: theta >= 1")
+        ok = False
 
     try:
         forcing_rep = bd.validate_forcing(bspec)
@@ -309,9 +304,8 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
         lines.append(f"forcing periodicity FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)
 
-    cert = dg.smallness_certificate(theta, K, spec.L, profile.M3)
     state = "PASS" if cert.ok else "FAIL"
-    lines.append(f"certificate: theta + K L M3 = {theta + K * spec.L * profile.M3:.6g} "
+    lines.append(f"certificate: theta + K L M3 = {cert.theta + cert.K * cert.L * cert.M3:.6g} "
                  f"< 1: {state} (margin {cert.margin:.6g})")
     ok = ok and cert.ok
     lines.append(f"hypotheses: {'PASS' if ok else 'FAIL'}")
@@ -446,12 +440,16 @@ def run(argv) -> int:
         description="time-periodic solutions of 1D hyperbolic balance laws "
                     "driven by periodic dissipative boundary conditions")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "periodic", "stability", "sweep"):
+    # each subcommand takes the flags it reads: every run one more than
+    # the last (validate < periodic < stability < sweep)
+    flags = [("--out", {"default": "periodic_hyp_out"}),
+             ("--seed", {"type": int, "default": 0}),
+             ("--jobs", {"type": int, "default": os.cpu_count() or 1})]
+    for k, name in enumerate(("validate", "periodic", "stability", "sweep")):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default="periodic_hyp_out")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=0)
+        for flag, kwargs in flags[:k]:
+            p.add_argument(flag, **kwargs)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

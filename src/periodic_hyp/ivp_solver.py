@@ -39,7 +39,7 @@ from .system_model import SystemSpec, eigen_fields, measured_mu_max
 logger = logging.getLogger("periodic_hyp")
 
 _CFL_CAP = 0.8
-_DEFAULT_RUN_CFL = 0.4
+_RUN_CFL = 0.4
 _NOISE_FLOOR = 1e-13
 
 
@@ -224,12 +224,11 @@ def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
 
 
 def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
-        t_end: float, record_every: float,
-        cfl: float = _DEFAULT_RUN_CFL) -> Trajectory:
+        t_end: float, record_every: float) -> Trajectory:
     """March the initial profile to t_end, recording at a fixed cadence.
 
-    The time step divides record_every exactly and respects cfl times the
-    worst-case dx / |lambda| over the whole validated neighborhood, so one
+    The time step divides record_every exactly and respects CFL 0.4 times
+    the worst-case dx / |lambda| over the whole validated neighborhood, so one
     step size serves the entire run. Returns early (completed=False, with
     the failure message) if the profile leaves the neighborhood.
     Raises ValueError unless record_every is finite and positive and
@@ -251,7 +250,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     dx = spec.L / Nx
     lam_bound = float(np.abs(spec.sampled_speeds).max())
     if t_end > 0:
-        n_sub = max(1, int(np.ceil(record_every * lam_bound / (cfl * dx))))
+        n_sub = max(1, int(np.ceil(record_every * lam_bound / (_RUN_CFL * dx))))
         dt = record_every / n_sub
     else:
         n_sub, dt = 1, 0.0

@@ -63,11 +63,13 @@ class IterationConfig:
 
 @dataclass
 class SweepContext:
-    """What the sweeps of one solve share.
+    """The set-up of one solve, derived once, and what its sweeps share.
 
     The shift K, gtilde, its diagonal gii, its off-diagonal part gt_off and
-    k_mu0 = K mu0 are fixed for the solve (from ``spec.origin``); geometry
-    is the last sweep's characteristic geometry, which the next sweep reuses
+    k_mu0 = K mu0 are fixed for the solve (from ``spec.origin``);
+    certificate is the smallness record theta + K L M3 < 1 of this set-up,
+    which the solve reports and the CLI's ``validate`` prints. geometry is
+    the last sweep's characteristic geometry, which the next sweep reuses
     while its inverse speeds stay the same (see ``trace_to_inflow``).
     """
 
@@ -76,16 +78,25 @@ class SweepContext:
     gii: np.ndarray
     gt_off: np.ndarray
     k_mu0: np.ndarray
+    certificate: dg.Certificate
     geometry: Optional[TraceGeometry] = None
 
     @classmethod
-    def for_solve(cls, spec: SystemSpec, K: Optional[float]) -> "SweepContext":
-        """The context for the shift K (None: the default, see ``shift_K``)."""
+    def for_solve(cls, spec: SystemSpec, bspec: bd.BoundarySpec,
+                  K: Optional[float]) -> "SweepContext":
+        """The set-up for the shift K (None: the default, see ``shift_K``).
+
+        Raises DominanceError when gtilde is not dominated, and what
+        ``characterizing_data`` raises when theta cannot be computed.
+        """
         K = shift_K(spec, K)
         gtilde = gtilde_matrix(spec, K)
+        theta = bd.characterizing_data(bspec).theta
+        M3 = dg.weights(gtilde, spec.L, spec.n, spec.m).M3
         gt_off = np.where(np.eye(spec.n, dtype=bool), 0.0, gtilde)
         return cls(K=K, gtilde=gtilde, gii=np.diag(gtilde), gt_off=gt_off,
-                   k_mu0=K * spec.origin.mu0)
+                   k_mu0=K * spec.origin.mu0,
+                   certificate=dg.smallness_certificate(theta, K, spec.L, M3))
 
 
 @dataclass
@@ -122,7 +133,7 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
 
 
 def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
-                    cfg: IterationConfig, ctx: Optional[SweepContext] = None) -> Field:
+                    ctx: SweepContext) -> Field:
     """One sweep of the lagged linear transport system.
 
     For every family and grid point, the characteristic of the previous
@@ -132,19 +143,20 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     factor. Each family's feet give its outgoing trace and boundary values
     in one call each.
 
-    ctx is the solve's ``SweepContext``; without one the sweep builds a
-    fresh context from cfg.K. The sweep stores its characteristic geometry
-    in ctx, and reuses the stored one when the inverse speeds of prev equal
-    those of the previous sweep; the result is the same to the last bit.
+    ctx is the solve's ``SweepContext.for_solve``. The sweep stores its
+    characteristic geometry in ctx, and reuses the stored one when the
+    inverse speeds of prev equal those of the previous sweep; the result is
+    the same to the last bit. A stored geometry that does not fit is
+    dropped before the march, so a solve holds one geometry at a time.
     """
     n, m = spec.n, spec.m
     Nx = prev.Nx
     T, L = prev.T_star, prev.L
 
-    if ctx is None:
-        ctx = SweepContext.for_solve(spec, cfg.K)
     lam, left, _ = eigen_fields(spec, prev.values)
     mu = 1.0 / lam
+    if ctx.geometry is not None and not ctx.geometry.fits(mu, (m, T, L)):
+        ctx.geometry = None
     R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left))
     delay, integral, ctx.geometry = trace_to_inflow(mu, R, ctx.gii, m, T, L, ctx.geometry)
 
@@ -203,21 +215,17 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
         raise NormalizationError(
             f"A(0) is not diagonal (off-diagonal max {off:.2e}); write the "
             "system in the eigenbasis of A(0)")
-    n = spec.n
-    ctx = SweepContext.for_solve(spec, cfg.K)
-    theta = bd.characterizing_data(bspec).theta
-    profile = dg.weights(ctx.gtilde, spec.L, n, spec.m)
-    cert = dg.smallness_certificate(theta, ctx.K, spec.L, profile.M3)
-    if not cert.ok:
+    ctx = SweepContext.for_solve(spec, bspec, cfg.K)
+    if not ctx.certificate.ok:
         logger.warning("smallness certificate fails (margin %.3e); "
-                       "contraction is not guaranteed", cert.margin)
+                       "contraction is not guaranteed", ctx.certificate.margin)
 
-    u = Field.zeros(cfg.Nt, cfg.Nx, n, bspec.T_star, spec.L)
+    u = Field.zeros(cfg.Nt, cfg.Nx, spec.n, bspec.T_star, spec.L)
     deltas, deltas_c1 = [], []
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        new = linearized_step(u, spec, bspec, cfg, ctx)
+        new = linearized_step(u, spec, bspec, ctx)
         diff = Field(values=new.values - u.values, T_star=bspec.T_star, L=spec.L)
         dn = dg.norms(diff)
         deltas.append(dn.c0)
@@ -240,7 +248,7 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
         fitted_beta=fit_contraction_rate(deltas),
         iterations=iterations,
         converged=converged,
-        certificate=cert,
+        certificate=ctx.certificate,
     )
     return u, report
 

@@ -285,8 +285,10 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     the caller has it; otherwise A is evaluated once. Where A is diagonal
     at every state, the characteristic variables are the components
     themselves (component i is family i) and the result is
-    (diag A, None, None): no bases are built. Otherwise the families are
-    sorted by speed, left has rows l_i and right columns r_i of shape
+    (diag A, None, None): no bases are built. Otherwise family i has at
+    every state the speed rank that A_ii(0) has on the diagonal of a
+    diagonal A(0), so both paths label alike (rank i when A(0) is not
+    diagonal); left has rows l_i and right columns r_i of shape
     (..., n, n), with l_i . r_j = delta_ij, |r_i| = 1 and the largest
     entry of each r_i positive. Raises HyperbolicityError /
     SignatureError if any state violates the hypotheses,
@@ -309,7 +311,11 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     if np.abs(w.imag).max() > _IMAG_TOL * scale:
         raise HyperbolicityError("complex eigenvalue encountered")
     lam_raw = w.real
-    order = np.argsort(lam_raw, axis=-1)
+    # strict hyperbolicity on the ball keeps each family's rank at the
+    # origin; A(0) is read directly, since ``spec.origin`` calls this routine
+    d0 = _diagonal(spec.A_at(np.zeros((1, spec.n))))
+    rank = np.arange(spec.n) if d0 is None else np.argsort(np.argsort(d0[0]))
+    order = np.argsort(lam_raw, axis=-1)[..., rank]
     lam = np.take_along_axis(lam_raw, order, axis=-1)
     right = np.take_along_axis(v.real, order[..., None, :], axis=-1)
     right = right / np.linalg.norm(right, axis=-2, keepdims=True)

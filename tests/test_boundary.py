@@ -363,9 +363,7 @@ class TestEvalBoundary:
         spec = make_reflect_spec(k=0.5, amp1=0.0, amp2=0.0)
         out = bd.eval_boundary(spec, "left", 0.0, np.array([0.02]))
         assert out[0] == pytest.approx(0.01)
-        # signal values given as plain floats
-        out = bd.eval_boundary(spec, "left", 0.0, np.array([0.02]), signals=[0.1, 0.2])
-        assert out[0] == pytest.approx(0.21)
+        # a signal value given as a plain float
         assert spec.map_values(1, 0.3, np.array([0.02])) == pytest.approx(0.31)
 
     def test_scalar_sine_quarter_period(self):

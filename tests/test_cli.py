@@ -8,6 +8,7 @@ import yaml
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli, systems
+from periodic_hyp import periodic_solver as ps
 from periodic_hyp.errors import ConvergenceError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -111,6 +112,29 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "theta" in out and "K_min" in out and "certificate" in out
         assert "hypotheses: PASS" in out
+
+    @pytest.mark.parametrize("name", ["linear_damped_scalar", "linear_reflect_2x2",
+                                      "quasilinear_euler_damping"])
+    def test_prints_the_certificate_of_the_solve_set_up(self, name, capsys):
+        """theta, M3 and the margin printed are those of the record the
+        solve derives (``SweepContext.for_solve``) and reports."""
+        path = CONFIGS / f"{name}.yaml"
+        assert cli.run(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = cli.load_config(path)
+        spec, bspec = cli._build(cfg, cfg.eps[0])
+        cert = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
+        assert f"M3: {cert.M3:.6g}" in lines
+        assert f"theta: {cert.theta:.6g}" in lines
+        margin = f"(margin {cert.margin:.6g})"
+        assert any(line.startswith("certificate: ") and line.endswith(margin) for line in lines)
+
+    @pytest.mark.parametrize("argv", [["validate", "--jobs", "2"], ["validate", "--out", "o"],
+                                      ["validate", "--seed", "1"], ["periodic", "--seed", "1"],
+                                      ["stability", "--jobs", "2"]])
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, argv):
+        path = str(CONFIGS / "linear_reflect_2x2.yaml")
+        assert cli.run(argv[:1] + ["--config", path] + argv[1:]) == 2
 
 
 class TestPeriodic:

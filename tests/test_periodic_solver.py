@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,9 +36,9 @@ class TestLinearizedStep:
     def test_zero_prev_zero_forcing(self):
         spec, _ = make_e1()
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)
-        cfg = ps.IterationConfig(Nt=16, Nx=16)
         prev = Field.zeros(16, 16, 1, 1.0, 1.0)
-        out = ps.linearized_step(prev, spec, bspec, cfg)
+        ctx = ps.SweepContext.for_solve(spec, bspec, None)
+        out = ps.linearized_step(prev, spec, bspec, ctx)
         assert np.abs(out.values).max() == 0.0
 
     def test_e1_first_sweep_hits_closed_form(self):
@@ -43,9 +46,9 @@ class TestLinearizedStep:
         # straight unit-speed traces, analytic boundary data, exact
         # exponential factor
         spec, bspec = make_e1()
-        cfg = ps.IterationConfig(Nt=64, Nx=64, K=0.0)
         prev = Field.zeros(64, 64, 1, 1.0, 1.0)
-        out = ps.linearized_step(prev, spec, bspec, cfg)
+        ctx = ps.SweepContext.for_solve(spec, bspec, 0.0)
+        out = ps.linearized_step(prev, spec, bspec, ctx)
         exact = e1_exact()
         t = out.t_nodes[:, None]
         x = out.x_nodes[None, :]
@@ -54,9 +57,9 @@ class TestLinearizedStep:
 
     def test_e2_first_sweep_pure_transport(self):
         spec, bspec = make_e2(eps=0.01, k=0.5)
-        cfg = ps.IterationConfig(Nt=64, Nx=32, K=1e-6)
         prev = Field.zeros(64, 32, 2, 2.0, 1.0)
-        out = ps.linearized_step(prev, spec, bspec, cfg)
+        ctx = ps.SweepContext.for_solve(spec, bspec, 1e-6)
+        out = ps.linearized_step(prev, spec, bspec, ctx)
         t = out.t_nodes[:, None]
         x = out.x_nodes[None, :]
         # u1 carries h1(t + x - L) leftward, u2 stays 0 (h2 = 0, no
@@ -66,7 +69,24 @@ class TestLinearizedStep:
         assert np.abs(out.values[..., 1]).max() <= 1e-5
 
 
+SYSTEM_CONFIGS = [Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
+                  for name in ("linear_damped_scalar", "linear_reflect_2x2",
+                               "quasilinear_euler_damping")]
+
+
 class TestSolvePeriodic:
+    @pytest.mark.parametrize("path", SYSTEM_CONFIGS, ids=lambda p: p.stem)
+    def test_reports_the_certificate_of_its_set_up(self, path):
+        """The solve's certificate is the one ``SweepContext.for_solve``
+        derives for its system, boundary and shift, field for field."""
+        cfg = cli.load_config(path)
+        spec, bspec = cli._build(cfg, cfg.eps[0])
+        _, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16, K=cfg.K))
+        want = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
+        for f in dataclasses.fields(want):
+            assert getattr(rep.certificate, f.name) == getattr(want, f.name), f.name
+        assert want.ok
+
     def test_zero_forcing_fixed_point(self):
         spec, _ = make_e1()
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)

@@ -29,24 +29,30 @@ class TestStencils:
             assert np.array_equal(ch._interp_rows_cubic(rows, tq + shift, T_STAR), base)
 
     def test_column_gather_is_the_row_form_per_column(self):
+        def read_cols(rows, tq, cols):
+            """Column cols[c] of rows at the times tq[..., c], read from the
+            flat padded table as the march reads its tables."""
+            table = ch._padded(rows).reshape((-1,) + rows.shape[2:])
+            ncols = rows.shape[1]
+            return ch._read(table, *ch._stencil(tq, T_STAR, len(rows), cols, ncols), ncols)
+
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(16, 9))
         cols = np.array([4, 0, 8, 4, 2])
         nodes = np.arange(16) * (T_STAR / 16)
         at_nodes = np.repeat(nodes[:, None], cols.size, axis=1)
-        assert np.array_equal(ch._interp_cols_cubic(rows, at_nodes, T_STAR, cols),
-                              rows[:, cols])
+        assert np.array_equal(read_cols(rows, at_nodes, cols), rows[:, cols])
         tq = rng.integers(0, 2**20, size=(24, cols.size)) / 2**19  # dyadic times
-        got = ch._interp_cols_cubic(rows, tq, T_STAR, cols)
+        got = read_cols(rows, tq, cols)
         for shift in (T_STAR, -T_STAR, 3 * T_STAR):
-            assert np.array_equal(ch._interp_cols_cubic(rows, tq + shift, T_STAR, cols), got)
+            assert np.array_equal(read_cols(rows, tq + shift, cols), got)
         for c, col in enumerate(cols):
             assert np.array_equal(got[:, c], ch._interp_rows_cubic(rows[:, col], tq[:, c], T_STAR))
         # trailing axes ride along: columns of (value, 2 * value) pairs
         pairs = np.stack([rows, 2 * rows], axis=-1)
-        both = ch._interp_cols_cubic(pairs, tq, T_STAR, cols)
+        both = read_cols(pairs, tq, cols)
         assert np.array_equal(both[..., 0], got)
-        assert np.array_equal(both[..., 1], ch._interp_cols_cubic(2 * rows, tq, T_STAR, cols))
+        assert np.array_equal(both[..., 1], read_cols(2 * rows, tq, cols))
 
     def test_x_refinement_reproduces_cubics_up_to_the_ends(self):
         Nx, refine = 10, 8

@@ -224,8 +224,25 @@ class TestDiagonalPath:
 
     def test_periodic_solve_is_equivariant_under_relabelling(self):
         """diag(-1, 2, 1) solves as diag(-1, 1, 2) with families 1 and 2
-        swapped in the maps, the signals and the field."""
-        def solve(speeds, perm):
+        swapped in the maps, the signals and the field. So does the system
+        with 0.5 u_0 added at entry (1, 2): its A is diagonal only at the
+        origin, and the general path labels its families by their speed
+        rank there, as the diagonal path does."""
+        def make_spec(speeds, entry):
+            if entry is None:
+                return diagonal_spec(speeds, m=1, damping=0.5)
+            D = np.diag(speeds)
+
+            def A(u):
+                u = np.asarray(u, dtype=float)
+                out = np.broadcast_to(D, u.shape[:-1] + D.shape).copy()
+                out[(...,) + entry] = 0.5 * u[..., 0]
+                return out
+
+            return sm.SystemSpec(n=3, m=1, A=A, F=lambda u: -0.5 * np.asarray(u, dtype=float),
+                                 domain_radius=0.1, L=1.0)
+
+        def solve(speeds, perm, entry):
             h = [lambda t: 0.01 * np.sin(np.pi * np.asarray(t, dtype=float)),
                  lambda t: 0.005 * np.cos(np.pi * np.asarray(t, dtype=float)),
                  lambda t: 0.004 * np.sin(2 * np.pi * np.asarray(t, dtype=float))]
@@ -240,15 +257,16 @@ class TestDiagonalPath:
                 left_maps=[left(gains[a]), left(gains[b])],
                 right_maps=[lambda hv, u: hv + into_0[a] * u[..., 0] + into_0[b] * u[..., 1]],
                 h=[h[0], h[1 + a], h[1 + b]], T_star=2.0)
-            spec = diagonal_spec(speeds, m=1, damping=0.5)
+            spec = make_spec(speeds, entry)
             fld, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16))
             assert rep.converged
             return fld.values
 
-        unsorted = solve([-1.0, 2.0, 1.0], (0, 1))
-        swapped = solve([-1.0, 1.0, 2.0], (1, 0))
-        assert np.abs(unsorted).max() > 1e-3
-        assert np.abs(unsorted - swapped[..., [0, 2, 1]]).max() <= 1e-12
+        for entry, swapped_entry in ((None, None), ((1, 2), (2, 1))):
+            unsorted = solve([-1.0, 2.0, 1.0], (0, 1), entry)
+            swapped = solve([-1.0, 1.0, 2.0], (1, 0), swapped_entry)
+            assert np.abs(unsorted).max() > 1e-3
+            assert np.abs(unsorted - swapped[..., [0, 2, 1]]).max() <= 1e-12
 
 
 class TestValidation:
