@@ -8,8 +8,10 @@ minimal characterizing number (the infimum over positive diagonal scalings
 of the max-row-sum norm) quantifies how much amplitude a reflected wave
 can retain; values below 1 make the boundary dissipative.
 
-``BoundarySpec.map_values`` is the one place a map is called: the sweep,
-the IVP and every derivative go through it. ``BoundarySpec.map_gradient``
+``BoundarySpec.map_values`` is the one entry point to a map: the sweep
+and every derivative go through it, and the IVP writes its incoming
+entries from the same batched maps, resolved once per spec in
+``BoundarySpec.sides``. ``BoundarySpec.map_gradient``
 differentiates a map centrally with step 1e-6 in h and in each outgoing
 component, and raises BoundaryMapError on a non-finite derivative. Map
 values are checked where they are used: once per side in
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,7 +53,8 @@ class BoundarySpec:
 
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
-    when not finite); ``outgoing(i)`` is the trace map i reads.
+    when not finite); ``outgoing(i)`` is the trace map i reads, and
+    ``sides`` the batched maps of each endpoint, resolved once.
 
     A spec is immutable, so the batched forms it keeps of its maps and
     signals stay those of the callables it holds.
@@ -93,26 +97,40 @@ class BoundarySpec:
         left-moving ones."""
         return slice(self.m, self.n) if i < self.m else slice(0, self.m)
 
-    def _map(self, i: int, u_out: np.ndarray) -> Callable:
-        """Batched map of component i; raises ValueError when u_out is not
-        as wide as the outgoing trace of component i."""
+    def _map(self, i: int) -> Callable:
+        """Batched map of component i."""
         if i not in self._maps:
             fn = self.right_maps[i] if i < self.m else self.left_maps[i - self.m]
             cols = self.outgoing(i)
-            n_out = cols.stop - cols.start
             probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
-                     _probe_points(n_out, _MAP_PROBE_SCALE))
-            self._maps[i] = (batched(fn, probe, (), f"boundary map {i}"), n_out)
-        fn, n_out = self._maps[i]
-        if u_out.shape[-1:] != (n_out,):
-            raise ValueError(f"outgoing trace of component {i} must have length {n_out}")
-        return fn
+                     _probe_points(cols.stop - cols.start, _MAP_PROBE_SCALE))
+            self._maps[i] = batched(fn, probe, (), f"boundary map {i}")
+        return self._maps[i]
 
     def map_values(self, i: int, hv, u_out: np.ndarray) -> np.ndarray:
         """Map of component i at signal values hv (...,) and the outgoing
-        trace u_out (..., n_out), e.g. hv = ``h_values(i, t)``."""
+        trace u_out (..., n_out), e.g. hv = ``h_values(i, t)``. Raises
+        ValueError when u_out is not as wide as the trace map i reads."""
         u_out = np.asarray(u_out, dtype=float)
-        return self._map(i, u_out)(np.asarray(hv, dtype=float), u_out)
+        cols = self.outgoing(i)
+        if u_out.shape[-1:] != (cols.stop - cols.start,):
+            raise ValueError(f"outgoing trace of component {i} must have "
+                             f"length {cols.stop - cols.start}")
+        return self._map(i)(np.asarray(hv, dtype=float), u_out)
+
+    @cached_property
+    def sides(self) -> tuple:
+        """The endpoints that have incoming components, x = 0 first, each
+        as (row, incoming slice, ((i, batched map i, outgoing slice), ...))
+        with row 0 or -1 of an (Nx + 1, n) profile. Writing the incoming
+        entries of a profile from these skips the per-call look-up and
+        width check of ``map_values``: a row's outgoing slice has the
+        width the map reads by construction."""
+        m, n = self.m, self.n
+        return tuple(
+            (row, slice(lo, hi), tuple((i, self._map(i), self.outgoing(i))
+                                       for i in range(lo, hi)))
+            for row, lo, hi in ((0, m, n), (-1, 0, m)) if lo < hi)
 
     def map_gradient(self, i: int, hv, u_out: np.ndarray) -> tuple:
         """(dG_i/dh, dG_i/du_out) at one point (hv, u_out), by central

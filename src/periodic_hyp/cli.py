@@ -385,6 +385,9 @@ def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
           f"derivative decay {row['fitted_derivative_decay']}")
     if not row["completed"]:
         print("warning: run stopped before t_end (left the neighborhood)")
+    if cfg.perturbation == 0:
+        print("warning: perturbation 0: no decay is measured "
+              "(experiment.perturbation)")
     return EXIT_OK
 
 

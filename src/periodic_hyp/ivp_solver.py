@@ -9,18 +9,22 @@ du/dt = -sum_i lambda_i (l_i . d_x u) r_i + F(u). Time stepping is Heun's
 Neumann check of the one-sided stencil puts the stability margin near
 CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 
-Each step evaluates A twice, once per stage: the first stage's speeds
-serve the CFL check too. When A is diagonal, as for any system written
-in Riemann invariants, the speeds are diag A and no eigenvectors are
-built; otherwise each stage computes the eigenstructure. The speeds of a
-stage pass one accept test, which implies every hyperbolicity and
-signature check; only speeds that fail it go through the ordered
-diagnosis that names the error. Each stage makes one stencil pass that
-gives the upwind derivative of both directions, and both stages impose
-the boundary at the same time, from one evaluation of every forcing
-signal per step: each incoming entry is written straight from
-``BoundarySpec.map_values``, and the entries written are checked to be
-finite.
+Each stage makes one coefficient call, ``SystemSpec.AF_at``, which gives
+its A and F (one call of the spec's ``AF`` when it has one, so shared
+intermediates are computed once); the first stage's speeds serve the CFL
+check too. When A is diagonal, as for any system written in Riemann
+invariants, the speeds are diag A and no eigenvectors are built;
+otherwise each stage computes the eigenstructure. The speeds of a stage
+pass one accept test, which implies every hyperbolicity and signature
+check; only speeds that fail it go through the ordered diagnosis that
+names the error. Each stage makes one stencil pass that gives the upwind
+derivative of both directions. Both stages impose the boundary at the
+step's end time: each incoming entry is written straight from its
+batched map, resolved once per boundary spec (``BoundarySpec.sides``),
+and the entries written on each side are checked to be finite. ``run``
+evaluates every forcing signal once per recording interval, on the step
+times of the interval accumulated as the steps accumulate them, and
+hands each step its values.
 """
 from __future__ import annotations
 
@@ -119,12 +123,12 @@ def _upwind_dx(u: np.ndarray, dx: float) -> np.ndarray:
     from_right, from_left = g
     u3 = 3 * u
     u4 = 4 * u[1:-1]
-    np.subtract(u4, u3[:-2], out=from_right[:-2])
-    from_right[:-2] -= u[2:]
-    np.subtract(u3[2:], u4, out=from_left[2:])
-    from_left[2:] += u[:-2]
-    from_left[1] = u[2] - u[0]
-    from_right[-2] = u[-1] - u[-3]
+    inner = np.subtract(u4, u3[:-2], out=from_right[:-2])
+    np.subtract(inner, u[2:], out=inner)
+    inner = np.subtract(u3[2:], u4, out=from_left[2:])
+    np.add(inner, u[:-2], out=inner)
+    np.subtract(u[2], u[0], out=from_left[1])
+    np.subtract(u[-1], u[-3], out=from_right[-2])
     from_left[0] = from_right[0]
     from_right[-1] = from_left[-1]
     g /= 2 * dx
@@ -132,57 +136,66 @@ def _upwind_dx(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
-         speeds: Optional[tuple] = None) -> np.ndarray:
+         speeds: Optional[tuple] = None, Fv: Optional[np.ndarray] = None) -> np.ndarray:
     """Semi-discrete du/dt in characteristic variables.
 
-    speeds is ``eigen_fields(spec, u)`` when the caller has it.
+    speeds is ``eigen_fields(spec, u)`` and Fv is ``spec.F_at(u)`` when
+    the caller has both; otherwise both come from one ``spec.AF_at(u)``.
     One stencil pass gives the upwind derivative of both directions. For
     a diagonal A the components are the characteristic variables and
     du = F - d * (each component's upwind derivative), d = diag A;
     otherwise each family is projected through its eigenvectors, the m
     left-moving ones sharing the stencil biased to larger x.
     """
-    lam, left, right = eigen_fields(spec, u) if speeds is None else speeds
+    if speeds is None:
+        A, Fv = spec.AF_at(u)
+        speeds = eigen_fields(spec, u, A)
+    lam, left, right = speeds
     dxu = _upwind_dx(u, dx)
-    du = spec.F_at(u)
+    du = Fv
     if left is None:
-        return du - lam * np.where(lam > 0, dxu[1], dxu[0])
+        # the speeds passed their check: the m left-moving families come first
+        upwind = dxu[1]
+        upwind[:, :spec.m] = dxu[0, :, :spec.m]
+        return du - lam * upwind
     for i in range(spec.n):
         w = np.einsum("kc,kc->k", left[:, i, :], dxu[int(i >= spec.m)])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
     return du
 
 
-def _impose_boundary(u: np.ndarray, signals: list, spec: SystemSpec,
-                     bspec: bd.BoundarySpec) -> None:
+def _impose_boundary(u: np.ndarray, signals, bspec: bd.BoundarySpec) -> None:
     """Overwrite incoming components from the feedback maps (in place),
     with signals[i] = h_i(t) for every component i: x = 0 first, then
-    x = L. Each component is written straight from ``map_values``; after
-    each side, raises BoundaryMapError if a value it wrote is not finite
-    (the outgoing trace it read is not checked)."""
-    m, n = spec.m, spec.n
-    for row, lo, hi in ((0, m, n), (-1, 0, m)):
-        if lo == hi:
-            continue
-        for i in range(lo, hi):
-            u[row, i] = bspec.map_values(i, signals[i], u[row, bspec.outgoing(i)])
-        if not all(map(math.isfinite, u[row, lo:hi].tolist())):
+    x = L. Each component is written straight from its batched map
+    (``BoundarySpec.sides``); after each side, raises BoundaryMapError if
+    a value it wrote is not finite (the outgoing trace it read is not
+    checked)."""
+    for row, incoming, maps in bspec.sides:
+        for i, fn, cols in maps:
+            u[row, i] = fn(signals[i], u[row, cols])
+        if not all(map(math.isfinite, u[row, incoming].tolist())):
             raise BoundaryMapError("boundary map returned non-finite values")
 
 
 def step(state: IvpState, dt: float, spec: SystemSpec,
-         bspec: bd.BoundarySpec) -> IvpState:
+         bspec: bd.BoundarySpec, signals=None) -> IvpState:
     """One Heun step with per-stage boundary imposition.
 
-    The speeds of the current profile serve the CFL check and the first
-    stage; the second stage computes its own. Both stages impose
-    the boundary at t + dt, from one evaluation of each forcing signal.
-    Raises StepSizeError when dt exceeds 0.8 dx / max |lambda| on the
-    current profile and DomainError when the new profile leaves the
-    validated neighborhood (the blow-up proxy).
+    One ``spec.AF_at`` call per stage gives its A and F; the speeds of
+    the current profile serve the CFL check and the first stage. Both
+    stages impose the boundary at t + dt, from signals[i] = h_i(t + dt),
+    which are evaluated here when not given. Raises ValueError when spec
+    and bspec disagree on n or m, StepSizeError when dt exceeds
+    0.8 dx / max |lambda| on the current profile and DomainError when the
+    new profile leaves the validated neighborhood (the blow-up proxy).
     """
+    if spec.n != bspec.n or spec.m != bspec.m:
+        raise ValueError(f"boundary has n = {bspec.n}, m = {bspec.m}; "
+                         f"the system n = {spec.n}, m = {spec.m}")
     u = state.u
-    speeds = eigen_fields(spec, u)
+    A, Fv = spec.AF_at(u)
+    speeds = eigen_fields(spec, u, A)
     lam_max = float(np.abs(speeds[0]).max())
     if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError(
@@ -190,13 +203,14 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
             f"{_CFL_CAP * state.dx / lam_max:.3e}"
         )
     t_new = state.t + dt
-    signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
-    f1 = _rhs(u, spec, state.dx, speeds)
+    if signals is None:
+        signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
+    f1 = _rhs(u, spec, state.dx, speeds, Fv)
     u1 = u + dt * f1
-    _impose_boundary(u1, signals, spec, bspec)
+    _impose_boundary(u1, signals, bspec)
     f2 = _rhs(u1, spec, state.dx)
     u_new = u + 0.5 * dt * (f1 + f2)
-    _impose_boundary(u_new, signals, spec, bspec)
+    _impose_boundary(u_new, signals, bspec)
     if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
     return IvpState(t=t_new, u=u_new, dx=state.dx)
@@ -266,27 +280,39 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         return traj
 
     state = IvpState(t=0.0, u=u0.copy(), dx=dx)
-    prev_profile = None
-    pending = None  # sample index waiting for its forward neighbor
+    # each recorded profile and its neighbors one step before and after
+    # are rows of one block per run: a kept trajectory holds one large
+    # allocation, not three small ones per sample between freed ones
+    profiles, befores, afters = np.empty((3, n_samples) + u0.shape)
+    waiting = False  # the last sample waits for the step after it
+    step_times = np.empty(n_sub)
     try:
-        for s in range(1, n_samples + 1):
+        for s in range(n_samples):
+            # the interval's step times, accumulated as the steps do, and
+            # every signal on all of them: row q holds step q's values
+            t = state.t
+            for q in range(n_sub):
+                t = t + dt
+                step_times[q] = t
+            signals = np.stack([bspec.h_values(i, step_times)
+                                for i in range(spec.n)], axis=-1)
             for q in range(n_sub):
                 before = state.u
                 # two stages, each with one rhs and one speed evaluation
                 traj.rhs_evals += 2
                 traj.speed_evals += 2
-                state = step(state, dt, spec, bspec)
+                state = step(state, dt, spec, bspec, signals[q])
                 traj.steps += 1
-                if pending is not None:
-                    u_before, _ = pending
-                    traj.du_center[-1] = (u_before, state.u.copy(), dt)
-                    pending = None
-                prev_profile = before
-            t_s = s * record_every
-            traj.times.append(t_s)
-            traj.profiles.append(state.u.copy())
+                if waiting:
+                    afters[s - 1] = state.u
+                    traj.du_center[-1] = (befores[s - 1], afters[s - 1], dt)
+                    waiting = False
+            profiles[s] = state.u
+            befores[s] = before
+            traj.times.append((s + 1) * record_every)
+            traj.profiles.append(profiles[s])
             traj.du_center.append(None)
-            pending = (prev_profile.copy(), t_s)
+            waiting = True
     except DomainError as exc:
         traj.completed = False
         traj.failure = str(exc)

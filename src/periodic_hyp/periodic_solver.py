@@ -113,12 +113,13 @@ class IterationReport:
 
 
 def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
-                 mu: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
+                 mu: np.ndarray, B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
           + K mu_i(0) u_i + superlinear remainder, evaluated on the
-    previous iterate, whose inverse speeds mu and couplings B are given.
+    previous iterate, whose inverse speeds mu, couplings B and source
+    values Fv are given.
     B is None where A is diagonal: the coupling terms vanish, and neither
     they nor the derivative grids are computed.
     """
@@ -128,7 +129,7 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
         R = (np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
              + mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())) + R
     R += ctx.k_mu0 * P
-    R += _remainder(spec, P, mu, B)
+    R += _remainder(spec, P, mu, B, Fv)
     return R
 
 
@@ -153,11 +154,12 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     Nx = prev.Nx
     T, L = prev.T_star, prev.L
 
-    lam, left, _ = eigen_fields(spec, prev.values)
+    A, Fv = spec.AF_at(prev.values)
+    lam, left, _ = eigen_fields(spec, prev.values, A)
     mu = 1.0 / lam
     if ctx.geometry is not None and not ctx.geometry.fits(mu, (m, T, L)):
         ctx.geometry = None
-    R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left))
+    R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left), Fv)
     delay, integral, ctx.geometry = trace_to_inflow(mu, R, ctx.gii, m, T, L, ctx.geometry)
 
     new_vals = np.empty_like(prev.values)

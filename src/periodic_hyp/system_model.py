@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,23 +41,34 @@ def _probe_points(n: int, radius: float) -> np.ndarray:
     return radius * np.stack([0.5 * v, -0.3 * v[::-1]])
 
 
+def _refusing(message: str) -> Callable:
+    """A callable that raises ValueError(message) whatever it is given."""
+    def refuse(*args):
+        raise ValueError(message)
+    return refuse
+
+
 def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable:
     """Form of ``fn`` that maps a leading batch shape over every argument.
 
     probe holds one array per argument, each with a leading axis of two
-    distinct inputs; their trailing shapes are the shapes of one item. fn
-    is called once on the pair and once per item. When the pair call
-    raises or returns another shape than (2, *out_shape), fn takes one
-    item at a time and the batched form loops. When the shape is right
-    but the values differ from the looped ones by more than 1e-12
-    relative, fn broadcasts wrongly, and every call of the batched form
-    raises ValueError naming it (a spec that never evaluates fn on a
-    batch stays usable). Otherwise fn sees at most one leading axis, the
-    shape its probe checks: more leading axes of the arrays passed to the
-    batched form are merged into one.
+    distinct inputs; their trailing shapes are the shapes of one item.
+    out_shape is the shape of one item's value, or a tuple of such shapes
+    when fn returns a tuple of arrays, each batched alike. fn is called
+    once on the pair and once per item. When the pair call raises or
+    returns other shapes than (2, *out_shape), fn takes one item at a time
+    and the batched form loops. When the shapes are right but the values
+    differ from the looped ones by more than 1e-12 relative, fn broadcasts
+    wrongly, and every call of the batched form raises ValueError naming
+    it (a spec that never evaluates fn on a batch stays usable). Otherwise
+    fn sees at most one leading axis, the shape its probe checks: more
+    leading axes of the arrays passed to the batched form are merged into
+    one.
     """
     probe = tuple(np.asarray(p, dtype=float) for p in probe)
     item_ndim = [p.ndim - 1 for p in probe]
+    multi = bool(out_shape) and isinstance(out_shape[0], tuple)
+    shapes = out_shape if multi else (out_shape,)
 
     def flat(args):
         """Arrays args with their leading axes merged into one, and that shape."""
@@ -68,24 +79,35 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
 
     def looped(*args):
         args, lead = flat([np.asarray(a, dtype=float) for a in args])
-        out = np.empty((len(args[0]),) + out_shape)
-        for k in range(len(out)):
-            out[k] = fn(*(a[k] for a in args))
-        return out.reshape(lead + out_shape)
+        outs = [np.empty((len(args[0]),) + s) for s in shapes]
+        for k in range(len(outs[0])):
+            vals = fn(*(a[k] for a in args))
+            for out, v in zip(outs, vals if multi else (vals,)):
+                out[k] = v
+        outs = tuple(out.reshape(lead + s) for out, s in zip(outs, shapes))
+        return outs if multi else outs[0]
 
     try:
-        together = np.asarray(fn(*probe), dtype=float)
+        together = fn(*probe)
+        together = [np.asarray(v, dtype=float) for v in (together if multi else (together,))]
     except Exception:  # the callable takes one item at a time
         return looped
-    if together.shape != (2,) + out_shape:
+    if [v.shape for v in together] != [(2,) + s for s in shapes]:
         return looped
     single = looped(*probe)
-    err = np.abs(together - single).max()
-    if err > _PROBE_RTOL * np.abs(single).max():
-        def wrong(*args):
-            raise ValueError(f"{name} broadcasts wrongly: on a batch it returns "
+    for got, want in zip(together, single if multi else (single,)):
+        if np.abs(got - want).max() > _PROBE_RTOL * np.abs(want).max():
+            return _refusing(f"{name} broadcasts wrongly: on a batch it returns "
                              "other values than one item at a time")
-        return wrong
+
+    if multi:
+        def merged_tuple(*args):
+            if args[0].ndim - item_ndim[0] <= 1:  # already flat
+                return tuple(np.asarray(v, dtype=float) for v in fn(*args))
+            args, lead = flat(args)
+            return tuple(np.asarray(v, dtype=float).reshape(lead + s)
+                         for v, s in zip(fn(*args), shapes))
+        return merged_tuple
 
     def merged(*args):
         if args[0].ndim - item_ndim[0] <= 1:  # already flat
@@ -141,6 +163,13 @@ class SystemSpec:
     F : callable, state (n,) -> (n,) source term, F(0) = 0, batched like A.
     gradF : optional callable, state -> (n, n) Jacobian of F. Defaults to
         4th-order central finite differences.
+    AF : optional callable, state -> (A, F) in one call, for systems
+        whose A and F share intermediates; batched like A (a form that
+        does not batch is looped). ``AF_at`` uses it, and without it
+        evaluates A and F one after the other. At construction it is
+        compared with A and F on two probe states: if it differs by more
+        than 1e-12 relative, every ``AF_at`` raises ValueError naming
+        ``SystemSpec.AF``.
     domain_radius : radius of the validated neighborhood of u = 0.
     L : spatial interval length.
 
@@ -154,8 +183,10 @@ class SystemSpec:
     domain_radius: float
     L: float
     gradF: Optional[Callable] = None
+    AF: Optional[Callable] = None
     _A_batch: Callable = field(init=False, repr=False)
     _F_batch: Callable = field(init=False, repr=False)
+    _AF_batch: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -165,10 +196,24 @@ class SystemSpec:
         if self.domain_radius <= 0 or self.L <= 0:
             raise ValueError("domain_radius and L must be positive")
         probe = (_probe_points(self.n, self.domain_radius),)
+        shapes = ((self.n, self.n), (self.n,))
         object.__setattr__(self, "_A_batch",
-                           batched(self.A, probe, (self.n, self.n), "SystemSpec.A"))
+                           batched(self.A, probe, shapes[0], "SystemSpec.A"))
         object.__setattr__(self, "_F_batch",
-                           batched(self.F, probe, (self.n,), "SystemSpec.F"))
+                           batched(self.F, probe, shapes[1], "SystemSpec.F"))
+        AF = None
+        if self.AF is not None:
+            AF = batched(self.AF, probe, shapes, "SystemSpec.AF")
+            # one item at a time, as A and F are known to take them
+            pairs = [self.AF(p) for p in probe[0]]
+            for k, fn in enumerate((self.A, self.F)):
+                got = np.array([np.asarray(pair[k], dtype=float) for pair in pairs])
+                want = np.array([np.asarray(fn(p), dtype=float) for p in probe[0]])
+                if not (got.shape == want.shape and np.abs(got - want).max()
+                        <= _PROBE_RTOL * np.abs(want).max()):
+                    AF = _refusing("SystemSpec.AF differs from SystemSpec.A "
+                                   "and SystemSpec.F at a probe state")
+        object.__setattr__(self, "_AF_batch", AF)
 
     # each computed on first use, read-only: a solve needs only the
     # origin and must not sample the neighborhood
@@ -198,6 +243,14 @@ class SystemSpec:
     def F_at(self, states: np.ndarray) -> np.ndarray:
         """F evaluated on states of shape (..., n); returns (..., n)."""
         return self._F_batch(np.asarray(states, dtype=float))
+
+    def AF_at(self, states: np.ndarray) -> tuple:
+        """(A, F) evaluated on states of shape (..., n), one call of the
+        spec's AF when it has one, else ``A_at`` and ``F_at``."""
+        states = np.asarray(states, dtype=float)
+        if self._AF_batch is None:
+            return self.A_at(states), self.F_at(states)
+        return self._AF_batch(states)
 
     def gradF_at(self, u: np.ndarray) -> np.ndarray:
         if self.gradF is not None:
@@ -231,19 +284,27 @@ class HypothesisReport:
 
 
 def _diagonal(A_vals: np.ndarray) -> Optional[np.ndarray]:
-    """diag A (a view) when every matrix of A_vals is diagonal, else None.
+    """diag A (a read-only view) when every matrix of A_vals is diagonal,
+    else None.
 
     A non-finite off-diagonal entry counts as nonzero, so it lands in the
     general path; a non-finite diagonal is caught by ``_check_speeds``.
     """
-    d = np.einsum("...ii->...i", A_vals)
+    d = A_vals.diagonal(0, -2, -1)
     return d if np.count_nonzero(A_vals) == np.count_nonzero(d) else None
 
 
 def _gaps_at_least(speeds: np.ndarray, gap: float) -> bool:
     """True if the sorted speeds of every row are at least gap apart."""
-    return speeds.shape[-1] < 2 or bool(
-        np.diff(np.sort(speeds, axis=-1), axis=-1).min() >= gap)
+    return bool(np.diff(np.sort(speeds, axis=-1), axis=-1).min() >= gap)
+
+
+@lru_cache(maxsize=None)
+def _signs(m: int, n: int) -> np.ndarray:
+    """-1 on the m left-moving columns, +1 on the others (read-only)."""
+    signs = np.where(np.arange(n) < m, -1.0, 1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 def _check_speeds(speeds: np.ndarray, m: int) -> None:
@@ -251,17 +312,20 @@ def _check_speeds(speeds: np.ndarray, m: int) -> None:
     (HyperbolicityError), and in the order given m negative then n - m
     positive (SignatureError)."""
     n = speeds.shape[-1]
+    # one accept test: the speeds turned positive on their side, s, all
+    # beyond the gap tolerance of zero and, within a side of two or more,
+    # that far apart imply the four tests below; s.max() is then the top
+    # speed, and a NaN anywhere makes it NaN. Any other input takes the
+    # four tests for its diagnosis
+    s = speeds * _signs(m, n)
+    top = float(s.max())
+    g = _GAP_TOL * max(1.0, top)
+    if (math.isfinite(top) and s.min() > g
+            and (m < 2 or _gaps_at_least(speeds[..., :m], g))
+            and (n - m < 2 or _gaps_at_least(speeds[..., m:], g))):
+        return
     abs_lam = np.abs(speeds)
     top = float(abs_lam.max())
-    # one accept test: speeds finite, beyond the gap tolerance of zero on
-    # their side and, within a side, that far apart imply the four tests
-    # below; any other input takes them for its diagnosis
-    g = _GAP_TOL * max(1.0, top)
-    left, right = speeds[..., :m], speeds[..., m:]
-    if (math.isfinite(top) and (not m or left.max() < -g)
-            and (m == n or right.min() > g)
-            and _gaps_at_least(left, g) and _gaps_at_least(right, g)):
-        return
     if not math.isfinite(top):
         raise HyperbolicityError("A is not finite at some state")
     scale = max(1.0, top)
@@ -495,15 +559,15 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     the last sum absent where A is diagonal.
     """
     states = np.asarray(states, dtype=float)
-    lam, left, _ = eigen_fields(spec, states)
-    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left))
+    A, Fv = spec.AF_at(states)
+    lam, left, _ = eigen_fields(spec, states, A)
+    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), Fv)
 
 
 def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
-               B: Optional[np.ndarray]) -> np.ndarray:
-    """g_nonlinear_batch from the inverse speeds mu and couplings B at the
-    states (B None: no coupling term)."""
-    Fv = spec.F_at(states)
+               B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
+    """g_nonlinear_batch from the inverse speeds mu, couplings B and
+    source values Fv at the states (B None: no coupling term)."""
     origin = spec.origin
     linear = np.einsum("i,ij,...j->...i", origin.mu0, origin.g0, states)
     out = mu * Fv - linear

@@ -197,6 +197,24 @@ class TestStability:
         lines = (out / "stability_report.csv").read_text().splitlines()
         assert lines[0] == "t,phi,dphi"
 
+    @pytest.mark.parametrize("perturbation", [0.0, 0.005])
+    def test_an_unperturbed_run_says_it_measures_no_decay(self, tmp_path, capsys,
+                                                          perturbation):
+        cfg = base_e2_cfg()
+        cfg["experiment"] = {"eps": [0.01], "perturbation": perturbation,
+                             "t_end": 4.0, "record_every": 0.5}
+        code = cli.run(["stability", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        warned = [ln for ln in lines if "perturbation 0" in ln]
+        if perturbation:
+            assert warned == []
+        else:
+            assert warned == ["warning: perturbation 0: no decay is measured "
+                              "(experiment.perturbation)"]
+            assert "stability: fitted per-transit decay None, " in "\n".join(lines)
+
 
 class TestSweep:
     def test_cells_and_aggregate(self, tmp_path):

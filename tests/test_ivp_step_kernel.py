@@ -2,22 +2,28 @@
 
 ``loop_step`` is the earlier ``ivp_solver.step``: it computes the
 eigenstructure for the CFL check and again in each stage (3 calls per
-step), projects every family through its eigenvectors, builds the upwind
-derivative once per family with its own copy of the one-sided stencil,
-and evaluates every forcing signal again in each stage. The kernel
-evaluates A once per stage, takes the speeds from diag A when A is
-diagonal (``eigen_fields`` then gives no bases; the loop fills in the
-identity and projects through it), makes one stencil pass per stage for
-both directions and one signal evaluation per step; ``ivp.run`` must
-reproduce the loop bit for bit.
+step), evaluates A and F separately, projects every family through its
+eigenvectors, builds the upwind derivative once per family with its own
+copy of the one-sided stencil, and evaluates every forcing signal and
+looks up every boundary map again in each stage. The kernel makes one
+coefficient call (``SystemSpec.AF_at``) per stage, takes the speeds from
+diag A when A is diagonal (``eigen_fields`` then gives no bases; the loop
+fills in the identity and projects through it), makes one stencil pass
+per stage for both directions, writes the boundary from the maps of
+``BoundarySpec.sides`` and, in ``ivp.run``, evaluates each signal once
+per recording interval; ``ivp.run`` must reproduce the loop bit for bit.
 """
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from test_sweep_kernel import e1_problem, euler_problem, reflect_problem, three_family
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
-from periodic_hyp.errors import DomainError, StepSizeError
+from periodic_hyp import systems
+from periodic_hyp.errors import BoundaryMapError, DomainError, StepSizeError
 from periodic_hyp.system_model import SystemSpec, eigen_fields
 
 
@@ -54,7 +60,9 @@ def loop_impose(u, t, spec, bspec):
         u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:])
 
 
-def loop_step(state, dt, spec, bspec):
+def loop_step(state, dt, spec, bspec, signals=None):
+    # the signal values ``ivp.run`` passes are ignored: the reference
+    # evaluates every signal again in each stage
     u = state.u
     lam, _, _ = eigen_fields(spec, u)
     lam_max = float(np.abs(lam).max())
@@ -96,16 +104,25 @@ def swapping_diagonal(m):
     return spec, bspec
 
 
+def euler_without_AF():
+    """The Euler problem with A and F evaluated one after the other."""
+    spec, bspec = euler_problem()
+    assert spec.AF is not None
+    return dataclasses.replace(spec, AF=None), bspec
+
+
 CASES = {
     "linear_damped_scalar": (e1_problem, 20),
     "quasilinear_euler_damping": (euler_problem, 24),
+    "quasilinear_euler_damping_without_AF": (euler_without_AF, 24),
     "linear_reflect_2x2": (reflect_problem, 20),
     "three_family_m1": (lambda: three_family(1), 16),
     "three_family_m2": (lambda: three_family(2), 16),
     "swapping_diagonal_m1": (lambda: swapping_diagonal(1), 16),
     "swapping_diagonal_m2": (lambda: swapping_diagonal(2), 16),
 }
-DIAGONAL = {"linear_damped_scalar", "quasilinear_euler_damping", "linear_reflect_2x2",
+DIAGONAL = {"linear_damped_scalar", "quasilinear_euler_damping",
+            "quasilinear_euler_damping_without_AF", "linear_reflect_2x2",
             "swapping_diagonal_m1", "swapping_diagonal_m2"}
 
 
@@ -204,3 +221,110 @@ def test_run_counts_its_work(monkeypatch):
         assert traj.speed_evals == calls["speeds"] == 1 + 2 * (traj.steps + failed)
         assert traj.rhs_evals == calls["rhs"] == 1 + 2 * (traj.steps + failed)
         assert traj.steps > 0
+
+
+def test_one_coefficient_call_per_stage():
+    """With AF, a step calls it once per stage and never A or F; without
+    it, A and F once each per stage."""
+    euler, bspec = euler_problem()
+    for with_AF, want in ((True, {"AF": 2, "A": 0, "F": 0}),
+                          (False, {"AF": 0, "A": 2, "F": 2})):
+        calls = dict.fromkeys(want, 0)
+        fns = {key: counting(getattr(euler, key), calls, key) for key in calls}
+        spec = dataclasses.replace(euler, A=fns["A"], F=fns["F"],
+                                   AF=fns["AF"] if with_AF else None)
+        calls.update(dict.fromkeys(calls, 0))  # the probes at construction
+        state = ivp.IvpState(t=0.1, u=initial_profile(spec, 16), dx=spec.L / 16)
+        ivp.step(state, 0.2 * state.dx, spec, bspec)
+        assert calls == want
+
+
+def nan_map_problem(after):
+    """The Euler problem whose x = 0 map returns NaN from its call number
+    ``after`` on, counted from the first call of a step."""
+    spec, bspec = euler_problem()
+    gain = bspec.left_maps[0]
+    count = {"calls": 0}
+
+    def left(hv, u):
+        count["calls"] += 1
+        out = np.asarray(gain(hv, u), dtype=float)
+        return out * np.nan if count["calls"] >= after else out
+
+    nan_bspec = dataclasses.replace(bspec, left_maps=[left])
+    nan_bspec.sides  # resolve the maps, whose batching probe calls them too
+    count["calls"] = 0
+    return spec, nan_bspec
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_non_finite_map_value_raises_from_either_stage(stage, monkeypatch):
+    spec, bspec = nan_map_problem(after=stage)
+    rhs = {"calls": 0}
+    monkeypatch.setattr(ivp, "_rhs", counting(ivp._rhs, rhs, "calls"))
+    state = ivp.IvpState(t=0.1, u=initial_profile(spec, 16), dx=spec.L / 16)
+    with pytest.raises(BoundaryMapError, match="non-finite"):
+        ivp.step(state, 0.2 * state.dx, spec, bspec)
+    assert rhs["calls"] == stage  # the stage that imposed the boundary
+
+
+def scalar_only(t):
+    """A forcing signal that takes one time at a time (math.sin)."""
+    return 0.01 * math.sin(math.pi * float(t)) + 0.004 * math.cos(3 * math.pi * float(t))
+
+
+def test_a_looped_signal_gives_the_trajectory_of_per_step_evaluation(monkeypatch):
+    """A signal that does not broadcast is looped over the interval's step
+    times, and the run equals one whose steps each evaluate it."""
+    spec, bspec = euler_problem()
+    bspec = dataclasses.replace(bspec, h=[scalar_only, bspec.h[1]])
+    with pytest.raises(TypeError):
+        scalar_only(np.array([0.1, 0.2]))
+    u0 = initial_profile(spec, 16)
+    kw = dict(t_end=1.5, record_every=0.25)
+    got = ivp.run(u0, spec, bspec, **kw)
+    step = ivp.step
+    with monkeypatch.context() as mp:
+        mp.setattr(ivp, "step", lambda state, dt, spec, bspec, signals=None:
+                   step(state, dt, spec, bspec))
+        want = ivp.run(u0, spec, bspec, **kw)
+    assert got.completed and want.completed and got.steps == want.steps
+    for a, b in zip(got.profiles, want.profiles):
+        assert np.array_equal(a, b)
+
+
+def test_run_evaluates_each_signal_once_per_interval(monkeypatch):
+    spec, bspec = euler_problem()
+    calls = {"h": 0}
+    monkeypatch.setattr(bd.BoundarySpec, "h_values",
+                        counting(bd.BoundarySpec.h_values, calls, "h"))
+    traj = ivp.run(initial_profile(spec, 16), spec, bspec, t_end=1.5, record_every=0.25)
+    # the compatibility residuals read 3 values of each signal
+    assert calls["h"] == spec.n * (3 + len(traj.times) - 1)
+    assert traj.steps > len(traj.times) - 1
+
+
+def test_harmonic_signal_on_an_array_equals_its_scalar_values():
+    """``ivp.run`` evaluates the signals on arrays of step times where the
+    steps used to evaluate them one time at a time; the trajectories are
+    the same only while numpy's vectorized sin gives the bits of its
+    scalar sin."""
+    signal = systems.harmonic_signal(
+        [{"amplitude": 1.0, "harmonic": 1}, {"amplitude": 0.5, "harmonic": 3, "phase": 1.0}],
+        2.0, scale=0.01)
+    times = np.cumsum(np.full(4099, 2.0 / 97))
+    on_array = signal(times)
+    one_by_one = np.array([signal(t) for t in times])
+    differ = np.flatnonzero(on_array != one_by_one)
+    assert differ.size == 0, (
+        f"numpy's sin on an array differs from its scalar sin at {differ.size} "
+        f"of {times.size} times (first t = {times[differ[0]] if differ.size else None}): "
+        "per-interval signal values are not those of per-step evaluation here")
+
+
+def test_a_step_refuses_a_boundary_of_another_shape():
+    spec, _ = euler_problem()
+    _, scalar_bspec = e1_problem()
+    state = ivp.IvpState(t=0.0, u=initial_profile(spec, 16), dx=spec.L / 16)
+    with pytest.raises(ValueError, match="boundary has n = 1"):
+        ivp.step(state, 0.01, spec, scalar_bspec)

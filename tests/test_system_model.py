@@ -752,3 +752,78 @@ class TestContains:
         edge = np.array([spec.domain_radius, 0.0])
         assert spec.contains(edge * (1 + 1e-12))
         assert not spec.contains(edge * (1 + 1e-11))
+
+
+
+class TestFusedCoefficients:
+    EULER = systems.quasilinear_euler_damping()
+    STATES = [np.array([0.01, -0.02]), 0.01 * np.arange(10.0).reshape(5, 2) / 5,
+              0.01 * np.sin(np.arange(24.0)).reshape(3, 4, 2)]
+
+    def make(self, AF):
+        return dataclasses.replace(self.EULER, AF=AF)
+
+    @pytest.mark.parametrize("with_AF", [True, False])
+    def test_AF_at_is_A_at_and_F_at(self, with_AF):
+        spec = self.make(self.EULER.AF if with_AF else None)
+        assert (spec.AF is not None) is with_AF
+        for states in self.STATES:
+            A, F = spec.AF_at(states)
+            assert np.array_equal(A, spec.A_at(states))
+            assert np.array_equal(F, spec.F_at(states))
+            assert A.shape == states.shape + (2,) and F.shape == states.shape
+
+    def test_an_AF_that_takes_one_state_is_looped(self):
+        def one_at_a_time(u):
+            if np.ndim(u) != 1:
+                raise TypeError("one state only")
+            return self.EULER.AF(u)
+
+        spec = self.make(one_at_a_time)
+        for states in self.STATES:
+            A, F = spec.AF_at(states)
+            assert np.array_equal(A, spec.A_at(states))
+            assert np.array_equal(F, spec.F_at(states))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_an_AF_that_differs_from_A_and_F_raises_on_every_call(self, which):
+        def off(u):
+            out = list(self.EULER.AF(u))
+            out[which] = out[which] * (1 + 1e-9)
+            return tuple(out)
+
+        spec = self.make(off)
+        for states in self.STATES:
+            with pytest.raises(ValueError, match="SystemSpec.AF differs"):
+                spec.AF_at(states)
+        assert np.array_equal(spec.A_at(self.STATES[1]), self.EULER.A_at(self.STATES[1]))
+        bspec = systems.two_gain_boundary(0.5, 0.5, systems.zero_signal,
+                                          systems.zero_signal, 2.0)
+        with pytest.raises(ValueError, match="SystemSpec.AF differs"):
+            ivp.step(ivp.IvpState(t=0.0, u=np.zeros((9, 2)), dx=0.125), 0.01, spec, bspec)
+
+    def test_an_AF_that_broadcasts_wrongly_raises_on_every_call(self):
+        def reversed_batch(u):  # right on one state, wrong on a batch
+            u = np.asarray(u, dtype=float)
+            return self.EULER.AF(u if u.ndim == 1 else u[::-1])
+
+        spec = self.make(reversed_batch)
+        with pytest.raises(ValueError, match="SystemSpec.AF broadcasts wrongly"):
+            spec.AF_at(self.STATES[1])
+
+    def test_a_spec_without_AF_gives_the_same_outputs(self):
+        plain = self.make(None)
+        bspec = systems.two_gain_boundary(
+            0.5, 0.5, systems.harmonic_signal([{"amplitude": 0.01}], 2.0),
+            systems.harmonic_signal([{"amplitude": 0.005, "phase": 1.0}], 2.0), 2.0)
+        cfg = ps.IterationConfig(Nt=16, Nx=16, tol=1e-10)
+        (fa, ra), (fb, rb) = (ps.solve_periodic(s, bspec, cfg) for s in (self.EULER, plain))
+        assert np.array_equal(fa.values, fb.values)
+        assert np.array_equal(ra.deltas, rb.deltas) and ra.fitted_beta == rb.fitted_beta
+        u0 = ps.extract_initial_data(fa) + 0.01 * ivp.bump_profile(fa.x_nodes, 1.0)[:, None]
+        ta, tb = (ivp.run(u0, s, bspec, t_end=2.0, record_every=0.25)
+                  for s in (self.EULER, plain))
+        assert ta.steps == tb.steps > 0 and ta.dt_used == tb.dt_used
+        for a, b in zip(ta.profiles + list(ta.du_center[1][:2]),
+                        tb.profiles + list(tb.du_center[1][:2])):
+            assert np.array_equal(a, b)
