@@ -18,7 +18,7 @@ from .boundary import (
     theta_matrix,
     validate_forcing,
 )
-from .characteristics import Field, trace_to_inflow
+from .characteristics import Field, trace_plan, trace_to_inflow
 from .diagnostics import (
     Certificate,
     FieldNorms,

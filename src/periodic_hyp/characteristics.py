@@ -11,7 +11,7 @@ of a trace that depends on the speeds alone comes back as a
 ``TraceGeometry``, which a later trace with the same speeds reuses. The
 grid stencils the solvers share live here too: the periodic phase, the
 4-point Lagrange weights, the 2nd-order x-difference and the one periodic
-cubic read in time, of a flat table padded by a row before, two after.
+cubic read in time, of a flat table padded by a row before, three after.
 """
 from __future__ import annotations
 
@@ -130,7 +130,8 @@ def _x_difference(v: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _phase(t, T_star: float, Nt: int) -> tuple:
-    """Periodic row index j in [0, Nt) and fraction f with t = (j + f) T_star / Nt.
+    """Row index j in [0, Nt] and fraction f with t = (j + f) T_star / Nt
+    modulo the period; j = Nt (f = 0) where the phase rounds up to Nt.
 
     The phase is recovered as frac(t / T_star) * Nt, which reproduces node
     values exactly and keeps t and t + T_star bit-identical for dyadic
@@ -139,8 +140,7 @@ def _phase(t, T_star: float, Nt: int) -> tuple:
     u = np.asarray(t, dtype=float) / T_star
     s = (u - np.floor(u)) * Nt
     j = np.floor(s)
-    f = s - j
-    return j.astype(np.int64) % Nt, f
+    return j.astype(np.int64), s - j
 
 
 def _lagrange4(f) -> np.ndarray:
@@ -159,9 +159,9 @@ def _lagrange4(f) -> np.ndarray:
 
 
 def _padded(rows: np.ndarray, axis: int = 0) -> np.ndarray:
-    """One period along axis padded periodically: one row before, two after."""
+    """One period along axis padded periodically: one row before, three after."""
     Nt = rows.shape[axis]
-    return rows.take(np.arange(-1, Nt + 2) % Nt, axis=axis)
+    return rows.take(np.arange(-1, Nt + 3) % Nt, axis=axis)
 
 
 def _stencil(t, T_star: float, Nt: int, cols, ncols: int) -> tuple:
@@ -177,12 +177,6 @@ def _read(table: np.ndarray, base, weights: np.ndarray, step: int) -> np.ndarray
     taps = np.add.outer(np.arange(0, 4 * step, step), base)
     w = weights.reshape(weights.shape + (1,) * (table.ndim - 1))
     return (w * table.take(taps, axis=0)).sum(axis=0)
-
-
-def _interp_rows_cubic(rows: np.ndarray, tq, T_star: float) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation in time (O(dt^4)) of one
-    period of rows at the times tq, of any shape."""
-    return _read(_padded(rows), *_stencil(tq, T_star, len(rows), 0, 1), 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -218,6 +212,7 @@ def _bilinear(grid: np.ndarray, fld: Field, t, x) -> np.ndarray:
     """Bilinear interpolation of a node grid shaped like fld.values."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     j0, wt = _phase(t, fld.T_star, fld.Nt)
+    j0 %= fld.Nt
     j1 = (j0 + 1) % fld.Nt
     k0, k1, wx = _space_index(fld, x)
     wt = wt[..., None]
@@ -235,20 +230,42 @@ class TraceGeometry:
     only the work linear in the source, with the same arithmetic. bases and
     weights are the ``_stencil`` of each RK4 substep end in the refined
     tables, (Nt, n * Nx) flat first-tap indices and (4, Nt, n * Nx) weights;
-    the last pair is where each cell's trace leaves it. All are read-only."""
+    the last pair is where each cell's trace leaves it, those weights laid
+    out per compose step and padded in time, (Nx, 4, (Nt + 4) n), and feet
+    the compose's first taps, (Nx, (Nt + 4) n). All are read-only."""
 
     mu: np.ndarray
     frame: tuple  # (m, T_star, L)
     bases: tuple
     weights: tuple
+    feet: np.ndarray
     delay: np.ndarray
 
     def __post_init__(self):
-        for a in (self.mu, self.delay) + self.bases + self.weights:
+        for a in (self.mu, self.feet, self.delay) + self.bases + self.weights:
             a.flags.writeable = False
 
     def fits(self, mu: np.ndarray, frame: tuple) -> bool:
         return self.frame == frame and np.array_equal(self.mu, mu)
+
+
+def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
+    """What a trace takes from the rates gii, m and the grid alone, read-only:
+    families, growth, per march column d (the sign of dx toward the inflow),
+    wfac, half, fidx (its start), dstep and qfac, then the boundary values'
+    factors exp(gii_i (x_k - x_in)). ``SweepContext.plan`` keeps it."""
+    n, dx, hsub = len(gii), L / Nx, L / Nx / _SUBSTEPS
+    families = np.arange(n)
+    direction = np.where(families < m, 1.0, -1.0)
+    fam, steps = np.repeat(families, Nx), np.tile(np.arange(Nx), n)
+    d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
+    fidx = fam * (_REFINE * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _REFINE
+    x_in = np.where(families < m, L, 0.0)[:, None]
+    plan = (families, np.exp(-gii * direction * dx), d, wfac, d.astype(np.int64), fidx,
+            d * hsub, (-d) * (hsub / 2.0), np.exp(gii[:, None] * (np.arange(Nx + 1) * dx - x_in)))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
@@ -264,7 +281,7 @@ def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray
     a first stage reading at the last end's stencil. Returns the times the
     traces leave their cells and the ``TraceGeometry`` bases and weights."""
     Nt, table = mu.shape[0], _refine(mu)
-    ncols = table.size // (Nt + 3)
+    ncols = table.size // (Nt + 4)
     tcur = np.repeat((np.arange(Nt) * (T_star / Nt))[:, None], fidx.size, axis=1)
 
     def at(t, cols):
@@ -282,20 +299,20 @@ def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray
     return (tcur,) + tuple(zip(*ends[1:]))
 
 
-def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
-                    T_star: float, L: float,
-                    geometry: Optional[TraceGeometry] = None) -> tuple:
+def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: float,
+                    L: float, geometry: Optional[TraceGeometry] = None) -> tuple:
     """Delay from every node to the inflow foot of its characteristic, and
     the weighted source integral along the way.
 
     mu and R are (Nt, Nx+1, n) grids of the inverse speeds 1 / lambda_i
-    and the source terms, held frozen; gii holds the n diagonal rates.
-    Family i's curve dt/dx = mu_i runs from node (t_j, x_k) to its inflow
-    boundary x_in (L for i < m, 0 for the rest). Returns (delay, integral,
-    geometry): delay and integral are (Nt, Nx+1, n), the foot lies at time
-    t_j - delay, and integral is the integral of exp(gii (x_k - x)) R_i
-    from x_in to x_k along the curve. Three batched stages compute them,
-    every read a periodic cubic one of a table padded in time (``_stencil``):
+    and the source terms, held frozen; plan is ``trace_plan(gii, m, Nx, L)``
+    of the n diagonal rates gii. Family i's curve dt/dx = mu_i runs from
+    node (t_j, x_k) to its inflow boundary x_in (L for i < m, 0 for the
+    rest). Returns (delay, integral, geometry): delay and integral are
+    (Nt, Nx+1, n), the foot lies at time t_j - delay, and integral is the
+    integral of exp(gii (x_k - x)) R_i from x_in to x_k along the curve.
+    Three batched stages compute them, every read a periodic cubic one of
+    a table padded in time (``_stencil``):
 
     1. March: RK4 with 4 substeps crosses every cell of every family at
        once, on (Nt, n * Nx) arrays whose column i * Nx + s is family i
@@ -305,65 +322,59 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, gii: np.ndarray, m: int,
        rule on the substep ends, reading R resampled the same way.
     3. Compose, in order from the inflow boundary: a column's delay and
        integral are its cell's own plus the previous column's, read where
-       the cell's trace leaves. A step serves every family: one take of
-       the stacked taps, a weighted sum over them, and one multiply-add
-       with the coefficients [1, growth] and the cells' (t - tend, qacc).
+       the cell's trace leaves. A step serves every family: one take, a
+       weighted sum over the taps, and one multiply-add with the
+       coefficients [1, growth] and the cells' (t - tend, qacc).
 
-    The march, its stencils and the delay depend on mu alone, and the
-    returned geometry keeps them. Given one that fits mu, the trace skips
-    the march and computes no weights, bit-identically; otherwise it
-    returns a new geometry.
+    The march, its stencils, the compose's first taps and the delay depend
+    on mu alone, and the returned geometry keeps them. Given one that fits
+    mu, the trace skips the march and the compose's set-up, bit-identically;
+    otherwise it returns a new geometry.
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
-    dx = L / Nx
-    hsub = dx / _SUBSTEPS
-    # direction: the sign of dx stepping from a column toward the inflow
-    # boundary; exp(gii (x_col - x)) grows by wfac per substep, growth per cell
-    families = np.arange(n)
-    direction = np.where(families < m, 1.0, -1.0)
-    growth = np.exp(-gii * direction * dx)
-    fam, steps = np.repeat(families, Nx), np.tile(np.arange(Nx), n)
-    d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
-    half = d.astype(np.int64)  # fine columns per half substep
-    # each trace starts on its cell's left edge (i < m) or right edge
-    fidx = fam * (_REFINE * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _REFINE
-    march = geometry is None or not geometry.fits(mu, (m, T_star, L))
-    if march:
-        tend, bases, weights = _march(mu, fidx, d * hsub, half, T_star)
-    else:
-        bases, weights = geometry.bases, geometry.weights
-
-    table = _refine(R)
-    ncols = table.size // (Nt + 3)
-    qacc = np.zeros((Nt, n * Nx))
-    w, Rv = np.ones(n * Nx), table.reshape(Nt + 3, ncols)[1:Nt + 1, fidx]
-    for base, wts in zip(bases, weights):
-        wn = w * wfac
-        Rn = _read(table, base, wts, ncols)
-        qacc += (-d) * (hsub / 2.0) * (w * Rv + wn * Rn)
-        w, Rv = wn, Rn
+    families, growth, d, wfac, half, fidx, dstep, qfac, _ = plan
+    ncols = n * (_REFINE * Nx + 1)  # of the refined tables
 
     # DJ[s, :, i]: family i's delay (on a march) and integral, padded in time,
     # s columns from its inflow boundary (column Nx - s for i < m, s else)
-    def by_step(a):  # (..., Nt, n * Nx) to (Nx, ..., Nt+3, n), padded
-        return np.moveaxis(_padded(a.reshape(a.shape[:-1] + (n, Nx)), axis=-3), -1, 0)
+    def by_step(a):  # (..., Nt, n * Nx) to (Nx, ..., Nt+4, n), padded
+        return _padded(np.moveaxis(a.reshape(a.shape[:-1] + (n, Nx)), -1, 0), axis=-2)
 
-    feet = (by_step(bases[-1] // ncols) * n + families).reshape(Nx, -1)
-    wts = by_step(weights[-1]).reshape(Nx, 4, -1)
+    march = geometry is None or not geometry.fits(mu, (m, T_star, L))
+    if march:
+        tend, bases, weights = _march(mu, fidx, dstep, half, T_star)
+        weights = weights[:-1] + (by_step(weights[-1]).reshape(Nx, 4, -1),)
+        feet = (by_step(bases[-1] // ncols) * n + families).reshape(Nx, -1)
+    else:
+        bases, weights, feet = geometry.bases, geometry.weights, geometry.feet
+
+    table = _refine(R)
+    qacc = np.zeros((Nt, n * Nx))
+    w, Rv = np.ones(n * Nx), table.reshape(Nt + 4, ncols)[1:Nt + 1, fidx]
+    # the last substep's weights read through the compose's layout
+    last = weights[-1][:, :, n:(Nt + 1) * n].reshape(Nx, 4, Nt, n).transpose(1, 2, 3, 0)
+    for base, wts in zip(bases, weights[:-1] + (last,)):
+        wn = w * wfac
+        Rn = _read(table, base.reshape(wts.shape[1:]), wts, ncols).reshape(Nt, -1)
+        qacc += qfac * (w * Rv + wn * Rn)
+        w, Rv = wn, Rn
+
     own, coef = [by_step(qacc)], [growth]
     if march:
         own.insert(0, by_step(np.arange(Nt)[:, None] * (T_star / Nt) - tend))
         coef.insert(0, np.ones(n))
     own, coef = np.stack(own, axis=-1), np.stack(coef, axis=-1)
-    DJ = np.zeros((Nx + 1, Nt + 3, n, coef.shape[-1]))
-    for s in range(Nx):
-        dj = _read(DJ[s].reshape(-1, coef.shape[-1]), feet[s], wts[s], n)
+    k = coef.shape[-1]
+    taps = feet[:, None] + np.arange(0, 4 * n, n)[:, None]  # each step's four taps
+    DJ = np.zeros((Nx + 1, Nt + 4, n, k))
+    for s, wts in enumerate(weights[-1][..., None]):
+        dj = (wts * DJ[s].reshape(-1, k).take(taps[s], axis=0)).sum(axis=0)
         np.add(coef * dj.reshape(DJ.shape[1:]), own[s], out=DJ[s + 1])
     # to column order, one contiguous (Nt, Nx+1) block per family
-    out = np.empty((coef.shape[-1], n, Nt, Nx + 1))
+    out = np.empty((k, n, Nt, Nx + 1))
     out[:, :m] = DJ[::-1, 1:Nt + 1, :m].transpose(3, 2, 1, 0)
     out[:, m:] = DJ[:, 1:Nt + 1, m:].transpose(3, 2, 1, 0)
     if march:
-        geometry = TraceGeometry(mu.copy(), (m, T_star, L), bases, weights,
+        geometry = TraceGeometry(mu.copy(), (m, T_star, L), bases, weights, feet,
                                  out[0].transpose(1, 2, 0))
     return geometry.delay, out[-1].transpose(1, 2, 0), geometry

@@ -13,14 +13,16 @@ smallness certificate holds, and the limit is the periodic solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import boundary as bd
 from . import diagnostics as dg
-from .characteristics import Field, TraceGeometry, _interp_rows_cubic, trace_to_inflow
+from .characteristics import (
+    Field, TraceGeometry, _padded, _read, _stencil, trace_plan, trace_to_inflow,
+)
 from .errors import BoundaryMapError, DomainError, NonContractionError, NormalizationError
 from .system_model import (
     _ORIGIN_TOL,
@@ -70,7 +72,9 @@ class SweepContext:
     certificate is the smallness record theta + K L M3 < 1 of this set-up,
     which the solve reports and the CLI's ``validate`` prints. geometry is
     the last sweep's characteristic geometry, which the next sweep reuses
-    while its inverse speeds stay the same (see ``trace_to_inflow``).
+    while its inverse speeds stay the same (see ``trace_to_inflow``), and
+    _feet the reads at its feet (``linearized_step``); ``plan`` gives the
+    sweeps' ``trace_plan``, kept for the last grid.
     """
 
     K: float
@@ -80,6 +84,14 @@ class SweepContext:
     k_mu0: np.ndarray
     certificate: dg.Certificate
     geometry: Optional[TraceGeometry] = None
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False)  # (grid, plan)
+    _feet: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def plan(self, m: int, Nx: int, L: float) -> tuple:
+        """``trace_plan(gii, m, Nx, L)``, derived again only for another grid."""
+        if self._plan is None or self._plan[0] != (m, Nx, L):
+            self._plan = ((m, Nx, L), trace_plan(self.gii, m, Nx, L))
+        return self._plan[1]
 
     @classmethod
     def for_solve(cls, spec: SystemSpec, bspec: bd.BoundarySpec,
@@ -148,28 +160,35 @@ def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
     characteristic geometry in ctx, and reuses the stored one when the
     inverse speeds of prev equal those of the previous sweep; the result is
     the same to the last bit. A stored geometry that does not fit is
-    dropped before the march, so a solve holds one geometry at a time.
+    dropped before the march, so a solve holds one geometry at a time. ctx
+    also keeps each family's signal values and outgoing-trace ``_stencil``
+    at the feet while the geometry and bspec stay the same objects (``is``).
     """
     n, m = spec.n, spec.m
-    Nx = prev.Nx
+    Nt, Nx = prev.Nt, prev.Nx
     T, L = prev.T_star, prev.L
 
     A, Fv = spec.AF_at(prev.values)
     lam, left, _ = eigen_fields(spec, prev.values, A)
     mu = 1.0 / lam
     if ctx.geometry is not None and not ctx.geometry.fits(mu, (m, T, L)):
-        ctx.geometry = None
+        ctx.geometry = ctx._feet = None
     R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left), Fv)
-    delay, integral, ctx.geometry = trace_to_inflow(mu, R, ctx.gii, m, T, L, ctx.geometry)
-
+    plan = ctx.plan(m, Nx, L)
+    delay, integral, ctx.geometry = trace_to_inflow(mu, R, plan, m, T, L, ctx.geometry)
+    if ctx._feet is None or ctx._feet[0] is not ctx.geometry or ctx._feet[1] is not bspec:
+        feet = prev.t_nodes[:, None, None] - delay
+        hv = np.stack([bspec.h_values(i, feet[..., i]) for i in range(n)], axis=-1)
+        ctx._feet = (ctx.geometry, bspec, _stencil(feet, T, Nt, 0, 1) + (hv,))
+        for a in ctx._feet[2]:
+            a.flags.writeable = False
+    base, w, hv = ctx._feet[2]
     new_vals = np.empty_like(prev.values)
     for i in range(n):
-        row, x_inflow = (Nx, L) if i < m else (0, 0.0)
-        feet = prev.t_nodes[:, None] - delay[..., i]
-        out_tr = _interp_rows_cubic(prev.values[:, row, bspec.outgoing(i)], feet, T)
-        bc = bspec.map_values(i, bspec.h_values(i, feet), out_tr)
-        carry = np.exp(ctx.gii[i] * (prev.x_nodes - x_inflow))
-        new_vals[:, :, i] = carry * bc + integral[..., i]
+        out_tr = _read(_padded(prev.values[:, Nx if i < m else 0, bspec.outgoing(i)]),
+                       base[..., i], w[..., i], 1)
+        bc = bspec.map_values(i, hv[..., i], out_tr)
+        new_vals[:, :, i] = plan[-1][i] * bc + integral[..., i]
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")

@@ -10,6 +10,7 @@ the structural hypotheses on a sampled neighborhood of the origin.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -33,6 +34,8 @@ _GAP_TOL = 1e-10
 _ORIGIN_TOL = 1e-12
 _PROBE_RTOL = 1e-12  # batched against looped values of a probed callable
 
+logger = logging.getLogger("periodic_hyp")
+
 
 def _probe_points(n: int, radius: float) -> np.ndarray:
     """Two distinct nonzero points of R^n inside the ball of the radius,
@@ -55,15 +58,16 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     distinct inputs; their trailing shapes are the shapes of one item.
     out_shape is the shape of one item's value, or a tuple of such shapes
     when fn returns a tuple of arrays, each batched alike. fn is called
-    once on the pair and once per item. When the pair call raises or
+    once on the pair and once per item. When the pair call raises what
+    one-item code raises on a batch (listed below; others propagate) or
     returns other shapes than (2, *out_shape), fn takes one item at a time
-    and the batched form loops. When the shapes are right but the values
-    differ from the looped ones by more than 1e-12 relative, fn broadcasts
-    wrongly, and every call of the batched form raises ValueError naming
-    it (a spec that never evaluates fn on a batch stays usable). Otherwise
-    fn sees at most one leading axis, the shape its probe checks: more
-    leading axes of the arrays passed to the batched form are merged into
-    one.
+    and the batched form loops, logged at debug level. When the shapes are
+    right but the values differ from the looped ones by more than 1e-12
+    relative, fn broadcasts wrongly, and every call of the batched form
+    raises ValueError naming it (a spec that never evaluates fn on a batch
+    stays usable). Otherwise fn sees at most one leading axis, the shape
+    its probe checks: more leading axes of the arrays passed to the batched
+    form are merged into one.
     """
     probe = tuple(np.asarray(p, dtype=float) for p in probe)
     item_ndim = [p.ndim - 1 for p in probe]
@@ -90,9 +94,12 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     try:
         together = fn(*probe)
         together = [np.asarray(v, dtype=float) for v in (together if multi else (together,))]
-    except Exception:  # the callable takes one item at a time
-        return looped
-    if [v.shape for v in together] != [(2,) + s for s in shapes]:
+    except (TypeError, ValueError, IndexError):
+        # one-item code on a batch: TypeError (float() or math.* of an array),
+        # ValueError (an array's truth value), IndexError (u[2] of a pair)
+        together = None
+    if together is None or [v.shape for v in together] != [(2,) + s for s in shapes]:
+        logger.debug("%s takes one item at a time: its batched form loops", name)
         return looped
     single = looped(*probe)
     for got, want in zip(together, single if multi else (single,)):
@@ -568,8 +575,11 @@ def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
                B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
     """g_nonlinear_batch from the inverse speeds mu, couplings B and
     source values Fv at the states (B None: no coupling term)."""
-    origin = spec.origin
-    linear = np.einsum("i,ij,...j->...i", origin.mu0, origin.g0, states)
+    # sum_j mu0_i g0_ij u_j, j in order, as einsum("i,ij,...j") sums it
+    G = spec.origin.mu0[:, None] * spec.origin.g0
+    linear = states[..., :1] * G[:, 0]
+    for j in range(1, spec.n):
+        linear += states[..., j:j + 1] * G[:, j]
     out = mu * Fv - linear
     if B is not None:
         out = out - mu * np.einsum("...ij,...j->...i", B, Fv)

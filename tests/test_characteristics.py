@@ -62,11 +62,17 @@ def inverse_speeds(mu_fn, Nt, Nx):
     return np.broadcast_to(mu_fn(t, x), (Nt, Nx + 1))[..., None].astype(float)
 
 
+def inflow(mu, R, gii, m, T_star, L, geometry=None):
+    """``trace_to_inflow`` with the plan of the rates gii on mu's grid."""
+    plan = ch.trace_plan(gii, m, mu.shape[1] - 1, L)
+    return ch.trace_to_inflow(mu, R, plan, m, T_star, L, geometry)
+
+
 def trace(mu, m=0, R=None):
     """Delay and source integral of one family with gii = 0 and source R
     (zero by default)."""
     R = np.zeros_like(mu) if R is None else R
-    delay, integral, _ = ch.trace_to_inflow(mu, R, np.zeros(1), m, 1.0, 1.0)
+    delay, integral, _ = inflow(mu, R, np.zeros(1), m, 1.0, 1.0)
     return delay[..., 0], integral[..., 0]
 
 
@@ -145,9 +151,9 @@ class TestGeometryReuse:
         rng = np.random.default_rng(m)
         R1, R2 = rng.normal(size=(2,) + mu.shape)
         gii1, gii2 = np.array([0.3, -0.2, -0.4]), np.array([0.5, 0.1, -0.7])
-        _, _, geometry = ch.trace_to_inflow(mu, R1, gii1, m, 1.0, 1.0)
-        delay, integral, kept = ch.trace_to_inflow(mu.copy(), R2, gii2, m, 1.0, 1.0, geometry)
-        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(mu, R2, gii2, m, 1.0, 1.0)
+        _, _, geometry = inflow(mu, R1, gii1, m, 1.0, 1.0)
+        delay, integral, kept = inflow(mu.copy(), R2, gii2, m, 1.0, 1.0, geometry)
+        fresh_delay, fresh_integral, _ = inflow(mu, R2, gii2, m, 1.0, 1.0)
         assert kept is geometry
         assert np.array_equal(delay, fresh_delay)
         assert np.array_equal(integral, fresh_integral)
@@ -158,11 +164,11 @@ class TestGeometryReuse:
         mu = self.three_families(m)
         R = np.random.default_rng(m).normal(size=mu.shape)
         gii = np.array([0.3, -0.2, -0.4])
-        _, _, geometry = ch.trace_to_inflow(mu, R, gii, m, 1.0, 1.0)
+        _, _, geometry = inflow(mu, R, gii, m, 1.0, 1.0)
         other = mu.copy()
         other[5, 7, 1] = np.nextafter(other[5, 7, 1], 0.0)
-        delay, integral, new = ch.trace_to_inflow(other, R, gii, m, 1.0, 1.0, geometry)
-        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(other, R, gii, m, 1.0, 1.0)
+        delay, integral, new = inflow(other, R, gii, m, 1.0, 1.0, geometry)
+        fresh_delay, fresh_integral, _ = inflow(other, R, gii, m, 1.0, 1.0)
         assert new is not geometry
         assert np.array_equal(delay, fresh_delay)
         assert np.array_equal(integral, fresh_integral)
@@ -174,9 +180,9 @@ class TestGeometryReuse:
         mu = self.three_families(m, Nt=21, Nx=13)
         R1, R2 = np.random.default_rng(10 + m).normal(size=(2,) + mu.shape)
         gii = np.array([0.3, -0.2, -0.4])
-        _, _, geometry = ch.trace_to_inflow(mu, R1, gii, m, 2.7, 1.3)
-        delay, integral, kept = ch.trace_to_inflow(mu.copy(), R2, -gii, m, 2.7, 1.3, geometry)
-        fresh_delay, fresh_integral, _ = ch.trace_to_inflow(mu, R2, -gii, m, 2.7, 1.3)
+        _, _, geometry = inflow(mu, R1, gii, m, 2.7, 1.3)
+        delay, integral, kept = inflow(mu.copy(), R2, -gii, m, 2.7, 1.3, geometry)
+        fresh_delay, fresh_integral, _ = inflow(mu, R2, -gii, m, 2.7, 1.3)
         assert kept is geometry
         assert np.array_equal(delay, fresh_delay)
         assert np.array_equal(integral, fresh_integral)
@@ -186,11 +192,11 @@ class TestGeometryReuse:
         mu = self.three_families(1, Nt=21, Nx=13)
         R = np.random.default_rng(7).normal(size=mu.shape)
         gii = np.array([0.3, -0.2, -0.4])
-        _, _, geometry = ch.trace_to_inflow(mu, R, gii, 1, 2.7, 1.3)
+        _, _, geometry = inflow(mu, R, gii, 1, 2.7, 1.3)
         stored = [geometry.mu, geometry.delay, *geometry.bases, *geometry.weights]
         assert len(geometry.bases) == len(geometry.weights) == ch._SUBSTEPS
         before = [a.copy() for a in stored]
-        ch.trace_to_inflow(mu, 2.0 * R, -gii, 1, 2.7, 1.3, geometry)
+        inflow(mu, 2.0 * R, -gii, 1, 2.7, 1.3, geometry)
         for a, b in zip(stored, before):
             assert np.array_equal(a, b)
             with pytest.raises(ValueError):

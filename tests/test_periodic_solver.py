@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,20 @@ class TestSolvePeriodic:
         f2, _ = ps.solve_periodic(spec, b2, cfg)
         ratio = np.abs(f2.values).max() / np.abs(f1.values).max()
         assert 1.9 < ratio < 2.1
+
+    def test_a_solve_after_a_freed_spec_is_its_own(self):
+        """Nothing a solve works out outlives it: solving one spec, dropping
+        it, then solving another gives the second spec's field alone."""
+        cfg = ps.IterationConfig(Nt=16, Nx=16, K=1e-6)
+        alone, _ = ps.solve_periodic(*make_e2(eps=0.01, k=0.5), cfg)
+        first = (systems.linear_reflect_2x2(speed=1.5), make_e2(eps=0.02, k=0.3)[1])
+        ps.solve_periodic(*first, cfg)
+        del first
+        gc.collect()
+        after, _ = ps.solve_periodic(*make_e2(eps=0.01, k=0.5), cfg)
+        assert np.array_equal(after.values, alone.values)
+        assert not np.array_equal(after.values, ps.solve_periodic(
+            systems.linear_reflect_2x2(speed=1.5), make_e2(eps=0.02, k=0.3)[1], cfg)[0].values)
 
     def test_noncontraction_detected(self):
         # gain above 1 feeds energy back in; deltas grow and the solver

@@ -1,5 +1,7 @@
 """The shared stencils and the batching probe behind A, F, signals and maps."""
 import functools
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +13,16 @@ from periodic_hyp import characteristics as ch
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
-from periodic_hyp.system_model import SystemSpec
+from periodic_hyp.system_model import SystemSpec, batched
 
 T_STAR = 2.0
+
+
+def interp_rows_cubic(rows, tq, T_star):
+    """Periodic 4-point Lagrange interpolation in time (O(dt^4)) of one
+    period of rows at the times tq, read as the sweep reads its outgoing
+    traces: a ``_stencil`` of the ``_padded`` rows."""
+    return ch._read(ch._padded(rows), *ch._stencil(tq, T_star, len(rows), 0, 1), 1)
 
 
 class TestStencils:
@@ -21,12 +30,26 @@ class TestStencils:
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(16, 3))
         nodes = np.arange(16) * (T_STAR / 16)
-        assert np.array_equal(ch._interp_rows_cubic(rows, nodes, T_STAR), rows)
-        assert np.array_equal(ch._interp_rows_cubic(rows[:, 1], nodes, T_STAR), rows[:, 1])
+        assert np.array_equal(interp_rows_cubic(rows, nodes, T_STAR), rows)
+        assert np.array_equal(interp_rows_cubic(rows[:, 1], nodes, T_STAR), rows[:, 1])
         tq = rng.integers(0, 2**20, size=64) / 2**19  # dyadic times in [0, T*)
-        base = ch._interp_rows_cubic(rows, tq, T_STAR)
+        base = interp_rows_cubic(rows, tq, T_STAR)
         for shift in (T_STAR, -T_STAR, 3 * T_STAR):
-            assert np.array_equal(ch._interp_rows_cubic(rows, tq + shift, T_STAR), base)
+            assert np.array_equal(interp_rows_cubic(rows, tq + shift, T_STAR), base)
+
+    @pytest.mark.parametrize("Nt", [16, 21])
+    def test_a_phase_that_rounds_up_to_the_period_reads_row_0(self, Nt):
+        # frac(t / T) is 1.0 just below a multiple of the period: the row
+        # index is Nt, which the padding reads as row 0, with no wrap
+        rows = np.random.default_rng(Nt).normal(size=(Nt, 3))
+        t = np.array([-1e-300, -T_STAR * 2.0**-60, -T_STAR * 2.0**-55])
+        j, f = ch._phase(t, T_STAR, Nt)
+        assert j.tolist() == [Nt, Nt, Nt] and not f.any()
+        got = interp_rows_cubic(rows, t, T_STAR)
+        assert np.array_equal(got, np.repeat(rows[:1], 3, axis=0))
+        assert np.array_equal(interp_rows_cubic(rows[:, 1], t, T_STAR), rows[[0, 0, 0], 1])
+        fld = ch.Field(values=np.stack([rows, 2 * rows], axis=1), T_star=T_STAR, L=1.0)
+        assert np.array_equal(fld.interpolate(t, 0.0), got)  # the bilinear read wraps
 
     def test_column_gather_is_the_row_form_per_column(self):
         def read_cols(rows, tq, cols):
@@ -47,7 +70,7 @@ class TestStencils:
         for shift in (T_STAR, -T_STAR, 3 * T_STAR):
             assert np.array_equal(read_cols(rows, tq + shift, cols), got)
         for c, col in enumerate(cols):
-            assert np.array_equal(got[:, c], ch._interp_rows_cubic(rows[:, col], tq[:, c], T_STAR))
+            assert np.array_equal(got[:, c], interp_rows_cubic(rows[:, col], tq[:, c], T_STAR))
         # trailing axes ride along: columns of (value, 2 * value) pairs
         pairs = np.stack([rows, 2 * rows], axis=-1)
         both = read_cols(pairs, tq, cols)
@@ -128,6 +151,30 @@ class TestLoopPath:
 
 
 class TestProbe:
+    @pytest.mark.parametrize("F", [
+        lambda u: np.array([-0.5 * math.sin(u[0]), -0.5 * math.sin(u[1]), 0.0]),  # TypeError
+        lambda u: -0.5 * u if u[0] > 0 else -0.25 * u,  # ValueError
+        lambda u: -0.5 * np.array([u[2], u[1], u[0]]),  # IndexError: u[2] of a pair
+    ])
+    def test_a_callable_that_takes_one_item_is_looped_and_logged(self, F, caplog):
+        probe = np.array([[0.01, 0.02, 0.03], [-0.03, 0.01, 0.02]])
+        with caplog.at_level(logging.DEBUG, logger="periodic_hyp"):
+            fn = batched(F, (probe,), (3,), "the source")
+        assert "the source takes one item at a time" in caplog.text
+        states = 0.01 * np.sin(np.arange(18.0)).reshape(3, 2, 3)
+        want = np.array([F(u) for u in states.reshape(-1, 3)]).reshape(3, 2, 3)
+        assert np.array_equal(fn(states), want)
+
+    def test_another_error_of_the_batch_call_propagates(self):
+        def F(u):
+            if np.ndim(u) > 1:
+                raise ZeroDivisionError("a fault in the batch path")
+            return -0.5 * np.asarray(u)
+
+        with pytest.raises(ZeroDivisionError, match="batch path"):
+            SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=F,
+                       domain_radius=0.1, L=1.0)
+
     def test_wrongly_broadcasting_source_raises(self):
         spec = SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
                           F=lambda u: -0.5 * u * u[0], domain_radius=0.1, L=1.0)

@@ -29,6 +29,7 @@ def sweep(prev, spec, bspec, K):
 def loop_interp(rows, tq, T_star):
     Nt = rows.shape[0]
     j, f = _phase(tq, T_star, Nt)
+    j = j % Nt  # _phase gives j = Nt where the phase rounds up to the period
     w0, w1, w2, w3 = _lagrange4(f)
     if rows.ndim > 1:
         shape = f.shape + (1,) * (rows.ndim - 1)
@@ -264,3 +265,55 @@ def test_solve_reuses_the_characteristics_while_the_speeds_stay(name, reuses, mo
         u = new
     assert np.array_equal(got.values, u.values)
     assert np.array_equal(report.deltas, deltas)
+
+
+@pytest.mark.parametrize("name", ["linear_damped_scalar", "linear_reflect_2x2",
+                                  "quasilinear_euler_damping", "three_family_m1",
+                                  "three_family_m2"])
+def test_a_reused_geometry_sweeps_as_a_fresh_context(name):
+    """A sweep of the field its context last swept reuses that sweep's
+    plan, geometry and reads at the feet, and equals a sweep with a fresh
+    context bit for bit; so does the sweep after it. three_family runs the
+    general path, with couplings B."""
+    make, Nt, Nx, K, T_star = CASES[name]
+    spec, bspec = make(T_star)
+    prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius, T_star)
+    ctx = ps.SweepContext.for_solve(spec, bspec, K)
+    first = ps.linearized_step(prev, spec, bspec, ctx)
+    plan, geometry, reads = ctx.plan(spec.m, Nx, spec.L), ctx.geometry, ctx._feet
+    again = ps.linearized_step(prev, spec, bspec, ctx)
+    assert ctx.plan(spec.m, Nx, spec.L) is plan
+    assert ctx.geometry is geometry and ctx._feet is reads
+    fresh = sweep(prev, spec, bspec, K)
+    assert np.array_equal(first.values, fresh.values)
+    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(ps.linearized_step(first, spec, bspec, ctx).values,
+                          sweep(first, spec, bspec, K).values)
+
+
+def test_one_context_over_two_grids_and_two_boundaries():
+    """A context handed another grid derives its plan again, and one handed
+    another boundary spec reads the feet of a reused geometry again: every
+    sweep equals a fresh context's."""
+    spec, bspec = reflect_problem()
+    h1 = systems.harmonic_signal([{"amplitude": 0.02, "phase": 0.4}], T_STAR)
+    other = systems.reflection_boundary(0.3, h1, systems.zero_signal, T_STAR)
+    ctx = ps.SweepContext.for_solve(spec, bspec, 1e-6)
+    for Nt, Nx, b in ((16, 20, bspec), (21, 13, bspec), (21, 13, other),
+                      (16, 20, other), (16, 20, bspec)):
+        prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius)
+        got = ps.linearized_step(prev, spec, b, ctx)
+        assert ctx._feet[0] is ctx.geometry and ctx._feet[1] is b
+        assert np.array_equal(got.values, sweep(prev, spec, b, 1e-6).values)
+
+
+def test_every_kept_array_is_read_only():
+    spec, bspec = three_family(1)
+    prev = smooth_field(24, 12, spec.n, 0.3 * spec.domain_radius)
+    ctx = ps.SweepContext.for_solve(spec, bspec, None)
+    ps.linearized_step(prev, spec, bspec, ctx)
+    kept = [*ctx.plan(spec.m, 12, spec.L), ctx.geometry.feet, *ctx._feet[2]]
+    assert len(kept) == 9 + 1 + 3
+    for a in kept:
+        with pytest.raises(ValueError):
+            a[...] = 0

@@ -473,6 +473,24 @@ class TestGNonlinear:
             assert np.abs(mu * (B @ f)).max() > 1e-5
             assert np.allclose(got, want, rtol=1e-10, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_linear_part_is_the_three_operand_einsum_to_the_bit(self, n):
+        """The remainder takes sum_j mu0_i g0_ij u_j off column by column,
+        j in order; that is einsum("i,ij,...j->...i", mu0, g0, u) exactly."""
+        rng = np.random.default_rng(n)
+        G = -np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        D = np.diag(np.linspace(-1.3, 1.7, n) + 0.1 * (n % 2 == 1))
+        spec = sm.SystemSpec(
+            n=n, m=int(np.sum(np.diag(D) < 0)),
+            A=lambda u: np.broadcast_to(D, np.shape(u)[:-1] + D.shape).copy(),
+            F=lambda u: np.asarray(u, dtype=float) @ G.T, gradF=lambda u: G,
+            domain_radius=0.1, L=1.0)
+        states = 0.05 * rng.uniform(-1.0, 1.0, size=(7, 5, n))
+        mu, Fv = rng.uniform(0.5, 2.0, size=(2, 7, 5, n))
+        o = spec.origin
+        want = mu * Fv - np.einsum("i,ij,...j->...i", o.mu0, o.g0, states)
+        assert np.array_equal(sm._remainder(spec, states, mu, None, Fv), want)
+
     def test_outside_domain_raises(self):
         spec = make_scalar_spec(radius=0.05)
         with pytest.raises(DomainError):
