@@ -360,14 +360,22 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2 * np.pi, spec.n)
-    u0 = ps.extract_initial_data(fld)
+    base = ps.extract_initial_data(fld)
     bump = ivp.bump_profile(fld.x_nodes, spec.L)
-    u0 = u0 + cfg.perturbation * bump[:, None] * np.cos(phases)[None, :]
+    u0 = base + cfg.perturbation * bump[:, None] * np.cos(phases)[None, :]
 
     traj = ivp.run(u0, spec, bspec, t_end=t_end, record_every=record_every)
-    srep = ivp.stability_metrics(traj, fld, spec)
+    # the unperturbed run measures the discretization floor, below which
+    # the decay is unobservable: samples near it are kept out of the fits
+    floor = ivp.run(base, spec, bspec, t_end=t_end, record_every=record_every)
+    srep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
     dg.emit_report(srep, "csv", out / "stability_report.csv")
     nrm = dg.norms(fld)
+    # a perturbed run that fits nothing although it reached transit
+    # k = len(phi_at_T0): the T0 sequence stopped there, on the floor
+    k = len(srep.phi_at_T0)
+    floor_transit = k if (cfg.perturbation and srep.fitted_decay is None
+                          and k * T0 <= traj.times[-1] + record_every / 2) else None
     return {
         "eps": eps,
         "fitted_beta": report.fitted_beta,
@@ -375,6 +383,7 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
         "fitted_derivative_decay": srep.fitted_derivative_decay,
         "c0": nrm.c0,
         "completed": traj.completed,
+        "floor_transit": floor_transit,
     }
 
 
@@ -383,6 +392,9 @@ def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
     row = _stability_cell(cfg, outcome.spec, outcome.bspec, cfg.eps[0], out, seed)
     print(f"stability: fitted per-transit decay {row['fitted_decay']}, "
           f"derivative decay {row['fitted_derivative_decay']}")
+    if row["floor_transit"] is not None:
+        print(f"note: the decay reached the discretization floor at transit "
+              f"{row['floor_transit']}: too few samples above it to fit")
     if not row["completed"]:
         print("warning: run stopped before t_end (left the neighborhood)")
     if cfg.perturbation == 0:

@@ -24,14 +24,15 @@ batched map, resolved once per boundary spec (``BoundarySpec.sides``),
 and the entries written on each side are checked to be finite. ``run``
 evaluates every forcing signal once per recording interval, on the step
 times of the interval accumulated as the steps accumulate them, and
-hands each step its values.
+hands each step its values; it records every sample and neighbor in one
+array block per run (``Trajectory``).
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -60,19 +61,21 @@ class IvpState:
 class Trajectory:
     """Recorded profiles of one run, with neighbors for time derivatives.
 
-    du_center[k] holds (u_before, u_after, dt) around sample k when both
-    neighbors exist, else None. compat_c0 / compat_c1 are the corner
-    compatibility residuals of the initial data (reported, not enforced).
-    steps counts the Heun steps completed; rhs_evals and speed_evals count
-    every semi-discrete right-hand side and every ``eigen_fields`` call
-    the run made, a step that left the neighborhood and the set-up
-    included; the step-size bound reads ``spec.sampled_speeds``.
+    times (S,) and profiles (S, Nx+1, n) hold the samples, the initial
+    data first; before and after (C, Nx+1, n) the profiles one step
+    dt_used before and after samples 1..C, whose next step completed.
+    compat_c0 / compat_c1 are the initial data's corner compatibility
+    residuals (reported, not enforced). steps counts the Heun steps done;
+    rhs_evals and speed_evals count the run's rhs and ``eigen_fields``
+    calls, a step that left the neighborhood and the set-up included; the
+    step-size bound reads ``spec.sampled_speeds``.
     """
 
     x: np.ndarray
-    times: List[float]
-    profiles: List[np.ndarray]
-    du_center: List[Optional[tuple]]
+    times: np.ndarray
+    profiles: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
     dt_used: float
     compat_c0: float
     compat_c1: float
@@ -270,21 +273,13 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         n_sub, dt = 1, 0.0
 
     c0, c1 = _compat_residuals(u0, spec, bspec, dx)
-    x = np.arange(Nx + 1) * dx
-    # set-up: the rhs of the compatibility residuals with its speeds
-    traj = Trajectory(x=x, times=[0.0], profiles=[u0.copy()],
-                      du_center=[None], dt_used=dt,
-                      compat_c0=c0, compat_c1=c1, completed=True,
-                      rhs_evals=1, speed_evals=1)
-    if t_end <= 0:
-        return traj
-
-    state = IvpState(t=0.0, u=u0.copy(), dx=dx)
-    # each recorded profile and its neighbors one step before and after
-    # are rows of one block per run: a kept trajectory holds one large
-    # allocation, not three small ones per sample between freed ones
-    profiles, befores, afters = np.empty((3, n_samples) + u0.shape)
-    waiting = False  # the last sample waits for the step after it
+    # the samples and the neighbors of samples 1.. are rows of one block
+    # per run: a kept trajectory holds one large allocation
+    profiles, before, after = np.split(np.empty((3 * n_samples + 1,) + u0.shape),
+                                       [n_samples + 1, 2 * n_samples + 1])
+    profiles[0] = u0
+    state = IvpState(t=0.0, u=profiles[0], dx=dx)
+    steps, failure = 0, None
     step_times = np.empty(n_sub)
     try:
         for s in range(n_samples):
@@ -297,27 +292,25 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
             signals = np.stack([bspec.h_values(i, step_times)
                                 for i in range(spec.n)], axis=-1)
             for q in range(n_sub):
-                before = state.u
-                # two stages, each with one rhs and one speed evaluation
-                traj.rhs_evals += 2
-                traj.speed_evals += 2
+                u_before = state.u
                 state = step(state, dt, spec, bspec, signals[q])
-                traj.steps += 1
-                if waiting:
-                    afters[s - 1] = state.u
-                    traj.du_center[-1] = (befores[s - 1], afters[s - 1], dt)
-                    waiting = False
-            profiles[s] = state.u
-            befores[s] = before
-            traj.times.append((s + 1) * record_every)
-            traj.profiles.append(profiles[s])
-            traj.du_center.append(None)
-            waiting = True
+                steps += 1
+                if q == 0 and s:
+                    after[s - 1] = state.u
+            profiles[s + 1] = state.u
+            before[s] = u_before
     except DomainError as exc:
-        traj.completed = False
-        traj.failure = str(exc)
+        failure = str(exc)
         logger.warning("run stopped early at t=%.4f: %s", state.t, exc)
-    return traj
+    # every n_sub steps record a sample, centred once its next step is done;
+    # the set-up and each stage of a step tried make one rhs and speed call
+    S, C = steps // n_sub + 1, max(steps - 1, 0) // n_sub
+    evals = 1 + 2 * (steps + (failure is not None))
+    return Trajectory(x=np.arange(Nx + 1) * dx, times=np.arange(S) * record_every,
+                      profiles=profiles[:S], before=before[:C], after=after[:C],
+                      dt_used=dt, compat_c0=c0, compat_c1=c1,
+                      completed=failure is None, failure=failure, steps=steps,
+                      rhs_evals=evals, speed_evals=evals)
 
 
 def _fit_log_decay(samples: list, T0: float) -> Optional[float]:
@@ -334,27 +327,24 @@ def _fit_log_decay(samples: list, T0: float) -> Optional[float]:
 def _deviation_curves(traj: Trajectory, periodic: Field) -> tuple:
     """(t, Phi) and (t, dPhi) curves of a trajectory against a field.
 
-    Every sample is interpolated in one batch; dPhi is taken at the
-    samples with both time neighbors recorded.
+    Every sample is interpolated in one batch; dPhi is taken at samples
+    1..C, which have both time neighbors recorded.
     """
     x = traj.x
     dx = x[1] - x[0]
-    times = np.asarray(traj.times, dtype=float)
-    profiles = np.stack(traj.profiles)
-    ref = periodic.interpolate(times[:, None], x)
-    phi = np.abs(profiles - ref).max(axis=(1, 2))
-    phi_samples = list(zip(traj.times, phi.tolist()))
-    idx = [k for k, pair in enumerate(traj.du_center) if pair is not None]
-    if not idx:
+    times = traj.times
+    phi = np.abs(traj.profiles - periodic.interpolate(times[:, None], x)).max(axis=(1, 2))
+    phi_samples = list(zip(times.tolist(), phi.tolist()))
+    C = len(traj.before)
+    if not C:
         return phi_samples, []
-    before, after, dt = (np.stack(v) for v in zip(*(traj.du_center[k] for k in idx)))
-    dtraj = (after - before) / (2 * dt)[:, None, None]
-    t_d = times[idx][:, None]
+    dtraj = (traj.after - traj.before) / (2 * traj.dt_used)
+    t_d = times[1:C + 1, None]
     t_err = np.abs(dtraj - periodic.interpolate_dt(t_d, x)).max(axis=(1, 2))
-    x_err = np.abs(_x_difference(profiles[idx], dx)
+    x_err = np.abs(_x_difference(traj.profiles[1:C + 1], dx)
                    - periodic.interpolate_dx(t_d, x)).max(axis=(1, 2))
-    dphi_samples = [(traj.times[k], max(a, b))
-                    for k, a, b in zip(idx, t_err.tolist(), x_err.tolist())]
+    dphi_samples = [(t, max(a, b)) for t, a, b in
+                    zip(times[1:C + 1].tolist(), t_err.tolist(), x_err.tolist())]
     return phi_samples, dphi_samples
 
 
@@ -371,16 +361,20 @@ def stability_metrics(traj: Trajectory, periodic: Field, spec: SystemSpec,
     cadence; its deviation measures the discretization floor between the
     two solvers, and samples within 10x of that floor are dropped from
     the T0 sequence and the fits (below it the decay is unobservable).
+    A sample the floor run did not reach is not gated. Raises ValueError
+    when the two runs are recorded at other times over their common length.
     """
-    mu_max = measured_mu_max(spec)
-    T0 = spec.L * mu_max
+    T0 = spec.L * measured_mu_max(spec)
     phi_samples, dphi_samples = _deviation_curves(traj, periodic)
+    floor_phi, floor_dphi = [], []
     if floor_traj is not None:
+        common = min(len(traj.times), len(floor_traj.times))
+        if not np.array_equal(traj.times[:common], floor_traj.times[:common]):
+            raise ValueError("floor_traj is recorded at other times than traj")
         floor_phi, floor_dphi = _deviation_curves(floor_traj, periodic)
-    else:
-        floor_phi, floor_dphi = [], []
-    floor_phi_map = {t: p for t, p in floor_phi}
-    floor_dphi_map = {t: p for t, p in floor_dphi}
+    # sample i of both runs is at one time; one the floor run missed has floor 0
+    floor_phi = [p for _, p in floor_phi] + [0.0] * len(phi_samples)
+    floor_dphi = [p for _, p in floor_dphi] + [0.0] * len(dphi_samples)
 
     scale = max((p for _, p in phi_samples), default=0.0)
     if scale <= _NOISE_FLOOR:
@@ -388,26 +382,21 @@ def stability_metrics(traj: Trajectory, periodic: Field, spec: SystemSpec,
                                fitted_decay=None, fitted_derivative_decay=None,
                                T0=T0, exact_match=True)
 
-    cadence = traj.times[1] - traj.times[0] if len(traj.times) > 1 else T0
+    cadence = phi_samples[1][0] - phi_samples[0][0] if len(phi_samples) > 1 else T0
     phi_at_T0 = []
     k = 0
-    for t_s, phi in phi_samples:
-        target = k * T0
-        if abs(t_s - target) <= cadence / 2:
-            if phi <= 10.0 * floor_phi_map.get(t_s, 0.0):
+    for i, (t_s, phi) in enumerate(phi_samples):
+        if abs(t_s - k * T0) <= cadence / 2:
+            if phi <= 10.0 * floor_phi[i]:
                 break  # the decay has reached the discretization floor
             phi_at_T0.append((k, t_s, phi))
             k += 1
     valid_times = {tt for _, tt, _ in phi_at_T0}
     fit_pts = [(t, p) for kk, t, p in phi_at_T0 if t >= 2 * T0 - 1e-12]
-    dfit_pts = [(t, d) for t, d in dphi_samples
+    dfit_pts = [(t, d) for i, (t, d) in enumerate(dphi_samples)
                 if t >= 2 * T0 - 1e-12 and t in valid_times
-                and d > 10.0 * floor_dphi_map.get(t, 0.0)]
-    return StabilityReport(
-        phi_samples=phi_samples,
-        dphi_samples=dphi_samples,
-        fitted_decay=_fit_log_decay(fit_pts, T0),
-        fitted_derivative_decay=_fit_log_decay(dfit_pts, T0),
-        T0=T0,
-        phi_at_T0=phi_at_T0,
-    )
+                and d > 10.0 * floor_dphi[i]]
+    return StabilityReport(phi_samples=phi_samples, dphi_samples=dphi_samples,
+                           fitted_decay=_fit_log_decay(fit_pts, T0),
+                           fitted_derivative_decay=_fit_log_decay(dfit_pts, T0),
+                           T0=T0, phi_at_T0=phi_at_T0)

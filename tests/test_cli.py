@@ -181,21 +181,38 @@ class TestPeriodic:
         assert outs[0] == outs[1]
 
 
+def reflection_stability(tmp_path, N):
+    """A CLI stability run on the reflection example at N x N; returns its
+    JSON sidecar."""
+    cfg = base_e2_cfg(Nt=N, Nx=N)
+    cfg["experiment"] = {"eps": [0.01],
+                         "perturbation": 0.005, "t_end": 8.0,
+                         "record_every": 0.25}
+    out = tmp_path / "out"
+    code = cli.run(["stability", "--config", write_cfg(tmp_path, cfg),
+                    "--out", str(out)])
+    assert code == 0
+    lines = (out / "stability_report.csv").read_text().splitlines()
+    assert lines[0] == "t,phi,dphi"
+    return json.loads((out / "stability_report.json").read_text())
+
+
 class TestStability:
-    def test_reflection_decay(self, tmp_path):
-        cfg = base_e2_cfg(Nt=64, Nx=64)
-        cfg["experiment"] = {"eps": [0.01],
-                             "perturbation": 0.005, "t_end": 8.0,
-                             "record_every": 0.25}
-        out = tmp_path / "out"
-        code = cli.run(["stability", "--config", write_cfg(tmp_path, cfg),
-                        "--out", str(out)])
-        assert code == 0
-        side = json.loads((out / "stability_report.json").read_text())
-        assert side["fitted_decay"] is not None
-        assert side["fitted_decay"] < 1.0
-        lines = (out / "stability_report.csv").read_text().splitlines()
-        assert lines[0] == "t,phi,dphi"
+    def test_reflection_decay(self, tmp_path, capsys):
+        # one reflection with gain 0.5 per transit; the unperturbed run's
+        # floor keeps the samples where Phi stopped falling out of the fit
+        side = reflection_stability(tmp_path, 128)
+        assert abs(side["fitted_decay"] - 0.5) <= 0.01
+        assert "discretization floor" not in capsys.readouterr().out
+
+    def test_a_decay_that_reaches_the_floor_fits_nothing_and_says_so(self, tmp_path, capsys):
+        # at 64 x 64 only the samples at 0, 1 and 2 T0 sit above 10x the floor
+        side = reflection_stability(tmp_path, 64)
+        assert side["fitted_decay"] is None
+        lines = capsys.readouterr().out.splitlines()
+        assert "stability: fitted per-transit decay None, derivative decay None" in lines
+        assert lines[-1] == ("note: the decay reached the discretization floor at "
+                             "transit 3: too few samples above it to fit")
 
     @pytest.mark.parametrize("perturbation", [0.0, 0.005])
     def test_an_unperturbed_run_says_it_measures_no_decay(self, tmp_path, capsys,

@@ -92,8 +92,11 @@ class TestRun:
         spec, bspec = make_e1()
         u0 = np.zeros((33, 1))
         traj = ivp.run(u0, spec, bspec, t_end=0.0, record_every=0.25)
-        assert len(traj.profiles) == 1
+        assert traj.completed and traj.steps == 0 and traj.dt_used == 0.0
+        assert np.array_equal(traj.times, [0.0])
+        assert traj.profiles.shape == (1, 33, 1)
         assert np.array_equal(traj.profiles[0], u0)
+        assert traj.before.shape == traj.after.shape == (0, 33, 1)
 
     @pytest.mark.parametrize("t_end, record_every", [
         (1.0, 0.0), (1.0, -0.25), (1.0, np.nan), (1.0, np.inf),
@@ -111,6 +114,67 @@ class TestRun:
         assert 3 * 0.1 != 0.3
         traj = ivp.run(np.zeros((33, 1)), spec, bspec, t_end=0.3, record_every=0.1)
         assert traj.completed and len(traj.times) == 4
+
+    @pytest.mark.parametrize("interval, q, samples, centred", [
+        (0, 0, 1, 0), (0, -1, 1, 0),  # no sample after the initial one
+        (1, 0, 2, 0),  # sample 1 recorded, the step after it failed
+        (1, 1, 2, 1), (3, 0, 4, 2), (3, -1, 4, 3)])
+    def test_a_run_stopped_mid_interval_keeps_its_completed_samples(
+            self, monkeypatch, interval, q, samples, centred):
+        """Step q of interval ``interval`` (-1: the last) leaves the
+        neighborhood: the record is a prefix of the completed run's."""
+        spec, bspec = make_e2()
+        x = np.linspace(0.0, 1.0, 33)[:, None]
+        u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
+        kw = dict(t_end=1.5, record_every=0.25)
+        full = ivp.run(u0, spec, bspec, **kw)
+        n_sub = full.steps // 6
+        assert n_sub >= 3 and full.steps == 6 * n_sub
+        done = interval * n_sub + q % n_sub
+        real_step = ivp.step
+
+        def step(*args):
+            if count["steps"] == done:
+                raise DomainError("profile left the validated neighborhood")
+            count["steps"] += 1
+            return real_step(*args)
+
+        count = {"steps": 0}
+        monkeypatch.setattr(ivp, "step", step)
+        traj = ivp.run(u0, spec, bspec, **kw)
+        assert not traj.completed and traj.steps == done
+        assert traj.rhs_evals == traj.speed_evals == 1 + 2 * (done + 1)
+        assert np.array_equal(traj.times, full.times[:samples])
+        assert np.array_equal(traj.profiles, full.profiles[:samples])
+        assert len(traj.before) == len(traj.after) == centred
+        assert np.array_equal(traj.before, full.before[:centred])
+        assert np.array_equal(traj.after, full.after[:centred])
+        # one block per run holds every row
+        assert traj.profiles.base is traj.before.base is traj.after.base is not None
+
+    def test_a_run_that_leaves_the_neighborhood_keeps_its_completed_samples(self):
+        # a forcing ramp pushes the Euler profile out of the ball at
+        # t = 1.425, after the first step of the interval from 1.25
+        spec = systems.quasilinear_euler_damping()
+        ramp = lambda t: 0.03 * np.asarray(t, dtype=float)  # noqa: E731
+        bspec = systems.two_gain_boundary(0.5, 0.5, ramp, ramp, 2.0)
+        x = np.linspace(0.0, 1.0, 25)[:, None]
+        u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
+        traj = ivp.run(u0, spec, bspec, t_end=2.0, record_every=0.25)
+        short = ivp.run(u0, spec, bspec, t_end=1.25, record_every=0.25)
+        assert not traj.completed and short.completed
+        assert np.array_equal(traj.times, short.times)
+        assert np.array_equal(traj.profiles, short.profiles)
+        assert len(traj.before) == 5 and len(short.before) == 4
+        assert np.array_equal(traj.before[:4], short.before)
+        assert np.array_equal(traj.after[:4], short.after)
+        # the last sample's after is one step from it, at the time the
+        # run reached by accumulating its steps
+        t = 0.0
+        for _ in range(5 * round(0.25 / traj.dt_used)):
+            t += traj.dt_used
+        last = ivp.IvpState(t=t, u=traj.profiles[5], dx=1.0 / 24)
+        assert np.array_equal(ivp.step(last, traj.dt_used, spec, bspec).u, traj.after[4])
 
     def test_transient_swept_out(self):
         # start from rest; after the transient crosses the domain the
@@ -152,16 +216,21 @@ class TestRun:
             assert np.abs(prof - ref).max() <= 2e-4
 
 
+def hand_built(x, times, profiles, dt_used):
+    """A trajectory of the given samples, without time neighbors."""
+    profiles = np.asarray(profiles, dtype=float)
+    no_neighbors = np.empty((0,) + profiles.shape[1:])
+    return ivp.Trajectory(x=x, times=np.asarray(times, dtype=float), profiles=profiles,
+                          before=no_neighbors, after=no_neighbors, dt_used=dt_used,
+                          compat_c0=0.0, compat_c1=0.0, completed=True)
+
+
 def exact_match_case():
     """The scalar periodic field and a hand-built trajectory that repeats
     its first row, without time neighbors."""
     spec, bspec = make_e1()
     fld, _ = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=32, Nx=32))
-    traj = ivp.Trajectory(
-        x=fld.x_nodes, times=[0.0, 1.0],
-        profiles=[fld.values[0].copy(), fld.values[0].copy()],
-        du_center=[None, None], dt_used=0.1,
-        compat_c0=0.0, compat_c1=0.0, completed=True)
+    traj = hand_built(fld.x_nodes, [0.0, 1.0], [fld.values[0], fld.values[0]], 0.1)
     return spec, fld, traj
 
 
@@ -178,27 +247,43 @@ class TestStabilityMetrics:
         fld = Field.zeros(32, 32, 1, 1.0, 1.0)
         times = [0.25 * s for s in range(41)]
         profiles = [np.full((33, 1), np.exp(-t)) for t in times]
-        traj = ivp.Trajectory(x=fld.x_nodes, times=times, profiles=profiles,
-                              du_center=[None] * len(times), dt_used=0.25,
-                              compat_c0=0.0, compat_c1=0.0, completed=True)
-        rep = ivp.stability_metrics(traj, fld, spec)
+        rep = ivp.stability_metrics(hand_built(fld.x_nodes, times, profiles, 0.25), fld, spec)
         assert rep.T0 == pytest.approx(1.0)
         assert rep.fitted_decay == pytest.approx(np.exp(-1.0), abs=1e-6)
 
+    @pytest.mark.parametrize("cadence, t_end", [(0.25, 4.0), (0.25, 2.0), (0.5, 4.0)])
+    def test_a_floor_recorded_at_other_times_is_refused(self, cadence, t_end):
+        # the floor gates sample by sample: a shorter floor run at the
+        # run's cadence gates the samples it reached, one at another
+        # cadence gates nothing and is refused
+        spec, bspec = make_e2()
+        fld, _ = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=32, Nx=32, K=1e-6))
+        base = ps.extract_initial_data(fld)
+        pert = 0.005 * ivp.bump_profile(fld.x_nodes, 1.0)[:, None]
+        traj = ivp.run(base + pert, spec, bspec, t_end=4.0, record_every=0.25)
+        floor = ivp.run(base, spec, bspec, t_end=t_end, record_every=cadence)
+        if cadence == 0.25:
+            rep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
+            assert rep.phi_at_T0[0][0] == 0
+        else:
+            with pytest.raises(ValueError, match="other times"):
+                ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
+
     def test_e2_reflection_decay(self):
         # perturb the periodic solution; every transit reflects once with
-        # gain 0.5, so the per-T0 factor sits in (0.4, 0.6)
+        # gain 0.5, so the per-T0 factor is 0.5 down to the floor that the
+        # unperturbed run measures
         spec, bspec = make_e2()
         fld, _ = ps.solve_periodic(spec, bspec,
                                    ps.IterationConfig(Nt=128, Nx=128, K=1e-6))
-        u0 = ps.extract_initial_data(fld)
+        base = ps.extract_initial_data(fld)
         pert = 0.005 * ivp.bump_profile(fld.x_nodes, 1.0)
-        u0 = u0 + pert[:, None]
-        traj = ivp.run(u0, spec, bspec, t_end=10.0, record_every=0.25)
-        assert traj.completed
-        rep = ivp.stability_metrics(traj, fld, spec)
+        traj = ivp.run(base + pert[:, None], spec, bspec, t_end=10.0, record_every=0.25)
+        floor = ivp.run(base, spec, bspec, t_end=10.0, record_every=0.25)
+        assert traj.completed and floor.completed
+        rep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
         assert rep.T0 == pytest.approx(1.0)
-        assert 0.4 < rep.fitted_decay < 0.6
+        assert abs(rep.fitted_decay - 0.5) <= 0.01
         # monotone envelope after the compatibility transient
         phis = [p for k, t, p in rep.phi_at_T0]
         for k in range(2, len(phis) - 1):
@@ -215,14 +300,13 @@ def loop_deviation_curves(traj, periodic):
     dx = x[1] - x[0]
     phi_samples = []
     dphi_samples = []
-    for idx, (t_s, prof) in enumerate(zip(traj.times, traj.profiles)):
+    for idx, (t_s, prof) in enumerate(zip(traj.times.tolist(), traj.profiles)):
         ref = periodic.interpolate(np.full_like(x, t_s), x)
         phi = float(np.abs(prof - ref).max())
         phi_samples.append((t_s, phi))
-        pair = traj.du_center[idx]
-        if pair is not None:
-            u_before, u_after, dt = pair
-            dtraj = (u_after - u_before) / (2 * dt)
+        if 1 <= idx <= len(traj.before):
+            u_before, u_after = traj.before[idx - 1], traj.after[idx - 1]
+            dtraj = (u_after - u_before) / (2 * traj.dt_used)
             dref = periodic.interpolate_dt(np.full_like(x, t_s), x)
             xref = periodic.interpolate_dx(np.full_like(x, t_s), x)
             dphi = max(float(np.abs(dtraj - dref).max()),

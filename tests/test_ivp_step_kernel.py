@@ -156,16 +156,13 @@ def test_run_equals_the_per_stage_loop(name, monkeypatch):
     assert got.completed and want.completed
     assert got.dt_used == want.dt_used
     assert (got.compat_c0, got.compat_c1) == (want.compat_c0, want.compat_c1)
-    assert got.times == want.times
+    assert np.array_equal(got.times, want.times)
     assert len(got.profiles) == len(want.profiles) == 7
-    for a, b in zip(got.profiles, want.profiles):
-        assert np.array_equal(a, b)
+    assert np.array_equal(got.profiles, want.profiles)
     assert np.abs(got.profiles[-1] - got.profiles[0]).max() > 0.0
-    for a, b in zip(got.du_center, want.du_center):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            assert a[2] == b[2]
+    assert len(got.before) == len(want.before) == 5
+    assert np.array_equal(got.before, want.before)
+    assert np.array_equal(got.after, want.after)
 
 
 def counting(fn, calls, key):
