@@ -371,11 +371,6 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
     srep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
     dg.emit_report(srep, "csv", out / "stability_report.csv")
     nrm = dg.norms(fld)
-    # a perturbed run that fits nothing although it reached transit
-    # k = len(phi_at_T0): the T0 sequence stopped there, on the floor
-    k = len(srep.phi_at_T0)
-    floor_transit = k if (cfg.perturbation and srep.fitted_decay is None
-                          and k * T0 <= traj.times[-1] + record_every / 2) else None
     return {
         "eps": eps,
         "fitted_beta": report.fitted_beta,
@@ -383,8 +378,16 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
         "fitted_derivative_decay": srep.fitted_derivative_decay,
         "c0": nrm.c0,
         "completed": traj.completed,
-        "floor_transit": floor_transit,
+        "floor_transit": srep.floor_transit,
     }
+
+
+def _floor_note(cfg: RunConfig, row: dict) -> str:
+    """Why a perturbed run fits no decay, if its T0 sequence stopped on the floor."""
+    if cfg.perturbation and row["fitted_decay"] is None and row["floor_transit"] is not None:
+        return (f"note: the decay reached the discretization floor at transit "
+                f"{row['floor_transit']}: too few samples above it to fit")
+    return ""
 
 
 def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
@@ -392,9 +395,9 @@ def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
     row = _stability_cell(cfg, outcome.spec, outcome.bspec, cfg.eps[0], out, seed)
     print(f"stability: fitted per-transit decay {row['fitted_decay']}, "
           f"derivative decay {row['fitted_derivative_decay']}")
-    if row["floor_transit"] is not None:
-        print(f"note: the decay reached the discretization floor at transit "
-              f"{row['floor_transit']}: too few samples above it to fit")
+    note = _floor_note(cfg, row)
+    if note:
+        print(note)
     if not row["completed"]:
         print("warning: run stopped before t_end (left the neighborhood)")
     if cfg.perturbation == 0:
@@ -433,13 +436,12 @@ def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
             row = {"eps": eps}
         else:
             print(f"eps={eps:g}: beta={row['fitted_beta']}, decay={row['fitted_decay']}")
+            note = _floor_note(cfg, row)
+            if note:
+                print(f"eps={eps:g}: {note}")
         values = [row.get(k) for k in header.split(",")[:-1]]
         lines.append(",".join("" if v is None else f"{v:.17g}" for v in values) + f",{code}")
-    try:
-        (out / "rates.csv").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"cannot write aggregate: {exc}")
-        return EXIT_IO
+    dg.write_text(out / "rates.csv", "\n".join(lines) + "\n")
     return status
 
 

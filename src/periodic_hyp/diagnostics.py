@@ -168,7 +168,8 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> None:
+    """Write a text file; raises IoError on failure."""
     try:
         path.write_text(text)
     except OSError as exc:
@@ -183,38 +184,30 @@ def emit_report(report, fmt: str, destination) -> None:
     """Serialize a report deterministically.
 
     CSV is for series (iteration deltas: "iteration,delta"; stability
-    samples: "t,phi,dphi" plus a JSON sidecar with the fitted rates); JSON
-    is for scalar records. Field order is fixed by the dataclass, reals
+    samples: "t,phi,dphi"), each with a JSON sidecar of the report's other
+    fields; JSON is for scalar records. Field order is fixed by the dataclass, reals
     carry 17 significant digits. Raises IoError on write failure.
     """
     path = Path(destination)
     if fmt == "json":
-        _write_text(path, json.dumps(_jsonable(report), indent=2) + "\n")
+        write_text(path, json.dumps(_jsonable(report), indent=2) + "\n")
         return
     if fmt != "csv":
         raise ValueError("format must be 'csv' or 'json'")
 
     if hasattr(report, "deltas"):
-        lines = ["iteration,delta"]
-        for l, d in enumerate(np.asarray(report.deltas), start=1):
-            lines.append(f"{l},{_fmt(d)}")
-        _write_text(path, "\n".join(lines) + "\n")
-        scalars = {k: v for k, v in _jsonable(report).items()
-                   if k not in ("deltas", "deltas_c1")}
-        _write_text(path.with_suffix(".json"), json.dumps(scalars, indent=2) + "\n")
-        return
-    if hasattr(report, "phi_samples"):
-        dphi = {t: d for t, d in report.dphi_samples}
-        lines = ["t,phi,dphi"]
-        for t, phi in report.phi_samples:
-            d = dphi.get(t, float("nan"))
-            lines.append(f"{_fmt(t)},{_fmt(phi)},{_fmt(d)}")
-        _write_text(path, "\n".join(lines) + "\n")
-        scalars = {k: v for k, v in _jsonable(report).items()
-                   if k not in ("phi_samples", "dphi_samples")}
-        _write_text(path.with_suffix(".json"), json.dumps(scalars, indent=2) + "\n")
-        return
-    raise ValueError("CSV emission is defined for series reports only")
+        header, series = "iteration,delta", ("deltas", "deltas_c1")
+        rows = [f"{l},{_fmt(d)}" for l, d in enumerate(np.asarray(report.deltas), start=1)]
+    elif hasattr(report, "phi_samples"):
+        header, series = "t,phi,dphi", ("phi_samples", "dphi_samples")
+        dphi = dict(report.dphi_samples)
+        rows = [f"{_fmt(t)},{_fmt(phi)},{_fmt(dphi.get(t, float('nan')))}"
+                for t, phi in report.phi_samples]
+    else:
+        raise ValueError("CSV emission is defined for series reports only")
+    write_text(path, "\n".join([header] + rows) + "\n")
+    scalars = {k: v for k, v in _jsonable(report).items() if k not in series}
+    write_text(path.with_suffix(".json"), json.dumps(scalars, indent=2) + "\n")
 
 
 def parse_report(path) -> dict:

@@ -93,6 +93,9 @@ class StabilityReport:
     phi_samples holds (t, Phi(t)); dphi_samples the first-derivative
     analogue; phi_at_T0 the (k, t, Phi) sequence at multiples of the
     transit time T0 = L * mu_max used for the envelope and the fits.
+    floor_transit is the k at which that sequence stopped because Phi
+    fell to 10x the discretization floor; None when it ran out of samples
+    (or Phi is zero throughout: exact_match).
     """
 
     phi_samples: list
@@ -102,6 +105,7 @@ class StabilityReport:
     T0: float
     phi_at_T0: list = field(default_factory=list)
     exact_match: bool = False
+    floor_transit: Optional[int] = None
 
 
 def bump_profile(x: np.ndarray, L: float) -> np.ndarray:
@@ -313,39 +317,30 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
                       rhs_evals=evals, speed_evals=evals)
 
 
-def _fit_log_decay(samples: list, T0: float) -> Optional[float]:
+def _fit_log_decay(t: np.ndarray, v: np.ndarray, T0: float) -> Optional[float]:
     """exp(slope) of log values against t / T0, None if underdetermined."""
-    pts = [(t, v) for t, v in samples if v > _NOISE_FLOOR]
-    if len(pts) < 2:
+    keep = v > _NOISE_FLOOR
+    if keep.sum() < 2:
         return None
-    ts = np.array([t for t, _ in pts]) / T0
-    vs = np.log([v for _, v in pts])
-    slope = np.polyfit(ts, vs, 1)[0]
+    slope = np.polyfit(t[keep] / T0, np.log(v[keep]), 1)[0]
     return float(np.exp(slope))
 
 
 def _deviation_curves(traj: Trajectory, periodic: Field) -> tuple:
-    """(t, Phi) and (t, dPhi) curves of a trajectory against a field.
-
-    Every sample is interpolated in one batch; dPhi is taken at samples
-    1..C, which have both time neighbors recorded.
-    """
+    """Phi (S,) at every sample and dPhi (C,) at samples 1..C, which have
+    both time neighbors recorded, of a trajectory against a field; every
+    sample is interpolated in one batch."""
     x = traj.x
     dx = x[1] - x[0]
     times = traj.times
     phi = np.abs(traj.profiles - periodic.interpolate(times[:, None], x)).max(axis=(1, 2))
-    phi_samples = list(zip(times.tolist(), phi.tolist()))
     C = len(traj.before)
-    if not C:
-        return phi_samples, []
     dtraj = (traj.after - traj.before) / (2 * traj.dt_used)
     t_d = times[1:C + 1, None]
     t_err = np.abs(dtraj - periodic.interpolate_dt(t_d, x)).max(axis=(1, 2))
     x_err = np.abs(_x_difference(traj.profiles[1:C + 1], dx)
                    - periodic.interpolate_dx(t_d, x)).max(axis=(1, 2))
-    dphi_samples = [(t, max(a, b)) for t, a, b in
-                    zip(times[1:C + 1].tolist(), t_err.tolist(), x_err.tolist())]
-    return phi_samples, dphi_samples
+    return phi, np.maximum(t_err, x_err)
 
 
 def stability_metrics(traj: Trajectory, periodic: Field, spec: SystemSpec,
@@ -355,48 +350,47 @@ def stability_metrics(traj: Trajectory, periodic: Field, spec: SystemSpec,
     Phi(t) = max_i sup_x |u_i(t, x) - periodic_i(t, x)| on the shared
     spatial grid; both rates are least-squares fits of the log samples at
     multiples of T0 = L * mu_max, starting at 2 T0 (the corner transient
-    of slightly incompatible data has left the domain by then).
+    of slightly incompatible data has left the domain by then). The T0
+    sequence and the fits select samples by index.
 
     floor_traj, when given, is an unperturbed reference run at the same
     cadence; its deviation measures the discretization floor between the
-    two solvers, and samples within 10x of that floor are dropped from
-    the T0 sequence and the fits (below it the decay is unobservable).
+    two solvers. The T0 sequence stops at the first transit within 10x of
+    that floor (``floor_transit``; below it the decay is unobservable),
+    and the derivative fit drops samples within 10x of the floor's dPhi.
     A sample the floor run did not reach is not gated. Raises ValueError
     when the two runs are recorded at other times over their common length.
     """
     T0 = spec.L * measured_mu_max(spec)
-    phi_samples, dphi_samples = _deviation_curves(traj, periodic)
-    floor_phi, floor_dphi = [], []
-    if floor_traj is not None:
-        common = min(len(traj.times), len(floor_traj.times))
-        if not np.array_equal(traj.times[:common], floor_traj.times[:common]):
-            raise ValueError("floor_traj is recorded at other times than traj")
-        floor_phi, floor_dphi = _deviation_curves(floor_traj, periodic)
+    times = traj.times
+    phi, dphi = _deviation_curves(traj, periodic)
     # sample i of both runs is at one time; one the floor run missed has floor 0
-    floor_phi = [p for _, p in floor_phi] + [0.0] * len(phi_samples)
-    floor_dphi = [p for _, p in floor_dphi] + [0.0] * len(dphi_samples)
+    floor_phi, floor_dphi = np.zeros_like(phi), np.zeros_like(dphi)
+    if floor_traj is not None:
+        common = min(len(times), len(floor_traj.times))
+        if not np.array_equal(times[:common], floor_traj.times[:common]):
+            raise ValueError("floor_traj is recorded at other times than traj")
+        for mine, theirs in zip((floor_phi, floor_dphi),
+                                _deviation_curves(floor_traj, periodic)):
+            mine[:len(theirs)] = theirs[:len(mine)]
 
-    scale = max((p for _, p in phi_samples), default=0.0)
-    if scale <= _NOISE_FLOOR:
-        return StabilityReport(phi_samples=phi_samples, dphi_samples=dphi_samples,
-                               fitted_decay=None, fitted_derivative_decay=None,
-                               T0=T0, exact_match=True)
-
-    cadence = phi_samples[1][0] - phi_samples[0][0] if len(phi_samples) > 1 else T0
-    phi_at_T0 = []
-    k = 0
-    for i, (t_s, phi) in enumerate(phi_samples):
-        if abs(t_s - k * T0) <= cadence / 2:
-            if phi <= 10.0 * floor_phi[i]:
+    exact_match = bool(phi.max() <= _NOISE_FLOOR)  # then there is no T0 sequence
+    seq, floor_transit = [], None
+    cadence = times[1] - times[0] if len(times) > 1 else T0
+    for i, t_s in enumerate([] if exact_match else times.tolist()):
+        if abs(t_s - len(seq) * T0) <= cadence / 2:
+            if phi[i] <= 10.0 * floor_phi[i]:
+                floor_transit = len(seq)
                 break  # the decay has reached the discretization floor
-            phi_at_T0.append((k, t_s, phi))
-            k += 1
-    valid_times = {tt for _, tt, _ in phi_at_T0}
-    fit_pts = [(t, p) for kk, t, p in phi_at_T0 if t >= 2 * T0 - 1e-12]
-    dfit_pts = [(t, d) for i, (t, d) in enumerate(dphi_samples)
-                if t >= 2 * T0 - 1e-12 and t in valid_times
-                and d > 10.0 * floor_dphi[i]]
-    return StabilityReport(phi_samples=phi_samples, dphi_samples=dphi_samples,
-                           fitted_decay=_fit_log_decay(fit_pts, T0),
-                           fitted_derivative_decay=_fit_log_decay(dfit_pts, T0),
-                           T0=T0, phi_at_T0=phi_at_T0)
+            seq.append(i)
+    seq = np.array(seq, dtype=int)
+    fit = seq[times[seq] >= 2 * T0 - 1e-12]
+    dfit = fit[(fit > 0) & (fit <= len(dphi))] - 1
+    dfit = dfit[dphi[dfit] > 10.0 * floor_dphi[dfit]]
+    return StabilityReport(
+        phi_samples=list(zip(times.tolist(), phi.tolist())),
+        dphi_samples=list(zip(times[1:len(dphi) + 1].tolist(), dphi.tolist())),
+        fitted_decay=_fit_log_decay(times[fit], phi[fit], T0),
+        fitted_derivative_decay=_fit_log_decay(times[dfit + 1], dphi[dfit], T0),
+        T0=T0, phi_at_T0=list(zip(range(len(seq)), times[seq].tolist(), phi[seq].tolist())),
+        exact_match=exact_match, floor_transit=floor_transit)

@@ -181,15 +181,24 @@ class TestPeriodic:
         assert outs[0] == outs[1]
 
 
-def reflection_stability(tmp_path, N):
-    """A CLI stability run on the reflection example at N x N; returns its
-    JSON sidecar."""
+FLOOR_NOTE = ("note: the decay reached the discretization floor at transit {}: "
+              "too few samples above it to fit")
+
+
+def reflection_floor_cfg(N):
+    """The reflection example at N x N, perturbed, over 8 transits."""
     cfg = base_e2_cfg(Nt=N, Nx=N)
     cfg["experiment"] = {"eps": [0.01],
                          "perturbation": 0.005, "t_end": 8.0,
                          "record_every": 0.25}
+    return cfg
+
+
+def reflection_stability(tmp_path, N):
+    """A CLI stability run on the reflection example at N x N; returns its
+    JSON sidecar."""
     out = tmp_path / "out"
-    code = cli.run(["stability", "--config", write_cfg(tmp_path, cfg),
+    code = cli.run(["stability", "--config", write_cfg(tmp_path, reflection_floor_cfg(N)),
                     "--out", str(out)])
     assert code == 0
     lines = (out / "stability_report.csv").read_text().splitlines()
@@ -208,11 +217,10 @@ class TestStability:
     def test_a_decay_that_reaches_the_floor_fits_nothing_and_says_so(self, tmp_path, capsys):
         # at 64 x 64 only the samples at 0, 1 and 2 T0 sit above 10x the floor
         side = reflection_stability(tmp_path, 64)
-        assert side["fitted_decay"] is None
+        assert side["fitted_decay"] is None and side["floor_transit"] == 3
         lines = capsys.readouterr().out.splitlines()
         assert "stability: fitted per-transit decay None, derivative decay None" in lines
-        assert lines[-1] == ("note: the decay reached the discretization floor at "
-                             "transit 3: too few samples above it to fit")
+        assert lines[-1] == FLOOR_NOTE.format(3)
 
     @pytest.mark.parametrize("perturbation", [0.0, 0.005])
     def test_an_unperturbed_run_says_it_measures_no_decay(self, tmp_path, capsys,
@@ -269,6 +277,32 @@ class TestSweep:
         assert len(files) == 11  # rates.csv and five files per cell
         for rel in files:
             assert (tmp_path / "2" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
+
+    def test_a_cell_that_reaches_the_floor_says_so(self, tmp_path, capsys):
+        # the 64 x 64 stability case above, as cells of a sweep: each cell
+        # that fits nothing prints the stability note after its rates
+        cfg = reflection_floor_cfg(64)
+        cfg["experiment"]["eps"] = [0.01, 0.02]
+        code = cli.run(["sweep", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(tmp_path / "sweep"), "--jobs", "1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[-4:]
+        for (rates, note), eps, transit in zip((lines[:2], lines[2:]), ("0.01", "0.02"), (3, 2)):
+            assert rates.startswith(f"eps={eps}: beta=") and rates.endswith(", decay=None")
+            assert note == f"eps={eps}: " + FLOOR_NOTE.format(transit)
+
+    def test_an_unwritable_aggregate_exits_io(self, tmp_path, capsys):
+        cfg = base_e2_cfg(Nt=16, Nx=16)
+        cfg["experiment"] = {"eps": [0.01], "perturbation": 0.002,
+                             "t_end": 2.0, "record_every": 0.25}
+        out = tmp_path / "sweep"
+        (out / "rates.csv").mkdir(parents=True)
+        code = cli.run(["sweep", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out), "--jobs", "1"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"i/o failure: cannot write {out / 'rates.csv'}: ")
+        assert "cannot write" not in captured.out
 
     def test_failed_cell_keeps_its_row(self, tmp_path):
         # eps = 0.09 drives the reflected amplitude 1.33 eps past the

@@ -7,6 +7,7 @@ from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.characteristics import Field, _x_difference
 from periodic_hyp.errors import BoundaryMapError, DomainError, StepSizeError
+from periodic_hyp.system_model import measured_mu_max
 
 
 def e1_exact(eps=0.01, c=0.5):
@@ -238,7 +239,7 @@ class TestStabilityMetrics:
     def test_exact_match_flag(self):
         spec, fld, traj = exact_match_case()
         rep = ivp.stability_metrics(traj, fld, spec)
-        assert rep.exact_match
+        assert rep.exact_match and rep.floor_transit is None
 
     def test_synthetic_exponential(self):
         # Phi(t) = e^{-t} exactly: the fitted per-transit factor must be
@@ -334,13 +335,15 @@ class TestDeviationCurves:
         return traj, fld
 
     def assert_same(self, traj, fld):
-        got = ivp._deviation_curves(traj, fld)
-        want = loop_deviation_curves(traj, fld)
-        for g, w in zip(got, want):
-            assert [t for t, _ in g] == [t for t, _ in w]
-            assert np.array_equal(np.array(g), np.array(w))
-            assert all(type(v) is float for _, v in g)
-        return got
+        """Phi at every sample and dPhi at samples 1..C, by index."""
+        phi, dphi = ivp._deviation_curves(traj, fld)
+        want_phi, want_dphi = loop_deviation_curves(traj, fld)
+        assert [t for t, _ in want_phi] == traj.times.tolist()
+        assert [t for t, _ in want_dphi] == traj.times[1:len(dphi) + 1].tolist()
+        assert phi.dtype == dphi.dtype == np.float64
+        assert phi.tolist() == [v for _, v in want_phi]
+        assert dphi.tolist() == [v for _, v in want_dphi]
+        return phi, dphi
 
     def test_completed_run(self):
         traj, fld = self.euler_run(systems.harmonic_signal([{"amplitude": 0.01}], 2.0))
@@ -358,7 +361,157 @@ class TestDeviationCurves:
     def test_hand_built_trajectory_without_neighbors(self):
         _, fld, traj = exact_match_case()
         phi, dphi = self.assert_same(traj, fld)
-        assert len(phi) == 2 and dphi == []
+        assert len(phi) == 2 and len(dphi) == 0
+
+
+def loop_fit_log_decay(samples, T0):
+    """The fit of a list of (t, value) pairs that the array one replaced."""
+    pts = [(t, v) for t, v in samples if v > ivp._NOISE_FLOOR]
+    if len(pts) < 2:
+        return None
+    ts = np.array([t for t, _ in pts]) / T0
+    vs = np.log([v for _, v in pts])
+    return float(np.exp(np.polyfit(ts, vs, 1)[0]))
+
+
+def loop_stability_metrics(traj, periodic, spec, floor_traj=None):
+    """The list-based ``stability_metrics`` that the by-index one replaced:
+    floor curves padded with zeros, dPhi matched to the T0 sequence by
+    float time."""
+    T0 = spec.L * measured_mu_max(spec)
+    phi_samples, dphi_samples = loop_deviation_curves(traj, periodic)
+    floor_phi, floor_dphi = [], []
+    if floor_traj is not None:
+        floor_phi, floor_dphi = loop_deviation_curves(floor_traj, periodic)
+    floor_phi = [p for _, p in floor_phi] + [0.0] * len(phi_samples)
+    floor_dphi = [p for _, p in floor_dphi] + [0.0] * len(dphi_samples)
+    scale = max((p for _, p in phi_samples), default=0.0)
+    if scale <= ivp._NOISE_FLOOR:
+        return ivp.StabilityReport(phi_samples=phi_samples, dphi_samples=dphi_samples,
+                                   fitted_decay=None, fitted_derivative_decay=None,
+                                   T0=T0, exact_match=True)
+    cadence = phi_samples[1][0] - phi_samples[0][0] if len(phi_samples) > 1 else T0
+    phi_at_T0 = []
+    k = 0
+    for i, (t_s, phi) in enumerate(phi_samples):
+        if abs(t_s - k * T0) <= cadence / 2:
+            if phi <= 10.0 * floor_phi[i]:
+                break
+            phi_at_T0.append((k, t_s, phi))
+            k += 1
+    valid_times = {tt for _, tt, _ in phi_at_T0}
+    fit_pts = [(t, p) for kk, t, p in phi_at_T0 if t >= 2 * T0 - 1e-12]
+    dfit_pts = [(t, d) for i, (t, d) in enumerate(dphi_samples)
+                if t >= 2 * T0 - 1e-12 and t in valid_times
+                and d > 10.0 * floor_dphi[i]]
+    return ivp.StabilityReport(phi_samples=phi_samples, dphi_samples=dphi_samples,
+                               fitted_decay=loop_fit_log_decay(fit_pts, T0),
+                               fitted_derivative_decay=loop_fit_log_decay(dfit_pts, T0),
+                               T0=T0, phi_at_T0=phi_at_T0)
+
+
+REPORT_FIELDS = ("phi_samples", "dphi_samples", "phi_at_T0", "fitted_decay",
+                 "fitted_derivative_decay", "T0", "exact_match")
+
+
+def same_with_types(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_with_types, a, b))
+    return a == b
+
+
+def assert_same_report(traj, fld, spec, floor_traj=None):
+    """``stability_metrics`` equals the list-based loop, Python types
+    included; returns the report."""
+    got = ivp.stability_metrics(traj, fld, spec, floor_traj=floor_traj)
+    want = loop_stability_metrics(traj, fld, spec, floor_traj=floor_traj)
+    for name in REPORT_FIELDS:
+        assert same_with_types(getattr(got, name), getattr(want, name)), name
+    return got
+
+
+def make_euler(eps=0.01):
+    spec = systems.quasilinear_euler_damping()
+    h1 = systems.harmonic_signal([{"amplitude": 1.0}], 2.0, scale=eps)
+    h2 = systems.harmonic_signal([{"amplitude": 0.5, "phase": 1.0}], 2.0, scale=eps)
+    return spec, systems.two_gain_boundary(0.5, 0.5, h1, h2, 2.0)
+
+
+@pytest.fixture(scope="module", params=[(make_e2, 32), (make_e2, 64),
+                                        (make_euler, 32), (make_euler, 64)],
+                ids=["reflect-32", "reflect-64", "euler-32", "euler-64"])
+def perturbed_periodic(request):
+    """A periodic solve, its unperturbed initial data and a perturbed one."""
+    make, N = request.param
+    spec, bspec = make()
+    fld, _ = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=N, Nx=N, K=1e-6))
+    base = ps.extract_initial_data(fld)
+    u0 = base + 0.005 * ivp.bump_profile(fld.x_nodes, spec.L)[:, None] * np.array([1.0, 0.6])
+    T0 = spec.L * measured_mu_max(spec)
+    return spec, bspec, fld, base, u0, T0
+
+
+class TestStabilityMetricsByIndex:
+    """The by-index ``stability_metrics`` reproduces the list-based one."""
+
+    @pytest.mark.parametrize("per_transit", [4, 2])
+    def test_floor_runs_of_every_length(self, perturbed_periodic, per_transit):
+        # no floor, a full, a half-length and a one-transit floor, and the
+        # unperturbed run measured alone
+        spec, bspec, fld, base, u0, T0 = perturbed_periodic
+        cadence = T0 / per_transit
+        traj = ivp.run(u0, spec, bspec, t_end=10 * per_transit * cadence, record_every=cadence)
+        assert traj.completed
+        assert_same_report(traj, fld, spec)
+        for transits in (10, 5, 1):
+            floor = ivp.run(base, spec, bspec, t_end=transits * per_transit * cadence,
+                            record_every=cadence)
+            assert_same_report(traj, fld, spec, floor_traj=floor)
+        alone = assert_same_report(floor, fld, spec)
+        assert alone.phi_at_T0 == [] and alone.floor_transit == 0
+
+    def test_zero_t_end(self, perturbed_periodic):
+        spec, bspec, fld, base, u0, T0 = perturbed_periodic
+        traj = ivp.run(u0, spec, bspec, t_end=0.0, record_every=T0 / 4)
+        rep = assert_same_report(traj, fld, spec, floor_traj=traj)
+        assert rep.dphi_samples == [] and rep.floor_transit == 0
+
+    def test_runs_that_left_the_neighborhood(self):
+        # the early-stopped Euler run of TestDeviationCurves, alone and
+        # gated by a completed run that is longer than it
+        traj, fld = TestDeviationCurves.euler_run(lambda t: 0.03 * np.asarray(t, dtype=float))
+        floor, _ = TestDeviationCurves.euler_run(
+            systems.harmonic_signal([{"amplitude": 0.01}], 2.0))
+        assert not traj.completed and floor.completed
+        spec = systems.quasilinear_euler_damping()
+        assert assert_same_report(traj, fld, spec).floor_transit is None
+        assert_same_report(traj, fld, spec, floor_traj=floor)
+
+
+class TestFloorTransit:
+    """``floor_transit`` is the k at which the T0 sequence stopped on the
+    floor, None when it ran out of samples."""
+
+    def test_a_sequence_that_runs_out_of_samples(self):
+        # Phi(t) = e^{-t} and no floor run: every transit is kept
+        spec, _ = make_e1()
+        fld = Field.zeros(32, 32, 1, 1.0, 1.0)
+        times = [0.25 * s for s in range(17)]
+        traj = hand_built(fld.x_nodes, times, [np.full((33, 1), np.exp(-t)) for t in times], 0.25)
+        rep = ivp.stability_metrics(traj, fld, spec)
+        assert len(rep.phi_at_T0) == 5 and rep.floor_transit is None
+
+    def test_an_exact_zero_at_t0_without_a_floor_run(self):
+        # Phi(0) = 0 is not above 10x a zero floor: the sequence stops at k = 0
+        spec, fld, _ = exact_match_case()
+        traj = hand_built(fld.x_nodes, [0.0, 0.5, 1.0],
+                          [fld.values[0], fld.values[0] + 1e-3, fld.values[0] + 1e-3], 0.1)
+        rep = ivp.stability_metrics(traj, fld, spec)
+        assert rep.phi_samples[0][1] == 0.0 and not rep.exact_match
+        assert rep.floor_transit == 0 and rep.phi_at_T0 == []
+        assert rep.fitted_decay is None
 
 
 class TestBump:
