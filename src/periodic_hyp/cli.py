@@ -366,8 +366,10 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
 
     traj = ivp.run(u0, spec, bspec, t_end=t_end, record_every=record_every)
     # the unperturbed run measures the discretization floor, below which
-    # the decay is unobservable: samples near it are kept out of the fits
-    floor = ivp.run(base, spec, bspec, t_end=t_end, record_every=record_every)
+    # the decay is unobservable: samples near it are kept out of the fits;
+    # with perturbation 0 the perturbed run is that run
+    floor = traj if np.array_equal(u0, base) else ivp.run(
+        base, spec, bspec, t_end=t_end, record_every=record_every)
     srep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
     dg.emit_report(srep, "csv", out / "stability_report.csv")
     nrm = dg.norms(fld)

@@ -17,11 +17,14 @@ invariants, the speeds are diag A and no eigenvectors are built;
 otherwise each stage computes the eigenstructure. The speeds of a stage
 pass one accept test, which implies every hyperbolicity and signature
 check; only speeds that fail it go through the ordered diagnosis that
-names the error. Each stage makes one stencil pass that gives the upwind
-derivative of both directions. Both stages impose the boundary at the
-step's end time: each incoming entry is written straight from its
-batched map, resolved once per boundary spec (``BoundarySpec.sides``),
-and the entries written on each side are checked to be finite. ``run``
+names the error. Each stage reads its upwind derivatives in one gather
+through a tap table built once per grid (``_upwind_taps``): for a
+diagonal A each component in its own family's direction, otherwise both
+directions for the eigenvector projection. Both stages impose the
+boundary at the step's end time: each incoming entry is written straight
+from its batched map, resolved once per boundary spec
+(``BoundarySpec.sides``), and the entries written on each side are
+checked to be finite. ``run``
 evaluates every forcing signal once per recording interval, on the step
 times of the interval accumulated as the steps accumulate them, and
 hands each step its values; it records every sample and neighbor in one
@@ -29,6 +32,7 @@ array block per run (``Trajectory``).
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -118,26 +122,51 @@ def bump_profile(x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-def _upwind_dx(u: np.ndarray, dx: float) -> np.ndarray:
-    """Fully one-sided 2nd-order derivatives of every component, both ways.
+@functools.lru_cache(maxsize=32)
+def _upwind_taps(Nx: int, n: int, m: int) -> tuple:
+    """Flat taps and coefficients of ``_upwind_dx`` on an (Nx+1, n)
+    profile, computed once per grid, read-only, in two layouts.
 
-    Returns g of shape (2,) + u.shape: g[1] is biased toward smaller x
-    (for right-moving families), g[0] toward larger x (left-moving). Near
-    the starved boundary each degrades to central (one node in) and to
-    the other side's stencil (boundary node). Both share 3u and 4u[1:-1].
+    ``both`` (taps, coef), each (3, 2, Nx+1, n): direction 0 is biased
+    toward larger x (left-moving families), direction 1 toward smaller x.
+    ``own`` (taps, coef), each (3, Nx+1, n): column c in the direction of
+    family c, the m left-moving ones first. The one-sided stencils read
+    (4, -3, -1) at (k+1, k, k+2) and (3, -4, 1) at (k, k-1, k-2); one node
+    in from the starved boundary the entry is central, (1, -1, 0), its
+    third tap on its first tap's node, and the boundary node takes the
+    other side's stencil. Multiplying by -1 or 1 is exact and fl(-3b) is
+    -fl(3b), so each entry has the bits of 4a - 3b - c (or 3a - 4b + c,
+    a - b) computed left to right; the zero tap reads the node of the
+    first, so it makes no finite entry NaN.
     """
-    g = np.empty((2,) + u.shape)
-    from_right, from_left = g
-    u3 = 3 * u
-    u4 = 4 * u[1:-1]
-    inner = np.subtract(u4, u3[:-2], out=from_right[:-2])
-    np.subtract(inner, u[2:], out=inner)
-    inner = np.subtract(u3[2:], u4, out=from_left[2:])
-    np.add(inner, u[:-2], out=inner)
-    np.subtract(u[2], u[0], out=from_left[1])
-    np.subtract(u[-1], u[-3], out=from_right[-2])
-    from_left[0] = from_right[0]
-    from_right[-1] = from_left[-1]
+    k = np.arange(Nx + 1)
+    taps = np.empty((3, 2, Nx + 1), dtype=np.int64)
+    coef = np.empty((3, 2, Nx + 1))
+    taps[:, 0, :-2], coef[:, 0, :-2] = [k[1:-1], k[:-2], k[2:]], [[4.0], [-3.0], [-1.0]]
+    taps[:, 1, 2:], coef[:, 1, 2:] = [k[2:], k[1:-1], k[:-2]], [[3.0], [-4.0], [1.0]]
+    taps[:, 1, 1], coef[:, 1, 1] = [2, 0, 2], [1.0, -1.0, 0.0]
+    taps[:, 0, -2], coef[:, 0, -2] = [Nx, Nx - 2, Nx], [1.0, -1.0, 0.0]
+    taps[:, 1, 0], coef[:, 1, 0] = taps[:, 0, 0], coef[:, 0, 0]
+    taps[:, 0, -1], coef[:, 0, -1] = taps[:, 1, -1], coef[:, 1, -1]
+    # node k, component c of the profile is flat entry k n + c
+    taps = taps[..., None] * n + np.arange(n)
+    coef = np.repeat(coef[..., None], n, axis=-1)
+    right_moving = np.arange(n) >= m
+    own = tuple(np.where(right_moving, a[:, 1], a[:, 0]) for a in (taps, coef))
+    for a in (taps, coef) + own:
+        a.flags.writeable = False
+    return (taps, coef), own
+
+
+def _upwind_dx(u: np.ndarray, dx: float, taps: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Fully one-sided 2nd-order upwind derivatives of the profile u, in
+    one gather through a layout of ``_upwind_taps``: the sum of the three
+    taps times their coefficients, in order, over 2 dx. The result has
+    the shape of taps without its leading axis."""
+    t = u.take(taps)  # the flat profile, node k component c at k n + c
+    t *= coef
+    g = t[0] + t[1]
+    g += t[2]
     g /= 2 * dx
     return g
 
@@ -148,23 +177,23 @@ def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
 
     speeds is ``eigen_fields(spec, u)`` and Fv is ``spec.F_at(u)`` when
     the caller has both; otherwise both come from one ``spec.AF_at(u)``.
-    One stencil pass gives the upwind derivative of both directions. For
-    a diagonal A the components are the characteristic variables and
-    du = F - d * (each component's upwind derivative), d = diag A;
-    otherwise each family is projected through its eigenvectors, the m
-    left-moving ones sharing the stencil biased to larger x.
+    One gather gives the upwind derivatives (``_upwind_dx``). For a
+    diagonal A the components are the characteristic variables, each
+    differenced in its own family's direction, and du = F - d * that
+    derivative, d = diag A; otherwise the gather gives both directions
+    and each family is projected through its eigenvectors, the m
+    left-moving ones taking the stencil biased to larger x.
     """
     if speeds is None:
         A, Fv = spec.AF_at(u)
         speeds = eigen_fields(spec, u, A)
     lam, left, right = speeds
-    dxu = _upwind_dx(u, dx)
+    both, own = _upwind_taps(len(u) - 1, spec.n, spec.m)
     du = Fv
     if left is None:
         # the speeds passed their check: the m left-moving families come first
-        upwind = dxu[1]
-        upwind[:, :spec.m] = dxu[0, :, :spec.m]
-        return du - lam * upwind
+        return du - lam * _upwind_dx(u, dx, *own)
+    dxu = _upwind_dx(u, dx, *both)
     for i in range(spec.n):
         w = np.einsum("kc,kc->k", left[:, i, :], dxu[int(i >= spec.m)])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]

@@ -240,6 +240,31 @@ class TestStability:
                               "(experiment.perturbation)"]
             assert "stability: fitted per-transit decay None, " in "\n".join(lines)
 
+    @pytest.mark.parametrize("perturbation, marches", [(0.0, 1), (0.005, 2)])
+    def test_an_unperturbed_run_is_its_own_floor_run(self, tmp_path, monkeypatch,
+                                                     perturbation, marches):
+        """The floor run is marched only when the initial data differ from
+        the periodic state; otherwise the one run is both, and its deviation
+        sits on its own floor from transit 0."""
+        calls = []
+        run = cli.ivp.run
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ivp, "run", counted)
+        cfg = base_e2_cfg()
+        cfg["experiment"] = {"eps": [0.01], "perturbation": perturbation,
+                             "t_end": 4.0, "record_every": 0.5}
+        out = tmp_path / "out"
+        assert cli.run(["stability", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out)]) == 0
+        assert len(calls) == marches
+        if perturbation == 0:
+            side = json.loads((out / "stability_report.json").read_text())
+            assert side["floor_transit"] == 0 and side["fitted_decay"] is None
+
 
 class TestSweep:
     def test_cells_and_aggregate(self, tmp_path):

@@ -8,8 +8,10 @@ copy of the one-sided stencil, and evaluates every forcing signal and
 looks up every boundary map again in each stage. The kernel makes one
 coefficient call (``SystemSpec.AF_at``) per stage, takes the speeds from
 diag A when A is diagonal (``eigen_fields`` then gives no bases; the loop
-fills in the identity and projects through it), makes one stencil pass
-per stage for both directions, writes the boundary from the maps of
+fills in the identity and projects through it), makes one gather of the
+upwind derivatives per stage through a cached tap table, each column in
+its own family's direction when A is diagonal and in both directions
+otherwise, writes the boundary from the maps of
 ``BoundarySpec.sides`` and, in ``ivp.run``, evaluates each signal once
 per recording interval; ``ivp.run`` must reproduce the loop bit for bit.
 """
@@ -38,6 +40,40 @@ def loop_upwind_dx(u, dx, from_left):
         g[-2] = (u[-1] - u[-3]) / (2 * dx)
         g[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
     return g
+
+
+@pytest.mark.parametrize("Nx", [8, 9, 33])
+def test_the_tap_table_reads_the_slice_stencil(Nx):
+    """Both layouts of ``_upwind_taps`` give the slice stencil bit for bit,
+    signed zeros included: direction 0 (and the first m columns of the
+    own-direction layout) biased toward larger x, direction 1 (and the
+    other columns) toward smaller x."""
+    rng = np.random.default_rng(Nx)
+    dx = 1.0 / Nx
+    for n in range(1, 5):
+        u = rng.standard_normal((Nx + 1, n)) * 10.0 ** rng.integers(-8, 3, (Nx + 1, n))
+        u[rng.random(u.shape) < 0.1] = -0.0
+        want = np.stack([loop_upwind_dx(u, dx, from_left=False),
+                         loop_upwind_dx(u, dx, from_left=True)])
+        for m in range(n + 1):
+            both, own = ivp._upwind_taps(Nx, n, m)
+            got = ivp._upwind_dx(u, dx, *both)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = ivp._upwind_dx(u, dx, *own)
+            assert np.array_equal(got[:, :m], want[0, :, :m])
+            assert np.array_equal(got[:, m:], want[1, :, m:])
+            assert np.array_equal(np.signbit(got[:, :m]), np.signbit(want[0, :, :m]))
+            assert np.array_equal(np.signbit(got[:, m:]), np.signbit(want[1, :, m:]))
+
+
+def test_the_tap_table_is_built_once_per_grid():
+    first = ivp._upwind_taps(16, 3, 1)
+    again = ivp._upwind_taps(16, 3, 1)
+    assert all(a is b for a, b in zip(first[0] + first[1], again[0] + again[1]))
+    for a in first[0] + first[1]:
+        assert not a.flags.writeable
+    assert ivp._upwind_taps(16, 3, 2)[1][0] is not first[1][0]
 
 
 def loop_rhs(u, spec, dx):
@@ -175,7 +211,7 @@ def counting(fn, calls, key):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
     """Per step: 2 speed evaluations (one per stage), eigenvectors only
-    for a non-diagonal A, one stencil pass per stage and one evaluation
+    for a non-diagonal A, one stencil gather per stage and one evaluation
     of each forcing signal."""
     make, Nx = CASES[name]
     spec, bspec = make()
