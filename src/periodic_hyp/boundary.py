@@ -8,15 +8,15 @@ minimal characterizing number (the infimum over positive diagonal scalings
 of the max-row-sum norm) quantifies how much amplitude a reflected wave
 can retain; values below 1 make the boundary dissipative.
 
-``BoundarySpec.map_values`` is the one entry point to a map: the sweep
-and every derivative go through it, and the IVP writes its incoming
-entries from the same batched maps, resolved once per spec in
-``BoundarySpec.sides``. ``BoundarySpec.map_gradient``
+``BoundarySpec.map_values`` is the one entry point to a single map, for
+every derivative and ``eval_boundary``; the periodic sweep and the IVP
+write their incoming entries from the same batched maps, resolved once
+per spec in ``BoundarySpec.sides``. ``BoundarySpec.map_gradient``
 differentiates a map centrally with step 1e-6 in h and in each outgoing
 component, and raises BoundaryMapError on a non-finite derivative. Map
-values are checked where they are used: once per side in
-``eval_boundary``, on the whole new iterate by the sweep, and by the IVP
-on the incoming entries each stage writes.
+values are checked where they are used: on what ``eval_boundary``
+returns, on the whole new iterate by the sweep, and by the IVP on the
+incoming entries each stage writes.
 """
 from __future__ import annotations
 
@@ -122,10 +122,10 @@ class BoundarySpec:
     def sides(self) -> tuple:
         """The endpoints that have incoming components, x = 0 first, each
         as (row, incoming slice, ((i, batched map i, outgoing slice), ...))
-        with row 0 or -1 of an (Nx + 1, n) profile. Writing the incoming
-        entries of a profile from these skips the per-call look-up and
-        width check of ``map_values``: a row's outgoing slice has the
-        width the map reads by construction."""
+        with row 0 or -1 of an (Nx + 1, n) profile (a sweep's outgoing
+        column). Writing the incoming entries from these skips the
+        per-call look-up and width check of ``map_values``: a row's
+        outgoing slice has the width the map reads by construction."""
         m, n = self.m, self.n
         return tuple(
             (row, slice(lo, hi), tuple((i, self._map(i), self.outgoing(i))

@@ -233,17 +233,17 @@ def _bilinear(grid: np.ndarray, fld: Field, t, x) -> np.ndarray:
 
 @dataclass
 class TraceGeometry:
-    """The part of a characteristic trace that depends on mu alone: while mu
-    (and m, T_star, L) stays the same, ``trace_to_inflow`` handed it redoes
-    only the work linear in the source, with the same arithmetic. bases and
-    weights are the ``_stencil`` of each RK4 substep end in the refined
-    tables, (Nt, n * Nx) flat first-tap indices and (4, Nt, n * Nx) weights;
-    the last pair is where each cell's trace leaves it, those weights laid
-    out per compose step and padded in time, (Nx, 4, (Nt + 4) n), and feet
-    the compose's first taps, (Nx, (Nt + 4) n). All are read-only."""
+    """The part of a characteristic trace that depends on mu alone:
+    ``trace_to_inflow`` handed it, for this mu (and m, T_star and grid),
+    redoes only the work linear in the source, with the same arithmetic.
+    bases and weights are the ``_stencil`` of each RK4 substep end in the
+    refined tables, (Nt, n * Nx) flat first-tap indices and (4, Nt, n * Nx)
+    weights; the last pair is where each cell's trace leaves it, those
+    weights laid out per compose step and padded in time,
+    (Nx, 4, (Nt + 4) n), and feet the compose's first taps,
+    (Nx, (Nt + 4) n). All are read-only."""
 
     mu: np.ndarray
-    frame: tuple  # (m, T_star, L)
     bases: tuple
     weights: tuple
     feet: np.ndarray
@@ -252,9 +252,6 @@ class TraceGeometry:
     def __post_init__(self):
         for a in (self.mu, self.feet, self.delay) + self.bases + self.weights:
             a.flags.writeable = False
-
-    def fits(self, mu: np.ndarray, frame: tuple) -> bool:
-        return self.frame == frame and np.array_equal(self.mu, mu)
 
 
 def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
@@ -308,7 +305,7 @@ def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray
 
 
 def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: float,
-                    L: float, geometry: Optional[TraceGeometry] = None) -> tuple:
+                    geometry: Optional[TraceGeometry] = None) -> tuple:
     """Delay from every node to the inflow foot of its characteristic, and
     the weighted source integral along the way.
 
@@ -335,9 +332,10 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
        coefficients [1, growth] and the cells' (t - tend, qacc).
 
     The march, its stencils, the compose's first taps and the delay depend
-    on mu alone, and the returned geometry keeps them. Given one that fits
-    mu, the trace skips the march and the compose's set-up, bit-identically;
-    otherwise it returns a new geometry.
+    on mu alone, and the returned geometry keeps them. A geometry passed in
+    must be the one of this mu, m, T_star and grid (the caller checks, see
+    ``linearized_step``): the trace then skips the march and the compose's
+    set-up, bit-identically. None marches and returns a new geometry.
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
     families, growth, d, wfac, half, fidx, dstep, qfac, _ = plan
@@ -348,7 +346,7 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     def by_step(a):  # (..., Nt, n * Nx) to (Nx, ..., Nt+4, n), padded
         return _padded(np.moveaxis(a.reshape(a.shape[:-1] + (n, Nx)), -1, 0), axis=-2)
 
-    march = geometry is None or not geometry.fits(mu, (m, T_star, L))
+    march = geometry is None
     if march:
         tend, bases, weights = _march(mu, fidx, dstep, half, T_star)
         weights = weights[:-1] + (by_step(weights[-1]).reshape(Nx, 4, -1),)
@@ -383,6 +381,5 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     out[:, :m] = DJ[::-1, 1:Nt + 1, :m].transpose(3, 2, 1, 0)
     out[:, m:] = DJ[:, 1:Nt + 1, m:].transpose(3, 2, 1, 0)
     if march:
-        geometry = TraceGeometry(mu.copy(), (m, T_star, L), bases, weights, feet,
-                                 out[0].transpose(1, 2, 0))
+        geometry = TraceGeometry(mu.copy(), bases, weights, feet, out[0].transpose(1, 2, 0))
     return geometry.delay, out[-1].transpose(1, 2, 0), geometry

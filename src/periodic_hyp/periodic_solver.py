@@ -25,7 +25,6 @@ from .characteristics import (
 )
 from .errors import BoundaryMapError, DomainError, NonContractionError, NormalizationError
 from .system_model import (
-    _ORIGIN_TOL,
     SystemSpec,
     eigen_fields,
     gtilde_matrix,
@@ -65,32 +64,31 @@ class IterationConfig:
 
 @dataclass
 class SweepContext:
-    """The set-up of one solve, derived once, and what its sweeps share.
+    """One solve's sweep state: its system spec and boundary bspec, which
+    fix every sweep's period and length, the set-up derived once from them,
+    and what its sweeps share. For the solve's shift K (``shift_K``), the
+    diagonal gii of gtilde, its off-diagonal part gt_off and k_mu0 = K mu0
+    are fixed; certificate is the smallness record theta + K L M3 < 1 of
+    this set-up, which the solve reports and the CLI's ``validate`` prints.
+    geometry is the last sweep's characteristic geometry, which the next
+    sweep reuses while its inverse speeds stay the same, and _feet the
+    reads at its feet, set and dropped with it (``linearized_step``);
+    ``plan`` gives the sweeps' ``trace_plan``, kept for the last grid."""
 
-    The shift K, gtilde, its diagonal gii, its off-diagonal part gt_off and
-    k_mu0 = K mu0 are fixed for the solve (from ``spec.origin``);
-    certificate is the smallness record theta + K L M3 < 1 of this set-up,
-    which the solve reports and the CLI's ``validate`` prints. geometry is
-    the last sweep's characteristic geometry, which the next sweep reuses
-    while its inverse speeds stay the same (see ``trace_to_inflow``), and
-    _feet the reads at its feet (``linearized_step``); ``plan`` gives the
-    sweeps' ``trace_plan``, kept for the last grid.
-    """
-
-    K: float
-    gtilde: np.ndarray
+    spec: SystemSpec
+    bspec: bd.BoundarySpec
     gii: np.ndarray
     gt_off: np.ndarray
     k_mu0: np.ndarray
     certificate: dg.Certificate
     geometry: Optional[TraceGeometry] = None
-    _plan: Optional[tuple] = field(default=None, init=False, repr=False)  # (grid, plan)
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False)  # (Nx, plan)
     _feet: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def plan(self, m: int, Nx: int, L: float) -> tuple:
+    def plan(self, Nx: int) -> tuple:
         """``trace_plan(gii, m, Nx, L)``, derived again only for another grid."""
-        if self._plan is None or self._plan[0] != (m, Nx, L):
-            self._plan = ((m, Nx, L), trace_plan(self.gii, m, Nx, L))
+        if self._plan is None or self._plan[0] != Nx:
+            self._plan = (Nx, trace_plan(self.gii, self.spec.m, Nx, self.spec.L))
         return self._plan[1]
 
     @classmethod
@@ -106,7 +104,7 @@ class SweepContext:
         theta = bd.characterizing_data(bspec).theta
         M3 = dg.weights(gtilde, spec.L, spec.n, spec.m).M3
         gt_off = np.where(np.eye(spec.n, dtype=bool), 0.0, gtilde)
-        return cls(K=K, gtilde=gtilde, gii=np.diag(gtilde), gt_off=gt_off,
+        return cls(spec=spec, bspec=bspec, gii=np.diag(gtilde), gt_off=gt_off,
                    k_mu0=K * spec.origin.mu0,
                    certificate=dg.smallness_certificate(theta, K, spec.L, M3))
 
@@ -124,8 +122,8 @@ class IterationReport:
     certificate: dg.Certificate
 
 
-def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
-                 mu: np.ndarray, B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
+def _source_grid(prev: Field, ctx: SweepContext, mu: np.ndarray,
+                 B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
@@ -141,54 +139,53 @@ def _source_grid(prev: Field, spec: SystemSpec, ctx: SweepContext,
         R = (np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
              + mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())) + R
     R += ctx.k_mu0 * P
-    R += _remainder(spec, P, mu, B, Fv)
+    R += _remainder(ctx.spec, P, mu, B, Fv)
     return R
 
 
-def linearized_step(prev: Field, spec: SystemSpec, bspec: bd.BoundarySpec,
-                    ctx: SweepContext) -> Field:
-    """One sweep of the lagged linear transport system.
+def linearized_step(prev: Field, ctx: SweepContext) -> Field:
+    """One sweep of the lagged linear transport system of ctx's solve
+    (``SweepContext.for_solve``).
 
     For every family and grid point, the characteristic of the previous
     iterate is traced to its inflow boundary (``trace_to_inflow``), the
     boundary value is taken from the feedback map on the previous iterate
     at the foot, and the diagonal term is applied as an exact exponential
     factor. Each family's feet give its outgoing trace and boundary values
-    in one call each.
+    in one call each, through ``BoundarySpec.sides``. Raises ValueError
+    when prev's period or length is not the context's.
 
-    ctx is the solve's ``SweepContext.for_solve``. The sweep stores its
-    characteristic geometry in ctx, and reuses the stored one when the
-    inverse speeds of prev equal those of the previous sweep; the result is
-    the same to the last bit. A stored geometry that does not fit is
-    dropped before the march, so a solve holds one geometry at a time. ctx
-    also keeps each family's signal values and outgoing-trace ``_stencil``
-    at the feet while the geometry and bspec stay the same objects (``is``).
+    The sweep compares the inverse speeds of prev with those of the
+    geometry ctx keeps, once: if equal, it reuses that geometry and the
+    reads at its feet, bit-identically; if not, it drops both before the
+    march (a solve holds one geometry at a time) and keeps the new ones.
     """
-    n, m = spec.n, spec.m
+    spec, bspec = ctx.spec, ctx.bspec
     Nt, Nx = prev.Nt, prev.Nx
     T, L = prev.T_star, prev.L
+    if T != bspec.T_star or L != spec.L:
+        raise ValueError(f"prev has period {T} and length {L}, not {bspec.T_star} and {spec.L}")
 
     A, Fv = spec.AF_at(prev.values)
     lam, left, _ = eigen_fields(spec, prev.values, A)
     mu = 1.0 / lam
-    if ctx.geometry is not None and not ctx.geometry.fits(mu, (m, T, L)):
+    if ctx.geometry is not None and not np.array_equal(ctx.geometry.mu, mu):
         ctx.geometry = ctx._feet = None
-    R = _source_grid(prev, spec, ctx, mu, _coupling_from_left(left), Fv)
-    plan = ctx.plan(m, Nx, L)
-    delay, integral, ctx.geometry = trace_to_inflow(mu, R, plan, m, T, L, ctx.geometry)
-    if ctx._feet is None or ctx._feet[0] is not ctx.geometry or ctx._feet[1] is not bspec:
+    R = _source_grid(prev, ctx, mu, _coupling_from_left(left), Fv)
+    plan = ctx.plan(Nx)
+    delay, integral, ctx.geometry = trace_to_inflow(mu, R, plan, spec.m, T, ctx.geometry)
+    if ctx._feet is None:  # the trace marched
         feet = prev.t_nodes[:, None, None] - delay
-        hv = np.stack([bspec.h_values(i, feet[..., i]) for i in range(n)], axis=-1)
-        ctx._feet = (ctx.geometry, bspec, _stencil(feet, T, Nt, 0, 1) + (hv,))
-        for a in ctx._feet[2]:
+        hv = np.stack([bspec.h_values(i, feet[..., i]) for i in range(spec.n)], axis=-1)
+        ctx._feet = _stencil(feet, T, Nt, 0, 1) + (hv,)
+        for a in ctx._feet:
             a.flags.writeable = False
-    base, w, hv = ctx._feet[2]
+    base, w, hv = ctx._feet
     new_vals = np.empty_like(prev.values)
-    for i in range(n):
-        out_tr = _read(_padded(prev.values[:, Nx if i < m else 0, bspec.outgoing(i)]),
-                       base[..., i], w[..., i], 1)
-        bc = bspec.map_values(i, hv[..., i], out_tr)
-        new_vals[:, :, i] = plan[-1][i] * bc + integral[..., i]
+    for row, _, maps in bspec.sides:
+        for i, fn, cols in maps:
+            out_tr = _read(_padded(prev.values[:, row, cols]), base[..., i], w[..., i], 1)
+            new_vals[:, :, i] = plan[-1][i] * fn(hv[..., i], out_tr) + integral[..., i]
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")
@@ -231,11 +228,10 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
     periodic solution only when the families are the components at the
     origin (one sweep, ``linearized_step``, runs on any A).
     """
-    off = spec.origin.a0_offdiag_max
-    if off > _ORIGIN_TOL:
+    if not spec.origin.a0_diagonal:
         raise NormalizationError(
-            f"A(0) is not diagonal (off-diagonal max {off:.2e}); write the "
-            "system in the eigenbasis of A(0)")
+            f"A(0) is not diagonal (off-diagonal max {spec.origin.a0_offdiag_max:.2e}); "
+            "write the system in the eigenbasis of A(0)")
     ctx = SweepContext.for_solve(spec, bspec, cfg.K)
     if not ctx.certificate.ok:
         logger.warning("smallness certificate fails (margin %.3e); "
@@ -246,7 +242,7 @@ def solve_periodic(spec: SystemSpec, bspec: bd.BoundarySpec,
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        new = linearized_step(u, spec, bspec, ctx)
+        new = linearized_step(u, ctx)
         diff = Field(values=new.values - u.values, T_star=bspec.T_star, L=spec.L)
         dn = dg.norms(diff)
         deltas.append(dn.c0)

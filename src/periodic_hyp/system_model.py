@@ -146,14 +146,16 @@ def fd_gradient(F: Callable, u: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Origin:
-    """The system at u = 0: g0 = gradF(0), mu0 = 1 / lambda(0), K_min, and
-    a0_offdiag_max, the largest off-diagonal |A(0)| (0 when A(0) is
-    diagonal, as the periodic solve needs)."""
+    """The system at u = 0: g0 = gradF(0), mu0 = 1 / lambda(0), K_min, the
+    largest off-diagonal |A(0)| and a0_diagonal, whether it is at most
+    1e-12: the one test of a diagonal A(0), for the periodic solve and the
+    family labels of ``eigen_fields``."""
 
     g0: np.ndarray
     mu0: np.ndarray
     K_min: float
     a0_offdiag_max: float
+    a0_diagonal: bool
 
 
 @dataclass(frozen=True)
@@ -226,15 +228,24 @@ class SystemSpec:
     # origin and must not sample the neighborhood
     @cached_property
     def origin(self) -> Origin:
-        """g0, mu0, K_min and the off-diagonal size of A(0) (see ``Origin``)."""
+        """g0, mu0, K_min and how far A(0) is from diagonal (see ``Origin``)."""
         g0 = np.array(self.gradF_at(np.zeros(self.n)))  # a copy, made read-only
-        zero = np.zeros((1, self.n))
-        A0 = self.A_at(zero)
-        mu0 = 1.0 / eigen_fields(self, zero, A0)[0][0]
+        mu0 = 1.0 / eigen_fields(self, np.zeros((1, self.n)))[0][0]
         g0.flags.writeable = mu0.flags.writeable = False
-        off = np.abs(A0[0] - np.diag(np.diag(A0[0])))
-        return Origin(g0=g0, mu0=mu0, K_min=minimal_K(g0),
-                      a0_offdiag_max=float(off.max()))
+        off, diagonal, _ = self._a0
+        return Origin(g0=g0, mu0=mu0, K_min=minimal_K(g0), a0_offdiag_max=off,
+                      a0_diagonal=diagonal)
+
+    @cached_property
+    def _a0(self) -> tuple:
+        """(largest off-diagonal |A(0)|, A(0) diagonal, family ranks): family
+        i has A_ii(0)'s rank on a diagonal A(0), else rank i."""
+        A0 = self.A_at(np.zeros((1, self.n)))[0]
+        off = float(np.abs(A0 - np.diag(np.diag(A0))).max())
+        diagonal = off <= _ORIGIN_TOL
+        rank = np.argsort(np.argsort(np.diag(A0))) if diagonal else np.arange(self.n)
+        rank.flags.writeable = False
+        return off, diagonal, rank
 
     @cached_property
     def sampled_speeds(self) -> np.ndarray:
@@ -358,10 +369,11 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     themselves (component i is family i) and the result is
     (diag A, None, None): no bases are built. Otherwise family i has at
     every state the speed rank that A_ii(0) has on the diagonal of a
-    diagonal A(0), so both paths label alike (rank i when A(0) is not
-    diagonal); left has rows l_i and right columns r_i of shape
-    (..., n, n), with l_i . r_j = delta_ij, |r_i| = 1 and the largest
-    entry of each r_i positive. Raises HyperbolicityError /
+    diagonal A(0) (``Origin.a0_diagonal``, ranked once per spec), so both
+    paths label alike (rank i when A(0) is not diagonal); left has rows
+    l_i and right columns r_i of shape (..., n, n), with
+    l_i . r_j = delta_ij, |r_i| = 1 and the largest entry of each r_i
+    positive. Raises HyperbolicityError /
     SignatureError if any state violates the hypotheses,
     HyperbolicityError also where A is not finite.
     """
@@ -382,11 +394,8 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     if np.abs(w.imag).max() > _IMAG_TOL * scale:
         raise HyperbolicityError("complex eigenvalue encountered")
     lam_raw = w.real
-    # strict hyperbolicity on the ball keeps each family's rank at the
-    # origin; A(0) is read directly, since ``spec.origin`` calls this routine
-    d0 = _diagonal(spec.A_at(np.zeros((1, spec.n))))
-    rank = np.arange(spec.n) if d0 is None else np.argsort(np.argsort(d0[0]))
-    order = np.argsort(lam_raw, axis=-1)[..., rank]
+    # strict hyperbolicity on the ball keeps each family's rank at the origin
+    order = np.argsort(lam_raw, axis=-1)[..., spec._a0[2]]
     lam = np.take_along_axis(lam_raw, order, axis=-1)
     right = np.take_along_axis(v.real, order[..., None, :], axis=-1)
     right = right / np.linalg.norm(right, axis=-2, keepdims=True)
@@ -462,14 +471,12 @@ def validate_hyperbolicity(spec: SystemSpec) -> HypothesisReport:
         raise SourceOriginError(f"F(0) = {f0} is nonzero beyond tolerance")
 
     mu_max = measured_mu_max(spec)
-    a0_offdiag_max = spec.origin.a0_offdiag_max
-    a0_diagonal = a0_offdiag_max <= _ORIGIN_TOL
     return HypothesisReport(
         samples=len(spec.sampled_speeds),
         signature=(spec.m, spec.n - spec.m),
         mu_max=mu_max,
-        a0_diagonal=a0_diagonal,
-        a0_offdiag_max=a0_offdiag_max,
+        a0_diagonal=spec.origin.a0_diagonal,
+        a0_offdiag_max=spec.origin.a0_offdiag_max,
         f0_norm=f0_norm,
         needs_time_rescaling=mu_max > 1.0,
     )

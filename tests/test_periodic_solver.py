@@ -39,7 +39,7 @@ class TestLinearizedStep:
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)
         prev = Field.zeros(16, 16, 1, 1.0, 1.0)
         ctx = ps.SweepContext.for_solve(spec, bspec, None)
-        out = ps.linearized_step(prev, spec, bspec, ctx)
+        out = ps.linearized_step(prev, ctx)
         assert np.abs(out.values).max() == 0.0
 
     def test_e1_first_sweep_hits_closed_form(self):
@@ -49,7 +49,7 @@ class TestLinearizedStep:
         spec, bspec = make_e1()
         prev = Field.zeros(64, 64, 1, 1.0, 1.0)
         ctx = ps.SweepContext.for_solve(spec, bspec, 0.0)
-        out = ps.linearized_step(prev, spec, bspec, ctx)
+        out = ps.linearized_step(prev, ctx)
         exact = e1_exact()
         t = out.t_nodes[:, None]
         x = out.x_nodes[None, :]
@@ -60,7 +60,7 @@ class TestLinearizedStep:
         spec, bspec = make_e2(eps=0.01, k=0.5)
         prev = Field.zeros(64, 32, 2, 2.0, 1.0)
         ctx = ps.SweepContext.for_solve(spec, bspec, 1e-6)
-        out = ps.linearized_step(prev, spec, bspec, ctx)
+        out = ps.linearized_step(prev, ctx)
         t = out.t_nodes[:, None]
         x = out.x_nodes[None, :]
         # u1 carries h1(t + x - L) leftward, u2 stays 0 (h2 = 0, no

@@ -23,7 +23,7 @@ from periodic_hyp.system_model import (
 
 def sweep(prev, spec, bspec, K):
     """One ``linearized_step`` with a fresh context for the shift K."""
-    return ps.linearized_step(prev, spec, bspec, ps.SweepContext.for_solve(spec, bspec, K))
+    return ps.linearized_step(prev, ps.SweepContext.for_solve(spec, bspec, K))
 
 
 def loop_interp(rows, tq, T_star):
@@ -279,40 +279,79 @@ def test_a_reused_geometry_sweeps_as_a_fresh_context(name):
     spec, bspec = make(T_star)
     prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius, T_star)
     ctx = ps.SweepContext.for_solve(spec, bspec, K)
-    first = ps.linearized_step(prev, spec, bspec, ctx)
-    plan, geometry, reads = ctx.plan(spec.m, Nx, spec.L), ctx.geometry, ctx._feet
-    again = ps.linearized_step(prev, spec, bspec, ctx)
-    assert ctx.plan(spec.m, Nx, spec.L) is plan
+    first = ps.linearized_step(prev, ctx)
+    plan, geometry, reads = ctx.plan(Nx), ctx.geometry, ctx._feet
+    again = ps.linearized_step(prev, ctx)
+    assert ctx.plan(Nx) is plan
     assert ctx.geometry is geometry and ctx._feet is reads
     fresh = sweep(prev, spec, bspec, K)
     assert np.array_equal(first.values, fresh.values)
     assert np.array_equal(again.values, fresh.values)
-    assert np.array_equal(ps.linearized_step(first, spec, bspec, ctx).values,
+    assert np.array_equal(ps.linearized_step(first, ctx).values,
                           sweep(first, spec, bspec, K).values)
 
 
-def test_one_context_over_two_grids_and_two_boundaries():
-    """A context handed another grid derives its plan again, and one handed
-    another boundary spec reads the feet of a reused geometry again: every
-    sweep equals a fresh context's."""
+@pytest.mark.parametrize("m", [1, 2])
+def test_other_speeds_march_again(m, monkeypatch):
+    """A sweep whose speeds differ from those of the kept geometry by one
+    ULP in one entry marches again, keeps the new geometry and its reads
+    at the feet, and equals a fresh context's sweep bit for bit.
+    three_family runs the general path, with couplings B."""
+    spec, bspec = three_family(m)
+    prev = smooth_field(24, 16, spec.n, 0.3 * spec.domain_radius)
+    ctx = ps.SweepContext.for_solve(spec, bspec, None)
+    ps.linearized_step(prev, ctx)
+    kept, reads = ctx.geometry, ctx._feet
+
+    def nudged(*args):
+        lam, left, right = eigen_fields(*args)
+        lam = lam.copy()
+        lam[5, 7, 1] = np.nextafter(lam[5, 7, 1], 0.0)
+        return lam, left, right
+
+    marches = []
+    march = ch._march
+    monkeypatch.setattr(ch, "_march", lambda *args: marches.append(1) or march(*args))
+    monkeypatch.setattr(ps, "eigen_fields", nudged)
+    got = ps.linearized_step(prev, ctx)
+    assert len(marches) == 1
+    assert ctx.geometry is not kept and ctx._feet is not reads
+    assert not np.array_equal(ctx.geometry.mu, kept.mu)
+    assert np.array_equal(got.values, sweep(prev, spec, bspec, None).values)
+
+
+def test_another_period_or_length_is_refused():
+    """The context's spec and bspec fix L and T_star: a field of another
+    period or length raises ValueError, before the sweep changes ctx."""
     spec, bspec = reflect_problem()
-    h1 = systems.harmonic_signal([{"amplitude": 0.02, "phase": 0.4}], T_STAR)
-    other = systems.reflection_boundary(0.3, h1, systems.zero_signal, T_STAR)
     ctx = ps.SweepContext.for_solve(spec, bspec, 1e-6)
-    for Nt, Nx, b in ((16, 20, bspec), (21, 13, bspec), (21, 13, other),
-                      (16, 20, other), (16, 20, bspec)):
+    prev = smooth_field(16, 20, spec.n, 0.3 * spec.domain_radius)
+    ps.linearized_step(prev, ctx)
+    geometry = ctx.geometry
+    for T_star, L in ((2.7, spec.L), (T_STAR, 1.3)):
+        with pytest.raises(ValueError, match="period"):
+            ps.linearized_step(Field(values=prev.values, T_star=T_star, L=L), ctx)
+        assert ctx.geometry is geometry
+
+
+def test_one_context_over_two_grids():
+    """A context handed another grid derives its plan again and marches
+    again: every sweep equals a fresh context's."""
+    spec, bspec = reflect_problem()
+    ctx = ps.SweepContext.for_solve(spec, bspec, 1e-6)
+    for Nt, Nx in ((16, 20), (21, 13), (21, 13), (16, 20)):
         prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius)
-        got = ps.linearized_step(prev, spec, b, ctx)
-        assert ctx._feet[0] is ctx.geometry and ctx._feet[1] is b
-        assert np.array_equal(got.values, sweep(prev, spec, b, 1e-6).values)
+        got = ps.linearized_step(prev, ctx)
+        assert ctx.geometry.delay.shape == prev.values.shape
+        assert np.array_equal(got.values, sweep(prev, spec, bspec, 1e-6).values)
 
 
 def test_every_kept_array_is_read_only():
     spec, bspec = three_family(1)
     prev = smooth_field(24, 12, spec.n, 0.3 * spec.domain_radius)
     ctx = ps.SweepContext.for_solve(spec, bspec, None)
-    ps.linearized_step(prev, spec, bspec, ctx)
-    kept = [*ctx.plan(spec.m, 12, spec.L), ctx.geometry.feet, *ctx._feet[2]]
+    ps.linearized_step(prev, ctx)
+    kept = [*ctx.plan(12), ctx.geometry.feet, *ctx._feet]
     assert len(kept) == 9 + 1 + 3
     for a in kept:
         with pytest.raises(ValueError):

@@ -269,6 +269,41 @@ class TestDiagonalPath:
             assert np.abs(unsorted - swapped[..., [0, 2, 1]]).max() <= 1e-12
 
 
+    def test_a_near_diagonal_origin_labels_as_a_diagonal_one(self):
+        """diag(-1, 2, 1) plus 1e-13 at entry (0, 1) passes as diagonal
+        (off-diagonal at most 1e-12), so the general path labels its
+        families by the diagonal's speed ranks, as the diagonal path does
+        for the exact diagonal: the solve takes the same sweeps to the
+        same field within 1e-12."""
+        def solve(off):
+            D = np.diag([-1.0, 2.0, 1.0])
+            D[0, 1] = off
+
+            def A(u):
+                u = np.asarray(u, dtype=float)
+                out = np.broadcast_to(D, u.shape[:-1] + D.shape).copy()
+                out[..., [0, 1, 2], [0, 1, 2]] += 0.4 * u
+                return out
+
+            spec = sm.SystemSpec(n=3, m=1, A=A, F=lambda u: -0.5 * np.asarray(u, dtype=float),
+                                 domain_radius=0.1, L=1.0)
+            h = lambda t: 0.01 * np.sin(np.pi * np.asarray(t, dtype=float))  # noqa: E731
+            bspec = bd.BoundarySpec(
+                left_maps=[lambda hv, u: hv + 0.4 * u[..., 0], lambda hv, u: hv + 0.25 * u[..., 0]],
+                right_maps=[lambda hv, u: hv + 0.3 * u[..., 0] + 0.2 * u[..., 1]],
+                h=[h, h, h], T_star=2.0)
+            assert spec.origin.a0_diagonal and sm.validate_hyperbolicity(spec).a0_diagonal
+            assert np.array_equal(spec.origin.mu0, [-1.0, 0.5, 1.0])
+            fld, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16))
+            assert rep.converged
+            return fld.values, rep.iterations
+
+        exact, near = solve(0.0), solve(1e-13)
+        assert near[1] == exact[1]
+        assert np.abs(exact[0]).max() > 1e-3
+        assert np.abs(near[0] - exact[0]).max() <= 1e-12
+
+
 class TestValidation:
     def test_scalar_damped_valid(self):
         rep = sm.validate_hyperbolicity(make_scalar_spec())
