@@ -111,8 +111,7 @@ def pde_residual(fld: Field, spec: SystemSpec) -> float:
     ut = fld.time_derivative_grid()[:, 1:-1]
     ux = fld.space_derivative_grid()[:, 1:-1]
     u = fld.values[:, 1:-1]
-    Au = spec.A_at(u)
-    res = ut + np.einsum("...ij,...j->...i", Au, ux) - spec.F_at(u)
+    res = ut + spec.A_times(u, ux) - spec.F_at(u)
     return float(np.abs(res).max())
 
 

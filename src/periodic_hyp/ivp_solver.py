@@ -11,16 +11,16 @@ CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 
 Each stage makes one coefficient call, ``SystemSpec.AF_at``, which gives
 its A and F (one call of the spec's ``AF`` when it has one, so shared
-intermediates are computed once); the first stage's speeds serve the CFL
-check too. When A is diagonal, as for any system written in Riemann
-invariants, the speeds are diag A and no eigenvectors are built;
-otherwise each stage computes the eigenstructure. The speeds of a stage
-pass one accept test, which implies every hyperbolicity and signature
-check; only speeds that fail it go through the ordered diagnosis that
-names the error. Each stage reads its upwind derivatives in one gather
-through a tap table built once per grid (``_upwind_taps``): for a
-diagonal A each component in its own family's direction, otherwise both
-directions for the eigenvector projection. Both stages impose the
+intermediates are computed once), and one ``eigen_fields`` call its
+checked speeds: a spec's speeds as they are when A gives them, as for
+systems in Riemann invariants, diag A for a diagonal matrix A, and the
+eigenstructure otherwise. The speeds of a stage pass one accept test,
+which implies every hyperbolicity and signature check and gives the top
+|speed| for the first stage's CFL check; only speeds that fail it go
+through the ordered diagnosis that names the error. Each stage reads its
+upwind derivatives in one gather through a tap table built once per grid
+(``_upwind_taps``): for a diagonal A each component in its own family's
+direction, otherwise both directions for the eigenvector projection. Both stages impose the
 boundary at the step's end time: each incoming entry is written straight
 from its batched map, resolved once per boundary spec
 (``BoundarySpec.sides``), and the entries written on each side are
@@ -171,33 +171,31 @@ def _upwind_dx(u: np.ndarray, dx: float, taps: np.ndarray, coef: np.ndarray) -> 
     return g
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, dx: float,
-         speeds: Optional[tuple] = None, Fv: Optional[np.ndarray] = None) -> np.ndarray:
-    """Semi-discrete du/dt in characteristic variables.
+def _rhs(u: np.ndarray, spec: SystemSpec, dx: float) -> tuple:
+    """Semi-discrete du/dt in characteristic variables, and the top
+    |lambda| of its checked speeds.
 
-    speeds is ``eigen_fields(spec, u)`` and Fv is ``spec.F_at(u)`` when
-    the caller has both; otherwise both come from one ``spec.AF_at(u)``.
-    One gather gives the upwind derivatives (``_upwind_dx``). For a
-    diagonal A the components are the characteristic variables, each
-    differenced in its own family's direction, and du = F - d * that
-    derivative, d = diag A; otherwise the gather gives both directions
-    and each family is projected through its eigenvectors, the m
-    left-moving ones taking the stencil biased to larger x.
+    One ``spec.AF_at`` call gives A and F, and ``eigen_fields`` the
+    checked speeds, their top and the bases. One gather gives the upwind
+    derivatives (``_upwind_dx``). Without bases (a diagonal A) the components are the
+    characteristic variables, each differenced in its own family's
+    direction, and du = F - lambda * that derivative; otherwise the
+    gather gives both directions and each family is projected through its
+    eigenvectors, the m left-moving ones taking the stencil biased to
+    larger x.
     """
-    if speeds is None:
-        A, Fv = spec.AF_at(u)
-        speeds = eigen_fields(spec, u, A)
-    lam, left, right = speeds
+    A, Fv = spec.AF_at(u)
+    lam, left, right, top = eigen_fields(spec, u, A)
     both, own = _upwind_taps(len(u) - 1, spec.n, spec.m)
     du = Fv
     if left is None:
         # the speeds passed their check: the m left-moving families come first
-        return du - lam * _upwind_dx(u, dx, *own)
+        return du - lam * _upwind_dx(u, dx, *own), top
     dxu = _upwind_dx(u, dx, *both)
     for i in range(spec.n):
         w = np.einsum("kc,kc->k", left[:, i, :], dxu[int(i >= spec.m)])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
-    return du
+    return du, top
 
 
 def _impose_boundary(u: np.ndarray, signals, bspec: bd.BoundarySpec) -> None:
@@ -218,8 +216,8 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
          bspec: bd.BoundarySpec, signals=None) -> IvpState:
     """One Heun step with per-stage boundary imposition.
 
-    One ``spec.AF_at`` call per stage gives its A and F; the speeds of
-    the current profile serve the CFL check and the first stage. Both
+    One ``spec.AF_at`` call per stage gives its A and F; the first
+    stage's speed check gives the top speed for the CFL check. Both
     stages impose the boundary at t + dt, from signals[i] = h_i(t + dt),
     which are evaluated here when not given. Raises ValueError when spec
     and bspec disagree on n or m, StepSizeError when dt exceeds
@@ -230,9 +228,7 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
         raise ValueError(f"boundary has n = {bspec.n}, m = {bspec.m}; "
                          f"the system n = {spec.n}, m = {spec.m}")
     u = state.u
-    A, Fv = spec.AF_at(u)
-    speeds = eigen_fields(spec, u, A)
-    lam_max = float(np.abs(speeds[0]).max())
+    f1, lam_max = _rhs(u, spec, state.dx)
     if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_CFL_CAP} dx / max|lambda| = "
@@ -241,10 +237,9 @@ def step(state: IvpState, dt: float, spec: SystemSpec,
     t_new = state.t + dt
     if signals is None:
         signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
-    f1 = _rhs(u, spec, state.dx, speeds, Fv)
     u1 = u + dt * f1
     _impose_boundary(u1, signals, bspec)
-    f2 = _rhs(u1, spec, state.dx)
+    f2, _ = _rhs(u1, spec, state.dx)
     u_new = u + 0.5 * dt * (f1 + f2)
     _impose_boundary(u_new, signals, bspec)
     if not spec.contains(u_new):
@@ -258,18 +253,19 @@ def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
 
     C0: incoming trace vs the map of the outgoing trace. C1: time
     derivative of the incoming trace from the PDE vs the chain rule
-    through the map (``BoundarySpec.map_gradient``).
+    through the map (``BoundarySpec.map_gradient``). Each family's row,
+    outgoing slice and map are read from ``BoundarySpec.sides``.
     """
-    ut = _rhs(u0, spec, dx)
+    ut, _ = _rhs(u0, spec, dx)
     eps = 1e-7  # step of the signals' central differences
     c0 = c1 = 0.0
-    for i in range(spec.n):
-        row, cols = (-1 if i < spec.m else 0), bspec.outgoing(i)
-        hv = bspec.h_values(i, 0.0)
-        hp = (bspec.h_values(i, eps) - bspec.h_values(i, -eps)) / (2 * eps)
-        dgdh, dgdu = bspec.map_gradient(i, hv, u0[row, cols])
-        c0 = max(c0, abs(float(u0[row, i] - bspec.map_values(i, hv, u0[row, cols]))))
-        c1 = max(c1, abs(float(ut[row, i] - dgdh * hp - dgdu @ ut[row, cols])))
+    for row, _, maps in bspec.sides:
+        for i, fn, cols in maps:
+            hv = bspec.h_values(i, 0.0)
+            hp = (bspec.h_values(i, eps) - bspec.h_values(i, -eps)) / (2 * eps)
+            dgdh, dgdu = bspec.map_gradient(i, hv, u0[row, cols])
+            c0 = max(c0, abs(float(u0[row, i] - fn(hv, u0[row, cols]))))
+            c1 = max(c1, abs(float(ut[row, i] - dgdh * hp - dgdu @ ut[row, cols])))
     return c0, c1
 
 

@@ -167,7 +167,7 @@ def linearized_step(prev: Field, ctx: SweepContext) -> Field:
         raise ValueError(f"prev has period {T} and length {L}, not {bspec.T_star} and {spec.L}")
 
     A, Fv = spec.AF_at(prev.values)
-    lam, left, _ = eigen_fields(spec, prev.values, A)
+    lam, left, _, _ = eigen_fields(spec, prev.values, A)
     mu = 1.0 / lam
     if ctx.geometry is not None and not np.array_equal(ctx.geometry.mu, mu):
         ctx.geometry = ctx._feet = None

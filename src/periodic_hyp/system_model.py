@@ -166,19 +166,22 @@ class SystemSpec:
     ----------
     n : state dimension.
     m : number of negative speeds; families 1..m move left.
-    A : callable, state (n,) -> (n, n) coefficient matrix. May accept a
-        leading batch axis; if it does not, evaluations fall back to a loop
-        (see ``batched`` for the probe that decides).
+    A : callable, state (n,) -> (n, n) coefficient matrix, or the (n,)
+        speeds of a diagonal A (``gives_speeds``, read from one call at
+        construction; component i is then family i; a matrix A has it
+        False even where it is diagonal). May accept a leading batch
+        axis; if it does not, evaluations fall back to a loop (see
+        ``batched`` for the probe that decides).
     F : callable, state (n,) -> (n,) source term, F(0) = 0, batched like A.
     gradF : optional callable, state -> (n, n) Jacobian of F. Defaults to
         4th-order central finite differences.
     AF : optional callable, state -> (A, F) in one call, for systems
-        whose A and F share intermediates; batched like A (a form that
-        does not batch is looped). ``AF_at`` uses it, and without it
-        evaluates A and F one after the other. At construction it is
-        compared with A and F on two probe states: if it differs by more
-        than 1e-12 relative, every ``AF_at`` raises ValueError naming
-        ``SystemSpec.AF``.
+        whose A and F share intermediates, its A in the form of A; batched
+        like A (a form that does not batch is looped). ``AF_at`` uses it,
+        and without it evaluates A and F one after the other. At
+        construction it is compared with A and F on two probe states: if
+        it differs in form or by more than 1e-12 relative, every ``AF_at``
+        raises ValueError naming ``SystemSpec.AF``.
     domain_radius : radius of the validated neighborhood of u = 0.
     L : spatial interval length.
 
@@ -193,6 +196,7 @@ class SystemSpec:
     L: float
     gradF: Optional[Callable] = None
     AF: Optional[Callable] = None
+    gives_speeds: bool = field(init=False)
     _A_batch: Callable = field(init=False, repr=False)
     _F_batch: Callable = field(init=False, repr=False)
     _AF_batch: Optional[Callable] = field(init=False, repr=False)
@@ -205,7 +209,9 @@ class SystemSpec:
         if self.domain_radius <= 0 or self.L <= 0:
             raise ValueError("domain_radius and L must be positive")
         probe = (_probe_points(self.n, self.domain_radius),)
-        shapes = ((self.n, self.n), (self.n,))
+        gives_speeds = np.shape(self.A(probe[0][0])) == (self.n,)
+        object.__setattr__(self, "gives_speeds", gives_speeds)
+        shapes = ((self.n,) if gives_speeds else (self.n, self.n), (self.n,))
         object.__setattr__(self, "_A_batch",
                            batched(self.A, probe, shapes[0], "SystemSpec.A"))
         object.__setattr__(self, "_F_batch",
@@ -241,6 +247,7 @@ class SystemSpec:
         """(largest off-diagonal |A(0)|, A(0) diagonal, family ranks): family
         i has A_ii(0)'s rank on a diagonal A(0), else rank i."""
         A0 = self.A_at(np.zeros((1, self.n)))[0]
+        A0 = np.diag(A0) if self.gives_speeds else A0
         off = float(np.abs(A0 - np.diag(np.diag(A0))).max())
         diagonal = off <= _ORIGIN_TOL
         rank = np.argsort(np.argsort(np.diag(A0))) if diagonal else np.arange(self.n)
@@ -250,13 +257,18 @@ class SystemSpec:
     @cached_property
     def sampled_speeds(self) -> np.ndarray:
         """Speeds at the 256 ``neighborhood_samples`` states."""
-        lam, _, _ = eigen_fields(self, neighborhood_samples(self, 256))
+        lam = eigen_fields(self, neighborhood_samples(self, 256))[0]
         lam.flags.writeable = False
         return lam
 
     def A_at(self, states: np.ndarray) -> np.ndarray:
-        """A evaluated on states of shape (..., n); returns (..., n, n)."""
+        """A on states of shape (..., n): (..., n, n), or speeds (..., n)."""
         return self._A_batch(np.asarray(states, dtype=float))
+
+    def A_times(self, states: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A(states) v for states and vectors v of shape (..., n)."""
+        Av = self.A_at(states)
+        return Av * v if self.gives_speeds else np.einsum("...ij,...j->...i", Av, v)
 
     def F_at(self, states: np.ndarray) -> np.ndarray:
         """F evaluated on states of shape (..., n); returns (..., n)."""
@@ -325,10 +337,11 @@ def _signs(m: int, n: int) -> np.ndarray:
     return signs
 
 
-def _check_speeds(speeds: np.ndarray, m: int) -> None:
+def _check_speeds(speeds: np.ndarray, m: int) -> float:
     """Raise unless every row of speeds is finite, none zero or repeated
     (HyperbolicityError), and in the order given m negative then n - m
-    positive (SignatureError)."""
+    positive (SignatureError); return the top |speed|, the bits of
+    ``np.abs(speeds).max()``."""
     n = speeds.shape[-1]
     # one accept test: the speeds turned positive on their side, s, all
     # beyond the gap tolerance of zero and, within a side of two or more,
@@ -341,7 +354,7 @@ def _check_speeds(speeds: np.ndarray, m: int) -> None:
     if (math.isfinite(top) and s.min() > g
             and (m < 2 or _gaps_at_least(speeds[..., :m], g))
             and (n - m < 2 or _gaps_at_least(speeds[..., m:], g))):
-        return
+        return top
     abs_lam = np.abs(speeds)
     top = float(abs_lam.max())
     if not math.isfinite(top):
@@ -356,6 +369,7 @@ def _check_speeds(speeds: np.ndarray, m: int) -> None:
         raise SignatureError(
             f"signature is not ({m}, {n - m}) at every sampled state"
         )
+    return top
 
 
 def eigen_fields(spec: SystemSpec, states: np.ndarray,
@@ -363,29 +377,28 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     """Checked speeds and eigenbases at states of shape (..., n), the one
     routine that computes them.
 
-    Returns (lambdas, left, right). A_vals is ``spec.A_at(states)`` when
-    the caller has it; otherwise A is evaluated once. Where A is diagonal
-    at every state, the characteristic variables are the components
-    themselves (component i is family i) and the result is
-    (diag A, None, None): no bases are built. Otherwise family i has at
-    every state the speed rank that A_ii(0) has on the diagonal of a
+    Returns (lambdas, left, right, top |lambda|). A_vals is
+    ``spec.A_at(states)`` when the caller has it; otherwise A is evaluated
+    once. For a spec that gives speeds, or a matrix A diagonal at every
+    state (tested per call), the characteristic variables are the
+    components themselves (component i is family i) and the result is
+    (speeds, None, None, top): no bases are built. Otherwise family i has
+    at every state the speed rank that A_ii(0) has on the diagonal of a
     diagonal A(0) (``Origin.a0_diagonal``, ranked once per spec), so both
     paths label alike (rank i when A(0) is not diagonal); left has rows
     l_i and right columns r_i of shape (..., n, n), with
     l_i . r_j = delta_ij, |r_i| = 1 and the largest entry of each r_i
-    positive. Raises HyperbolicityError /
-    SignatureError if any state violates the hypotheses,
-    HyperbolicityError also where A is not finite.
+    positive. Raises HyperbolicityError / SignatureError if any state
+    violates the hypotheses (HyperbolicityError also where A is not finite).
     """
     states = np.asarray(states, dtype=float)
     m = spec.m
     if A_vals is None:
         A_vals = spec.A_at(states)
 
-    d = _diagonal(A_vals)
+    d = A_vals if spec.gives_speeds else _diagonal(A_vals)
     if d is not None:
-        _check_speeds(d, m)
-        return d, None, None
+        return d, None, None, _check_speeds(d, m)
 
     if not np.all(np.isfinite(A_vals)):
         raise HyperbolicityError("A is not finite at some state")
@@ -406,8 +419,7 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
         left = np.linalg.inv(right)
     except np.linalg.LinAlgError as exc:
         raise HyperbolicityError("defective eigenbasis") from exc
-    _check_speeds(lam, m)
-    return lam, left, right
+    return lam, left, right, _check_speeds(lam, m)
 
 
 def _halton(samples: int, d: int) -> np.ndarray:
@@ -497,7 +509,7 @@ def minimal_K(g0: np.ndarray) -> float:
 def coupling_B(spec: SystemSpec, u: np.ndarray) -> np.ndarray:
     """Interaction coefficients B_ij(u) = -l_ij / l_ii off the diagonal;
     all zero where A is diagonal."""
-    _, left, _ = eigen_fields(spec, np.asarray(u, dtype=float)[None, :])
+    left = eigen_fields(spec, np.asarray(u, dtype=float)[None, :])[1]
     B = _coupling_from_left(left)
     return np.zeros((spec.n, spec.n)) if B is None else B[0]
 
@@ -574,7 +586,7 @@ def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     A, Fv = spec.AF_at(states)
-    lam, left, _ = eigen_fields(spec, states, A)
+    lam, left, _, _ = eigen_fields(spec, states, A)
     return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), Fv)
 
 

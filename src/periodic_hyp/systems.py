@@ -33,7 +33,7 @@ def linear_damped_scalar(lam: float = 1.0, c: float = 0.5, L: float = 1.0,
 
     def A(u):
         u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1] + (1, 1), lam)
+        return np.full(u.shape[:-1] + (1,), lam)
 
     def F(u):
         return -c * np.asarray(u, dtype=float)
@@ -47,11 +47,11 @@ def linear_reflect_2x2(speed: float = 1.0, L: float = 1.0,
     """Source-free pair with speeds -speed and +speed."""
     if speed <= 0:
         raise ValueError("speed must be positive")
-    D = np.diag([-speed, speed])
+    D = np.array([-speed, speed])
 
     def A(u):
         u = np.asarray(u, dtype=float)
-        return np.broadcast_to(D, u.shape[:-1] + (2, 2)).copy()
+        return np.broadcast_to(D, u.shape[:-1] + (2,)).copy()
 
     def F(u):
         return np.zeros(np.shape(u))
@@ -80,9 +80,9 @@ def quasilinear_euler_damping(gamma: float = 2.0, a: float = 0.5,
         return 0.5 * (u1 + u2), base_c + slope * (u2 - u1)
 
     def A_of(v, c):
-        out = np.zeros(v.shape + (2, 2))
-        out[..., 0, 0] = v - c
-        out[..., 1, 1] = v + c
+        out = np.empty(v.shape + (2,))
+        out[..., 0] = v - c
+        out[..., 1] = v + c
         return out
 
     def F_of(v):

@@ -6,9 +6,11 @@ step), evaluates A and F separately, projects every family through its
 eigenvectors, builds the upwind derivative once per family with its own
 copy of the one-sided stencil, and evaluates every forcing signal and
 looks up every boundary map again in each stage. The kernel makes one
-coefficient call (``SystemSpec.AF_at``) per stage, takes the speeds from
-diag A when A is diagonal (``eigen_fields`` then gives no bases; the loop
-fills in the identity and projects through it), makes one gather of the
+coefficient call (``SystemSpec.AF_at``) per stage, takes a spec's speeds
+as they are when it gives them and diag A when a matrix A is diagonal
+(``eigen_fields`` then gives no bases; the loop fills in the identity and
+projects through it), reads the CFL bound from the first stage's speed
+check, makes one gather of the
 upwind derivatives per stage through a cached tap table, each column in
 its own family's direction when A is diagonal and in both directions
 otherwise, writes the boundary from the maps of
@@ -77,7 +79,7 @@ def test_the_tap_table_is_built_once_per_grid():
 
 
 def loop_rhs(u, spec, dx):
-    lam, left, right = eigen_fields(spec, u)
+    lam, left, right, _ = eigen_fields(spec, u)
     if left is None:  # diagonal A: component i is family i
         left = right = np.broadcast_to(np.eye(spec.n), lam.shape + (spec.n,))
     du = spec.F_at(u)
@@ -100,7 +102,7 @@ def loop_step(state, dt, spec, bspec, signals=None):
     # the signal values ``ivp.run`` passes are ignored: the reference
     # evaluates every signal again in each stage
     u = state.u
-    lam, _, _ = eigen_fields(spec, u)
+    lam = eigen_fields(spec, u)[0]
     lam_max = float(np.abs(lam).max())
     if dt > 0.8 * state.dx / lam_max * (1 + 1e-12):
         raise StepSizeError("dt above the CFL cap")
@@ -147,25 +149,52 @@ def euler_without_AF():
     return dataclasses.replace(spec, AF=None), bspec
 
 
+def matrix_form(spec):
+    """The spec with A (and AF's A) as the matrix diag(speeds) of a spec
+    that gives its speeds."""
+    assert spec.gives_speeds
+
+    def matrix(speeds):
+        out = np.zeros(speeds.shape + (spec.n,))
+        out[..., np.arange(spec.n), np.arange(spec.n)] = speeds
+        return out
+
+    AF = None if spec.AF is None else (lambda u: (lambda a, f: (matrix(a), f))(*spec.AF(u)))
+    twin = dataclasses.replace(spec, A=lambda u: matrix(spec.A(u)), AF=AF)
+    assert not twin.gives_speeds
+    return twin
+
+
+def as_matrix(make):
+    def problem():
+        spec, bspec = make()
+        return matrix_form(spec), bspec
+    return problem
+
+
 CASES = {
     "linear_damped_scalar": (e1_problem, 20),
+    "linear_damped_scalar_matrix": (as_matrix(e1_problem), 20),
     "quasilinear_euler_damping": (euler_problem, 24),
+    "quasilinear_euler_damping_matrix": (as_matrix(euler_problem), 24),
     "quasilinear_euler_damping_without_AF": (euler_without_AF, 24),
     "linear_reflect_2x2": (reflect_problem, 20),
+    "linear_reflect_2x2_matrix": (as_matrix(reflect_problem), 20),
     "three_family_m1": (lambda: three_family(1), 16),
     "three_family_m2": (lambda: three_family(2), 16),
     "swapping_diagonal_m1": (lambda: swapping_diagonal(1), 16),
     "swapping_diagonal_m2": (lambda: swapping_diagonal(2), 16),
 }
-DIAGONAL = {"linear_damped_scalar", "quasilinear_euler_damping",
+DIAGONAL = {"linear_damped_scalar", "linear_damped_scalar_matrix",
+            "quasilinear_euler_damping", "quasilinear_euler_damping_matrix",
             "quasilinear_euler_damping_without_AF", "linear_reflect_2x2",
-            "swapping_diagonal_m1", "swapping_diagonal_m2"}
+            "linear_reflect_2x2_matrix", "swapping_diagonal_m1", "swapping_diagonal_m2"}
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_the_swapping_speeds_change_order_between_nodes(m):
     spec, _ = swapping_diagonal(m)
-    speeds, left, _ = eigen_fields(spec, initial_profile(spec, 16))
+    speeds, left, _, _ = eigen_fields(spec, initial_profile(spec, 16))
     assert left is None
     group = slice(1, 3) if m == 1 else slice(0, 2)
     orders = {tuple(np.argsort(d[group])) for d in speeds}
@@ -181,7 +210,7 @@ def run_both(name, monkeypatch):
     got = ivp.run(*args, **kw)
     with monkeypatch.context() as mp:
         mp.setattr(ivp, "step", loop_step)
-        mp.setattr(ivp, "_rhs", loop_rhs)
+        mp.setattr(ivp, "_rhs", lambda u, spec, dx: (loop_rhs(u, spec, dx), None))
         want = ivp.run(*args, **kw)
     return got, want
 
@@ -220,9 +249,9 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
 
     def counted_fields(*args):
         calls["speeds"] += 1
-        lam, left, right = eigen_fields(*args)
-        calls["bases"] += left is not None
-        return lam, left, right
+        fields = eigen_fields(*args)
+        calls["bases"] += fields[1] is not None
+        return fields
 
     monkeypatch.setattr(ivp, "eigen_fields", counted_fields)
     monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))

@@ -60,7 +60,7 @@ def loop_step(prev, spec, bspec, cfg):
     t_grid, x_grid = prev.t_nodes, prev.x_nodes
     K = shift_K(spec, cfg.K)
     gtilde = gtilde_matrix(spec, K)
-    lam, left, _ = eigen_fields(spec, prev.values)
+    lam, left, _, _ = eigen_fields(spec, prev.values)
     if left is None:  # diagonal A: component i is family i
         left = np.broadcast_to(np.eye(n), lam.shape + (n,))
     mu = 1.0 / lam
@@ -304,10 +304,10 @@ def test_other_speeds_march_again(m, monkeypatch):
     kept, reads = ctx.geometry, ctx._feet
 
     def nudged(*args):
-        lam, left, right = eigen_fields(*args)
+        lam, left, right, top = eigen_fields(*args)
         lam = lam.copy()
         lam[5, 7, 1] = np.nextafter(lam[5, 7, 1], 0.0)
-        return lam, left, right
+        return lam, left, right, top
 
     marches = []
     march = ch._march

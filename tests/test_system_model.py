@@ -70,7 +70,7 @@ def constant_fields(A, m):
     n = A.shape[0]
     spec = sm.SystemSpec(n=n, m=m, A=lambda u: A, F=lambda u: np.zeros(n),
                          domain_radius=1.0, L=1.0)
-    lam, left, right = sm.eigen_fields(spec, np.zeros((1, n)))
+    lam, left, right, _ = sm.eigen_fields(spec, np.zeros((1, n)))
     return lam[0], *(None if b is None else b[0] for b in (left, right))
 
 
@@ -198,14 +198,14 @@ class TestDiagonalPath:
         spec = self.spec(np.array([-1.0, 2.0, 1.5]))
         states = np.zeros((2, 3))
         states[1, 0] = 0.09
-        speeds, left, right = sm.eigen_fields(spec, states)
+        speeds, left, right, _ = sm.eigen_fields(spec, states)
         assert left is None and right is None
         assert np.array_equal(speeds, [[-1.0, 1.0, 2.0], [-1.0, 2.0, 1.5]])
 
     def test_component_order_and_identity_basis(self):
         """Component i is family i: the identity basis, carried as None."""
         spec = diagonal_spec([-1.0, 2.0, 1.0], m=1)
-        lam, left, right = sm.eigen_fields(spec, np.zeros((2, 4, 3)))
+        lam, left, right, _ = sm.eigen_fields(spec, np.zeros((2, 4, 3)))
         assert np.array_equal(lam, np.broadcast_to([-1.0, 2.0, 1.0], (2, 4, 3)))
         assert left is None and right is None
 
@@ -824,7 +824,7 @@ class TestFusedCoefficients:
             A, F = spec.AF_at(states)
             assert np.array_equal(A, spec.A_at(states))
             assert np.array_equal(F, spec.F_at(states))
-            assert A.shape == states.shape + (2,) and F.shape == states.shape
+            assert A.shape == F.shape == states.shape  # the speeds of a diagonal A
 
     def test_an_AF_that_takes_one_state_is_looped(self):
         def one_at_a_time(u):
