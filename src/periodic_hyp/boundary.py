@@ -164,7 +164,7 @@ class ForcingReport:
 
     When the forcing gain at the origin exceeds 1/2, ``rescaled_spec``
     carries the equivalent spec with signals scaled by 2 * gain and the
-    maps reparametrized accordingly; validating it again is a no-op.
+    maps reparametrized accordingly, which validates with rescaled False.
     """
 
     h_c1_norms: np.ndarray
@@ -330,26 +330,26 @@ def _rescale_forcing(bspec: BoundarySpec, M0: float) -> BoundarySpec:
 def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     """Measure forcing norms, periodicity, and the forcing gain at the origin.
 
-    The C1 norm of each signal is max(sup |h|, sup |h'|) on a dense sample
-    grid (4096 points per period, central differences). Signals whose maps
-    have forcing gain above 1/2 are reported together with the rescaled
-    equivalent spec; an already-rescaled spec is returned unchanged.
-    Raises BoundaryMapError naming a signal with a non-finite sample and
-    PeriodicityError when a signal fails h(t + T) = h(t) beyond 1e-8.
+    Each signal is evaluated once, on t_k = k dt, k = -1 .. 2N - 1 (N = 4096,
+    dt = T / N): the period, its neighbours one sample either side and the
+    next period are offset slices of it. The C1 norm is max(sup |h|, sup |h'|)
+    on the period, by central differences. Forcing gains above 1/2 are
+    reported with ``rescaled_spec``, the equivalent spec with gains of at most
+    1/2, which validates with ``rescaled`` False. Raises BoundaryMapError
+    naming the first signal with a non-finite sample and PeriodicityError
+    when a signal fails h(t + T) = h(t) beyond 1e-8.
     """
-    n = bspec.n
-    T = bspec.T_star
-    ts = np.arange(_SAMPLES_PER_PERIOD) * (T / _SAMPLES_PER_PERIOD)
-    dt = T / _SAMPLES_PER_PERIOD
+    n, T, N = bspec.n, bspec.T_star, _SAMPLES_PER_PERIOD
+    dt = T / N
+    grid = np.arange(-1, 2 * N) * dt
 
     c1 = np.empty(n)
     h2max = 0.0
     per_res = 0.0
     for i in range(n):
-        vals = bspec.h_values(i, ts)
-        res = float(np.abs(bspec.h_values(i, ts + T) - vals).max())
-        plus = bspec.h_values(i, ts + dt)
-        minus = bspec.h_values(i, ts - dt)
+        h = bspec.h_values(i, grid)
+        minus, vals, plus = h[:N], h[1:N + 1], h[2:N + 2]
+        res = float(np.abs(h[N + 1:] - vals).max())
         deriv = (plus - minus) / (2 * dt)
         c1[i] = np.maximum(np.abs(vals).max(), np.abs(deriv).max())
         second = float(np.abs((plus - 2 * vals + minus) / dt**2).max())

@@ -12,6 +12,8 @@ of a trace that depends on the speeds alone comes back as a
 grid stencils the solvers share live here too: the periodic phase, the
 4-point Lagrange weights, the 2nd-order x-difference and the one periodic
 cubic read in time, of a flat table padded by a row before, three after.
+Time wraps in one place, ``_padded``: every read and difference in time
+takes its neighbours from a padded copy of the period or of its row index.
 """
 from __future__ import annotations
 
@@ -95,8 +97,8 @@ class Field:
     def time_derivative_grid(self) -> np.ndarray:
         """Central differences in t with periodic wrap, cached."""
         if self._dt_grid is None:
-            v = self.values
-            self._dt_grid = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * self.dt)
+            p = _padded(self.values)
+            self._dt_grid = (p[2:self.Nt + 2] - p[:self.Nt]) / (2 * self.dt)
         return self._dt_grid
 
     def space_derivative_grid(self) -> np.ndarray:
@@ -140,6 +142,7 @@ def _x_difference(v: np.ndarray, dx: float) -> np.ndarray:
 def _phase(t, T_star: float, Nt: int) -> tuple:
     """Row index j in [0, Nt] and fraction f with t = (j + f) T_star / Nt
     modulo the period; j = Nt (f = 0) where the phase rounds up to Nt.
+    Callers read row j as row j + 1 of ``_padded``, with no wrap of j.
 
     The phase is recovered as frac(t / T_star) * Nt, which reproduces node
     values exactly and keeps t and t + T_star bit-identical for dyadic
@@ -219,9 +222,8 @@ def _space_index(fld: Field, x):
 def _bilinear(grid: np.ndarray, fld: Field, t, x) -> np.ndarray:
     """Bilinear interpolation of a node grid shaped like fld.values."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    j0, wt = _phase(t, fld.T_star, fld.Nt)
-    j0 %= fld.Nt
-    j1 = (j0 + 1) % fld.Nt
+    j, wt = _phase(t, fld.T_star, fld.Nt)
+    j0, j1 = _padded(np.arange(fld.Nt))[np.stack([j + 1, j + 2])]  # no copy of grid
     k0, k1, wx = _space_index(fld, x)
     wt = wt[..., None]
     wx = wx[..., None]

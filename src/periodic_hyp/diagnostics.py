@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import Field
+from .characteristics import Field, _padded
 from .errors import IoError
 from .system_model import SystemSpec, check_dominance
 
@@ -121,9 +121,9 @@ def regularity_measurements(fld: Field) -> RegularityReport:
     Periodic wrap in t; interior-only stencils in x (one cell cropped at
     each end to avoid one-sided second-difference noise).
     """
-    v = fld.values
+    v, p = fld.values, _padded(fld.values)
     dt, dx = fld.dt, fld.dx
-    d2t_grid = (np.roll(v, -1, axis=0) - 2 * v + np.roll(v, 1, axis=0)) / dt**2
+    d2t_grid = (p[2:fld.Nt + 2] - 2 * v + p[:fld.Nt]) / dt**2
     d2x_grid = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dx**2
     ut = fld.time_derivative_grid()
     dtdx_grid = (ut[:, 2:] - ut[:, :-2]) / (2 * dx)

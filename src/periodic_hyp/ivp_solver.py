@@ -70,9 +70,9 @@ class Trajectory:
     dt_used before and after samples 1..C, whose next step completed.
     compat_c0 / compat_c1 are the initial data's corner compatibility
     residuals (reported, not enforced). steps counts the Heun steps done;
-    rhs_evals and speed_evals count the run's rhs and ``eigen_fields``
-    calls, a step that left the neighborhood and the set-up included; the
-    step-size bound reads ``spec.sampled_speeds``.
+    rhs_evals counts the run's rhs calls, each of which makes one
+    ``eigen_fields`` call, a step that left the neighborhood and the set-up
+    included; the step-size bound reads ``spec.sampled_speeds``.
     """
 
     x: np.ndarray
@@ -87,7 +87,6 @@ class Trajectory:
     failure: Optional[str] = None
     steps: int = 0
     rhs_evals: int = 0
-    speed_evals: int = 0
 
 
 @dataclass
@@ -332,14 +331,13 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         failure = str(exc)
         logger.warning("run stopped early at t=%.4f: %s", state.t, exc)
     # every n_sub steps record a sample, centred once its next step is done;
-    # the set-up and each stage of a step tried make one rhs and speed call
+    # the set-up and each stage of a step tried make one rhs call
     S, C = steps // n_sub + 1, max(steps - 1, 0) // n_sub
-    evals = 1 + 2 * (steps + (failure is not None))
     return Trajectory(x=np.arange(Nx + 1) * dx, times=np.arange(S) * record_every,
                       profiles=profiles[:S], before=before[:C], after=after[:C],
                       dt_used=dt, compat_c0=c0, compat_c1=c1,
                       completed=failure is None, failure=failure, steps=steps,
-                      rhs_evals=evals, speed_evals=evals)
+                      rhs_evals=1 + 2 * (steps + (failure is not None)))
 
 
 def _fit_log_decay(t: np.ndarray, v: np.ndarray, T0: float) -> Optional[float]:

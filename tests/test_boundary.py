@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import math
+from pathlib import Path
+
 from periodic_hyp import boundary as bd
-from periodic_hyp import systems
+from periodic_hyp import cli, systems
 from periodic_hyp.errors import BoundaryMapError, PeriodicityError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_reflect_spec(k=0.5, T_star=2.0, amp1=0.01, amp2=0.0):
@@ -270,6 +275,162 @@ class TestFrozenSpec:
                 setattr(spec, name, value)
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
         assert bd.characterizing_data(spec).theta == pytest.approx(0.5, abs=1e-8)
+
+
+def loop_validate_forcing(bspec):
+    """``validate_forcing`` as it was, the oracle of the one-grid form: each
+    signal evaluated on four grids of one period, ts, ts + T and ts -+ dt."""
+    n, T = bspec.n, bspec.T_star
+    ts = np.arange(4096) * (T / 4096)
+    dt = T / 4096
+    c1, h2max, per_res = np.empty(n), 0.0, 0.0
+    for i in range(n):
+        vals = bspec.h_values(i, ts)
+        res = float(np.abs(bspec.h_values(i, ts + T) - vals).max())
+        plus = bspec.h_values(i, ts + dt)
+        minus = bspec.h_values(i, ts - dt)
+        deriv = (plus - minus) / (2 * dt)
+        c1[i] = np.maximum(np.abs(vals).max(), np.abs(deriv).max())
+        second = float(np.abs((plus - 2 * vals + minus) / dt**2).max())
+        if not math.isfinite(res + c1[i] + second):
+            raise BoundaryMapError(f"forcing signal {i} is not finite at some sample")
+        per_res = max(per_res, res)
+        h2max = max(h2max, second)
+    if per_res > 1e-8:
+        raise PeriodicityError(f"forcing not {T}-periodic: residual {per_res:.3e}")
+    zero = np.zeros(n)
+    gains = np.array([bspec.map_gradient(i, 0.0, zero[bspec.outgoing(i)])[0]
+                      for i in range(n)])
+    max_gain = float(np.abs(gains).max()) if n else 0.0
+    return bd.ForcingReport(
+        h_c1_norms=c1, h_c1_max=float(c1.max()) if n else 0.0,
+        periodicity_residual=per_res, gain_at_origin=gains, max_gain=max_gain,
+        rescaled=max_gain > 0.5,
+        rescaled_spec=bd._rescale_forcing(bspec, max_gain) if max_gain > 0.5 else None,
+        h_second_deriv_max=h2max)
+
+
+def linear_design(seed, n, T_star):
+    """Seeded linear maps G_i(h, u) = c_i h + gains_i . u on n families,
+    m = n // 2, each signal one harmonic of the period."""
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    gains = rng.uniform(0.05, 1.0, (n, n))
+    c = rng.uniform(0.2, 1.0, n)
+
+    def linear(i, cols):
+        return lambda hv, u: c[i] * hv + np.asarray(u, dtype=float) @ gains[i, cols]
+
+    h = [systems.harmonic_signal(
+        [{"amplitude": a, "harmonic": k, "phase": p}], T_star)
+        for a, k, p in zip(rng.uniform(0.005, 0.02, n), rng.integers(1, 4, n),
+                           rng.uniform(0.0, 2 * np.pi, n))]
+    return bd.BoundarySpec(left_maps=[linear(i, slice(0, m)) for i in range(m, n)],
+                           right_maps=[linear(i, slice(m, n)) for i in range(m)],
+                           h=h, T_star=T_star)
+
+
+def shipped_boundaries():
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        cfg = cli.load_config(path)
+        for eps in cfg.eps:
+            yield cli._build(cfg, eps)[1]
+
+
+def designs(T_star):
+    return [linear_design(seed, n, T_star) for seed in (1, 2, 3) for n in range(2, 7)]
+
+
+def forcing_fields(rep):
+    """The report's fields, rescaled_spec as its signals on a grid."""
+    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    spec = out.pop("rescaled_spec")
+    out["rescaled_signals"] = None if spec is None else np.array(
+        [spec.h_values(i, np.linspace(-1.0, 3.0, 17)) for i in range(spec.n)])
+    return out
+
+
+class TestOneGridForcing:
+    """``validate_forcing`` reads each signal from one grid: the same report
+    as four grids of one period, bit for bit where every node k dt is exact
+    (T* = 1 and 2)."""
+
+    @pytest.mark.parametrize("T_star", [1.0, 2.0])
+    def test_bit_identical_to_four_grids(self, T_star):
+        specs = designs(T_star) + [make_scalar_spec(T_star=T_star)]
+        if T_star == 2.0:
+            specs += [make_reflect_spec(amp2=0.02)] + list(shipped_boundaries())
+        for spec in specs:
+            got, want = (forcing_fields(f(spec))
+                         for f in (bd.validate_forcing, loop_validate_forcing))
+            assert got.keys() == want.keys()
+            for name in got:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_same_periodicity_error(self):
+        spec = make_reflect_spec(T_star=1.0, amp2=0.02)  # 2-periodic signals
+        with pytest.raises(PeriodicityError) as got:
+            bd.validate_forcing(spec)
+        with pytest.raises(PeriodicityError) as want:
+            loop_validate_forcing(spec)
+        assert str(got.value) == str(want.value)
+
+    def test_inexact_step_within_rounding(self):
+        """Where k dt rounds, it and (k - 1) dt + dt or (k - N) dt + T differ
+        by at most 3 eps T. A difference over 2 dt turns that into a relative
+        change of at most 3 N eps of a C1 norm (N = 4096), and one over dt^2
+        into at most 6 eps N^2 / (2 pi) of a single harmonic's second
+        derivative; the decisions are the same."""
+        T_star, N, eps = 2 * np.pi / 3, 4096, np.finfo(float).eps
+        for spec in designs(T_star):
+            got, want = bd.validate_forcing(spec), loop_validate_forcing(spec)
+            assert got.rescaled == want.rescaled
+            assert np.array_equal(got.gain_at_origin, want.gain_at_origin)
+            for name in ("h_c1_norms", "h_c1_max"):
+                assert np.allclose(getattr(got, name), getattr(want, name),
+                                   rtol=3 * N * eps, atol=0.0), name
+            assert np.isclose(got.h_second_deriv_max, want.h_second_deriv_max,
+                              rtol=6 * eps * N**2 / (2 * np.pi), atol=0.0)
+            assert max(got.periodicity_residual, want.periodicity_residual) <= 1e-13
+
+    def test_one_signal_call_per_family(self, monkeypatch):
+        calls = []
+        real = bd.BoundarySpec.h_values
+
+        def counted(self, i, t):
+            calls.append(i)
+            return real(self, i, t)
+
+        monkeypatch.setattr(bd.BoundarySpec, "h_values", counted)
+        for n in range(2, 7):
+            calls.clear()
+            bd.validate_forcing(linear_design(1, n, 2.0))
+            assert calls == list(range(n))
+
+    @pytest.mark.parametrize("bad", [
+        lambda t, T: t < 0,  # only the sample before the period
+        lambda t, T: (t >= T) & (t < 2 * T),  # only the next period
+        lambda t, T: t > T + 0.5 * T / 4096,  # past every neighbour of [0, T)
+    ])
+    def test_non_finite_outside_the_period_names_the_signal(self, bad):
+        T_star = 2.0
+
+        def corrupt(fn, value):
+            return lambda t: np.where(bad(np.asarray(t, dtype=float), T_star),
+                                      value, fn(t))
+
+        base = linear_design(2, 3, T_star)
+        for value in (np.nan, np.inf):
+            h = list(base.h)
+            h[1] = corrupt(h[1], value)
+            spec = dataclasses.replace(base, h=h)
+            with pytest.raises(BoundaryMapError, match="forcing signal 1 "):
+                bd.validate_forcing(spec)
+            with pytest.raises(BoundaryMapError, match="forcing signal 1 "):
+                loop_validate_forcing(spec)
+            h[2] = corrupt(h[2], value)  # two bad signals: the first is named
+            with pytest.raises(BoundaryMapError, match="forcing signal 1 "):
+                bd.validate_forcing(dataclasses.replace(base, h=h))
 
 
 class TestValidateForcing:

@@ -2,7 +2,77 @@ import numpy as np
 import pytest
 
 from periodic_hyp import characteristics as ch
+from periodic_hyp.diagnostics import RegularityReport, regularity_measurements
 from periodic_hyp.errors import DomainError
+
+NTS = [8, 9, 32, 33, 256]
+
+
+def modulo_bilinear(grid, fld, t, x):
+    """``_bilinear`` as it was, wrapping the rows by modulo: the reference
+    of the read through ``_padded``."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    j0, wt = ch._phase(t, fld.T_star, fld.Nt)
+    j0 %= fld.Nt
+    j1 = (j0 + 1) % fld.Nt
+    k0, k1, wx = ch._space_index(fld, x)
+    wt = wt[..., None]
+    wx = wx[..., None]
+    return ((1 - wt) * (1 - wx) * grid[j0, k0]
+            + wt * (1 - wx) * grid[j1, k0]
+            + (1 - wt) * wx * grid[j0, k1]
+            + wt * wx * grid[j1, k1])
+
+
+def rolled_regularity(fld):
+    """``regularity_measurements`` with its time neighbours from np.roll."""
+    v, dt, dx = fld.values, fld.dt, fld.dx
+    d2t = (np.roll(v, -1, axis=0) - 2 * v + np.roll(v, 1, axis=0)) / dt**2
+    ut = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * dt)
+    return RegularityReport(
+        d2t=float(np.abs(d2t[:, 1:-1]).max()),
+        dtdx=float(np.abs((ut[:, 2:] - ut[:, :-2]) / (2 * dx)).max()),
+        d2x=float(np.abs((v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dx**2).max()))
+
+
+def random_field(Nt, T_star):
+    vals = np.random.default_rng(Nt).normal(size=(Nt, 9, 2))
+    return ch.Field(values=vals, T_star=T_star, L=1.0)
+
+
+class TestPaddedWrap:
+    """Every neighbour in time is a row of ``_padded``: the same bits as the
+    np.roll and modulo forms, at odd and even Nt."""
+
+    @pytest.mark.parametrize("Nt", NTS)
+    def test_time_difference(self, Nt):
+        fld = random_field(Nt, 2 * np.pi / 3)
+        v = fld.values
+        want = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * fld.dt)
+        assert np.array_equal(fld.time_derivative_grid(), want)
+
+    @pytest.mark.parametrize("Nt", NTS)
+    def test_regularity(self, Nt):
+        fld = random_field(Nt, 2 * np.pi / 3)
+        assert regularity_measurements(fld) == rolled_regularity(fld)
+
+    @pytest.mark.parametrize("T_star", [1.0, 2 * np.pi / 3])
+    @pytest.mark.parametrize("Nt", NTS)
+    def test_interpolate(self, Nt, T_star):
+        fld = random_field(Nt, T_star)
+        # a hair below T, or below 0: the phase may round up to Nt
+        below = [np.nextafter(T_star, 0.0), -1e-20, -5e-324, 3 * T_star - 1e-16]
+        t = np.concatenate([fld.t_nodes, below, [-below[0], T_star],
+                            -fld.t_nodes[1:], fld.t_nodes + 0.37 * fld.dt,
+                            np.linspace(-3 * T_star, 3 * T_star, 29)])
+        x = np.linspace(0.0, fld.L, t.size)
+        x[::4] = fld.x_nodes[np.arange(0, t.size, 4) % 9]
+        assert (ch._phase(t, T_star, Nt)[0] == Nt).any()
+        for method, grid in ((fld.interpolate, fld.values),
+                             (fld.interpolate_dt, fld.time_derivative_grid()),
+                             (fld.interpolate_dx, fld.space_derivative_grid())):
+            assert np.array_equal(method(t, x), modulo_bilinear(grid, fld, t, x))
+            assert np.array_equal(method(t[:, None], x), modulo_bilinear(grid, fld, t[:, None], x))
 
 
 class TestInterpolate:

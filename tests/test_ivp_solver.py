@@ -123,7 +123,9 @@ class TestRun:
     def test_a_run_stopped_mid_interval_keeps_its_completed_samples(
             self, monkeypatch, interval, q, samples, centred):
         """Step q of interval ``interval`` (-1: the last) leaves the
-        neighborhood: the record is a prefix of the completed run's."""
+        neighborhood: the record is a prefix of the completed run's, and
+        rhs_evals counts the eigen_fields calls, the failed step's two
+        stages included."""
         spec, bspec = make_e2()
         x = np.linspace(0.0, 1.0, 33)[:, None]
         u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
@@ -132,19 +134,25 @@ class TestRun:
         n_sub = full.steps // 6
         assert n_sub >= 3 and full.steps == 6 * n_sub
         done = interval * n_sub + q % n_sub
-        real_step = ivp.step
+        real_step, real_fields = ivp.step, ivp.eigen_fields
 
         def step(*args):
+            new = real_step(*args)  # a step finds the exit after both stages
             if count["steps"] == done:
                 raise DomainError("profile left the validated neighborhood")
             count["steps"] += 1
-            return real_step(*args)
+            return new
 
-        count = {"steps": 0}
+        def eigen_fields(*args, **kwargs):
+            count["speeds"] += 1
+            return real_fields(*args, **kwargs)
+
+        count = {"steps": 0, "speeds": 0}
         monkeypatch.setattr(ivp, "step", step)
+        monkeypatch.setattr(ivp, "eigen_fields", eigen_fields)
         traj = ivp.run(u0, spec, bspec, **kw)
         assert not traj.completed and traj.steps == done
-        assert traj.rhs_evals == traj.speed_evals == 1 + 2 * (done + 1)
+        assert traj.rhs_evals == count["speeds"] == 1 + 2 * (done + 1)
         assert np.array_equal(traj.times, full.times[:samples])
         assert np.array_equal(traj.profiles, full.profiles[:samples])
         assert len(traj.before) == len(traj.after) == centred
