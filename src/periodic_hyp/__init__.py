@@ -49,7 +49,6 @@ from .errors import (
     StepSizeError,
 )
 from .ivp_solver import (
-    IvpState,
     StabilityReport,
     Trajectory,
     bump_profile,

@@ -121,8 +121,8 @@ def _check_keys(section: str, data, allowed: set) -> None:
 
 
 def _as_float(value, name: str) -> float:
-    try:
-        out = float(value)
+    try:  # YAML reads true, yes and on as a bool, which float() takes for 1
+        out = np.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = np.nan
     if not np.isfinite(out):
@@ -419,8 +419,12 @@ def _sweep_worker(args):
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
+    cells = [out / f"eps_{eps:g}" for eps in cfg.eps]
+    shared = [str(d) for k, d in enumerate(cells) if d in cells[:k]]
+    if shared:  # two cells would write one directory and two rows of rates.csv
+        raise ConfigError(f"'experiment.eps' gives two cells the directory {shared[0]}")
     _make_out_dir(out)
-    tasks = [(cfg, eps, out / f"eps_{eps:g}", seed) for eps in cfg.eps]
+    tasks = [(cfg, eps, cell, seed) for eps, cell in zip(cfg.eps, cells)]
     if jobs > 1 and len(tasks) > 1:
         with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_sweep_worker, tasks)

@@ -20,15 +20,19 @@ which implies every hyperbolicity and signature check and gives the top
 through the ordered diagnosis that names the error. Each stage reads its
 upwind derivatives in one gather through a tap table built once per grid
 (``_upwind_taps``): for a diagonal A each component in its own family's
-direction, otherwise both directions for the eigenvector projection. Both stages impose the
-boundary at the step's end time: each incoming entry is written straight
-from its batched map, resolved once per boundary spec
+direction, otherwise both directions for the eigenvector projection. Both
+stages impose the boundary at the step's end time: each incoming entry is
+written straight from its batched map, resolved once per boundary spec
 (``BoundarySpec.sides``), and the entries written on each side are
-checked to be finite. ``run``
-evaluates every forcing signal once per recording interval, on the step
-times of the interval accumulated as the steps accumulate them, and
-hands each step its values; it records every sample and neighbor in one
-array block per run (``Trajectory``).
+checked to be finite.
+
+``step(u, dt, spec, bspec, signals)`` maps a profile (Nx+1, n) to the
+profile dt later; ``run`` owns time and spacing. It holds the one clock,
+the step times accumulated step by step, evaluates every forcing signal
+once per recording interval on those times and hands each step its
+values; each step takes dx = spec.L / Nx from its profile's length. It
+records every sample and neighbor in one array block per run
+(``Trajectory``).
 """
 from __future__ import annotations
 
@@ -50,15 +54,6 @@ logger = logging.getLogger("periodic_hyp")
 _CFL_CAP = 0.8
 _RUN_CFL = 0.4
 _NOISE_FLOOR = 1e-13
-
-
-@dataclass
-class IvpState:
-    """Spatial profile at one instant."""
-
-    t: float
-    u: np.ndarray
-    dx: float
 
 
 @dataclass
@@ -211,39 +206,38 @@ def _impose_boundary(u: np.ndarray, signals, bspec: bd.BoundarySpec) -> None:
             raise BoundaryMapError("boundary map returned non-finite values")
 
 
-def step(state: IvpState, dt: float, spec: SystemSpec,
-         bspec: bd.BoundarySpec, signals=None) -> IvpState:
-    """One Heun step with per-stage boundary imposition.
+def step(u: np.ndarray, dt: float, spec: SystemSpec,
+         bspec: bd.BoundarySpec, signals) -> np.ndarray:
+    """One Heun step of the profile u (Nx+1, n) on [0, spec.L]: returns
+    the profile dt later, with per-stage boundary imposition.
 
-    One ``spec.AF_at`` call per stage gives its A and F; the first
-    stage's speed check gives the top speed for the CFL check. Both
-    stages impose the boundary at t + dt, from signals[i] = h_i(t + dt),
-    which are evaluated here when not given. Raises ValueError when spec
-    and bspec disagree on n or m, StepSizeError when dt exceeds
-    0.8 dx / max |lambda| on the current profile and DomainError when the
-    new profile leaves the validated neighborhood (the blow-up proxy).
+    The step holds no clock and no grid of its own: both stages impose
+    the boundary from signals[i] = h_i at the step's end time, and dx is
+    spec.L / Nx. One ``spec.AF_at`` call per stage gives its A and F; the
+    first stage's speed check gives the top speed for the CFL check.
+    Raises ValueError when spec and bspec disagree on n or m,
+    StepSizeError when dt exceeds 0.8 dx / max |lambda| on the current
+    profile and DomainError when the new profile leaves the validated
+    neighborhood (the blow-up proxy).
     """
     if spec.n != bspec.n or spec.m != bspec.m:
         raise ValueError(f"boundary has n = {bspec.n}, m = {bspec.m}; "
                          f"the system n = {spec.n}, m = {spec.m}")
-    u = state.u
-    f1, lam_max = _rhs(u, spec, state.dx)
-    if dt > _CFL_CAP * state.dx / lam_max * (1 + 1e-12):
+    dx = spec.L / (len(u) - 1)
+    f1, lam_max = _rhs(u, spec, dx)
+    if dt > _CFL_CAP * dx / lam_max * (1 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_CFL_CAP} dx / max|lambda| = "
-            f"{_CFL_CAP * state.dx / lam_max:.3e}"
+            f"{_CFL_CAP * dx / lam_max:.3e}"
         )
-    t_new = state.t + dt
-    if signals is None:
-        signals = [bspec.h_values(i, t_new) for i in range(spec.n)]
     u1 = u + dt * f1
     _impose_boundary(u1, signals, bspec)
-    f2, _ = _rhs(u1, spec, state.dx)
+    f2, _ = _rhs(u1, spec, dx)
     u_new = u + 0.5 * dt * (f1 + f2)
     _impose_boundary(u_new, signals, bspec)
     if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
-    return IvpState(t=t_new, u=u_new, dx=state.dx)
+    return u_new
 
 
 def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
@@ -306,30 +300,30 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     profiles, before, after = np.split(np.empty((3 * n_samples + 1,) + u0.shape),
                                        [n_samples + 1, 2 * n_samples + 1])
     profiles[0] = u0
-    state = IvpState(t=0.0, u=profiles[0], dx=dx)
-    steps, failure = 0, None
-    step_times = np.empty(n_sub)
+    u, steps, failure = profiles[0], 0, None
+    # the run's one clock: the interval's start, then the end of each of
+    # its steps, accumulated step by step
+    clock = np.zeros(n_sub + 1)
     try:
         for s in range(n_samples):
-            # the interval's step times, accumulated as the steps do, and
-            # every signal on all of them: row q holds step q's values
-            t = state.t
+            clock[0] = clock[-1]
             for q in range(n_sub):
-                t = t + dt
-                step_times[q] = t
-            signals = np.stack([bspec.h_values(i, step_times)
+                clock[q + 1] = clock[q] + dt
+            # every signal on the interval's step ends: row q holds step q's values
+            signals = np.stack([bspec.h_values(i, clock[1:])
                                 for i in range(spec.n)], axis=-1)
             for q in range(n_sub):
-                u_before = state.u
-                state = step(state, dt, spec, bspec, signals[q])
+                u_before = u
+                u = step(u, dt, spec, bspec, signals[q])
                 steps += 1
                 if q == 0 and s:
-                    after[s - 1] = state.u
-            profiles[s + 1] = state.u
+                    after[s - 1] = u
+            profiles[s + 1] = u
             before[s] = u_before
     except DomainError as exc:
         failure = str(exc)
-        logger.warning("run stopped early at t=%.4f: %s", state.t, exc)
+        # step q did not complete: u is the profile at its start
+        logger.warning("run stopped early at t=%.4f: %s", clock[q], exc)
     # every n_sub steps record a sample, centred once its next step is done;
     # the set-up and each stage of a step tried make one rhs call
     S, C = steps // n_sub + 1, max(steps - 1, 0) // n_sub

@@ -329,6 +329,21 @@ class TestSweep:
         assert captured.err.startswith(f"i/o failure: cannot write {out / 'rates.csv'}: ")
         assert "cannot write" not in captured.out
 
+    @pytest.mark.parametrize("eps", [[0.01, 0.01], [0.01, 0.005, 0.0100000001]])
+    def test_two_cells_of_one_directory_exit_2(self, tmp_path, capsys, eps):
+        """eps that agree to 6 significant digits name one directory,
+        eps_0.01: the sweep runs no cell and writes nothing."""
+        cfg = base_e2_cfg(Nt=16, Nx=16)
+        cfg["experiment"] = {"eps": eps, "perturbation": 0.002,
+                             "t_end": 2.0, "record_every": 0.25}
+        out = tmp_path / "sweep"
+        code = cli.run(["sweep", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: 'experiment.eps' gives two cells the directory {out / 'eps_0.01'}\n")
+        assert not out.exists()
+
     def test_failed_cell_keeps_its_row(self, tmp_path):
         # eps = 0.09 drives the reflected amplitude 1.33 eps past the
         # neighborhood radius 0.1; validation runs at the smallest eps only
@@ -362,6 +377,11 @@ class TestSweep:
     ("experiment", "record_every", -0.25),
     ("boundary", "T_star", -2.0),
     ("boundary", "T_star", 0.0),
+    # YAML true (also yes, on) is a bool, not the number 1
+    ("solver", "tol", True),
+    ("solver", "max_iter", True),
+    ("boundary", "T_star", True),
+    ("experiment", "t_end", True),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     data = base_e2_cfg()

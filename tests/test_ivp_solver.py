@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -26,43 +28,53 @@ def make_e2(eps=0.01, k=0.5):
     return spec, systems.reflection_boundary(k, h1, systems.zero_signal, 2.0)
 
 
+def signals_at(bspec, t):
+    """Every forcing signal at time t, as ``ivp.run`` hands them to the
+    step that ends at t."""
+    return [bspec.h_values(i, t) for i in range(bspec.n)]
+
+
 class TestStep:
     def test_equilibrium_preserved(self):
         spec, _ = make_e1()
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)
-        state = ivp.IvpState(t=0.0, u=np.zeros((65, 1)), dx=1.0 / 64)
-        dt = 0.4 * state.dx
-        for _ in range(200):
-            state = ivp.step(state, dt, spec, bspec)
-        assert np.abs(state.u).max() <= 1e-13 * 200
+        u, dt = np.zeros((65, 1)), 0.4 / 64
+        for k in range(200):
+            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, (k + 1) * dt))
+        assert np.abs(u).max() <= 1e-13 * 200
 
     def test_cfl_violation_raises(self):
         spec, bspec = make_e1()
-        state = ivp.IvpState(t=0.0, u=np.zeros((65, 1)), dx=1.0 / 64)
         with pytest.raises(StepSizeError):
-            ivp.step(state, 0.9 * state.dx, spec, bspec)
+            ivp.step(np.zeros((65, 1)), 0.9 / 64, spec, bspec, signals_at(bspec, 0.9 / 64))
 
     def test_domain_exit_raises(self):
-        spec, bspec = make_e1()
-        state = ivp.IvpState(t=0.0, u=np.full((65, 1), 0.0999), dx=1.0 / 64)
+        spec, _ = make_e1()
+        u, dt = np.full((65, 1), 0.0999), 0.4 / 64
         big = systems.harmonic_signal([{"amplitude": 0.2}], 1.0)
         bspec_big = systems.scalar_inflow_boundary(big, 1.0)
         with pytest.raises(DomainError):
-            s = state
-            for _ in range(50):
-                s = ivp.step(s, 0.4 * s.dx, spec, bspec_big)
+            for k in range(50):
+                u = ivp.step(u, dt, spec, bspec_big, signals_at(bspec_big, (k + 1) * dt))
+
+    def test_the_step_returns_a_new_profile(self):
+        spec, bspec = make_e2()
+        u = 0.01 * np.cos(np.pi * np.linspace(0.0, 1.0, 33)[:, None] + np.array([0.3, 1.1]))
+        before = u.copy()
+        new = ivp.step(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
+        assert isinstance(new, np.ndarray) and new.shape == u.shape
+        assert np.array_equal(u, before)  # the profile handed in is not written
 
     def test_non_finite_boundary_value_raises(self):
         spec, _ = make_e2()
         nan_map = lambda hv, u: hv + np.nan * u[..., 0]
         keep = lambda hv, u: hv + 0.5 * u[..., 0]
-        state = ivp.IvpState(t=0.0, u=np.zeros((33, 2)), dx=1.0 / 32)
         for left, right in ((nan_map, keep), (keep, nan_map)):
             bspec = bd.BoundarySpec(left_maps=[left], right_maps=[right],
                                     h=[systems.zero_signal] * 2, T_star=2.0)
             with pytest.raises(BoundaryMapError,
                                match="boundary map returned non-finite values"):
-                ivp.step(state, 0.4 * state.dx, spec, bspec)
+                ivp.step(np.zeros((33, 2)), 0.4 / 32, spec, bspec, signals_at(bspec, 0.4 / 32))
 
     def test_outgoing_trace_is_not_checked(self):
         # a map that ignores its NaN input writes a finite value; the NaN
@@ -73,19 +85,20 @@ class TestStep:
         u = np.zeros((33, 2))
         u[0, 0] = np.nan
         with pytest.raises(DomainError):
-            ivp.step(ivp.IvpState(t=0.0, u=u, dx=1.0 / 32), 0.01, spec, bspec)
+            ivp.step(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
 
     def test_periodic_profile_advances_one_period(self):
         spec, bspec = make_e1()
         exact = e1_exact()
         Nx = 256
         x = np.linspace(0, 1, Nx + 1)
-        state = ivp.IvpState(t=0.0, u=exact(0.0, x)[:, None], dx=1.0 / Nx)
+        u = exact(0.0, x)[:, None]
         n_steps = 800  # dt = 1/800 = 0.3125 dx/lam
-        dt = 1.0 / n_steps
+        dt, t = 1.0 / n_steps, 0.0
         for _ in range(n_steps):
-            state = ivp.step(state, dt, spec, bspec)
-        assert np.abs(state.u[:, 0] - exact(0.0, x)).max() <= 1e-4
+            t += dt
+            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, t))
+        assert np.abs(u[:, 0] - exact(0.0, x)).max() <= 1e-4
 
 
 class TestRun:
@@ -121,11 +134,11 @@ class TestRun:
         (1, 0, 2, 0),  # sample 1 recorded, the step after it failed
         (1, 1, 2, 1), (3, 0, 4, 2), (3, -1, 4, 3)])
     def test_a_run_stopped_mid_interval_keeps_its_completed_samples(
-            self, monkeypatch, interval, q, samples, centred):
+            self, monkeypatch, caplog, interval, q, samples, centred):
         """Step q of interval ``interval`` (-1: the last) leaves the
-        neighborhood: the record is a prefix of the completed run's, and
+        neighborhood: the record is a prefix of the completed run's,
         rhs_evals counts the eigen_fields calls, the failed step's two
-        stages included."""
+        stages included, and the warning gives the time the run reached."""
         spec, bspec = make_e2()
         x = np.linspace(0.0, 1.0, 33)[:, None]
         u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
@@ -150,8 +163,12 @@ class TestRun:
         count = {"steps": 0, "speeds": 0}
         monkeypatch.setattr(ivp, "step", step)
         monkeypatch.setattr(ivp, "eigen_fields", eigen_fields)
+        caplog.set_level(logging.WARNING, logger="periodic_hyp")
         traj = ivp.run(u0, spec, bspec, **kw)
         assert not traj.completed and traj.steps == done
+        assert [r.getMessage() for r in caplog.records] == [
+            f"run stopped early at t={done * full.dt_used:.4f}: "
+            "profile left the validated neighborhood"]
         assert traj.rhs_evals == count["speeds"] == 1 + 2 * (done + 1)
         assert np.array_equal(traj.times, full.times[:samples])
         assert np.array_equal(traj.profiles, full.profiles[:samples])
@@ -182,8 +199,9 @@ class TestRun:
         t = 0.0
         for _ in range(5 * round(0.25 / traj.dt_used)):
             t += traj.dt_used
-        last = ivp.IvpState(t=t, u=traj.profiles[5], dx=1.0 / 24)
-        assert np.array_equal(ivp.step(last, traj.dt_used, spec, bspec).u, traj.after[4])
+        after = ivp.step(traj.profiles[5], traj.dt_used, spec, bspec,
+                         signals_at(bspec, t + traj.dt_used))
+        assert np.array_equal(after, traj.after[4])
 
     def test_transient_swept_out(self):
         # start from rest; after the transient crosses the domain the

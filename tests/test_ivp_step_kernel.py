@@ -5,23 +5,25 @@ eigenstructure for the CFL check and again in each stage (3 calls per
 step), evaluates A and F separately, projects every family through its
 eigenvectors, builds the upwind derivative once per family with its own
 copy of the one-sided stencil, and evaluates every forcing signal and
-looks up every boundary map again in each stage. The kernel makes one
-coefficient call (``SystemSpec.AF_at``) per stage, takes a spec's speeds
-as they are when it gives them and diag A when a matrix A is diagonal
-(``eigen_fields`` then gives no bases; the loop fills in the identity and
-projects through it), reads the CFL bound from the first stage's speed
-check, makes one gather of the
-upwind derivatives per stage through a cached tap table, each column in
-its own family's direction when A is diagonal and in both directions
-otherwise, writes the boundary from the maps of
-``BoundarySpec.sides`` and, in ``ivp.run``, evaluates each signal once
-per recording interval; ``ivp.run`` must reproduce the loop bit for bit.
+looks up every boundary map again in each stage, at the step's end time,
+which ``clocked`` accumulates step by step as the earlier step did. The
+kernel makes one coefficient call (``SystemSpec.AF_at``) per stage,
+takes a spec's speeds as they are when it gives them and diag A when a
+matrix A is diagonal (``eigen_fields`` then gives no bases; the loop
+fills in the identity and projects through it), reads the CFL bound from
+the first stage's speed check, makes one gather of the upwind
+derivatives per stage through a cached tap table, each column in its own
+family's direction when A is diagonal and in both directions otherwise,
+writes the boundary from the maps of ``BoundarySpec.sides`` and, in
+``ivp.run``, evaluates each signal once per recording interval;
+``ivp.run`` must reproduce the loop bit for bit.
 """
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from test_ivp_solver import signals_at
 from test_sweep_kernel import e1_problem, euler_problem, reflect_problem, three_family
 
 from periodic_hyp import boundary as bd
@@ -98,23 +100,36 @@ def loop_impose(u, t, spec, bspec):
         u[-1, :m] = bd.eval_boundary(bspec, "right", t, u[-1, m:])
 
 
-def loop_step(state, dt, spec, bspec, signals=None):
-    # the signal values ``ivp.run`` passes are ignored: the reference
-    # evaluates every signal again in each stage
-    u = state.u
+def loop_step(u, dt, spec, bspec, t):
+    """The step to time t; every signal is evaluated again in each stage."""
+    dx = spec.L / (len(u) - 1)
     lam = eigen_fields(spec, u)[0]
     lam_max = float(np.abs(lam).max())
-    if dt > 0.8 * state.dx / lam_max * (1 + 1e-12):
+    if dt > 0.8 * dx / lam_max * (1 + 1e-12):
         raise StepSizeError("dt above the CFL cap")
-    f1 = loop_rhs(u, spec, state.dx)
+    f1 = loop_rhs(u, spec, dx)
     u1 = u + dt * f1
-    loop_impose(u1, state.t + dt, spec, bspec)
-    f2 = loop_rhs(u1, spec, state.dx)
+    loop_impose(u1, t, spec, bspec)
+    f2 = loop_rhs(u1, spec, dx)
     u_new = u + 0.5 * dt * (f1 + f2)
-    loop_impose(u_new, state.t + dt, spec, bspec)
+    loop_impose(u_new, t, spec, bspec)
     if not spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
-    return ivp.IvpState(t=state.t + dt, u=u_new, dx=state.dx)
+    return u_new
+
+
+def clocked(step_to):
+    """A step for ``ivp.run`` that keeps its own clock, accumulated step
+    by step from 0, and returns step_to(u, dt, spec, bspec, t) at its end
+    time t: the signal values the run passes are ignored."""
+    clock = {"t": 0.0}
+
+    def step(u, dt, spec, bspec, signals):
+        t = clock["t"] + dt
+        u_new = step_to(u, dt, spec, bspec, t)
+        clock["t"] = t
+        return u_new
+    return step
 
 
 def initial_profile(spec, Nx):
@@ -209,7 +224,7 @@ def run_both(name, monkeypatch):
     kw = dict(t_end=1.5 * spec.L, record_every=0.25 * spec.L)
     got = ivp.run(*args, **kw)
     with monkeypatch.context() as mp:
-        mp.setattr(ivp, "step", loop_step)
+        mp.setattr(ivp, "step", clocked(loop_step))
         mp.setattr(ivp, "_rhs", lambda u, spec, dx: (loop_rhs(u, spec, dx), None))
         want = ivp.run(*args, **kw)
     return got, want
@@ -240,11 +255,12 @@ def counting(fn, calls, key):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
     """Per step: 2 speed evaluations (one per stage), eigenvectors only
-    for a non-diagonal A, one stencil gather per stage and one evaluation
-    of each forcing signal."""
+    for a non-diagonal A, one stencil gather per stage and no evaluation
+    of a forcing signal: the step reads the values it is handed."""
     make, Nx = CASES[name]
     spec, bspec = make()
-    state = ivp.IvpState(t=0.1, u=initial_profile(spec, Nx), dx=spec.L / Nx)
+    dt = 0.2 * spec.L / Nx
+    signals = signals_at(bspec, 0.1 + dt)
     calls = {"speeds": 0, "bases": 0, "stencil": 0, "h": 0}
 
     def counted_fields(*args):
@@ -257,9 +273,9 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
     monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))
     monkeypatch.setattr(bd.BoundarySpec, "h_values",
                         counting(bd.BoundarySpec.h_values, calls, "h"))
-    ivp.step(state, 0.2 * state.dx, spec, bspec)
+    ivp.step(initial_profile(spec, Nx), dt, spec, bspec, signals)
     assert calls == {"speeds": 2, "bases": 0 if name in DIAGONAL else 2,
-                     "stencil": 2, "h": spec.n}
+                     "stencil": 2, "h": 0}
 
 
 def test_run_counts_its_work(monkeypatch):
@@ -296,8 +312,8 @@ def test_one_coefficient_call_per_stage():
         spec = dataclasses.replace(euler, A=fns["A"], F=fns["F"],
                                    AF=fns["AF"] if with_AF else None)
         calls.update(dict.fromkeys(calls, 0))  # the probes at construction
-        state = ivp.IvpState(t=0.1, u=initial_profile(spec, 16), dx=spec.L / 16)
-        ivp.step(state, 0.2 * state.dx, spec, bspec)
+        dt = 0.2 * spec.L / 16
+        ivp.step(initial_profile(spec, 16), dt, spec, bspec, signals_at(bspec, 0.1 + dt))
         assert calls == want
 
 
@@ -324,9 +340,9 @@ def test_a_non_finite_map_value_raises_from_either_stage(stage, monkeypatch):
     spec, bspec = nan_map_problem(after=stage)
     rhs = {"calls": 0}
     monkeypatch.setattr(ivp, "_rhs", counting(ivp._rhs, rhs, "calls"))
-    state = ivp.IvpState(t=0.1, u=initial_profile(spec, 16), dx=spec.L / 16)
+    dt = 0.2 * spec.L / 16
     with pytest.raises(BoundaryMapError, match="non-finite"):
-        ivp.step(state, 0.2 * state.dx, spec, bspec)
+        ivp.step(initial_profile(spec, 16), dt, spec, bspec, signals_at(bspec, 0.1 + dt))
     assert rhs["calls"] == stage  # the stage that imposed the boundary
 
 
@@ -347,8 +363,8 @@ def test_a_looped_signal_gives_the_trajectory_of_per_step_evaluation(monkeypatch
     got = ivp.run(u0, spec, bspec, **kw)
     step = ivp.step
     with monkeypatch.context() as mp:
-        mp.setattr(ivp, "step", lambda state, dt, spec, bspec, signals=None:
-                   step(state, dt, spec, bspec))
+        mp.setattr(ivp, "step", clocked(lambda u, dt, spec, bspec, t:
+                                        step(u, dt, spec, bspec, signals_at(bspec, t))))
         want = ivp.run(u0, spec, bspec, **kw)
     assert got.completed and want.completed and got.steps == want.steps
     for a, b in zip(got.profiles, want.profiles):
@@ -387,6 +403,6 @@ def test_harmonic_signal_on_an_array_equals_its_scalar_values():
 def test_a_step_refuses_a_boundary_of_another_shape():
     spec, _ = euler_problem()
     _, scalar_bspec = e1_problem()
-    state = ivp.IvpState(t=0.0, u=initial_profile(spec, 16), dx=spec.L / 16)
     with pytest.raises(ValueError, match="boundary has n = 1"):
-        ivp.step(state, 0.01, spec, scalar_bspec)
+        ivp.step(initial_profile(spec, 16), 0.01, spec, scalar_bspec,
+                 signals_at(scalar_bspec, 0.01))

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sweep_kernel import euler_problem, reflect_problem
 
 from periodic_hyp import cli
 from periodic_hyp import periodic_solver as ps
@@ -261,3 +264,32 @@ class TestExtractInitialData:
         x = fld.x_nodes
         expected = 0.01 * np.exp(-0.5 * x) * np.sin(-2 * np.pi * x)
         assert np.abs(u0 - expected).max() <= 1e-6
+
+
+class TestTimeShiftEquivariance:
+    """Delaying every forcing signal by k grid rows, h_i(t - k T*/Nt),
+    rolls the solved periodic field by k rows, in as many sweeps."""
+
+    NT = 16
+    PROBLEMS = {"linear_reflect_2x2": (reflect_problem, 1e-6),
+                "quasilinear_euler_damping": (euler_problem, None)}
+
+    def solve(self, name, delay=0):
+        make, K = self.PROBLEMS[name]
+        spec, bspec = make()
+        shift = delay * bspec.T_star / self.NT
+        bspec = dataclasses.replace(
+            bspec, h=[lambda t, h=h: h(np.asarray(t) - shift) for h in bspec.h])
+        fld, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=self.NT, Nx=16, K=K))
+        assert rep.converged
+        return fld.values, rep.iterations
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(k=st.integers(1, NT - 1))
+    def test_delayed_forcing_rolls_the_field(self, name, k):
+        values, sweeps = self.solve(name)
+        delayed, delayed_sweeps = self.solve(name, k)
+        assert delayed_sweeps == sweeps
+        assert np.abs(delayed - np.roll(values, k, axis=0)).max() <= 1e-15
+        assert np.abs(delayed - values).max() > 1e-4  # the field moves in time

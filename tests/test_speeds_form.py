@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 import pytest
+from test_ivp_solver import signals_at
 from test_ivp_step_kernel import initial_profile, matrix_form
 from test_sweep_kernel import e1_problem, euler_problem, reflect_problem
 
@@ -79,9 +80,8 @@ class TestForm:
         for states in (np.zeros(2), np.zeros((5, 2))):
             with pytest.raises(ValueError, match="SystemSpec.AF differs"):
                 spec.AF_at(states)
-        state = ivp.IvpState(t=0.0, u=np.zeros((9, 2)), dx=0.125)
         with pytest.raises(ValueError, match="SystemSpec.AF differs"):
-            ivp.step(state, 0.01, spec, bspec)
+            ivp.step(np.zeros((9, 2)), 0.01, spec, bspec, signals_at(bspec, 0.01))
 
     def test_an_AF_whose_speeds_differ_is_refused(self):
         euler, _ = euler_problem()
@@ -152,10 +152,11 @@ def failing_problem(kind, thr=0.02):
 
 def march_to_failure(spec, bspec, Nx=16, steps=400):
     """(step index, error type, message) of the first failing ``ivp.step``."""
-    state = ivp.IvpState(t=0.0, u=0.1 * initial_profile(spec, Nx), dx=spec.L / Nx)
+    u, dt, t = 0.1 * initial_profile(spec, Nx), 0.15 * spec.L / Nx, 0.0
     for k in range(steps):
+        t += dt
         try:
-            state = ivp.step(state, 0.15 * state.dx, spec, bspec)
+            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, t))
         except (HyperbolicityError, SignatureError, StepSizeError, DomainError) as exc:
             return k, type(exc), str(exc)
     raise AssertionError("the march did not fail")
@@ -211,9 +212,8 @@ class TestTopSpeed:
         spec, bspec = e1_problem()
         spec = matrix_form(spec) if twin else spec
         dx = 1.0 / 64
-        state = ivp.IvpState(t=0.0, u=np.zeros((65, 1)), dx=dx)
         dt = 0.9 * dx
         with pytest.raises(StepSizeError) as exc:
-            ivp.step(state, dt, spec, bspec)
+            ivp.step(np.zeros((65, 1)), dt, spec, bspec, signals_at(bspec, dt))
         assert str(exc.value) == (f"dt={dt:.3e} exceeds 0.8 dx / max|lambda| = "
                                   f"{0.8 * dx / 1.0:.3e}")

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_ivp_solver import signals_at
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli
@@ -853,7 +854,7 @@ class TestFusedCoefficients:
         bspec = systems.two_gain_boundary(0.5, 0.5, systems.zero_signal,
                                           systems.zero_signal, 2.0)
         with pytest.raises(ValueError, match="SystemSpec.AF differs"):
-            ivp.step(ivp.IvpState(t=0.0, u=np.zeros((9, 2)), dx=0.125), 0.01, spec, bspec)
+            ivp.step(np.zeros((9, 2)), 0.01, spec, bspec, signals_at(bspec, 0.01))
 
     def test_an_AF_that_broadcasts_wrongly_raises_on_every_call(self):
         def reversed_batch(u):  # right on one state, wrong on a batch
