@@ -13,17 +13,18 @@ every derivative and ``eval_boundary``; the periodic sweep and the IVP
 write their incoming entries from the same batched maps, resolved once
 per spec in ``BoundarySpec.sides``. ``BoundarySpec.map_gradient``
 differentiates a map centrally with step 1e-6 in h and in each outgoing
-component, and raises BoundaryMapError on a non-finite derivative. Map
-values are checked where they are used: on what ``eval_boundary``
-returns, on the whole new iterate by the sweep, and by the IVP on the
-incoming entries each stage writes.
+component, and raises BoundaryMapError on a non-finite derivative; its
+values at the origin, kept in ``BoundarySpec.origin``, give ``theta_matrix``
+and the gains of ``validate_forcing``. Map values are checked where they
+are used: on what ``eval_boundary`` returns, on the whole new iterate by
+the sweep, and by the IVP on the incoming entries each stage writes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +36,15 @@ _METHOD_AGREEMENT = 1e-6
 _CROSS_CLASS_SCALE = 1e-6
 _SAMPLES_PER_PERIOD = 4096
 _MAP_PROBE_SCALE = 0.01  # size of the (h, outgoing) pairs maps are probed at
+
+
+@dataclass(frozen=True)
+class BoundaryOrigin:
+    """The maps linearized at (h, u_out) = (0, 0), read-only: gains (n,) of
+    dG_i/dh, and theta (n, n), row i dG_i/du_out on ``outgoing(i)``."""
+
+    gains: np.ndarray
+    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,28 +63,43 @@ class BoundarySpec:
 
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
-    when not finite); ``outgoing(i)`` is the trace map i reads, and
-    ``sides`` the batched maps of each endpoint, resolved once.
-
-    A spec is immutable, so the batched forms it keeps of its maps and
-    signals stay those of the callables it holds.
+    when not finite); ``outgoing(i)`` is the trace map i reads, ``sides``
+    the batched maps of each endpoint and ``origin`` the linearization at
+    the origin, computed on first use. Each map and signal is batched once,
+    when the spec is built: an exception its probe raises, other than those
+    ``batched`` takes for one-item code, comes from construction. A spec is
+    immutable, so what it keeps stays that of the callables it holds.
     """
 
     left_maps: Sequence[Callable]
     right_maps: Sequence[Callable]
     h: Sequence[Callable]
     T_star: float
-    # filled on first use: validate_forcing rebuilds specs it never evaluates
-    _h_batch: dict = field(init=False, repr=False)
-    _maps: dict = field(init=False, repr=False)
+    sides: tuple = field(init=False, repr=False)
+    _batched_h: tuple = field(init=False, repr=False)
+    _batched_maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.T_star <= 0:
             raise ValueError("T_star must be positive")
         if len(self.h) != self.n:
             raise ValueError("need one forcing signal per family")
-        object.__setattr__(self, "_h_batch", {})
-        object.__setattr__(self, "_maps", {})
+        times = (self.T_star * np.array([0.3, 0.55]),)
+        object.__setattr__(self, "_batched_h", tuple(
+            batched(fn, times, (), f"h[{i}]") for i, fn in enumerate(self.h)))
+        hv = _probe_points(1, _MAP_PROBE_SCALE)[:, 0]
+        m, n = self.m, self.n
+        object.__setattr__(self, "_batched_maps", tuple(
+            batched(fn, (hv, _probe_points(n - m if i < m else m, _MAP_PROBE_SCALE)),
+                    (), f"boundary map {i}")
+            for i, fn in enumerate([*self.right_maps, *self.left_maps])))
+        # (row, incoming slice, ((i, batched map i, outgoing slice), ...)) per
+        # endpoint with incoming components, x = 0 (row 0 of a profile) first;
+        # the slices have the widths the maps read, so writers skip that check
+        object.__setattr__(self, "sides", tuple(
+            (row, slice(lo, hi), tuple((i, self._batched_maps[i], self.outgoing(i))
+                                       for i in range(lo, hi)))
+            for row, lo, hi in ((0, m, n), (-1, 0, m)) if lo < hi))
 
     @property
     def n(self) -> int:
@@ -86,26 +111,13 @@ class BoundarySpec:
 
     def h_values(self, i: int, t) -> np.ndarray:
         """Signal i evaluated on scalar or array times."""
-        if i not in self._h_batch:
-            times = (self.T_star * np.array([0.3, 0.55]),)
-            self._h_batch[i] = batched(self.h[i], times, (), f"h[{i}]")
-        return self._h_batch[i](np.asarray(t, dtype=float))
+        return self._batched_h[i](np.asarray(t, dtype=float))
 
     def outgoing(self, i: int) -> slice:
         """Components that map i reads: component i < m (entering at x = L)
         the n - m right-moving ones, the others (entering at x = 0) the m
         left-moving ones."""
         return slice(self.m, self.n) if i < self.m else slice(0, self.m)
-
-    def _map(self, i: int) -> Callable:
-        """Batched map of component i."""
-        if i not in self._maps:
-            fn = self.right_maps[i] if i < self.m else self.left_maps[i - self.m]
-            cols = self.outgoing(i)
-            probe = (_probe_points(1, _MAP_PROBE_SCALE)[:, 0],
-                     _probe_points(cols.stop - cols.start, _MAP_PROBE_SCALE))
-            self._maps[i] = batched(fn, probe, (), f"boundary map {i}")
-        return self._maps[i]
 
     def map_values(self, i: int, hv, u_out: np.ndarray) -> np.ndarray:
         """Map of component i at signal values hv (...,) and the outgoing
@@ -116,21 +128,7 @@ class BoundarySpec:
         if u_out.shape[-1:] != (cols.stop - cols.start,):
             raise ValueError(f"outgoing trace of component {i} must have "
                              f"length {cols.stop - cols.start}")
-        return self._map(i)(np.asarray(hv, dtype=float), u_out)
-
-    @cached_property
-    def sides(self) -> tuple:
-        """The endpoints that have incoming components, x = 0 first, each
-        as (row, incoming slice, ((i, batched map i, outgoing slice), ...))
-        with row 0 or -1 of an (Nx + 1, n) profile (a sweep's outgoing
-        column). Writing the incoming entries from these skips the
-        per-call look-up and width check of ``map_values``: a row's
-        outgoing slice has the width the map reads by construction."""
-        m, n = self.m, self.n
-        return tuple(
-            (row, slice(lo, hi), tuple((i, self._map(i), self.outgoing(i))
-                                       for i in range(lo, hi)))
-            for row, lo, hi in ((0, m, n), (-1, 0, m)) if lo < hi)
+        return self._batched_maps[i](np.asarray(hv, dtype=float), u_out)
 
     def map_gradient(self, i: int, hv, u_out: np.ndarray) -> tuple:
         """(dG_i/dh, dG_i/du_out) at one point (hv, u_out), by central
@@ -147,6 +145,17 @@ class BoundarySpec:
             raise BoundaryMapError(f"non-finite derivative of boundary map {i}")
         return float(grad[0]), grad[1:]
 
+    @cached_property
+    def origin(self) -> BoundaryOrigin:
+        """Forcing gains and theta matrix from one ``map_gradient(i, 0, 0)``
+        per map; raises what that raises, on every use until it succeeds."""
+        zero, gains, theta = np.zeros(self.n), np.zeros(self.n), np.zeros((self.n, self.n))
+        for i in range(self.n):
+            cols = self.outgoing(i)
+            gains[i], theta[i, cols] = self.map_gradient(i, 0.0, zero[cols])
+        gains.flags.writeable = theta.flags.writeable = False
+        return BoundaryOrigin(gains=gains, theta=theta)
+
 
 @dataclass
 class ThetaData:
@@ -160,12 +169,9 @@ class ThetaData:
 
 @dataclass
 class ForcingReport:
-    """Measured forcing norms and boundary-gain data.
-
-    When the forcing gain at the origin exceeds 1/2, ``rescaled_spec``
-    carries the equivalent spec with signals scaled by 2 * gain and the
-    maps reparametrized accordingly, which validates with rescaled False.
-    """
+    """Measured forcing norms and boundary-gain data: gain_at_origin is
+    ``BoundarySpec.origin.gains`` (read-only), max_gain its largest modulus
+    and rescaled whether that exceeds 1/2."""
 
     h_c1_norms: np.ndarray
     h_c1_max: float
@@ -173,22 +179,14 @@ class ForcingReport:
     gain_at_origin: np.ndarray
     max_gain: float
     rescaled: bool
-    rescaled_spec: Optional[BoundarySpec]
     h_second_deriv_max: float
 
 
 def theta_matrix(bspec: BoundarySpec) -> np.ndarray:
-    """Feedback linearization at the origin, block anti-diagonal by layout.
-
-    Row i holds dG_i/du_out(0, 0) (``BoundarySpec.map_gradient``) in the
-    columns of its outgoing trace (``BoundarySpec.outgoing``).
-    """
-    zero = np.zeros(bspec.n)
-    theta = np.zeros((bspec.n, bspec.n))
-    for i in range(bspec.n):
-        cols = bspec.outgoing(i)
-        theta[i, cols] = bspec.map_gradient(i, 0.0, zero[cols])[1]
-    return theta
+    """Feedback linearization at the origin, block anti-diagonal by layout:
+    a writable copy of ``BoundarySpec.origin.theta``, whose row i holds
+    dG_i/du_out(0, 0) in the columns of its outgoing trace."""
+    return bspec.origin.theta.copy()
 
 
 def _power_root(B: np.ndarray) -> float:
@@ -309,35 +307,18 @@ def characterizing_data(bspec: BoundarySpec) -> ThetaData:
     return ThetaData(theta_matrix=th, theta=value, optimal_scaling=gamma)
 
 
-def _rescale_forcing(bspec: BoundarySpec, M0: float) -> BoundarySpec:
-    """Equivalent spec with signals scaled by 2*M0 and maps compensated."""
-    c = 2.0 * M0
-
-    def scale_signal(fn):
-        return lambda t: c * np.asarray(fn(t), dtype=float)
-
-    def compensate(fn):
-        return lambda hv, u: fn(np.asarray(hv) / c, u)
-
-    return replace(
-        bspec,
-        left_maps=[compensate(f) for f in bspec.left_maps],
-        right_maps=[compensate(f) for f in bspec.right_maps],
-        h=[scale_signal(f) for f in bspec.h],
-    )
-
-
 def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     """Measure forcing norms, periodicity, and the forcing gain at the origin.
 
     Each signal is evaluated once, on t_k = k dt, k = -1 .. 2N - 1 (N = 4096,
     dt = T / N): the period, its neighbours one sample either side and the
     next period are offset slices of it. The C1 norm is max(sup |h|, sup |h'|)
-    on the period, by central differences. Forcing gains above 1/2 are
-    reported with ``rescaled_spec``, the equivalent spec with gains of at most
-    1/2, which validates with ``rescaled`` False. Raises BoundaryMapError
-    naming the first signal with a non-finite sample and PeriodicityError
-    when a signal fails h(t + T) = h(t) beyond 1e-8.
+    on the period, by central differences. The forcing gains dG/dh at the
+    origin are read from ``BoundarySpec.origin``, which ``theta_matrix``
+    shares, and ``rescaled`` flags one above 1/2. Raises BoundaryMapError
+    naming the first signal with a non-finite sample or, from the origin,
+    the map with a non-finite derivative, and PeriodicityError when a
+    signal fails h(t + T) = h(t) beyond 1e-8.
     """
     n, T, N = bspec.n, bspec.T_star, _SAMPLES_PER_PERIOD
     dt = T / N
@@ -361,21 +342,15 @@ def validate_forcing(bspec: BoundarySpec) -> ForcingReport:
     if per_res > 1e-8:
         raise PeriodicityError(f"forcing not {T}-periodic: residual {per_res:.3e}")
 
-    zero = np.zeros(n)
-    gains = np.array([bspec.map_gradient(i, 0.0, zero[bspec.outgoing(i)])[0]
-                      for i in range(n)])
+    gains = bspec.origin.gains
     max_gain = float(np.abs(gains).max()) if n else 0.0
-    rescaled = max_gain > 0.5
-    rescaled_spec = _rescale_forcing(bspec, max_gain) if rescaled else None
-
     return ForcingReport(
         h_c1_norms=c1,
         h_c1_max=float(c1.max()) if n else 0.0,
         periodicity_residual=per_res,
         gain_at_origin=gains,
         max_gain=max_gain,
-        rescaled=rescaled,
-        rescaled_spec=rescaled_spec,
+        rescaled=max_gain > 0.5,
         h_second_deriv_max=h2max,
     )
 

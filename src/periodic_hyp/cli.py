@@ -217,6 +217,8 @@ def load_config(path) -> RunConfig:
     eps = exp.get("eps", [0.01])
     if isinstance(eps, (int, float)):
         eps = [eps]
+    elif not isinstance(eps, list):  # a string or mapping would iterate
+        raise ConfigError(f"'experiment.eps' must be a number or a list, got {eps!r}")
     eps = [_as_float(e, "experiment.eps") for e in eps]
     if not eps or any(e < 0 for e in eps):
         raise ConfigError("experiment.eps must be nonnegative")
@@ -296,10 +298,8 @@ def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
     try:
         forcing_rep = bd.validate_forcing(bspec)
         lines.append(f"forcing C1 norm: {forcing_rep.h_c1_max:.6g}, "
-                     f"periodicity residual: {forcing_rep.periodicity_residual:.2e}")
-        if forcing_rep.rescaled:
-            lines.append(f"forcing gain {forcing_rep.max_gain:.3g} > 1/2: "
-                         f"signals rescaled by {2 * forcing_rep.max_gain:.3g} in the report")
+                     f"periodicity residual: {forcing_rep.periodicity_residual:.2e}, "
+                     f"gain at origin: {forcing_rep.max_gain:.6g}")
     except PeriodicityError as exc:
         lines.append(f"forcing periodicity FAILED: {exc}")
         return ValidationOutcome(False, lines, spec, bspec)

@@ -129,10 +129,11 @@ class TestMapGradient:
             np.abs(u[..., 0]) < 1e-3, np.nan, 0.0)
         spec = bd.BoundarySpec(left_maps=[nan_near_0], right_maps=[lambda hv, u: hv],
                                h=[np.sin, np.cos], T_star=2 * np.pi)
-        with pytest.raises(BoundaryMapError, match="boundary map 1"):
-            bd.characterizing_data(spec)
-        with pytest.raises(BoundaryMapError, match="boundary map 1"):
-            bd.validate_forcing(spec)
+        # the origin is kept only once computed: each use raises again
+        for check in (bd.characterizing_data, bd.validate_forcing, bd.theta_matrix,
+                      bd.validate_forcing):
+            with pytest.raises(BoundaryMapError, match="boundary map 1"):
+                check(spec)
 
     def test_wrongly_broadcasting_map_fails_in_theta(self):
         # u[0] is the first outgoing value of one item, the first row of a batch
@@ -270,11 +271,115 @@ class TestFrozenSpec:
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
         for name, value in (("left_maps", [lambda hv, u: hv + 0.9 * u[..., 0]]),
                             ("h", [systems.zero_signal] * 2), ("T_star", 1.0),
-                            ("_maps", {})):
+                            ("sides", ())):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, name, value)
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
         assert bd.characterizing_data(spec).theta == pytest.approx(0.5, abs=1e-8)
+
+
+class TestResolvedOnce:
+    """A spec batches its maps and signals when it is built, and
+    differentiates its maps at the origin once, for theta and the forcing
+    gains alike."""
+
+    @staticmethod
+    def counting_spec(calls):
+        def fn(hv, u):
+            calls["map"] += 1
+            return hv + 0.5 * u[..., 0]
+
+        def signal(t):
+            calls["h"] += 1
+            return 0.01 * np.sin(np.pi * np.asarray(t, dtype=float))
+
+        return bd.BoundarySpec(left_maps=[fn], right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                               h=[signal, systems.zero_signal], T_star=2.0)
+
+    def test_probed_at_construction_only(self):
+        calls = {"map": 0, "h": 0}
+        spec = self.counting_spec(calls)
+        # the probe: one call on the pair, one per item
+        assert calls == {"map": 3, "h": 3}
+        t = np.linspace(0.0, 2.0, 5)
+        spec.h_values(0, t)
+        spec.h_values(0, 0.3)
+        assert calls == {"map": 3, "h": 5}
+        spec.map_values(1, t, np.full((5, 1), 0.02))
+        assert calls == {"map": 4, "h": 5}
+        for _ in range(2):
+            (row, incoming, maps), _right = spec.sides
+            assert (row, incoming, maps[0][0], maps[0][2]) == (0, slice(1, 2), 1, slice(0, 1))
+        assert calls == {"map": 4, "h": 5}
+        maps[0][1](t, np.full((5, 1), 0.02))
+        assert calls == {"map": 5, "h": 5}
+
+    def test_a_probe_that_raises_fails_construction(self):
+        def broken(t):
+            raise ZeroDivisionError("signal")
+
+        with pytest.raises(ZeroDivisionError, match="signal"):
+            bd.BoundarySpec(left_maps=[lambda hv, u: hv], right_maps=[], h=[broken],
+                            T_star=1.0)
+
+    @staticmethod
+    def count_gradients(monkeypatch):
+        calls = []
+        real = bd.BoundarySpec.map_gradient
+
+        def counted(self, i, hv, u_out):
+            if np.all(np.asarray(hv) == 0) and not np.any(u_out):
+                calls.append(i)
+            return real(self, i, hv, u_out)
+
+        monkeypatch.setattr(bd.BoundarySpec, "map_gradient", counted)
+        return calls
+
+    def test_theta_and_forcing_differentiate_each_map_once(self, monkeypatch):
+        from periodic_hyp import periodic_solver as ps
+
+        calls = self.count_gradients(monkeypatch)
+        spec = make_reflect_spec(k=0.5)
+        bd.theta_matrix(spec)
+        bd.validate_forcing(spec)
+        bd.characterizing_data(spec)
+        ps.SweepContext.for_solve(systems.linear_reflect_2x2(), spec, None)
+        assert calls == [0, 1]
+        for n in range(2, 7):
+            calls.clear()
+            spec = linear_design(1, n, 2.0)
+            bd.validate_forcing(spec)
+            bd.characterizing_data(spec)
+            assert calls == list(range(n))
+
+    def test_a_cli_stability_run_differentiates_each_map_once(self, tmp_path, monkeypatch):
+        import yaml
+
+        data = yaml.safe_load((CONFIGS / "quasilinear_euler_damping.yaml").read_text())
+        data["grid"] = {"Nt": 32, "Nx": 32}
+        path = tmp_path / "euler.yaml"
+        path.write_text(yaml.safe_dump(data))
+        calls = self.count_gradients(monkeypatch)
+        assert cli.run(["stability", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert calls == [0, 1]
+
+    def test_origin_is_read_only_and_theta_matrix_a_copy(self):
+        spec = make_reflect_spec(k=0.5)
+        origin = spec.origin
+        assert spec.origin is origin
+        for arr in (origin.gains, origin.theta):
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
+        th = bd.theta_matrix(spec)
+        assert np.array_equal(th, origin.theta) and th.flags.writeable
+        th[0, 1] = 3.0
+        assert np.array_equal(bd.theta_matrix(spec), origin.theta)
+        assert origin.theta[0, 1] == pytest.approx(0.5, abs=1e-9)
+        assert np.array_equal(bd.characterizing_data(spec).theta_matrix, origin.theta)
+        rep = bd.validate_forcing(spec)
+        assert np.array_equal(rep.gain_at_origin, origin.gains)
+        assert np.allclose(origin.gains, [1.0, 1.0], rtol=0, atol=1e-9)
 
 
 def loop_validate_forcing(bspec):
@@ -305,9 +410,7 @@ def loop_validate_forcing(bspec):
     return bd.ForcingReport(
         h_c1_norms=c1, h_c1_max=float(c1.max()) if n else 0.0,
         periodicity_residual=per_res, gain_at_origin=gains, max_gain=max_gain,
-        rescaled=max_gain > 0.5,
-        rescaled_spec=bd._rescale_forcing(bspec, max_gain) if max_gain > 0.5 else None,
-        h_second_deriv_max=h2max)
+        rescaled=max_gain > 0.5, h_second_deriv_max=h2max)
 
 
 def linear_design(seed, n, T_star):
@@ -342,12 +445,8 @@ def designs(T_star):
 
 
 def forcing_fields(rep):
-    """The report's fields, rescaled_spec as its signals on a grid."""
-    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
-    spec = out.pop("rescaled_spec")
-    out["rescaled_signals"] = None if spec is None else np.array(
-        [spec.h_values(i, np.linspace(-1.0, 3.0, 17)) for i in range(spec.n)])
-    return out
+    """The report's fields by name."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
 
 
 class TestOneGridForcing:
@@ -442,10 +541,8 @@ class TestValidateForcing:
         assert rep.periodicity_residual <= 1e-10
         # second derivative sup is amp * (2 pi)^2
         assert rep.h_second_deriv_max == pytest.approx(0.01 * (2 * np.pi) ** 2, rel=1e-3)
-        # the pass-through map has forcing gain 1 > 1/2: normalization kicks
-        # in, scaling the signal by 2 * gain without changing boundary values
+        # the pass-through map has forcing gain 1 > 1/2: the report flags it
         assert rep.rescaled and rep.max_gain == pytest.approx(1.0, rel=1e-6)
-        assert rep.rescaled_spec.h_values(0, 0.25) == pytest.approx(0.02, rel=1e-9)
 
     def test_half_gain_not_rescaled(self):
         spec = bd.BoundarySpec(
@@ -456,7 +553,6 @@ class TestValidateForcing:
         )
         rep = bd.validate_forcing(spec)
         assert not rep.rescaled
-        assert rep.rescaled_spec is None
 
     def test_aperiodic_raises(self):
         spec = bd.BoundarySpec(
@@ -492,24 +588,6 @@ class TestValidateForcing:
         rep = bd.validate_forcing(spec)
         assert rep.max_gain == pytest.approx(2.0, rel=1e-6)
         assert rep.rescaled
-        # rescaled signals are 2 * M0 * h = 4 h, boundary values unchanged
-        t = 0.25
-        assert rep.rescaled_spec.h_values(0, t) == pytest.approx(4 * 0.01, rel=1e-9)
-        orig = bd.eval_boundary(spec, "left", t, np.zeros(0))
-        new = bd.eval_boundary(rep.rescaled_spec, "left", t, np.zeros(0))
-        assert new[0] == pytest.approx(orig[0], rel=1e-9)
-
-    def test_rescaling_idempotent(self):
-        spec = bd.BoundarySpec(
-            left_maps=[lambda hv, u: 2.0 * hv],
-            right_maps=[],
-            h=[lambda t: 0.01 * np.sin(2 * np.pi * np.asarray(t, dtype=float))],
-            T_star=1.0,
-        )
-        rep = bd.validate_forcing(spec)
-        rep2 = bd.validate_forcing(rep.rescaled_spec)
-        assert not rep2.rescaled
-        assert rep2.max_gain <= 0.5 + 1e-6
 
 
 class TestEvalBoundary:

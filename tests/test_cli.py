@@ -129,6 +129,22 @@ class TestValidate:
         margin = f"(margin {cert.margin:.6g})"
         assert any(line.startswith("certificate: ") and line.endswith(margin) for line in lines)
 
+    @pytest.mark.parametrize("name", ["linear_damped_scalar", "linear_reflect_2x2",
+                                      "quasilinear_euler_damping", "sweep_reflect"])
+    def test_the_forcing_line_gives_the_measured_gain(self, name, capsys):
+        """Every built-in map has dG/dh = 1; the line states it and names
+        no rescaled signals."""
+        path = CONFIGS / f"{name}.yaml"
+        assert cli.run(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = cli.load_config(path)
+        rep = bd.validate_forcing(cli._build(cfg, min(cfg.eps))[1])
+        assert rep.max_gain == pytest.approx(1.0, abs=1e-9)
+        forcing = [line for line in lines if line.startswith("forcing")]
+        assert forcing == [f"forcing C1 norm: {rep.h_c1_max:.6g}, periodicity residual: "
+                           f"{rep.periodicity_residual:.2e}, gain at origin: 1"]
+        assert not any("rescaled" in line for line in lines)
+
     @pytest.mark.parametrize("argv", [["validate", "--jobs", "2"], ["validate", "--out", "o"],
                                       ["validate", "--seed", "1"], ["periodic", "--seed", "1"],
                                       ["stability", "--jobs", "2"]])
@@ -388,6 +404,17 @@ def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     data[section][key] = value
     assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
     assert f"config error: '{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["5", "0.01", "55", {"a": 1}])
+def test_eps_neither_a_number_nor_a_list_exits_2(tmp_path, capsys, eps):
+    """A string or mapping eps is refused whole, not read one character or
+    key at a time."""
+    data = base_e2_cfg()
+    data["experiment"]["eps"] = eps
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: 'experiment.eps' must be a number or a list, got {eps!r}\n")
 
 
 @pytest.mark.parametrize("edit", [
