@@ -23,14 +23,12 @@ from .diagnostics import (
     Certificate,
     FieldNorms,
     RegularityReport,
-    WeightProfile,
     emit_report,
     norms,
     pde_residual,
     regularity_measurements,
     regularity_ratio,
     smallness_certificate,
-    weights,
 )
 from .errors import (
     BoundaryMapError,

@@ -258,8 +258,8 @@ class TraceGeometry:
 
 def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
     """What a trace takes from the rates gii, m and the grid alone, read-only:
-    families, growth, per march column d (the sign of dx toward the inflow),
-    wfac, half, fidx (its start), dstep and qfac, then the boundary values'
+    families, growth, per march column wfac, half (the sign of dx toward the
+    inflow), fidx (its start), dstep and qfac, then the boundary values'
     factors exp(gii_i (x_k - x_in)). ``SweepContext.plan`` keeps it."""
     n, dx, hsub = len(gii), L / Nx, L / Nx / _SUBSTEPS
     families = np.arange(n)
@@ -268,7 +268,7 @@ def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
     d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
     fidx = fam * (_REFINE * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _REFINE
     x_in = np.where(families < m, L, 0.0)[:, None]
-    plan = (families, np.exp(-gii * direction * dx), d, wfac, d.astype(np.int64), fidx,
+    plan = (families, np.exp(-gii * direction * dx), wfac, d.astype(np.int64), fidx,
             d * hsub, (-d) * (hsub / 2.0), np.exp(gii[:, None] * (np.arange(Nx + 1) * dx - x_in)))
     for a in plan:
         a.flags.writeable = False
@@ -340,7 +340,7 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     set-up, bit-identically. None marches and returns a new geometry.
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
-    families, growth, d, wfac, half, fidx, dstep, qfac, _ = plan
+    families, growth, wfac, half, fidx, dstep, qfac, _ = plan
     ncols = n * (_REFINE * Nx + 1)  # of the refined tables
 
     # DJ[s, :, i]: family i's delay (on a march) and integral, padded in time,

@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
 library error not named below, NormalizationError among them: the
 periodic solve refuses an A(0) that is not diagonal), 4 non-convergence
 (NonContractionError, ConvergenceError, StepSizeError), 5 I/O failure
-(IoError). Config files are YAML (JSON parses as a subset); unknown keys
-anywhere are rejected, and so are grid sizes below 8, a max_iter that is
-not an integer of at least 1, a tol, t_end, record_every or T_star that
-is not positive, a number that is not finite, and any system parameter
-or gain a builder rejects.
+(IoError). Config files are YAML (JSON parses as a subset, 1e-6 a number);
+unknown keys anywhere are rejected, and so are grid sizes below 8, a
+max_iter that is not an integer of at least 1, a tol, t_end, record_every
+or T_star that is not positive, a quoted or non-finite number, and any
+system parameter or gain a builder rejects.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import argparse
 import inspect
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -112,6 +113,14 @@ class RunConfig:
     record_every: Optional[float]
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe loading that reads 1e-6 and 1.0e6, strings in YAML 1.1, as floats."""
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def _check_keys(section: str, data, allowed: set) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"'{section}' must be a mapping")
@@ -121,8 +130,8 @@ def _check_keys(section: str, data, allowed: set) -> None:
 
 
 def _as_float(value, name: str) -> float:
-    try:  # YAML reads true, yes and on as a bool, which float() takes for 1
-        out = np.nan if isinstance(value, bool) else float(value)
+    try:  # float() takes YAML's true, yes and on (a bool) for 1, and parses "5" and b"5"
+        out = np.nan if isinstance(value, (bool, str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = np.nan
     if not np.isfinite(out):
@@ -131,13 +140,10 @@ def _as_float(value, name: str) -> float:
 
 
 def _as_int(value, name: str, least: int) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out != _as_float(value, name) or out < least:
+    out = _as_float(value, name)
+    if out != int(out) or out < least:
         raise ConfigError(f"'{name}' must be an integer of at least {least}, got {value!r}")
-    return out
+    return int(out)
 
 
 def _positive(value, name: str) -> Optional[float]:
@@ -157,7 +163,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
-        data = yaml.safe_load(raw)
+        data = yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config does not parse: {exc}")
     if not isinstance(data, dict):
@@ -480,11 +486,6 @@ def run(argv) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         outcome = _validate_all(cfg, min(cfg.eps) if args.command == "sweep"
                                 else cfg.eps[0])
         for line in outcome.lines:

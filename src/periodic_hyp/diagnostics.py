@@ -1,18 +1,17 @@
-"""Norms, exponential weight profiles, the smallness certificate, residuals,
-second-derivative measurements, and deterministic report serialization."""
+"""Norms, the smallness certificate, residuals, second-derivative
+measurements, and deterministic report serialization."""
 from __future__ import annotations
 
 import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .characteristics import Field, _padded
 from .errors import IoError
-from .system_model import SystemSpec, check_dominance
+from .system_model import SystemSpec
 
 
 @dataclass
@@ -21,23 +20,6 @@ class FieldNorms:
 
     c0: float
     c1: float
-
-
-@dataclass
-class WeightProfile:
-    """Exponential spatial weights turning the diagonal source term into
-    pure decay along characteristics.
-
-    Left-moving rows carry W(x) = exp(g_ii (L - x)), right-moving rows
-    W(x) = exp(-g_ii x); every profile is >= 1, equals 1 at its family's
-    inflow-opposite end, and is bounded by M3.
-    """
-
-    W: Sequence[Callable]
-    M3: float
-    diag: np.ndarray
-    L: float
-    m: int
 
 
 @dataclass
@@ -68,27 +50,6 @@ def norms(fld: Field) -> FieldNorms:
     dgrid = max(float(np.abs(fld.time_derivative_grid()).max()),
                 float(np.abs(fld.space_derivative_grid()).max()))
     return FieldNorms(c0=c0, c1=c0 + dgrid)
-
-
-def weights(gtilde: np.ndarray, L: float, n: int, m: int) -> WeightProfile:
-    """Build the weight profile of a dominated source linearization.
-
-    Raises DominanceError when the diagonal signs or strict dominance fail.
-    """
-    gtilde = np.asarray(gtilde, dtype=float)
-    check_dominance(gtilde, m)
-    diag = np.diag(gtilde).copy()
-
-    def make(i):
-        gii = diag[i]
-        if i < m:
-            return lambda x: np.exp(gii * (L - np.asarray(x, dtype=float)))
-        return lambda x: np.exp(-gii * np.asarray(x, dtype=float))
-
-    W = [make(i) for i in range(n)]
-    endpoint = [W[i](0.0) if i < m else W[i](L) for i in range(n)]
-    M3 = float(np.max(endpoint)) if n else 1.0
-    return WeightProfile(W=W, M3=M3, diag=diag, L=L, m=m)
 
 
 def smallness_certificate(theta: float, K: float, L: float, M3: float) -> Certificate:

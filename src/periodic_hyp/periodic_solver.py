@@ -69,11 +69,12 @@ class SweepContext:
     and what its sweeps share. For the solve's shift K (``shift_K``), the
     diagonal gii of gtilde, its off-diagonal part gt_off and k_mu0 = K mu0
     are fixed; certificate is the smallness record theta + K L M3 < 1 of
-    this set-up, which the solve reports and the CLI's ``validate`` prints.
-    geometry is the last sweep's characteristic geometry, which the next
-    sweep reuses while its inverse speeds stay the same, and _feet the
-    reads at its feet, set and dropped with it (``linearized_step``);
-    ``plan`` gives the sweeps' ``trace_plan``, kept for the last grid."""
+    this set-up, with M3 = max exp(|gii| L), which the solve reports and the
+    CLI's ``validate`` prints. geometry is the last sweep's characteristic
+    geometry, which the next sweep reuses while its inverse speeds stay the
+    same, and _feet the reads at its feet, set and dropped with it
+    (``linearized_step``); ``plan`` gives the sweeps' ``trace_plan``, kept
+    for the last grid."""
 
     spec: SystemSpec
     bspec: bd.BoundarySpec
@@ -101,10 +102,13 @@ class SweepContext:
         """
         K = shift_K(spec, K)
         gtilde = gtilde_matrix(spec, K)
+        gii = np.diag(gtilde)
         theta = bd.characterizing_data(bspec).theta
-        M3 = dg.weights(gtilde, spec.L, spec.n, spec.m).M3
+        # the weighted norm's largest weight: under gtilde's dominance signs the
+        # weights exp(gii (L - x)) (i < m) and exp(-gii x) lie in [1, exp(|gii| L)]
+        M3 = float(np.exp(np.abs(gii) * spec.L).max())
         gt_off = np.where(np.eye(spec.n, dtype=bool), 0.0, gtilde)
-        return cls(spec=spec, bspec=bspec, gii=np.diag(gtilde), gt_off=gt_off,
+        return cls(spec=spec, bspec=bspec, gii=gii, gt_off=gt_off,
                    k_mu0=K * spec.origin.mu0,
                    certificate=dg.smallness_certificate(theta, K, spec.L, M3))
 

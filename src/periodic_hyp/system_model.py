@@ -552,21 +552,15 @@ def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     g0, mu0 = spec.origin.g0, spec.origin.mu0
     gt = mu0[:, None] * g0
     gt[np.arange(n), np.arange(n)] = mu0 * (np.diag(g0) - K)
-    check_dominance(gt, m)
-    return gt
-
-
-def check_dominance(gtilde: np.ndarray, m: int) -> None:
-    """Raise DominanceError unless the strict dominance signs hold."""
-    n = gtilde.shape[0]
     for i in range(n):
-        off = sum(abs(gtilde[i, j]) for j in range(n) if j != i)
-        diag = gtilde[i, i] if i < m else -gtilde[i, i]
+        off = sum(abs(gt[i, j]) for j in range(n) if j != i)
+        diag = gt[i, i] if i < m else -gt[i, i]
         if not diag > off:
             raise DominanceError(
                 f"row {i}: need {'' if i < m else '-'}gtilde_ii > {off:.3e}, got {diag:.3e}"
                 " (K too small)"
             )
+    return gt
 
 
 def g_nonlinear(spec: SystemSpec, u: np.ndarray) -> np.ndarray:

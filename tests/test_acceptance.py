@@ -310,8 +310,8 @@ def test_criterion_8_hypothesis_gates(tmp_path):
 
 def test_criterion_9_structural_invariants():
     t0 = time.perf_counter()
-    specs = {"scalar": make_e1()[0], "reflect": make_e2()[0],
-             "euler": make_euler()[0]}
+    euler = make_euler()
+    specs = {"scalar": make_e1()[0], "reflect": make_e2()[0], "euler": euler[0]}
 
     # the built-ins are written in Riemann invariants: A gives the speeds
     # of a diagonal A, at sampled states these are the speeds, no bases
@@ -343,15 +343,17 @@ def test_criterion_9_structural_invariants():
         grad = (g_nonlinear(spec, e) - g_nonlinear(spec, -e)) / (2 * h)
         assert np.abs(grad).max() <= 1e-8
 
-    # weight bounds on a dense sample
-    gt = gtilde_matrix(specs["euler"], 1e-6)
-    prof = dg.weights(gt, 1.0, 2, 1)
-    x = np.linspace(0.0, 1.0, 1024)
-    for i, W in enumerate(prof.W):
-        w = W(x)
-        assert np.all(w >= 1.0 - 1e-12) and np.all(w <= prof.M3 + 1e-12)
-    assert prof.W[0](1.0) == pytest.approx(1.0)
-    assert prof.W[1](0.0) == pytest.approx(1.0)
+    # weight bounds on a dense sample: the weighted norm's weights
+    # exp(g_ii (L - x)) (left-moving) and exp(-g_ii x) (right-moving) lie
+    # in [1, M3] and are 1 at their family's far end
+    g, L = np.diag(gtilde_matrix(specs["euler"], 1e-6)), specs["euler"].L
+    M3 = ps.SweepContext.for_solve(*euler, 1e-6).certificate.M3
+    x = np.linspace(0.0, L, 1024)
+    left, right = np.exp(g[0] * (L - x)), np.exp(-g[1] * x)
+    for w in (left, right):
+        assert np.all(w >= 1.0 - 1e-12) and np.all(w <= M3 + 1e-12)
+    assert left[-1] == 1.0 and right[0] == 1.0
+    assert max(left.max(), right.max()) == pytest.approx(M3, rel=1e-15)
 
     # certificate arithmetic
     assert dg.smallness_certificate(0.5, 0.0, 1.0, 2.0).ok

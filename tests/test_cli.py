@@ -76,6 +76,19 @@ class TestConfigParsing:
         path.write_text(json.dumps(base_e2_cfg()))
         assert cli.run(["validate", "--config", str(path)]) == 0
 
+    def test_exponents_without_a_dot_are_numbers(self, tmp_path):
+        """1e-10 is a str to YAML 1.1 but a number to JSON and YAML 1.2; the
+        config reads it unquoted as a number, quoted as a str."""
+        text, path = yaml.safe_dump(base_e2_cfg()), tmp_path / "cfg.yaml"
+        path.write_text(text.replace("tol: 1.0e-10", "tol: 1e-10")
+                        .replace("K: 1.0e-06", "K: 1E-6").replace("T_star: 2.0", "T_star: 2e0"))
+        cfg = cli.load_config(path)
+        assert (cfg.tol, cfg.K, cfg.T_star) == (1e-10, 1e-6, 2.0)
+        path.write_text(text.replace("tol: 1.0e-10", "tol: '1e-10'"))
+        with pytest.raises(cli.ConfigError, match="'solver.tol' must be a finite number"):
+            cli.load_config(path)
+        assert yaml.safe_load("tol: 1e-10") == {"tol": "1e-10"}  # no global loader change
+
 
 class TestValidate:
     def test_shipped_configs_pass(self):
@@ -398,12 +411,37 @@ class TestSweep:
     ("solver", "max_iter", True),
     ("boundary", "T_star", True),
     ("experiment", "t_end", True),
+    # a quoted number is a YAML str, not a number (a quoted 1e-10: see
+    # test_exponents_without_a_dot_are_numbers; safe_dump leaves it unquoted)
+    ("solver", "tol", "1.0e-10"),
+    ("solver", "K", "0.1"),
+    ("grid", "Nt", "32"),
+    ("boundary", "T_star", "2"),
+    ("experiment", "perturbation", "0.01"),
+    ("solver", "tol", b"5"),  # !!binary
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     data = base_e2_cfg()
     data[section][key] = value
     assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
     assert f"config error: '{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("experiment.eps", lambda d: d["experiment"].update(eps=["5"])),
+    ("system.params.speed", lambda d: d["system"]["params"].update(speed="1.0")),
+    ("boundary.gains.k", lambda d: d["boundary"]["gains"].update(k="0.5")),
+    ("amplitude", lambda d: d["boundary"]["forcing"][0][0].update(amplitude="0.01")),
+    ("harmonic", lambda d: d["boundary"]["forcing"][0][0].update(harmonic="2")),
+    ("phase", lambda d: d["boundary"]["forcing"][0][0].update(phase="0.5")),
+], ids=["eps_entry", "params", "gains", "amplitude", "harmonic", "phase"])
+def test_quoted_numbers_in_nested_keys_exit_2(tmp_path, capsys, key, edit):
+    """A quoted number is refused wherever a number goes, and the error
+    names its key."""
+    data = base_e2_cfg()
+    edit(data)
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: '{key}' must be a finite number")
 
 
 @pytest.mark.parametrize("eps", ["5", "0.01", "55", {"a": 1}])

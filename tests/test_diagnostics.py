@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from periodic_hyp import boundary as bd
 from periodic_hyp import diagnostics as dg
 from periodic_hyp import periodic_solver as ps
+from periodic_hyp import system_model as sm
 from periodic_hyp import systems
 from periodic_hyp.characteristics import Field
 from periodic_hyp.errors import DominanceError, IoError
@@ -40,46 +42,117 @@ class TestNorms:
         assert 0.009 < out.c0 < 0.0101
 
 
+def reference_weights(gii, m, L):
+    """The weighted norm's weights, written out as in the paper:
+    W_i(x) = exp(g_ii (L - x)) for i < m, exp(-g_ii x) otherwise."""
+    def make(i, g):
+        if i < m:
+            return lambda x: np.exp(g * (L - np.asarray(x, dtype=float)))
+        return lambda x: np.exp(-g * np.asarray(x, dtype=float))
+    return [make(i, g) for i, g in enumerate(gii)]
+
+
+def reference_M3(gii, m, L):
+    """The largest endpoint weight: W_i(0) for i < m, W_i(L) otherwise."""
+    W = reference_weights(gii, m, L)
+    return float(np.max([W[i](0.0) if i < m else W[i](L) for i in range(len(gii))]))
+
+
+def diagonal_design(rng, n, m):
+    """A seeded n-family system with diagonal A (m speeds negative), a dense
+    source linearization, length L, and pass-through inflow maps."""
+    lam = np.concatenate([-rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n - m)])
+    g0 = rng.normal(scale=0.5, size=(n, n))
+    spec = sm.SystemSpec(n=n, m=m, A=lambda u: np.diag(lam),
+                         F=lambda u: np.asarray(u) @ g0.T, gradF=lambda u: g0,
+                         domain_radius=0.05, L=float(rng.uniform(0.5, 2.0)))
+    bspec = bd.BoundarySpec(left_maps=[lambda hv, u: hv] * (n - m),
+                            right_maps=[lambda hv, u: hv] * m,
+                            h=[systems.zero_signal] * n, T_star=1.0)
+    return spec, bspec
+
+
+def seeded_contexts():
+    """SweepContexts of seeded designs, n = 1..6 and every m, at the default
+    shift and at a larger one."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for m in range(n + 1):
+            spec, bspec = diagonal_design(rng, n, m)
+            for K in (None, spec.origin.K_min + rng.uniform(1e-6, 0.5)):
+                yield ps.SweepContext.for_solve(spec, bspec, K)
+
+
+def builtin_contexts():
+    for builtin in systems.BUILTINS.values():
+        spec = builtin.system()
+        bspec = builtin.boundary({}, [systems.zero_signal] * spec.n, 1.0)
+        for K in (None, 1e-6):
+            yield ps.SweepContext.for_solve(spec, bspec, K)
+
+
+def two_family_spec(F, gradF):
+    return sm.SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=F, gradF=gradF,
+                         domain_radius=0.05, L=1.0)
+
+
 class TestWeights:
+    """The certificate's M3 is the largest weight of the weighted norm."""
+
     def test_two_family_profile(self):
-        gt = np.diag([1.1, -1.1])
-        prof = dg.weights(gt, L=1.0, n=2, m=1)
+        spec = two_family_spec(lambda u: -np.asarray(u), lambda u: -np.eye(2))
+        bspec = systems.reflection_boundary(0.5, systems.zero_signal,
+                                            systems.zero_signal, 1.0)
+        ctx = ps.SweepContext.for_solve(spec, bspec, 0.1)
+        assert np.allclose(ctx.gii, [1.1, -1.1])
+        W = reference_weights(ctx.gii, 1, 1.0)
         x = np.linspace(0, 1, 11)
-        assert np.allclose(prof.W[0](x), np.exp(1.1 * (1 - x)))
-        assert np.allclose(prof.W[1](x), np.exp(1.1 * x))
-        assert prof.M3 == pytest.approx(np.exp(1.1))
+        assert np.allclose(W[0](x), np.exp(1.1 * (1 - x)))
+        assert np.allclose(W[1](x), np.exp(1.1 * x))
+        assert ctx.certificate.M3 == reference_M3(ctx.gii, 1, 1.0)
+        assert ctx.certificate.M3 == pytest.approx(np.exp(1.1))
 
     def test_scalar_profile(self):
-        prof = dg.weights(np.array([[-0.5]]), L=1.0, n=1, m=0)
-        x = np.linspace(0, 1, 5)
-        assert np.allclose(prof.W[0](x), np.exp(0.5 * x))
-        assert prof.M3 == pytest.approx(np.exp(0.5))
+        spec, bspec = make_e1()
+        ctx = ps.SweepContext.for_solve(spec, bspec, 0.0)
+        assert ctx.gii.tolist() == [-0.5]
+        assert np.allclose(reference_weights(ctx.gii, 0, 1.0)[0](np.linspace(0, 1, 5)),
+                           np.exp(0.5 * np.linspace(0, 1, 5)))
+        assert ctx.certificate.M3 == reference_M3(ctx.gii, 0, 1.0)
+        assert ctx.certificate.M3 == pytest.approx(np.exp(0.5))
 
     def test_dominance_required(self):
-        with pytest.raises(DominanceError):
-            dg.weights(np.array([[0.1, 0.3], [0.0, -1.0]]), L=1.0, n=2, m=1)
+        spec = two_family_spec(
+            lambda u: np.stack([0.1 * u[..., 0] + 0.3 * u[..., 1], -u[..., 1]], axis=-1),
+            lambda u: np.array([[0.1, 0.3], [0.0, -1.0]]))
+        bspec = systems.reflection_boundary(0.5, systems.zero_signal,
+                                            systems.zero_signal, 1.0)
+        # gtilde_matrix's message (tests/test_system_model.py), from the set-up
+        with pytest.raises(DominanceError, match=r"^row 0: need gtilde_ii > 3\.000e-01, "
+                           r"got 1\.000e-01 \(K too small\)$"):
+            ps.SweepContext.for_solve(spec, bspec, 0.2)
+
+    def test_M3_is_the_largest_endpoint_weight(self):
+        """Bit for bit, on the built-ins and on n = 1..6 designs of every m."""
+        for ctx in (*builtin_contexts(), *seeded_contexts()):
+            spec = ctx.spec
+            assert np.array_equal(ctx.gii, np.diag(sm.gtilde_matrix(spec, ctx.certificate.K)))
+            assert ctx.certificate.M3 == reference_M3(ctx.gii, spec.m, spec.L)
 
     def test_weight_bounds_dense_sampling(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(0, n + 1))
-            diag = np.empty(n)
-            diag[:m] = rng.uniform(0.1, 2.0, m)
-            diag[m:] = -rng.uniform(0.1, 2.0, n - m)
-            prof = dg.weights(np.diag(diag), L=1.3, n=n, m=m)
-            x = np.linspace(0, 1.3, 1024)
+        for ctx in seeded_contexts():
+            n, m, L = ctx.spec.n, ctx.spec.m, ctx.spec.L
+            W = reference_weights(ctx.gii, m, L)
+            x = np.linspace(0, L, 1024)
             for i in range(n):
-                w = prof.W[i](x)
+                w = W[i](x)
                 assert np.all(w >= 1.0 - 1e-12)
-                assert np.all(w <= prof.M3 + 1e-12)
+                assert np.all(w <= ctx.certificate.M3 + 1e-12)
                 # decreasing for left-movers, increasing for right-movers
                 mono = np.diff(w)
                 assert np.all(mono < 0) if i < m else np.all(mono > 0)
-            # unit value at the family's far end
-            for i in range(n):
-                end = prof.W[i](1.3) if i < m else prof.W[i](0.0)
-                assert end == pytest.approx(1.0)
+                # unit value at the family's far end
+                assert (W[i](L) if i < m else W[i](0.0)) == pytest.approx(1.0)
 
 
 class TestCertificate:

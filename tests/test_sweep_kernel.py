@@ -352,7 +352,7 @@ def test_every_kept_array_is_read_only():
     ctx = ps.SweepContext.for_solve(spec, bspec, None)
     ps.linearized_step(prev, ctx)
     kept = [*ctx.plan(12), ctx.geometry.feet, *ctx._feet]
-    assert len(kept) == 9 + 1 + 3
+    assert len(kept) == 8 + 1 + 3
     for a in kept:
         with pytest.raises(ValueError):
             a[...] = 0

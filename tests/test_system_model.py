@@ -441,7 +441,8 @@ class TestGtilde:
         )
         batch = np.array([[0.01, 0.02], [0.03, -0.01]])
         assert np.array_equal(spec.F_at(batch), np.stack([spec.F(u) for u in batch]))
-        with pytest.raises(DominanceError):
+        with pytest.raises(DominanceError, match=r"^row 0: need gtilde_ii > 3\.000e-01, "
+                           r"got 1\.000e-01 \(K too small\)$"):
             sm.gtilde_matrix(spec, K=0.2)
 
     def test_dominance_transfer(self):
