@@ -6,8 +6,10 @@ seam row). ``trace_to_inflow`` is the one characteristic tracer: with the
 inverse speeds mu_i of a frozen field on the grid, it follows the curve
 dt/dx = mu_i of every family from every node to the family's inflow
 boundary (x = L for left-moving families, x = 0 for right-moving ones)
-with fixed-step RK4, and integrates the source terms along it. The part
-of a trace that depends on the speeds alone comes back as a
+with fixed-step RK4, and integrates the source terms along it. It reads
+mu refined 8 times in x (the RK midpoints fall on odd fine columns) and
+the sources refined 4 times (the integral reads only substep ends). The
+part of a trace that depends on the speeds alone comes back as a
 ``TraceGeometry``, which a later trace with the same speeds reuses. The
 grid stencils the solvers share live here too: the periodic phase, the
 4-point Lagrange weights, the 2nd-order x-difference and the one periodic
@@ -28,8 +30,7 @@ from .system_model import eigen_fields  # noqa: F401  perfbench's tracer test wr
 
 _X_FUZZ = 1e-12
 _SUBSTEPS = 4  # RK substeps per grid cell along a trace
-_REFINE = 2 * _SUBSTEPS  # fine columns per cell: substep endpoints + halves
-_DIVISORS = np.array([-6.0, 2.0, -2.0, 6.0])  # of _lagrange4, signs moved in
+_REFINE = 2 * _SUBSTEPS  # mu's fine columns per cell: substep endpoints + halves
 
 
 @dataclass
@@ -165,7 +166,10 @@ def _lagrange4(f) -> np.ndarray:
     np.multiply(a, f, out=w[2])
     np.multiply(w[2], b, out=w[3])
     w[:3] *= c
-    w /= _DIVISORS.reshape((4,) + (1,) * f.ndim)
+    w[0] /= -6.0
+    w[1] *= 0.5  # exactly / 2
+    w[2] *= -0.5
+    w[3] /= 6.0
     return w
 
 
@@ -184,10 +188,13 @@ def _stencil(t, T_star: float, Nt: int, cols, ncols: int) -> tuple:
 
 def _read(table: np.ndarray, base, weights: np.ndarray, step: int) -> np.ndarray:
     """A flat padded table read at a ``_stencil``: sum over o = 0..3, in order,
-    of weights[o] times table[base + o step], trailing axes carried along."""
-    taps = np.add.outer(np.arange(0, 4 * step, step), base)
+    of weights[o] times table[base + o step], trailing axes carried along.
+    Each tap is a take at base of the table offset by o steps."""
     w = weights.reshape(weights.shape + (1,) * (table.ndim - 1))
-    return (w * table.take(taps, axis=0)).sum(axis=0)
+    out = w[0] * table.take(base, axis=0)
+    for o in range(1, 4):
+        out += w[o] * table[o * step:].take(base, axis=0)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -238,12 +245,12 @@ class TraceGeometry:
     """The part of a characteristic trace that depends on mu alone:
     ``trace_to_inflow`` handed it, for this mu (and m, T_star and grid),
     redoes only the work linear in the source, with the same arithmetic.
-    bases and weights are the ``_stencil`` of each RK4 substep end in the
-    refined tables, (Nt, n * Nx) flat first-tap indices and (4, Nt, n * Nx)
-    weights; the last pair is where each cell's trace leaves it, those
-    weights laid out per compose step and padded in time,
-    (Nx, 4, (Nt + 4) n), and feet the compose's first taps,
-    (Nx, (Nt + 4) n). All are read-only."""
+    bases and weights are the ``_stencil`` of each RK4 substep end, the
+    bases in the source table refined _SUBSTEPS times, (Nt, n * Nx) flat
+    first-tap indices and (4, Nt, n * Nx) weights; the last pair is where
+    each cell's trace leaves it, those weights laid out per compose step
+    and padded in time, (Nx, 4, (Nt + 4) n), and feet the compose's first
+    taps, (Nx, (Nt + 4) n). All are read-only."""
 
     mu: np.ndarray
     bases: tuple
@@ -259,14 +266,15 @@ class TraceGeometry:
 def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
     """What a trace takes from the rates gii, m and the grid alone, read-only:
     families, growth, per march column wfac, half (the sign of dx toward the
-    inflow), fidx (its start), dstep and qfac, then the boundary values'
-    factors exp(gii_i (x_k - x_in)). ``SweepContext.plan`` keeps it."""
+    inflow), fidx (its start in the source table), dstep and qfac, then the
+    boundary values' factors exp(gii_i (x_k - x_in)). ``SweepContext.plan``
+    keeps it."""
     n, dx, hsub = len(gii), L / Nx, L / Nx / _SUBSTEPS
     families = np.arange(n)
     direction = np.where(families < m, 1.0, -1.0)
     fam, steps = np.repeat(families, Nx), np.tile(np.arange(Nx), n)
     d, wfac = direction[fam], np.exp(-gii * direction * hsub)[fam]
-    fidx = fam * (_REFINE * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _REFINE
+    fidx = fam * (_SUBSTEPS * Nx + 1) + np.where(fam < m, Nx - 1 - steps, steps + 1) * _SUBSTEPS
     x_in = np.where(families < m, L, 0.0)[:, None]
     plan = (families, np.exp(-gii * direction * dx), wfac, d.astype(np.int64), fidx,
             d * hsub, (-d) * (hsub / 2.0), np.exp(gii[:, None] * (np.arange(Nx + 1) * dx - x_in)))
@@ -275,35 +283,42 @@ def trace_plan(gii: np.ndarray, m: int, Nx: int, L: float) -> tuple:
     return plan
 
 
-def _refine(grid: np.ndarray) -> np.ndarray:
-    """(Nt, Nx+1, n) grid refined _REFINE times in x into one flat padded
-    table, family i in the fine columns i nf .. (i + 1) nf - 1 of a row."""
-    return _cubic_refine_x(_padded(grid.transpose(0, 2, 1)), _REFINE).reshape(-1)
+def _refine(grid: np.ndarray, refine: int) -> np.ndarray:
+    """(Nt, Nx+1, n) grid refined refine times in x into one flat padded
+    table, family i in the fine columns i nf .. (i + 1) nf - 1 of a row,
+    nf = refine Nx + 1. Column q of the source table (refine _SUBSTEPS) has
+    the bits of column 2 q of mu's (_REFINE): the same taps and weights."""
+    return _cubic_refine_x(_padded(grid.transpose(0, 2, 1)), refine).reshape(-1)
 
 
 def _march(mu: np.ndarray, fidx: np.ndarray, dstep: np.ndarray, half: np.ndarray,
            T_star: float) -> tuple:
     """RK4 across every cell at once: _SUBSTEPS steps of dstep along
-    dt/dx = mu from the fine columns fidx, half fine columns per half step,
-    a first stage reading at the last end's stencil. Returns the times the
-    traces leave their cells and the ``TraceGeometry`` bases and weights."""
-    Nt, table = mu.shape[0], _refine(mu)
-    ncols = table.size // (Nt + 4)
+    dt/dx = mu from the source table's columns fidx, in mu's table refined
+    _REFINE times, half a fine column per half step, a first stage reading
+    at the last end's stencil. Returns the times the traces leave their
+    cells and the ``TraceGeometry`` bases (in the source table) and weights."""
+    Nt, n, nf = mu.shape[0], mu.shape[2], _SUBSTEPS * (mu.shape[1] - 1) + 1
+    table = _refine(mu, _REFINE)
+    ncols, nsrc = table.size // (Nt + 4), n * nf
+    cols = 2 * fidx - fidx // nf  # family i's source column c is its column 2 c in mu's
     tcur = np.repeat((np.arange(Nt) * (T_star / Nt))[:, None], fidx.size, axis=1)
 
     def at(t, cols):
         return _stencil(t, T_star, Nt, cols, ncols)
 
-    ends = [at(tcur, fidx)]
+    end, ends = at(tcur, cols), []
     for _ in range(_SUBSTEPS):
-        k1 = _read(table, *ends[-1], ncols)
-        k2 = _read(table, *at(tcur + 0.5 * dstep * k1, fidx + half), ncols)
-        k3 = _read(table, *at(tcur + 0.5 * dstep * k2, fidx + half), ncols)
-        k4 = _read(table, *at(tcur + dstep * k3, fidx + 2 * half), ncols)
+        k1 = _read(table, *end, ncols)
+        k2 = _read(table, *at(tcur + 0.5 * dstep * k1, cols + half), ncols)
+        k3 = _read(table, *at(tcur + 0.5 * dstep * k2, cols + half), ncols)
+        k4 = _read(table, *at(tcur + dstep * k3, cols + 2 * half), ncols)
         tcur = tcur + dstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        fidx = fidx + 2 * half
-        ends.append(at(tcur, fidx))
-    return (tcur,) + tuple(zip(*ends[1:]))
+        cols, fidx = cols + 2 * half, fidx + half
+        j, f = _phase(tcur, T_star, Nt)  # one end's stencil in both tables
+        end = j * ncols + cols, _lagrange4(f)
+        ends.append((j * nsrc + fidx, end[1]))
+    return (tcur,) + tuple(zip(*ends))
 
 
 def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: float,
@@ -326,7 +341,8 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
        crossing the cell s cells from its inflow boundary, reading mu
        resampled 8 times finer in x. No cell depends on another.
     2. Integrate: the weighted source across each cell by the trapezoid
-       rule on the substep ends, reading R resampled the same way.
+       rule on the substep ends, reading R resampled 4 times finer in x,
+       one fine column per substep end.
     3. Compose, in order from the inflow boundary: a column's delay and
        integral are its cell's own plus the previous column's, read where
        the cell's trace leaves. A step serves every family: one take, a
@@ -341,7 +357,7 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     """
     Nt, Nx, n = mu.shape[0], mu.shape[1] - 1, mu.shape[2]
     families, growth, wfac, half, fidx, dstep, qfac, _ = plan
-    ncols = n * (_REFINE * Nx + 1)  # of the refined tables
+    ncols = n * (_SUBSTEPS * Nx + 1)  # of the source table
 
     # DJ[s, :, i]: family i's delay (on a march) and integral, padded in time,
     # s columns from its inflow boundary (column Nx - s for i < m, s else)
@@ -356,7 +372,7 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     else:
         bases, weights, feet = geometry.bases, geometry.weights, geometry.feet
 
-    table = _refine(R)
+    table = _refine(R, _SUBSTEPS)
     qacc = np.zeros((Nt, n * Nx))
     w, Rv = np.ones(n * Nx), table.reshape(Nt + 4, ncols)[1:Nt + 1, fidx]
     # the last substep's weights read through the compose's layout
@@ -375,9 +391,18 @@ def trace_to_inflow(mu: np.ndarray, R: np.ndarray, plan: tuple, m: int, T_star: 
     k = coef.shape[-1]
     taps = feet[:, None] + np.arange(0, 4 * n, n)[:, None]  # each step's four taps
     DJ = np.zeros((Nx + 1, Nt + 4, n, k))
-    for s, wts in enumerate(weights[-1][..., None]):
-        dj = (wts * DJ[s].reshape(-1, k).take(taps[s], axis=0)).sum(axis=0)
-        np.add(coef * dj.reshape(DJ.shape[1:]), own[s], out=DJ[s + 1])
+    rows, wts = DJ.reshape(Nx + 1, -1, k), weights[-1][..., None]
+    buf = np.empty(taps.shape[1:] + (k,))  # a step's taps, then its weighted sum
+    b0, b1, b2, b3 = buf
+    dj = b0.reshape(DJ.shape[1:])
+    for s in range(Nx):  # taps in range: "clip" skips the copy "raise" makes
+        rows[s].take(taps[s], axis=0, out=buf, mode="clip")
+        buf *= wts[s]
+        b0 += b1
+        b0 += b2
+        b0 += b3
+        dj *= coef
+        np.add(dj, own[s], out=DJ[s + 1])
     # to column order, one contiguous (Nt, Nx+1) block per family
     out = np.empty((k, n, Nt, Nx + 1))
     out[:, :m] = DJ[::-1, 1:Nt + 1, :m].transpose(3, 2, 1, 0)

@@ -91,6 +91,19 @@ class TestSolvePeriodic:
             assert getattr(rep.certificate, f.name) == getattr(want, f.name), f.name
         assert want.ok
 
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("path, sweeps", zip(SYSTEM_CONFIGS, (3, 28, 24)),
+                             ids=lambda p: getattr(p, "stem", p))
+    def test_sweep_counts_of_the_shipped_configs(self, path, sweeps, N):
+        """The shipped systems, gains, forcing, shift and tolerance on an
+        N x N grid converge in the reproduced sweep counts: 3, 28 and 24,
+        the same on both grids."""
+        cfg = cli.load_config(path)
+        spec, bspec = cli._build(cfg, cfg.eps[0])
+        _, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(
+            Nt=N, Nx=N, K=cfg.K, tol=cfg.tol, max_iter=cfg.max_iter))
+        assert rep.converged and rep.iterations == sweeps
+
     def test_zero_forcing_fixed_point(self):
         spec, _ = make_e1()
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)

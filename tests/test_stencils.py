@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from test_sweep_kernel import loop_lagrange4, loop_refine_x
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import characteristics as ch
@@ -97,6 +99,54 @@ class TestStencils:
         fld = ch.Field(values=np.stack([prof, 2 * prof]), T_star=1.0, L=1.0)
         assert np.array_equal(fld.space_derivative_grid()[1],
                               ch._x_difference(2 * prof, x[1]))
+
+
+# values whose products and sums stay finite; subnormals and -0.0 included
+VALUES = st.floats(min_value=-1e6, max_value=1e6)
+FRACTIONS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+class TestPrimitives:
+    """Each primitive equals its formula written out term by term, in the
+    same order. Values, not bytes: a -0.0 against a +0.0 (a reduction such
+    as ``.sum(axis=0)`` starts from +0.0) is the same value."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=FRACTIONS))
+    def test_lagrange_weights(self, f):
+        assert np.array_equal(ch._lagrange4(f), np.stack(loop_lagrange4(f)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(1, 5), st.integers(0, 3))
+    def test_read_of_flat_and_2d_tables(self, data, step, width):
+        """A flat table (width 0) or one of rows of width columns."""
+        rows = 3 * step + data.draw(st.integers(1, 12))
+        table = data.draw(hnp.arrays(np.float64, (rows, width) if width else rows,
+                                     elements=VALUES))
+        shape = data.draw(hnp.array_shapes(max_dims=2, max_side=5))
+        base = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, rows - 3 * step - 1)))
+        w = data.draw(hnp.arrays(np.float64, (4,) + shape, elements=VALUES))
+        trail = (slice(None),) * base.ndim + (None,) * (table.ndim - 1)
+        want = (w[0][trail] * table[base] + w[1][trail] * table[base + step]
+                + w[2][trail] * table[base + 2 * step] + w[3][trail] * table[base + 3 * step])
+        assert np.array_equal(ch._read(table, base, w, step), want)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(3, 9), st.sampled_from([4, 8]))
+    def test_x_refinement(self, data, Nx, refine):
+        grid = data.draw(hnp.arrays(np.float64, (3, 2, Nx + 1), elements=VALUES))
+        assert np.array_equal(ch._cubic_refine_x(grid, refine), loop_refine_x(grid, refine))
+
+    @pytest.mark.parametrize("Nx", [8, 13, 32])
+    def test_the_source_table_is_the_even_columns_of_the_mu_table(self, Nx):
+        """Column q of the refinement by _SUBSTEPS has the bits of column 2 q
+        of the one by _REFINE, the clamped end cells included."""
+        Nt, n = 12, 3
+        grid = np.random.default_rng(Nx).normal(size=(Nt, Nx + 1, n))
+        src = ch._refine(grid, ch._SUBSTEPS).reshape(Nt + 4, n, -1)
+        fine = ch._refine(grid, ch._REFINE).reshape(Nt + 4, n, -1)
+        assert src.shape[-1] == ch._SUBSTEPS * Nx + 1
+        assert src.tobytes() == np.ascontiguousarray(fine[..., ::2]).tobytes()
 
 
 def one_at_a_time(fn, *item_ndim):

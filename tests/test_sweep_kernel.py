@@ -1,10 +1,12 @@
 """The batched sweep kernel against the per-column loop it replaced.
 
 ``loop_step`` is the earlier ``linearized_step``: one family, one column
-and one RK substep at a time, with its own copy of the periodic cubic row
-interpolation. Where A is diagonal it fills in the identity bases that
-``eigen_fields`` leaves out and computes the (zero) coupling terms the
-kernel skips. The batched kernel must reproduce it bit for bit.
+and one RK substep at a time, with its own copies of the periodic cubic row
+interpolation, its Lagrange weights and the cubic refinement in x, so a
+change to the kernel's stencils cannot move the reference with it. Where
+A is diagonal it fills in the identity bases that ``eigen_fields`` leaves
+out and computes the (zero) coupling terms the kernel skips. The batched
+kernel must reproduce it bit for bit.
 """
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from periodic_hyp import diagnostics as dg
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.boundary import BoundarySpec
-from periodic_hyp.characteristics import Field, _cubic_refine_x, _lagrange4, _phase
+from periodic_hyp.characteristics import Field, _phase
 from periodic_hyp.system_model import (
     SystemSpec, _coupling_from_left, eigen_fields, g_nonlinear_batch,
     gtilde_matrix, shift_K,
@@ -26,11 +28,28 @@ def sweep(prev, spec, bspec, K):
     return ps.linearized_step(prev, ps.SweepContext.for_solve(spec, bspec, K))
 
 
+def loop_lagrange4(f):
+    """Weights of the nodes -1, 0, 1, 2 at f, each product divided last."""
+    a, b, c = f + 1, f - 1, f - 2
+    return f * b * c / -6.0, a * b * c / 2.0, a * f * c / -2.0, a * f * b / 6.0
+
+
+def loop_refine_x(grid, refine):
+    """The last axis resampled onto refine x Nx + 1 points, 4-point
+    Lagrange with the stencil clamped to cells 1 .. Nx - 2."""
+    Nx = grid.shape[-1] - 1
+    q = np.arange(refine * Nx + 1) / refine
+    k = np.clip(np.floor(q).astype(np.int64), 1, Nx - 2)
+    w0, w1, w2, w3 = loop_lagrange4(q - k)
+    return (w0 * grid[..., k - 1] + w1 * grid[..., k]
+            + w2 * grid[..., k + 1] + w3 * grid[..., k + 2])
+
+
 def loop_interp(rows, tq, T_star):
     Nt = rows.shape[0]
     j, f = _phase(tq, T_star, Nt)
     j = j % Nt  # _phase gives j = Nt where the phase rounds up to the period
-    w0, w1, w2, w3 = _lagrange4(f)
+    w0, w1, w2, w3 = loop_lagrange4(f)
     if rows.ndim > 1:
         shape = f.shape + (1,) * (rows.ndim - 1)
         w0, w1, w2, w3 = (w.reshape(shape) for w in (w0, w1, w2, w3))
@@ -76,8 +95,8 @@ def loop_step(prev, spec, bspec, cfg):
             direction, x_inflow = -1.0, 0.0
         growth = np.exp(-gii * direction * dx)
         wfac = np.exp(-gii * direction * hsub)
-        mu_fine = _cubic_refine_x(mu[..., i], refine)
-        R_fine = _cubic_refine_x(R[..., i], refine)
+        mu_fine = loop_refine_x(mu[..., i], refine)
+        R_fine = loop_refine_x(R[..., i], refine)
         df = int(direction) * 2
         DJ = np.zeros((Nx + 1, Nt, 2))
         for k in col_order:
