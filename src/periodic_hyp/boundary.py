@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryMapError, ConvergenceError, PeriodicityError
-from .system_model import _probe_points, batched
+from .system_model import SystemSpec, _probe_points, batched
 
 _FD_STEP = 1e-6
 _METHOD_AGREEMENT = 1e-6
@@ -59,7 +59,7 @@ class BoundarySpec:
     h : one T-periodic signal of time per family, indexed like the state;
         may broadcast over arrays of times. Maps and signals that do not
         broadcast are looped (see ``system_model.batched``).
-    T_star : common period of the signals.
+    T_star : common period of the signals, finite and positive.
 
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
@@ -80,8 +80,8 @@ class BoundarySpec:
     _batched_maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.T_star <= 0:
-            raise ValueError("T_star must be positive")
+        if not 0 < self.T_star < math.inf:
+            raise ValueError("T_star must be finite and positive")
         if len(self.h) != self.n:
             raise ValueError("need one forcing signal per family")
         times = (self.T_star * np.array([0.3, 0.55]),)
@@ -144,6 +144,12 @@ class BoundarySpec:
         if not np.all(np.isfinite(grad)):
             raise BoundaryMapError(f"non-finite derivative of boundary map {i}")
         return float(grad[0]), grad[1:]
+
+    def check_fits(self, spec: SystemSpec) -> None:
+        """Raise ValueError unless spec has this boundary's n and m."""
+        if spec.n != self.n or spec.m != self.m:
+            raise ValueError(f"boundary has n = {self.n}, m = {self.m}; "
+                             f"the system n = {spec.n}, m = {spec.m}")
 
     @cached_property
     def origin(self) -> BoundaryOrigin:

@@ -20,7 +20,7 @@ takes its neighbours from a padded copy of the period or of its row index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,6 @@ class Field:
     values: np.ndarray
     T_star: float
     L: float
-    _dt_grid: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _dx_grid: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -96,17 +94,13 @@ class Field:
         return cls(values=vals, T_star=T_star, L=L)
 
     def time_derivative_grid(self) -> np.ndarray:
-        """Central differences in t with periodic wrap, cached."""
-        if self._dt_grid is None:
-            p = _padded(self.values)
-            self._dt_grid = (p[2:self.Nt + 2] - p[:self.Nt]) / (2 * self.dt)
-        return self._dt_grid
+        """Central differences in t with periodic wrap, of the current values."""
+        p = _padded(self.values)
+        return (p[2:self.Nt + 2] - p[:self.Nt]) / (2 * self.dt)
 
     def space_derivative_grid(self) -> np.ndarray:
-        """Central differences in x, one-sided 2nd order at x = 0 and L, cached."""
-        if self._dx_grid is None:
-            self._dx_grid = _x_difference(self.values, self.dx)
-        return self._dx_grid
+        """Central differences in x, one-sided 2nd order at x = 0 and L, of the current values."""
+        return _x_difference(self.values, self.dx)
 
     def interpolate(self, t, x) -> np.ndarray:
         """Field value at (t, x): bilinear, periodic wrap in t, exact at nodes.

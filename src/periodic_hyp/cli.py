@@ -1,11 +1,12 @@
 """Configuration-driven front end.
 
 The subcommand selects the run. Each one first checks every structural
-hypothesis and prints the certificate (at the first eps, the smallest for
-sweep); validate stops there. periodic solves for the time-periodic field
-and writes reports; stability also perturbs it, marches the initial-value
-problem and fits decay rates; sweep runs stability once per eps, one
-output directory each, plus an aggregate rate table. The system is one of
+hypothesis and the certificate (at the first eps, the smallest for
+sweep), printing each gate's line as it checks it; validate stops there.
+periodic solves for the time-periodic field and writes reports;
+stability also perturbs it, marches the initial-value problem and fits
+decay rates; sweep runs stability once per eps, one output directory
+each, plus an aggregate rate table. The system is one of
 ``systems.BUILTINS``, and its builder's keywords are its ``system.params``.
 
 Exit codes: 0 success, 2 configuration error, 3 hypothesis failure (every
@@ -252,70 +253,60 @@ def _build(cfg: RunConfig, eps: float) -> tuple:
         if len(cfg.forcing) > spec.n:
             raise ConfigError(f"forcing has {len(cfg.forcing)} entries; system has {spec.n}")
         forcing = cfg.forcing + [[]] * (spec.n - len(cfg.forcing))
-        hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) if comp
-              else systems.zero_signal for comp in forcing]
+        hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) for comp in forcing]
         return spec, builtin.boundary(cfg.gains, hs, cfg.T_star)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-@dataclass
-class ValidationOutcome:
-    ok: bool
-    lines: list
-    spec: SystemSpec
-    bspec: bd.BoundarySpec
-
-
-def _validate_all(cfg: RunConfig, eps: float) -> ValidationOutcome:
-    """Run every hypothesis gate, collecting a printable summary."""
-    lines = []
+def _validate_all(cfg: RunConfig, eps: float) -> tuple:
+    """Print each hypothesis gate's line as it is checked; return (ok, spec, bspec)."""
     spec, bspec = _build(cfg, eps)
-    lines.append(f"system: {cfg.system_name} (n={spec.n}, m={spec.m})")
+    print(f"system: {cfg.system_name} (n={spec.n}, m={spec.m})")
 
     try:
         rep = validate_hyperbolicity(spec)
-        lines.append(f"signature: {rep.signature} constant over {rep.samples} samples")
-        lines.append(f"mu_max: {rep.mu_max:.6g} "
-                     f"(time rescaling needed: {'yes' if rep.needs_time_rescaling else 'no'})")
-        lines.append(f"A(0) diagonal: {'yes' if rep.a0_diagonal else 'no'} "
-                     f"(off-diagonal max {rep.a0_offdiag_max:.2e})")
-        lines.append(f"F(0) residual: {rep.f0_norm:.2e}")
+        print(f"signature: {rep.signature} constant over {rep.samples} samples")
+        print(f"mu_max: {rep.mu_max:.6g} "
+              f"(time rescaling needed: {'yes' if rep.needs_time_rescaling else 'no'})")
+        print(f"A(0) diagonal: {'yes' if rep.a0_diagonal else 'no'} "
+              f"(off-diagonal max {rep.a0_offdiag_max:.2e})")
+        print(f"F(0) residual: {rep.f0_norm:.2e}")
         ok = rep.ok
     except _HYPOTHESIS_ERRORS as exc:
-        lines.append(f"structural hypotheses FAILED: {exc}")
-        return ValidationOutcome(False, lines, spec, bspec)
+        print(f"structural hypotheses FAILED: {exc}")
+        return False, spec, bspec
 
-    lines.append(f"K_min: {spec.origin.K_min:.6g}, K: {shift_K(spec, cfg.K):.6g}")
+    print(f"K_min: {spec.origin.K_min:.6g}, K: {shift_K(spec, cfg.K):.6g}")
     try:
         cert = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
     except DominanceError as exc:
-        lines.append(f"source dominance FAILED: {exc}")
-        return ValidationOutcome(False, lines, spec, bspec)
+        print(f"source dominance FAILED: {exc}")
+        return False, spec, bspec
     except _HYPOTHESIS_ERRORS as exc:
-        lines.append(f"boundary linearization FAILED: {exc}")
-        return ValidationOutcome(False, lines, spec, bspec)
-    lines.append(f"M3: {cert.M3:.6g}")
-    lines.append(f"theta: {cert.theta:.6g}")
+        print(f"boundary linearization FAILED: {exc}")
+        return False, spec, bspec
+    print(f"M3: {cert.M3:.6g}")
+    print(f"theta: {cert.theta:.6g}")
     if cert.theta >= 1.0:
-        lines.append("boundary dissipativity FAILED: theta >= 1")
+        print("boundary dissipativity FAILED: theta >= 1")
         ok = False
 
     try:
         forcing_rep = bd.validate_forcing(bspec)
-        lines.append(f"forcing C1 norm: {forcing_rep.h_c1_max:.6g}, "
-                     f"periodicity residual: {forcing_rep.periodicity_residual:.2e}, "
-                     f"gain at origin: {forcing_rep.max_gain:.6g}")
+        print(f"forcing C1 norm: {forcing_rep.h_c1_max:.6g}, "
+              f"periodicity residual: {forcing_rep.periodicity_residual:.2e}, "
+              f"gain at origin: {forcing_rep.max_gain:.6g}")
     except PeriodicityError as exc:
-        lines.append(f"forcing periodicity FAILED: {exc}")
-        return ValidationOutcome(False, lines, spec, bspec)
+        print(f"forcing periodicity FAILED: {exc}")
+        return False, spec, bspec
 
     state = "PASS" if cert.ok else "FAIL"
-    lines.append(f"certificate: theta + K L M3 = {cert.theta + cert.K * cert.L * cert.M3:.6g} "
-                 f"< 1: {state} (margin {cert.margin:.6g})")
+    print(f"certificate: theta + K L M3 = {cert.theta + cert.K * cert.L * cert.M3:.6g} "
+          f"< 1: {state} (margin {cert.margin:.6g})")
     ok = ok and cert.ok
-    lines.append(f"hypotheses: {'PASS' if ok else 'FAIL'}")
-    return ValidationOutcome(ok, lines, spec, bspec)
+    print(f"hypotheses: {'PASS' if ok else 'FAIL'}")
+    return ok, spec, bspec
 
 
 def _make_out_dir(out: Path) -> None:
@@ -336,12 +327,12 @@ def _solve_and_emit(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
                  t_nodes=fld.t_nodes, x_nodes=fld.x_nodes)
     except OSError as exc:
         raise IoError(f"cannot write {out / 'field.npz'}: {exc}")
-    dg.emit_report(report, "csv", out / "iteration_report.csv")
+    dg.emit_report(report, out / "iteration_report.csv")
     return fld, report
 
 
-def _cmd_periodic(cfg: RunConfig, outcome: ValidationOutcome, out: Path) -> int:
-    fld, report = _solve_and_emit(cfg, outcome.spec, outcome.bspec, out)
+def _cmd_periodic(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec, out: Path) -> int:
+    fld, report = _solve_and_emit(cfg, spec, bspec, out)
     if not report.converged:
         print(f"not converged after {report.iterations} sweeps")
         return EXIT_NO_CONVERGENCE
@@ -377,7 +368,7 @@ def _stability_cell(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
     floor = traj if np.array_equal(u0, base) else ivp.run(
         base, spec, bspec, t_end=t_end, record_every=record_every)
     srep = ivp.stability_metrics(traj, fld, spec, floor_traj=floor)
-    dg.emit_report(srep, "csv", out / "stability_report.csv")
+    dg.emit_report(srep, out / "stability_report.csv")
     nrm = dg.norms(fld)
     return {
         "eps": eps,
@@ -398,9 +389,9 @@ def _floor_note(cfg: RunConfig, row: dict) -> str:
     return ""
 
 
-def _cmd_stability(cfg: RunConfig, outcome: ValidationOutcome, out: Path,
-                   seed: int) -> int:
-    row = _stability_cell(cfg, outcome.spec, outcome.bspec, cfg.eps[0], out, seed)
+def _cmd_stability(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
+                   out: Path, seed: int) -> int:
+    row = _stability_cell(cfg, spec, bspec, cfg.eps[0], out, seed)
     print(f"stability: fitted per-transit decay {row['fitted_decay']}, "
           f"derivative decay {row['fitted_derivative_decay']}")
     note = _floor_note(cfg, row)
@@ -486,18 +477,16 @@ def run(argv) -> int:
 
     try:
         cfg = load_config(args.config)
-        outcome = _validate_all(cfg, min(cfg.eps) if args.command == "sweep"
-                                else cfg.eps[0])
-        for line in outcome.lines:
-            print(line)
-        if not outcome.ok:
+        ok, spec, bspec = _validate_all(cfg, min(cfg.eps) if args.command == "sweep"
+                                        else cfg.eps[0])
+        if not ok:
             return EXIT_HYPOTHESIS
         if args.command == "validate":
             return EXIT_OK
         if args.command == "periodic":
-            return _cmd_periodic(cfg, outcome, Path(args.out))
+            return _cmd_periodic(cfg, spec, bspec, Path(args.out))
         if args.command == "stability":
-            return _cmd_stability(cfg, outcome, Path(args.out), args.seed)
+            return _cmd_stability(cfg, spec, bspec, Path(args.out), args.seed)
         return _cmd_sweep(cfg, Path(args.out), args.seed, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

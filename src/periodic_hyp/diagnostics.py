@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import Field, _padded
+from .characteristics import Field, _padded, _x_difference
 from .errors import IoError
 from .system_model import SystemSpec
 
@@ -86,8 +86,7 @@ def regularity_measurements(fld: Field) -> RegularityReport:
     dt, dx = fld.dt, fld.dx
     d2t_grid = (p[2:fld.Nt + 2] - 2 * v + p[:fld.Nt]) / dt**2
     d2x_grid = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dx**2
-    ut = fld.time_derivative_grid()
-    dtdx_grid = (ut[:, 2:] - ut[:, :-2]) / (2 * dx)
+    dtdx_grid = _x_difference(fld.time_derivative_grid(), dx)[:, 1:-1]
     return RegularityReport(
         d2t=float(np.abs(d2t_grid[:, 1:-1]).max()),
         dtdx=float(np.abs(dtdx_grid).max()),
@@ -140,21 +139,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def emit_report(report, fmt: str, destination) -> None:
-    """Serialize a report deterministically.
-
-    CSV is for series (iteration deltas: "iteration,delta"; stability
-    samples: "t,phi,dphi"), each with a JSON sidecar of the report's other
-    fields; JSON is for scalar records. Field order is fixed by the dataclass, reals
-    carry 17 significant digits. Raises IoError on write failure.
-    """
+def emit_report(report, destination) -> None:
+    """Write a series report deterministically: its series as CSV at destination
+    ("iteration,delta" for iteration deltas, "t,phi,dphi" for stability
+    samples), its other fields as a JSON sidecar (suffix .json), in dataclass
+    order, keys lowercase snake case, reals with 17 significant digits.
+    Raises ValueError for a record with no series, IoError on write failure."""
     path = Path(destination)
-    if fmt == "json":
-        write_text(path, json.dumps(_jsonable(report), indent=2) + "\n")
-        return
-    if fmt != "csv":
-        raise ValueError("format must be 'csv' or 'json'")
-
     if hasattr(report, "deltas"):
         header, series = "iteration,delta", ("deltas", "deltas_c1")
         rows = [f"{l},{_fmt(d)}" for l, d in enumerate(np.asarray(report.deltas), start=1)]
@@ -164,7 +155,7 @@ def emit_report(report, fmt: str, destination) -> None:
         rows = [f"{_fmt(t)},{_fmt(phi)},{_fmt(dphi.get(t, float('nan')))}"
                 for t, phi in report.phi_samples]
     else:
-        raise ValueError("CSV emission is defined for series reports only")
+        raise ValueError("emit_report takes series reports only")
     write_text(path, "\n".join([header] + rows) + "\n")
     scalars = {k: v for k, v in _jsonable(report).items() if k not in series}
     write_text(path.with_suffix(".json"), json.dumps(scalars, indent=2) + "\n")

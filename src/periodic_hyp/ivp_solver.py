@@ -215,14 +215,12 @@ def step(u: np.ndarray, dt: float, spec: SystemSpec,
     the boundary from signals[i] = h_i at the step's end time, and dx is
     spec.L / Nx. One ``spec.AF_at`` call per stage gives its A and F; the
     first stage's speed check gives the top speed for the CFL check.
-    Raises ValueError when spec and bspec disagree on n or m,
-    StepSizeError when dt exceeds 0.8 dx / max |lambda| on the current
-    profile and DomainError when the new profile leaves the validated
-    neighborhood (the blow-up proxy).
+    Raises ValueError for a boundary of another system, StepSizeError
+    when dt exceeds 0.8 dx / max |lambda| on the current profile and
+    DomainError when the new profile leaves the validated neighborhood
+    (the blow-up proxy).
     """
-    if spec.n != bspec.n or spec.m != bspec.m:
-        raise ValueError(f"boundary has n = {bspec.n}, m = {bspec.m}; "
-                         f"the system n = {spec.n}, m = {spec.m}")
+    bspec.check_fits(spec)
     dx = spec.L / (len(u) - 1)
     f1, lam_max = _rhs(u, spec, dx)
     if dt > _CFL_CAP * dx / lam_max * (1 + 1e-12):
@@ -270,10 +268,11 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     the worst-case dx / |lambda| over the whole validated neighborhood, so one
     step size serves the entire run. Returns early (completed=False, with
     the failure message) if the profile leaves the neighborhood.
-    Raises ValueError unless record_every is finite and positive and
-    t_end is 0 or a whole multiple (at least 1) of record_every, within
-    1e-9 relative: no other t_end is reached on the cadence.
-    """
+    Raises ValueError for a boundary of another system, and unless
+    record_every is finite and positive and t_end is 0 or a whole multiple
+    (at least 1) of record_every, within 1e-9 relative: no other t_end is
+    reached on the cadence."""
+    bspec.check_fits(spec)
     if not (math.isfinite(record_every) and record_every > 0):
         raise ValueError(f"record_every must be finite and positive, got {record_every!r}")
     if not (math.isfinite(t_end) and t_end >= 0):

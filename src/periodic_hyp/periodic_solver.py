@@ -13,6 +13,7 @@ smallness certificate holds, and the limit is the periodic solution.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,11 +55,15 @@ class IterationConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.Nt < 8 or self.Nx < 8:
+        try:  # ints and numpy integers: operator.index refuses 16.0
+            Nt, Nx, max_iter = map(operator.index, (self.Nt, self.Nx, self.max_iter))
+        except TypeError:
+            raise ValueError("Nt, Nx and max_iter must be integers") from None
+        if Nt < 8 or Nx < 8:
             raise ValueError("grid sizes must be at least 8")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
+        if max_iter < 1:
             raise ValueError("max_iter must be positive")
 
 
@@ -97,9 +102,10 @@ class SweepContext:
                   K: Optional[float]) -> "SweepContext":
         """The set-up for the shift K (None: the default, see ``shift_K``).
 
-        Raises DominanceError when gtilde is not dominated, and what
-        ``characterizing_data`` raises when theta cannot be computed.
-        """
+        Raises ValueError for a boundary of another system, DominanceError
+        when gtilde is not dominated, and what ``characterizing_data``
+        raises when theta cannot be computed."""
+        bspec.check_fits(spec)
         K = shift_K(spec, K)
         gtilde = gtilde_matrix(spec, K)
         gii = np.diag(gtilde)

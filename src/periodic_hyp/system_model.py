@@ -107,20 +107,17 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
             return _refusing(f"{name} broadcasts wrongly: on a batch it returns "
                              "other values than one item at a time")
 
-    if multi:
-        def merged_tuple(*args):
-            if args[0].ndim - item_ndim[0] <= 1:  # already flat
-                return tuple(np.asarray(v, dtype=float) for v in fn(*args))
-            args, lead = flat(args)
-            return tuple(np.asarray(v, dtype=float).reshape(lead + s)
-                         for v, s in zip(fn(*args), shapes))
-        return merged_tuple
-
     def merged(*args):
-        if args[0].ndim - item_ndim[0] <= 1:  # already flat
-            return np.asarray(fn(*args), dtype=float)
-        args, lead = flat(args)
-        return np.asarray(fn(*args), dtype=float).reshape(lead + out_shape)
+        if args[0].ndim - item_ndim[0] > 1:  # more leading axes than fn takes
+            args, lead = flat(args)
+            vals = fn(*args)
+            outs = tuple(np.asarray(v, dtype=float).reshape(lead + s)
+                         for v, s in zip(vals if multi else (vals,), shapes))
+            return outs if multi else outs[0]
+        vals = fn(*args)  # already flat
+        if multi:
+            return tuple(np.asarray(v, dtype=float) for v in vals)
+        return np.asarray(vals, dtype=float)
     return merged
 
 
@@ -177,13 +174,13 @@ class SystemSpec:
         4th-order central finite differences.
     AF : optional callable, state -> (A, F) in one call, for systems
         whose A and F share intermediates, its A in the form of A; batched
-        like A (a form that does not batch is looped). ``AF_at`` uses it,
-        and without it evaluates A and F one after the other. At
-        construction it is compared with A and F on two probe states: if
-        it differs in form or by more than 1e-12 relative, every ``AF_at``
-        raises ValueError naming ``SystemSpec.AF``.
-    domain_radius : radius of the validated neighborhood of u = 0.
-    L : spatial interval length.
+        like A (a form that does not batch is looped), is what ``AF_at``
+        calls, kept at construction: without it ``A_at`` then ``F_at``.
+        It is compared with A and F on two probe states: if it differs in
+        form or by more than 1e-12 relative, every ``AF_at`` raises
+        ValueError naming ``SystemSpec.AF``.
+    domain_radius : radius of the validated neighborhood of u = 0, finite.
+    L : spatial interval length, finite.
 
     A spec is immutable; ``origin`` and ``sampled_speeds`` are kept.
     """
@@ -199,15 +196,15 @@ class SystemSpec:
     gives_speeds: bool = field(init=False)
     _A_batch: Callable = field(init=False, repr=False)
     _F_batch: Callable = field(init=False, repr=False)
-    _AF_batch: Optional[Callable] = field(init=False, repr=False)
+    _AF_batch: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("state dimension n must be positive")
         if not 0 <= self.m <= self.n:
             raise ValueError("m must lie in [0, n]")
-        if self.domain_radius <= 0 or self.L <= 0:
-            raise ValueError("domain_radius and L must be positive")
+        if not (0 < self.domain_radius < math.inf and 0 < self.L < math.inf):
+            raise ValueError("domain_radius and L must be finite and positive")
         probe = (_probe_points(self.n, self.domain_radius),)
         gives_speeds = np.shape(self.A(probe[0][0])) == (self.n,)
         object.__setattr__(self, "gives_speeds", gives_speeds)
@@ -216,7 +213,8 @@ class SystemSpec:
                            batched(self.A, probe, shapes[0], "SystemSpec.A"))
         object.__setattr__(self, "_F_batch",
                            batched(self.F, probe, shapes[1], "SystemSpec.F"))
-        AF = None
+        def AF(states):  # A_at and F_at, each traced by name
+            return self.A_at(states), self.F_at(states)
         if self.AF is not None:
             AF = batched(self.AF, probe, shapes, "SystemSpec.AF")
             # one item at a time, as A and F are known to take them
@@ -277,10 +275,7 @@ class SystemSpec:
     def AF_at(self, states: np.ndarray) -> tuple:
         """(A, F) evaluated on states of shape (..., n), one call of the
         spec's AF when it has one, else ``A_at`` and ``F_at``."""
-        states = np.asarray(states, dtype=float)
-        if self._AF_batch is None:
-            return self.A_at(states), self.F_at(states)
-        return self._AF_batch(states)
+        return self._AF_batch(np.asarray(states, dtype=float))
 
     def gradF_at(self, u: np.ndarray) -> np.ndarray:
         if self.gradF is not None:
@@ -541,13 +536,13 @@ def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
-    diagonal, from ``spec.origin``.
-    Raises DominanceError unless the result is strictly diagonally dominant
-    with the sign pattern required of the two families (positive diagonal
-    for left-moving rows, negative for right-moving).
+    diagonal, from ``spec.origin``. Raises ValueError unless K is finite
+    and nonnegative, and DominanceError unless the result is strictly
+    diagonally dominant with the sign pattern required of the two families
+    (positive diagonal for left-moving rows, negative for right-moving).
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if not 0 <= K < math.inf:
+        raise ValueError("K must be finite and nonnegative")
     n, m = spec.n, spec.m
     g0, mu0 = spec.origin.g0, spec.origin.mu0
     gt = mu0[:, None] * g0

@@ -10,6 +10,8 @@ from pathlib import Path
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli, systems
+from periodic_hyp import ivp_solver as ivp
+from periodic_hyp import periodic_solver as ps
 from periodic_hyp.errors import BoundaryMapError, PeriodicityError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -276,6 +278,43 @@ class TestFrozenSpec:
                 setattr(spec, name, value)
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
         assert bd.characterizing_data(spec).theta == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("T_star", [math.nan, math.inf, 0.0])
+def test_a_period_not_finite_and_positive_is_refused(T_star):
+    with pytest.raises(ValueError, match="T_star must be finite and positive"):
+        make_reflect_spec(T_star=T_star)
+
+
+class TestCheckFits:
+    """Both solvers refuse a boundary of another n or m with the step's
+    message, before anything indexes the profile by the boundary's
+    families."""
+
+    MISMATCHES = {
+        "euler with the scalar inflow": (
+            systems.quasilinear_euler_damping,
+            lambda: systems.scalar_inflow_boundary(systems.zero_signal, 2.0),
+            "boundary has n = 1, m = 0; the system n = 2, m = 1"),
+        "scalar with two gains": (
+            systems.linear_damped_scalar,
+            lambda: systems.two_gain_boundary(0.5, 0.5, systems.zero_signal,
+                                              systems.zero_signal, 1.0),
+            "boundary has n = 2, m = 1; the system n = 1, m = 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHES))
+    def test_solve_periodic_refuses(self, case):
+        system, boundary, message = self.MISMATCHES[case]
+        with pytest.raises(ValueError, match=message):
+            ps.solve_periodic(system(), boundary(), ps.IterationConfig(Nt=16, Nx=16))
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHES))
+    def test_ivp_run_refuses(self, case):
+        system, boundary, message = self.MISMATCHES[case]
+        spec = system()
+        with pytest.raises(ValueError, match=message):
+            ivp.run(np.zeros((17, spec.n)), spec, boundary(), t_end=0.5, record_every=0.25)
 
 
 class TestResolvedOnce:

@@ -9,7 +9,7 @@ import yaml
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli, systems
 from periodic_hyp import periodic_solver as ps
-from periodic_hyp.errors import ConvergenceError
+from periodic_hyp.errors import BoundaryMapError, ConvergenceError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -119,6 +119,23 @@ class TestValidate:
         code = cli.run(["validate", "--config", write_cfg(tmp_path, base_e2_cfg())])
         assert code == 4
         assert "non-convergence: scaling methods disagree" in capsys.readouterr().err
+
+    def test_an_uncaught_gate_error_follows_the_lines_before_it(self, monkeypatch, capsys):
+        """validate prints each gate as it checks it: an error no gate
+        catches exits with the lines of the gates before it on stdout."""
+        path = str(CONFIGS / "linear_reflect_2x2.yaml")
+        assert cli.run(["validate", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def broken(bspec):
+            raise BoundaryMapError("non-finite derivative of boundary map 0")
+
+        monkeypatch.setattr(bd, "validate_forcing", broken)
+        assert cli.run(["validate", "--config", path]) == 3
+        out, err = capsys.readouterr()
+        before = lines[:[line.split(":")[0] for line in lines].index("theta") + 1]
+        assert len(before) == 8 and out.splitlines() == before
+        assert "hypothesis failure: non-finite derivative of boundary map 0" in err
 
     def test_prints_summary(self, tmp_path, capsys):
         cli.run(["validate", "--config", write_cfg(tmp_path, base_e2_cfg())])

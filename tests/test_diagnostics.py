@@ -36,6 +36,22 @@ class TestNorms:
         assert out.c0 == pytest.approx(0.3)
         assert out.c1 == pytest.approx(0.3, abs=1e-12)
 
+    def test_grids_follow_the_values(self):
+        """The derivative grids and c1 are those of the values a field
+        holds now: after an edit in place and after a new array."""
+        t = np.arange(8)[:, None, None] / 8
+        x = np.arange(9)[None, :, None] / 8
+        fld = Field(values=np.sin(2 * np.pi * t) + 3 * x, T_star=1.0, L=1.0)
+        assert dg.norms(fld).c1 > 3
+        fld.values[:] = 0.0
+        assert not fld.time_derivative_grid().any()
+        assert not fld.space_derivative_grid().any()
+        assert dg.norms(fld).c1 == 0.0
+        fld.values = np.full((8, 9, 1), 2.0) + x
+        assert np.allclose(fld.space_derivative_grid(), 1.0, rtol=0, atol=1e-12)
+        assert not fld.time_derivative_grid().any()
+        assert dg.norms(fld).c1 == pytest.approx(3.0 + 1.0)
+
     def test_e1_amplitude(self, e1_fixed_point):
         _, _, fld, _ = e1_fixed_point
         out = dg.norms(fld)
@@ -222,7 +238,7 @@ class TestEmitReport:
     def test_iteration_csv(self, tmp_path, e1_fixed_point):
         _, _, _, rep = e1_fixed_point
         path = tmp_path / "iters.csv"
-        dg.emit_report(rep, "csv", path)
+        dg.emit_report(rep, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,delta"
         assert len(lines) == 1 + rep.iterations
@@ -240,33 +256,35 @@ class TestEmitReport:
             dphi_samples=[(0.5, 0.7)],
             fitted_decay=0.5, fitted_derivative_decay=0.6, T0=1.0)
         path = tmp_path / "stab.csv"
-        dg.emit_report(rep, "csv", path)
+        dg.emit_report(rep, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,phi,dphi"
         assert lines[1].startswith("0,1,")
         side = json.loads(path.with_suffix(".json").read_text())
         assert side["fitted_decay"] == 0.5
 
-    def test_json_round_trip(self, tmp_path):
-        cert = dg.smallness_certificate(0.5, 1e-6, 1.0, np.exp(1.1))
-        path = tmp_path / "cert.json"
-        dg.emit_report(cert, "json", path)
-        back = dg.parse_report(path)
-        # keys are lowercase snake case; values round-trip exactly
-        assert set(back) == {"theta", "k", "l", "m3", "ok", "margin"}
-        assert back["theta"] == cert.theta
-        assert back["k"] == cert.K
-        assert back["l"] == cert.L
-        assert back["m3"] == cert.M3
-        assert back["ok"] is True
-        assert back["margin"] == cert.margin
+    def test_json_round_trip(self, tmp_path, e1_fixed_point):
+        """The sidecar's keys are lowercase snake case, the nested
+        certificate's too, and its reals read back exactly."""
+        _, _, _, rep = e1_fixed_point
+        path = tmp_path / "iters.csv"
+        dg.emit_report(rep, path)
+        back = dg.parse_report(path.with_suffix(".json"))
+        assert list(back) == ["fitted_beta", "iterations", "converged", "certificate"]
+        cert = back["certificate"]
+        assert list(cert) == ["theta", "k", "l", "m3", "ok", "margin"]
+        want = rep.certificate
+        assert (cert["theta"], cert["k"], cert["l"], cert["m3"], cert["margin"]) == (
+            want.theta, want.K, want.L, want.M3, want.margin)
+        assert cert["ok"] is True
 
-    def test_unwritable_path(self):
-        cert = dg.smallness_certificate(0.5, 0.0, 1.0, 1.0)
+    def test_unwritable_path(self, e1_fixed_point):
+        _, _, _, rep = e1_fixed_point
         with pytest.raises(IoError):
-            dg.emit_report(cert, "json", "/nonexistent-dir/x.json")
+            dg.emit_report(rep, "/nonexistent-dir/x.csv")
 
     def test_csv_for_scalar_record_rejected(self, tmp_path):
         cert = dg.smallness_certificate(0.5, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            dg.emit_report(cert, "csv", tmp_path / "cert.csv")
+        with pytest.raises(ValueError, match="series"):
+            dg.emit_report(cert, tmp_path / "cert.csv")
+        assert not list(tmp_path.iterdir())

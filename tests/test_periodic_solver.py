@@ -36,6 +36,20 @@ def make_e2(eps=0.01, k=0.5):
     return spec, bspec
 
 
+class TestIterationConfig:
+    @pytest.mark.parametrize("bad", [{"tol": np.nan}, {"tol": np.inf}, {"Nt": 16.0},
+                                     {"Nt": 16.5}, {"Nx": 16.0}, {"max_iter": 2.5}])
+    def test_a_non_finite_tol_or_non_integer_size_is_refused(self, bad):
+        with pytest.raises(ValueError):
+            ps.IterationConfig(**{"Nt": 16, "Nx": 16, **bad})
+
+    def test_numpy_integers_are_sizes(self):
+        spec, bspec = make_e1()
+        cfg = ps.IterationConfig(Nt=np.int64(16), Nx=np.int32(16), max_iter=np.int64(3))
+        _, rep = ps.solve_periodic(spec, bspec, cfg)
+        assert rep.iterations <= 3
+
+
 class TestLinearizedStep:
     def test_zero_prev_zero_forcing(self):
         spec, _ = make_e1()

@@ -306,6 +306,14 @@ class TestDiagonalPath:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [{"domain_radius": math.nan}, {"domain_radius": math.inf},
+                                     {"L": math.nan}, {"L": math.inf}])
+    def test_a_non_finite_radius_or_length_is_refused(self, bad):
+        kwargs = dict(n=1, m=0, A=lambda u: np.ones_like(u), F=lambda u: -np.asarray(u),
+                      domain_radius=0.1, L=1.0)
+        with pytest.raises(ValueError, match="domain_radius and L must be finite"):
+            sm.SystemSpec(**{**kwargs, **bad})
+
     def test_scalar_damped_valid(self):
         rep = sm.validate_hyperbolicity(make_scalar_spec())
         assert rep.ok
@@ -418,6 +426,11 @@ class TestCouplingB:
 
 
 class TestGtilde:
+    @pytest.mark.parametrize("K", [math.inf, math.nan, -1.0])
+    def test_a_K_not_finite_and_nonnegative_is_refused(self, K):
+        with pytest.raises(ValueError, match="K must be finite and nonnegative"):
+            sm.gtilde_matrix(make_scalar_spec(), K)
+
     def test_scalar_damped(self):
         spec = make_scalar_spec(lam=1.0, c=0.5)
         gt = sm.gtilde_matrix(spec, K=0.0)
