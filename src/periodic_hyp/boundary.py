@@ -66,9 +66,10 @@ class BoundarySpec:
     when not finite); ``outgoing(i)`` is the trace map i reads, ``sides``
     the batched maps of each endpoint and ``origin`` the linearization at
     the origin, computed on first use. Each map and signal is batched once,
-    when the spec is built: an exception its probe raises, other than those
-    ``batched`` takes for one-item code, comes from construction. A spec is
-    immutable, so what it keeps stays that of the callables it holds.
+    when the spec is built, so construction raises what one of them raises
+    on one item, or ValueError when it gives a wrong shape or broadcasts
+    wrongly. A spec is immutable, so what it keeps stays that of the
+    callables it holds.
     """
 
     left_maps: Sequence[Callable]

@@ -60,10 +60,6 @@ class Field:
         return self.values.shape[1] - 1
 
     @property
-    def n(self) -> int:
-        return self.values.shape[2]
-
-    @property
     def dt(self) -> float:
         return self.T_star / self.Nt
 

@@ -116,15 +116,9 @@ def _jsonable(obj):
                 for f in dataclasses.fields(obj) if not f.name.startswith("_")}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
+    return obj  # a Python scalar or None; json refuses any other type
 
 
 def write_text(path: Path, text: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -44,13 +45,6 @@ def _probe_points(n: int, radius: float) -> np.ndarray:
     return radius * np.stack([0.5 * v, -0.3 * v[::-1]])
 
 
-def _refusing(message: str) -> Callable:
-    """A callable that raises ValueError(message) whatever it is given."""
-    def refuse(*args):
-        raise ValueError(message)
-    return refuse
-
-
 def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable:
     """Form of ``fn`` that maps a leading batch shape over every argument.
 
@@ -58,16 +52,16 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     distinct inputs; their trailing shapes are the shapes of one item.
     out_shape is the shape of one item's value, or a tuple of such shapes
     when fn returns a tuple of arrays, each batched alike. fn is called
-    once on the pair and once per item. When the pair call raises what
-    one-item code raises on a batch (listed below; others propagate) or
-    returns other shapes than (2, *out_shape), fn takes one item at a time
-    and the batched form loops, logged at debug level. When the shapes are
-    right but the values differ from the looped ones by more than 1e-12
-    relative, fn broadcasts wrongly, and every call of the batched form
-    raises ValueError naming it (a spec that never evaluates fn on a batch
-    stays usable). Otherwise fn sees at most one leading axis, the shape
-    its probe checks: more leading axes of the arrays passed to the batched
-    form are merged into one.
+    once per item, then once on the pair. What fn raises on one item
+    propagates, and a value of another shape than out_shape raises
+    ValueError naming fn. When the pair call raises what one-item code
+    raises on a batch (listed below; others propagate) or returns other
+    shapes than (2, *out_shape), fn takes one item at a time and the
+    batched form loops, logged at debug level. When the shapes are right
+    but the values differ from the one-item ones by more than 1e-12
+    relative, fn broadcasts wrongly: ValueError naming it. Otherwise fn
+    sees at most one leading axis, the shape its probe checks: more leading
+    axes of the arrays passed to the batched form are merged into one.
     """
     probe = tuple(np.asarray(p, dtype=float) for p in probe)
     item_ndim = [p.ndim - 1 for p in probe]
@@ -91,9 +85,14 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
         outs = tuple(out.reshape(lead + s) for out, s in zip(outs, shapes))
         return outs if multi else outs[0]
 
+    def arrays(vals):
+        return [np.asarray(v, dtype=float) for v in (vals if multi else (vals,))]
+
+    items = [arrays(fn(*(p[k] for p in probe))) for k in range(2)]  # what fn raises propagates
+    if any([v.shape for v in vals] != list(shapes) for vals in items):
+        raise ValueError(f"{name} returns on one item another shape than {out_shape}")
     try:
-        together = fn(*probe)
-        together = [np.asarray(v, dtype=float) for v in (together if multi else (together,))]
+        together = arrays(fn(*probe))
     except (TypeError, ValueError, IndexError):
         # one-item code on a batch: TypeError (float() or math.* of an array),
         # ValueError (an array's truth value), IndexError (u[2] of a pair)
@@ -101,10 +100,9 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     if together is None or [v.shape for v in together] != [(2,) + s for s in shapes]:
         logger.debug("%s takes one item at a time: its batched form loops", name)
         return looped
-    single = looped(*probe)
-    for got, want in zip(together, single if multi else (single,)):
+    for got, want in zip(together, map(np.array, zip(*items))):
         if np.abs(got - want).max() > _PROBE_RTOL * np.abs(want).max():
-            return _refusing(f"{name} broadcasts wrongly: on a batch it returns "
+            raise ValueError(f"{name} broadcasts wrongly: on a batch it returns "
                              "other values than one item at a time")
 
     def merged(*args):
@@ -161,14 +159,15 @@ class SystemSpec:
 
     Parameters
     ----------
-    n : state dimension.
-    m : number of negative speeds; families 1..m move left.
+    n : state dimension, an integer (numpy integers pass, 2.0 and True
+        raise ValueError).
+    m : number of negative speeds, an integer; families 1..m move left.
     A : callable, state (n,) -> (n, n) coefficient matrix, or the (n,)
         speeds of a diagonal A (``gives_speeds``, read from one call at
         construction; component i is then family i; a matrix A has it
         False even where it is diagonal). May accept a leading batch
         axis; if it does not, evaluations fall back to a loop (see
-        ``batched`` for the probe that decides).
+        ``batched`` for the probe that decides, and what it refuses).
     F : callable, state (n,) -> (n,) source term, F(0) = 0, batched like A.
     gradF : optional callable, state -> (n, n) Jacobian of F. Defaults to
         4th-order central finite differences.
@@ -176,9 +175,9 @@ class SystemSpec:
         whose A and F share intermediates, its A in the form of A; batched
         like A (a form that does not batch is looped), is what ``AF_at``
         calls, kept at construction: without it ``A_at`` then ``F_at``.
-        It is compared with A and F on two probe states: if it differs in
-        form or by more than 1e-12 relative, every ``AF_at`` raises
-        ValueError naming ``SystemSpec.AF``.
+        Construction raises ValueError naming ``SystemSpec.AF`` when its
+        batched form differs from those of A and F on the two probe states,
+        in form or by more than 1e-12 relative.
     domain_radius : radius of the validated neighborhood of u = 0, finite.
     L : spatial interval length, finite.
 
@@ -199,9 +198,15 @@ class SystemSpec:
     _AF_batch: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        try:  # ints and numpy integers: operator.index refuses 2.0, and a bool is no size
+            if isinstance(self.n, bool) or isinstance(self.m, bool):
+                raise TypeError
+            n, m = map(operator.index, (self.n, self.m))
+        except TypeError:
+            raise ValueError("n and m must be integers") from None
+        if n < 1:
             raise ValueError("state dimension n must be positive")
-        if not 0 <= self.m <= self.n:
+        if not 0 <= m <= n:
             raise ValueError("m must lie in [0, n]")
         if not (0 < self.domain_radius < math.inf and 0 < self.L < math.inf):
             raise ValueError("domain_radius and L must be finite and positive")
@@ -215,17 +220,13 @@ class SystemSpec:
                            batched(self.F, probe, shapes[1], "SystemSpec.F"))
         def AF(states):  # A_at and F_at, each traced by name
             return self.A_at(states), self.F_at(states)
-        if self.AF is not None:
+        if self.AF is not None:  # its form is checked by batched, its values here
             AF = batched(self.AF, probe, shapes, "SystemSpec.AF")
-            # one item at a time, as A and F are known to take them
-            pairs = [self.AF(p) for p in probe[0]]
-            for k, fn in enumerate((self.A, self.F)):
-                got = np.array([np.asarray(pair[k], dtype=float) for pair in pairs])
-                want = np.array([np.asarray(fn(p), dtype=float) for p in probe[0]])
-                if not (got.shape == want.shape and np.abs(got - want).max()
-                        <= _PROBE_RTOL * np.abs(want).max()):
-                    AF = _refusing("SystemSpec.AF differs from SystemSpec.A "
-                                   "and SystemSpec.F at a probe state")
+            for got, want in zip(AF(probe[0]), (self._A_batch(probe[0]),
+                                                self._F_batch(probe[0]))):
+                if not np.abs(got - want).max() <= _PROBE_RTOL * np.abs(want).max():
+                    raise ValueError("SystemSpec.AF differs from SystemSpec.A "
+                                     "and SystemSpec.F at a probe state")
         object.__setattr__(self, "_AF_batch", AF)
 
     # each computed on first use, read-only: a solve needs only the

@@ -137,13 +137,12 @@ class TestMapGradient:
             with pytest.raises(BoundaryMapError, match="boundary map 1"):
                 check(spec)
 
-    def test_wrongly_broadcasting_map_fails_in_theta(self):
+    def test_a_wrongly_broadcasting_map_is_refused_by_the_constructor(self):
         # u[0] is the first outgoing value of one item, the first row of a batch
-        spec = bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
-                               right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
-                               h=[np.sin, np.cos], T_star=2 * np.pi)
         with pytest.raises(ValueError, match="boundary map 1 broadcasts wrongly"):
-            bd.characterizing_data(spec)
+            bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
+                            right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+                            h=[np.sin, np.cos], T_star=2 * np.pi)
 
 
 class TestMinimalCharacterizingNumber:

@@ -491,3 +491,81 @@ def test_values_a_builder_rejects_exit_2(tmp_path, capsys, edit):
     edit(data)
     assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def euler_cfg():
+    return yaml.safe_load((CONFIGS / "quasilinear_euler_damping.yaml").read_text())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["boundary"].update(forcing=0.5), "boundary.forcing must be a list (one entry per family)"),
+    (lambda d: d["boundary"].update(forcing=[0.5]), "each forcing entry must be a list of harmonics"),
+    (lambda d: d["boundary"]["forcing"][0][0].pop("amplitude"),
+     "each harmonic needs an amplitude"),
+    (lambda d: d["boundary"]["forcing"][0][0].update(amplitude=-0.01),
+     "'amplitude' must be nonnegative, got -0.01"),
+    (lambda d: d["solver"].update(K=-1.0), "'solver.K' must be nonnegative, got -1.0"),
+    (lambda d: d["experiment"].update(eps=[0.01, -0.01]),
+     "'experiment.eps' must be nonnegative, got -0.01"),
+    (lambda d: d["experiment"].update(perturbation=-0.005),
+     "'experiment.perturbation' must be nonnegative, got -0.005"),
+    (lambda d: d["experiment"].update(eps=[]), "'experiment.eps' must hold at least one value"),
+    (lambda d: d.pop("grid"), "missing required section 'grid'"),
+    (lambda d: d["boundary"]["forcing"].append([]), "forcing has 3 entries; system has 2"),
+], ids=["forcing_number", "entry_number", "no_amplitude", "amplitude", "K", "eps",
+        "perturbation", "eps_empty", "no_grid", "three_entries"])
+def test_each_config_refusal_exits_2_with_its_message(tmp_path, capsys, edit, message):
+    data = base_e2_cfg()
+    edit(data)
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("system: [linear_reflect_2x2\n", "config does not parse"),
+    ("- system\n- grid\n", "config root must be a mapping"),
+])
+def test_a_file_that_is_no_config_mapping_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli.run(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_a_scalar_eps_is_accepted(tmp_path):
+    data = base_e2_cfg()
+    data["experiment"]["eps"] = 0.01
+    assert cli.load_config(write_cfg(tmp_path, data)).eps == [0.01]
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 0
+
+
+@pytest.mark.parametrize("base, edit, line", [
+    (euler_cfg, lambda d: d["system"]["params"].update(base_c=0.02),
+     "structural hypotheses FAILED: signature is not (1, 1)"),
+    (base_e2_cfg, lambda d: d["boundary"]["forcing"][0][0].update(harmonic=1.5),
+     "forcing periodicity FAILED: forcing not 2.0-periodic"),
+], ids=["euler_slow_sound", "harmonic_1.5"])
+def test_a_failed_gate_exits_3_with_its_line(tmp_path, capsys, base, edit, line):
+    data = base()
+    edit(data)
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 3
+    assert line in capsys.readouterr().out
+
+
+def test_an_unconverged_stability_solve_exits_4(tmp_path, capsys):
+    data = base_e2_cfg(Nt=16, Nx=16)
+    data["solver"]["max_iter"] = 2
+    code = cli.run(["stability", "--config", write_cfg(tmp_path, data),
+                    "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "non-convergence: periodic solve did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["stability", "--seed", "-1"], ["sweep", "--seed", "-1"],
+                                  ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-2"]])
+def test_a_seed_or_job_count_out_of_range_exits_2_before_any_solve(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, base_e2_cfg(Nt=16, Nx=16))
+    assert cli.run(argv[:1] + ["--config", path, "--out", str(out)] + argv[1:]) == 2
+    assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+    assert not out.exists()

@@ -225,27 +225,52 @@ class TestProbe:
             SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=F,
                        domain_radius=0.1, L=1.0)
 
-    def test_wrongly_broadcasting_source_raises(self):
-        spec = SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
-                          F=lambda u: -0.5 * u * u[0], domain_radius=0.1, L=1.0)
-        with pytest.raises(ValueError, match="SystemSpec.F"):
-            spec.F_at(np.array([[0.01, 0.02], [0.03, 0.04]]))
-        assert spec.A_at(np.zeros((3, 2))).shape == (3, 2, 2)
+    @staticmethod
+    def raises(exc):
+        def fn(*args):
+            raise exc("fails on every input")
+        return fn
 
-    def test_wrongly_broadcasting_map_and_signal_raise(self):
+    def test_a_source_that_raises_on_every_input_is_refused(self):
+        with pytest.raises(ValueError, match="fails on every input"):
+            SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=self.raises(ValueError),
+                       domain_radius=0.1, L=1.0)
+
+    @pytest.mark.parametrize("exc", [TypeError, ValueError, IndexError])
+    def test_a_map_or_signal_that_raises_on_every_input_is_refused(self, exc):
+        with pytest.raises(exc, match="fails on every input"):
+            systems.reflection_boundary(0.5, np.sin, self.raises(exc), 2 * np.pi)
+        with pytest.raises(exc, match="fails on every input"):
+            bd.BoundarySpec(left_maps=[self.raises(exc)], right_maps=[lambda hv, u: hv],
+                            h=[np.sin, np.cos], T_star=2 * np.pi)
+
+    def test_a_value_of_the_wrong_shape_on_one_item_is_refused(self):
+        with pytest.raises(ValueError, match=r"SystemSpec.F returns on one item "
+                                             r"another shape than \(2,\)"):
+            SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=lambda u: np.zeros(3),
+                       domain_radius=0.1, L=1.0)
+
+    def test_a_one_item_math_signal_is_looped(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="periodic_hyp"):
+            b = systems.reflection_boundary(0.5, math.sin, math.cos, 2 * np.pi)
+        assert "h[0] takes one item at a time" in caplog.text
+        ts = np.array([0.1, 0.2, 0.3])
+        assert np.array_equal(b.h_values(0, ts), [math.sin(t) for t in ts])
+
+    def test_a_wrongly_broadcasting_source_is_refused(self):
+        with pytest.raises(ValueError, match="SystemSpec.F broadcasts wrongly"):
+            SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]),
+                       F=lambda u: -0.5 * u * u[0], domain_radius=0.1, L=1.0)
+
+    def test_a_wrongly_broadcasting_map_or_signal_is_refused(self):
         # u[0] is the first outgoing value of one item, the first row of a batch
-        b = bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
+        with pytest.raises(ValueError, match="boundary map 1 broadcasts wrongly"):
+            bd.BoundarySpec(left_maps=[lambda hv, u: hv + 0.5 * u[0]],
                             right_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
                             h=[np.sin, np.cos], T_star=2 * np.pi)
-        with pytest.raises(ValueError, match="boundary map 1"):
-            bd.eval_boundary(b, "left", 0.3, np.array([0.01]))
-        right = bd.eval_boundary(b, "right", 0.3, np.array([0.02]))
-        assert right[0] == pytest.approx(np.sin(0.3) + 0.01, abs=1e-15)
-        b = systems.reflection_boundary(
-            0.5, np.sin, lambda t: np.sin(t) * np.atleast_1d(t)[0], 2 * np.pi)
-        with pytest.raises(ValueError, match=r"h\[1\]"):
-            b.h_values(1, np.array([0.1, 0.2]))
-        assert b.h_values(0, 0.3) == np.sin(0.3)
+        with pytest.raises(ValueError, match=r"h\[1\] broadcasts wrongly"):
+            systems.reflection_boundary(
+                0.5, np.sin, lambda t: np.sin(t) * np.atleast_1d(t)[0], 2 * np.pi)
 
     def test_batched_path_checks_side_and_width(self):
         b = systems.reflection_boundary(0.5, np.sin, np.cos, 2 * np.pi)
