@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryMapError, ConvergenceError, PeriodicityError
-from .system_model import SystemSpec, _probe_points, batched
+from .system_model import SystemSpec, _probe_points, batched, read_number
 
 _FD_STEP = 1e-6
 _METHOD_AGREEMENT = 1e-6
@@ -59,7 +59,7 @@ class BoundarySpec:
     h : one T-periodic signal of time per family, indexed like the state;
         may broadcast over arrays of times. Maps and signals that do not
         broadcast are looped (see ``system_model.batched``).
-    T_star : common period of the signals, finite and positive.
+    T_star : common period of the signals, > 0 (``read_number``).
 
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
@@ -81,8 +81,7 @@ class BoundarySpec:
     _batched_maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.T_star < math.inf:
-            raise ValueError("T_star must be finite and positive")
+        read_number(self.T_star, "T_star", 0, strict=True)
         if len(self.h) != self.n:
             raise ValueError("need one forcing signal per family")
         times = (self.T_star * np.array([0.3, 0.55]),)

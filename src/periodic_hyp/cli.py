@@ -15,15 +15,16 @@ periodic solve refuses an A(0) that is not diagonal), 4 non-convergence
 (NonContractionError, ConvergenceError, StepSizeError), 5 I/O failure
 (IoError); 2 also for a --seed below 0 or a --jobs below 1. Config files
 are YAML (JSON parses as a subset, 1e-6 a number); unknown keys anywhere
-are rejected, and so are grid sizes below 8, a max_iter that is not an
-integer of at least 1, a tol, t_end, record_every or T_star that is not
-positive, a negative amplitude, K, eps or perturbation, an empty eps
-list, a quoted or non-finite number, and any system parameter or gain a
-builder rejects.
+are rejected, and so are grid sizes and a max_iter that are not integers
+of at least 8 and 1 (32.0 is none), a tol, t_end, record_every or T_star
+that is not positive, a negative amplitude, K, eps or perturbation, an
+empty eps list, a bool, a quoted or non-finite number, and any system
+parameter or gain a builder rejects (``system_model.read_number``).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import logging
 import os
@@ -56,7 +57,8 @@ from .errors import (
     SourceOriginError,
     StepSizeError,
 )
-from .system_model import SystemSpec, measured_mu_max, shift_K, validate_hyperbolicity
+from .system_model import (SystemSpec, measured_mu_max, read_number, shift_K,
+                           validate_hyperbolicity)
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -98,18 +100,14 @@ _SECTION_KEYS = {
 
 @dataclass
 class RunConfig:
-    """Validated configuration of one run."""
+    """Validated configuration of one run; solver holds grid and solver."""
 
     system_name: str
     system_params: dict
     T_star: float
     gains: dict
     forcing: list
-    Nt: int
-    Nx: int
-    K: Optional[float]
-    tol: float
-    max_iter: int
+    solver: ps.IterationConfig
     eps: list
     perturbation: float
     t_end: Optional[float]
@@ -132,26 +130,22 @@ def _check_keys(section: str, data, allowed: set) -> None:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
 
 
-def _number(value, name: str, least=None, strict=False, integer=False):
-    """A finite float of at least least (0 if any; above it when strict), or
-    when integer an int of at least least."""
-    try:  # float() takes YAML's true, yes and on (a bool) for 1, and parses "5" and b"5"
-        out = np.nan if isinstance(value, (bool, str, bytes)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = np.nan
-    if not np.isfinite(out):
-        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
-    if integer and (out != int(out) or out < least):
-        raise ConfigError(f"'{name}' must be an integer of at least {least}, got {value!r}")
-    if least is not None and (out < least or strict and out == least):
-        raise ConfigError(f"'{name}' must be {'positive' if strict else 'nonnegative'}, "
-                          f"got {value!r}")
-    return int(out) if integer else out
+def _config_errors(fn):
+    """fn with a ValueError (a number or value refused) as a ConfigError."""
+    @functools.wraps(fn)
+    def refusing(*args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return refusing
 
 
+@_config_errors
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML/JSON config file: ConfigError on what the
-    module docstring lists, every number read by ``_number``."""
+    module docstring lists, every number read by ``read_number`` (the
+    forcing's by ``harmonic_signal``, in ``_build``)."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -178,13 +172,13 @@ def load_config(path) -> RunConfig:
     params = data["system"].get("params", {}) or {}
     _check_keys("system.params", params,
                 set(inspect.signature(builtin.system).parameters))
-    params = {k: _number(v, f"system.params.{k}") for k, v in params.items()}
+    params = {k: read_number(v, f"system.params.{k}") for k, v in params.items()}
 
     boundary = data["boundary"]
-    T_star = _number(boundary.get("T_star"), "boundary.T_star", 0, strict=True)
+    T_star = read_number(boundary.get("T_star"), "boundary.T_star", 0, strict=True)
     gains = boundary.get("gains", {}) or {}
     _check_keys("boundary.gains", gains, set(builtin.gains))
-    gains = {k: _number(v, f"boundary.gains.{k}") for k, v in gains.items()}
+    gains = {k: read_number(v, f"boundary.gains.{k}") for k, v in gains.items()}
     forcing = boundary.get("forcing", [])
     if not isinstance(forcing, list):
         raise ConfigError("boundary.forcing must be a list (one entry per family)")
@@ -195,18 +189,14 @@ def load_config(path) -> RunConfig:
             _check_keys("forcing harmonic", harm, {"amplitude", "harmonic", "phase"})
             if "amplitude" not in harm:
                 raise ConfigError("each harmonic needs an amplitude")
-            _number(harm["amplitude"], "amplitude", 0)
-            _number(harm.get("harmonic", 1), "harmonic")
-            _number(harm.get("phase", 0.0), "phase")
 
-    grid = data["grid"]
-    Nt = _number(grid.get("Nt"), "grid.Nt", 8, integer=True)
-    Nx = _number(grid.get("Nx"), "grid.Nx", 8, integer=True)
-
-    solver = data.get("solver", {})
-    K = None if solver.get("K") is None else _number(solver["K"], "solver.K", 0)
-    tol = _number(solver.get("tol", 1e-10), "solver.tol", 0, strict=True)
-    max_iter = _number(solver.get("max_iter", 200), "solver.max_iter", 1, integer=True)
+    grid, solver = data["grid"], data.get("solver", {})
+    iteration = ps.IterationConfig(
+        Nt=read_number(grid.get("Nt"), "grid.Nt", 8, integer=True),
+        Nx=read_number(grid.get("Nx"), "grid.Nx", 8, integer=True),
+        K=None if solver.get("K") is None else read_number(solver["K"], "solver.K", 0),
+        tol=read_number(solver.get("tol", 1e-10), "solver.tol", 0, strict=True),
+        max_iter=read_number(solver.get("max_iter", 200), "solver.max_iter", 1, integer=True))
 
     exp = data["experiment"]
     eps = exp.get("eps", [0.01])
@@ -216,34 +206,31 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"'experiment.eps' must be a number or a list, got {eps!r}")
     if not eps:
         raise ConfigError("'experiment.eps' must hold at least one value")
-    eps = [_number(e, "experiment.eps", 0) for e in eps]
-    perturbation = _number(exp.get("perturbation", 0.0), "experiment.perturbation", 0)
+    eps = [read_number(e, "experiment.eps", 0) for e in eps]
+    perturbation = read_number(exp.get("perturbation", 0.0), "experiment.perturbation", 0)
     t_end, record_every = (None if exp.get(k) is None else
-                           _number(exp[k], f"experiment.{k}", 0, strict=True)
+                           read_number(exp[k], f"experiment.{k}", 0, strict=True)
                            for k in ("t_end", "record_every"))
 
     return RunConfig(
         system_name=sysname, system_params=params,
-        T_star=T_star, gains=gains, forcing=forcing,
-        Nt=Nt, Nx=Nx, K=K, tol=tol, max_iter=max_iter,
+        T_star=T_star, gains=gains, forcing=forcing, solver=iteration,
         eps=eps, perturbation=perturbation,
         t_end=t_end, record_every=record_every,
     )
 
 
+@_config_errors
 def _build(cfg: RunConfig, eps: float) -> tuple:
     """System and boundary of a config, the forcing scaled by eps; a value
     a builder rejects (ValueError) is a configuration error."""
     builtin = systems.BUILTINS[cfg.system_name]
-    try:
-        spec = builtin.system(**cfg.system_params)
-        if len(cfg.forcing) > spec.n:
-            raise ConfigError(f"forcing has {len(cfg.forcing)} entries; system has {spec.n}")
-        forcing = cfg.forcing + [[]] * (spec.n - len(cfg.forcing))
-        hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) for comp in forcing]
-        return spec, builtin.boundary(cfg.gains, hs, cfg.T_star)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    spec = builtin.system(**cfg.system_params)
+    if len(cfg.forcing) > spec.n:
+        raise ConfigError(f"forcing has {len(cfg.forcing)} entries; system has {spec.n}")
+    forcing = cfg.forcing + [[]] * (spec.n - len(cfg.forcing))
+    hs = [systems.harmonic_signal(comp, cfg.T_star, scale=eps) for comp in forcing]
+    return spec, builtin.boundary(cfg.gains, hs, cfg.T_star)
 
 
 def _validate_all(cfg: RunConfig, eps: float) -> tuple:
@@ -264,9 +251,9 @@ def _validate_all(cfg: RunConfig, eps: float) -> tuple:
         print(f"structural hypotheses FAILED: {exc}")
         return False, spec, bspec
 
-    print(f"K_min: {spec.origin.K_min:.6g}, K: {shift_K(spec, cfg.K):.6g}")
+    print(f"K_min: {spec.origin.K_min:.6g}, K: {shift_K(spec, cfg.solver.K):.6g}")
     try:
-        cert = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
+        cert = ps.SweepContext.for_solve(spec, bspec, cfg.solver.K).certificate
     except DominanceError as exc:
         print(f"source dominance FAILED: {exc}")
         return False, spec, bspec
@@ -302,9 +289,7 @@ def _make_out_dir(out: Path) -> None:
 
 def _solve_and_emit(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
                     out: Path):
-    iter_cfg = ps.IterationConfig(Nt=cfg.Nt, Nx=cfg.Nx, K=cfg.K,
-                                  tol=cfg.tol, max_iter=cfg.max_iter)
-    fld, report = ps.solve_periodic(spec, bspec, iter_cfg)
+    fld, report = ps.solve_periodic(spec, bspec, cfg.solver)
     _make_out_dir(out)
     try:
         np.savez(out / "field.npz", values=fld.values, T_star=fld.T_star, L=fld.L,

@@ -47,7 +47,7 @@ import numpy as np
 from . import boundary as bd
 from .characteristics import Field, _x_difference
 from .errors import BoundaryMapError, DomainError, StepSizeError
-from .system_model import SystemSpec, eigen_fields, measured_mu_max
+from .system_model import SystemSpec, eigen_fields, measured_mu_max, read_number
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -269,14 +269,12 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     step size serves the entire run. Returns early (completed=False, with
     the failure message) if the profile leaves the neighborhood.
     Raises ValueError for a boundary of another system, and unless
-    record_every is finite and positive and t_end is 0 or a whole multiple
-    (at least 1) of record_every, within 1e-9 relative: no other t_end is
-    reached on the cadence."""
+    record_every > 0 and t_end >= 0 (``read_number``) and t_end is 0 or a
+    whole multiple (at least 1) of record_every, within 1e-9 relative: no
+    other t_end is reached on the cadence."""
     bspec.check_fits(spec)
-    if not (math.isfinite(record_every) and record_every > 0):
-        raise ValueError(f"record_every must be finite and positive, got {record_every!r}")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    read_number(record_every, "record_every", 0, strict=True)
+    read_number(t_end, "t_end", 0)
     ratio = t_end / record_every
     n_samples = round(ratio) if math.isfinite(ratio) else 0
     if t_end > 0 and not (n_samples >= 1

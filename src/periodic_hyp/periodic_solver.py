@@ -13,7 +13,6 @@ smallness certificate holds, and the limit is the periodic solution.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .system_model import (
     SystemSpec,
     eigen_fields,
     gtilde_matrix,
+    read_number,
     shift_K,
     _coupling_from_left,
     _remainder,
@@ -43,9 +43,10 @@ _NOISE_FLOOR = 100 * np.finfo(float).eps
 class IterationConfig:
     """Grid sizes, splitting constant, and stopping control.
 
-    K = None selects the default minimal shift + 1e-6. The sup-norm delta
-    between consecutive iterates is the stopping quantity; first-derivative
-    deltas are recorded for information only.
+    Read by ``read_number``: integers Nt, Nx >= 8 and max_iter >= 1, K >= 0
+    and tol > 0. K = None selects the default minimal shift + 1e-6. The
+    sup-norm delta between consecutive iterates is the stopping quantity;
+    first-derivative deltas are recorded for information only.
     """
 
     Nt: int
@@ -55,16 +56,12 @@ class IterationConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        try:  # ints and numpy integers: operator.index refuses 16.0
-            Nt, Nx, max_iter = map(operator.index, (self.Nt, self.Nx, self.max_iter))
-        except TypeError:
-            raise ValueError("Nt, Nx and max_iter must be integers") from None
-        if Nt < 8 or Nx < 8:
-            raise ValueError("grid sizes must be at least 8")
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
-        if max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        read_number(self.Nt, "Nt", 8, integer=True)
+        read_number(self.Nx, "Nx", 8, integer=True)
+        if self.K is not None:
+            read_number(self.K, "K", 0)
+        read_number(self.tol, "tol", 0, strict=True)
+        read_number(self.max_iter, "max_iter", 1, integer=True)
 
 
 @dataclass
@@ -220,9 +217,7 @@ def fit_contraction_rate(deltas) -> Optional[float]:
     if usable.sum() < 4:
         return None
     idx = np.arange(len(arr))
-    mask = usable & (idx >= 2)
-    if mask.sum() < 2:
-        return None
+    mask = usable & (idx >= 2)  # keeps 2 or more: at most 2 usable lie before
     slope = np.polyfit(idx[mask], np.log(arr[mask]), 1)[0]
     return float(np.exp(slope))
 

@@ -38,6 +38,27 @@ _PROBE_RTOL = 1e-12  # batched against looped values of a probed callable
 logger = logging.getLogger("periodic_hyp")
 
 
+def read_number(value, name: str, least=None, strict=False, integer=False):
+    """The package's one reader of number arguments and config numbers:
+    value as a finite float of at least least (above it when strict), or
+    when integer an int that ``operator.index`` takes (numpy integers, not
+    16.0); a bool, str or bytes is none. Else ValueError naming name."""
+    number = not isinstance(value, (bool, np.bool_, str, bytes))
+    try:  # float() takes True, "5" and b"5", and operator.index takes True
+        out = (operator.index if integer else float)(value) if number else math.nan
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if integer and not out >= least:
+        raise ValueError(f"'{name}' must be an integer of at least {least}, got {value!r}")
+    if not (integer or math.isfinite(out)):
+        raise ValueError(f"'{name}' must be a finite number, got {value!r}")
+    if least is not None and (out < least or strict and out == least):
+        bound = (("positive" if strict else "nonnegative") if least == 0
+                 else f"{'above' if strict else 'at least'} {least}")
+        raise ValueError(f"'{name}' must be {bound}, got {value!r}")
+    return out
+
+
 def _probe_points(n: int, radius: float) -> np.ndarray:
     """Two distinct nonzero points of R^n inside the ball of the radius,
     with distinct entries, for probing how a callable batches."""
@@ -57,11 +78,12 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
     ValueError naming fn. When the pair call raises what one-item code
     raises on a batch (listed below; others propagate) or returns other
     shapes than (2, *out_shape), fn takes one item at a time and the
-    batched form loops, logged at debug level. When the shapes are right
-    but the values differ from the one-item ones by more than 1e-12
-    relative, fn broadcasts wrongly: ValueError naming it. Otherwise fn
-    sees at most one leading axis, the shape its probe checks: more leading
-    axes of the arrays passed to the batched form are merged into one.
+    batched form loops, logged at debug level, with the same check of
+    each item's shape. When the shapes are right but the values differ
+    from the one-item ones by more than 1e-12 relative, fn broadcasts
+    wrongly: ValueError naming it. Otherwise fn sees at most one leading
+    axis, the shape its probe checks: more leading axes of the arrays
+    passed to the batched form are merged into one.
     """
     probe = tuple(np.asarray(p, dtype=float) for p in probe)
     item_ndim = [p.ndim - 1 for p in probe]
@@ -75,22 +97,25 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
         return [a.reshape((size,) + a.shape[a.ndim - d:])
                 for a, d in zip(args, item_ndim)], lead
 
+    def arrays(vals):
+        return [np.asarray(v, dtype=float) for v in (vals if multi else (vals,))]
+
+    def item(vals):  # fn's value on one item
+        vals = arrays(vals)
+        if [v.shape for v in vals] != list(shapes):
+            raise ValueError(f"{name} returns on one item another shape than {out_shape}")
+        return vals
+
     def looped(*args):
         args, lead = flat([np.asarray(a, dtype=float) for a in args])
         outs = [np.empty((len(args[0]),) + s) for s in shapes]
         for k in range(len(outs[0])):
-            vals = fn(*(a[k] for a in args))
-            for out, v in zip(outs, vals if multi else (vals,)):
+            for out, v in zip(outs, item(fn(*(a[k] for a in args)))):
                 out[k] = v
         outs = tuple(out.reshape(lead + s) for out, s in zip(outs, shapes))
         return outs if multi else outs[0]
 
-    def arrays(vals):
-        return [np.asarray(v, dtype=float) for v in (vals if multi else (vals,))]
-
-    items = [arrays(fn(*(p[k] for p in probe))) for k in range(2)]  # what fn raises propagates
-    if any([v.shape for v in vals] != list(shapes) for vals in items):
-        raise ValueError(f"{name} returns on one item another shape than {out_shape}")
+    items = [item(fn(*(p[k] for p in probe))) for k in range(2)]  # what fn raises propagates
     try:
         together = arrays(fn(*probe))
     except (TypeError, ValueError, IndexError):
@@ -159,8 +184,8 @@ class SystemSpec:
 
     Parameters
     ----------
-    n : state dimension, an integer (numpy integers pass, 2.0 and True
-        raise ValueError).
+    n : state dimension, a positive integer (``read_number``: numpy
+        integers pass, 2.0 and True raise ValueError).
     m : number of negative speeds, an integer; families 1..m move left.
     A : callable, state (n,) -> (n, n) coefficient matrix, or the (n,)
         speeds of a diagonal A (``gives_speeds``, read from one call at
@@ -178,8 +203,8 @@ class SystemSpec:
         Construction raises ValueError naming ``SystemSpec.AF`` when its
         batched form differs from those of A and F on the two probe states,
         in form or by more than 1e-12 relative.
-    domain_radius : radius of the validated neighborhood of u = 0, finite.
-    L : spatial interval length, finite.
+    domain_radius : radius of the validated neighborhood of u = 0, > 0.
+    L : spatial interval length, > 0.
 
     A spec is immutable; ``origin`` and ``sampled_speeds`` are kept.
     """
@@ -198,18 +223,11 @@ class SystemSpec:
     _AF_batch: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:  # ints and numpy integers: operator.index refuses 2.0, and a bool is no size
-            if isinstance(self.n, bool) or isinstance(self.m, bool):
-                raise TypeError
-            n, m = map(operator.index, (self.n, self.m))
-        except TypeError:
-            raise ValueError("n and m must be integers") from None
-        if n < 1:
-            raise ValueError("state dimension n must be positive")
-        if not 0 <= m <= n:
+        n = read_number(self.n, "n", 1, integer=True)
+        if read_number(self.m, "m", 0, integer=True) > n:
             raise ValueError("m must lie in [0, n]")
-        if not (0 < self.domain_radius < math.inf and 0 < self.L < math.inf):
-            raise ValueError("domain_radius and L must be finite and positive")
+        read_number(self.domain_radius, "domain_radius", 0, strict=True)
+        read_number(self.L, "L", 0, strict=True)
         probe = (_probe_points(self.n, self.domain_radius),)
         gives_speeds = np.shape(self.A(probe[0][0])) == (self.n,)
         object.__setattr__(self, "gives_speeds", gives_speeds)
@@ -537,13 +555,12 @@ def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     """Speed-scaled, K-shifted source linearization.
 
     gtilde_ij = mu_i(0) g_ij(0) for j != i and mu_i(0) (g_ii(0) - K) on the
-    diagonal, from ``spec.origin``. Raises ValueError unless K is finite
-    and nonnegative, and DominanceError unless the result is strictly
+    diagonal, from ``spec.origin``. Raises ValueError unless K >= 0
+    (``read_number``), and DominanceError unless the result is strictly
     diagonally dominant with the sign pattern required of the two families
     (positive diagonal for left-moving rows, negative for right-moving).
     """
-    if not 0 <= K < math.inf:
-        raise ValueError("K must be finite and nonnegative")
+    read_number(K, "K", 0)
     n, m = spec.n, spec.m
     g0, mu0 = spec.origin.g0, spec.origin.mu0
     gt = mu0[:, None] * g0

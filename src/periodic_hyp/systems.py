@@ -22,14 +22,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .boundary import BoundarySpec
-from .system_model import SystemSpec
+from .system_model import SystemSpec, read_number
 
 
 def linear_damped_scalar(lam: float = 1.0, c: float = 0.5, L: float = 1.0,
                          domain_radius: float = 0.1) -> SystemSpec:
     """u_t + lam u_x = -c u with lam > 0 (single right-moving family)."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    read_number(lam, "lam", 0, strict=True)
+    read_number(c, "c")
 
     def A(u):
         u = np.asarray(u, dtype=float)
@@ -44,9 +44,8 @@ def linear_damped_scalar(lam: float = 1.0, c: float = 0.5, L: float = 1.0,
 
 def linear_reflect_2x2(speed: float = 1.0, L: float = 1.0,
                        domain_radius: float = 0.1) -> SystemSpec:
-    """Source-free pair with speeds -speed and +speed."""
-    if speed <= 0:
-        raise ValueError("speed must be positive")
+    """Source-free pair with speeds -speed and +speed, speed > 0."""
+    read_number(speed, "speed", 0, strict=True)
     D = np.array([-speed, speed])
 
     def A(u):
@@ -69,8 +68,9 @@ def quasilinear_euler_damping(gamma: float = 2.0, a: float = 0.5,
     terms are the drag -a v. base_c above 1 + O(domain_radius) keeps all
     speeds above 1 in modulus so no time rescaling is needed.
     """
-    if gamma <= 1 or base_c <= 0 or a < 0:
-        raise ValueError("need gamma > 1, base_c > 0, a >= 0")
+    read_number(gamma, "gamma", 1, strict=True)
+    read_number(a, "a", 0)
+    read_number(base_c, "base_c", 0, strict=True)
 
     slope = 0.25 * (gamma - 1.0)
 
@@ -103,12 +103,14 @@ def quasilinear_euler_damping(gamma: float = 2.0, a: float = 0.5,
 def harmonic_signal(harmonics, T_star: float, scale: float = 1.0):
     """Sum of sinusoids: sum_k amp * sin(2 pi harm t / T_star + phase).
 
-    harmonics is a sequence of dicts with keys amplitude, harmonic, phase
-    (the latter two optional). Returns a vectorized callable of time.
+    harmonics is a sequence of dicts with keys amplitude (>= 0), harmonic
+    and phase (the latter two optional). Returns a vectorized callable.
     """
-    terms = [(float(h["amplitude"]),
-              float(h.get("harmonic", 1)),
-              float(h.get("phase", 0.0))) for h in harmonics]
+    read_number(T_star, "T_star", 0, strict=True)
+    read_number(scale, "scale")
+    terms = [(read_number(h["amplitude"], "amplitude", 0),
+              read_number(h.get("harmonic", 1), "harmonic"),
+              read_number(h.get("phase", 0.0), "phase")) for h in harmonics]
 
     def signal(t):
         t = np.asarray(t, dtype=float)
@@ -147,6 +149,8 @@ def reflection_boundary(k: float, h1, h2, T_star: float) -> BoundarySpec:
 def two_gain_boundary(k_left: float, k_right: float, h1, h2,
                       T_star: float) -> BoundarySpec:
     """Independent reflection gains: k_left acts at x = 0, k_right at x = L."""
+    read_number(k_left, "k_left")
+    read_number(k_right, "k_right")
     return BoundarySpec(
         left_maps=[lambda hv, u: hv + k_left * u[..., 0]],
         right_maps=[lambda hv, u: hv + k_right * u[..., 0]],

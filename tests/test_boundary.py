@@ -281,7 +281,7 @@ class TestFrozenSpec:
 
 @pytest.mark.parametrize("T_star", [math.nan, math.inf, 0.0])
 def test_a_period_not_finite_and_positive_is_refused(T_star):
-    with pytest.raises(ValueError, match="T_star must be finite and positive"):
+    with pytest.raises(ValueError, match="'T_star' must be"):
         make_reflect_spec(T_star=T_star)
 
 
@@ -708,3 +708,24 @@ class TestBuiltinCallables:
         v = 0.5 * (u[..., 0] + u[..., 1])
         assert np.array_equal(spec.F(u), -a * np.stack([v, v], axis=-1))
         assert np.array_equal(spec.F(u[3]), -a * np.stack([v[3], v[3]], axis=-1))
+
+
+def test_one_forcing_signal_per_family_is_needed():
+    with pytest.raises(ValueError, match="need one forcing signal per family"):
+        bd.BoundarySpec(left_maps=[lambda hv, u: hv], right_maps=[lambda hv, u: hv],
+                        h=[systems.zero_signal], T_star=2.0)
+
+
+def test_a_map_not_finite_at_a_foot_stops_the_sweep():
+    """The map at x = L is finite at its probe points and at the origin,
+    where theta is taken, but not where h_1 > 0.009: the sweep reads it
+    there and refuses the iterate."""
+    h1 = systems.harmonic_signal([{"amplitude": 0.01}], 2.0)
+    bspec = bd.BoundarySpec(
+        left_maps=[lambda hv, u: hv + 0.5 * u[..., 0]],
+        right_maps=[lambda hv, u: np.where(hv > 0.009, np.nan, hv + 0.5 * u[..., 0])],
+        h=[h1, systems.zero_signal], T_star=2.0)
+    assert bd.characterizing_data(bspec).theta == pytest.approx(0.5, abs=1e-8)
+    with pytest.raises(BoundaryMapError, match="transport sweep produced non-finite values"):
+        ps.solve_periodic(systems.linear_reflect_2x2(), bspec,
+                          ps.IterationConfig(Nt=16, Nx=16, K=1e-6))

@@ -261,3 +261,9 @@ class TestGeometryReuse:
         for a in ch._refine_stencil(13, ch._REFINE):
             with pytest.raises(ValueError):
                 a[...] = 0
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (4, 5, 1, 1)])
+def test_field_values_must_be_three_dimensional(shape):
+    with pytest.raises(ValueError, match=r"values must have shape \(Nt, Nx\+1, n\)"):
+        ch.Field(values=np.zeros(shape), T_star=1.0, L=1.0)

@@ -83,7 +83,7 @@ class TestConfigParsing:
         path.write_text(text.replace("tol: 1.0e-10", "tol: 1e-10")
                         .replace("K: 1.0e-06", "K: 1E-6").replace("T_star: 2.0", "T_star: 2e0"))
         cfg = cli.load_config(path)
-        assert (cfg.tol, cfg.K, cfg.T_star) == (1e-10, 1e-6, 2.0)
+        assert (cfg.solver.tol, cfg.solver.K, cfg.T_star) == (1e-10, 1e-6, 2.0)
         path.write_text(text.replace("tol: 1.0e-10", "tol: '1e-10'"))
         with pytest.raises(cli.ConfigError, match="'solver.tol' must be a finite number"):
             cli.load_config(path)
@@ -153,7 +153,7 @@ class TestValidate:
         lines = capsys.readouterr().out.splitlines()
         cfg = cli.load_config(path)
         spec, bspec = cli._build(cfg, cfg.eps[0])
-        cert = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
+        cert = ps.SweepContext.for_solve(spec, bspec, cfg.solver.K).certificate
         assert f"M3: {cert.M3:.6g}" in lines
         assert f"theta: {cert.theta:.6g}" in lines
         margin = f"(margin {cert.margin:.6g})"
@@ -569,3 +569,39 @@ def test_a_seed_or_job_count_out_of_range_exits_2_before_any_solve(tmp_path, cap
     assert cli.run(argv[:1] + ["--config", path, "--out", str(out)] + argv[1:]) == 2
     assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, least", [
+    ("grid", "Nt", 16.0, 8), ("grid", "Nx", 32.0, 8), ("solver", "max_iter", 200.0, 1),
+])
+def test_an_integer_written_with_a_decimal_point_exits_2(tmp_path, capsys, section, key,
+                                                         value, least):
+    """The config reads a size as the library does: 16.0 is no integer."""
+    data = base_e2_cfg()
+    data[section][key] = value
+    assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: '{section}.{key}' must be an integer of at least {least}, "
+        f"got {value!r}\n")
+
+
+def test_the_solver_section_is_read_into_an_iteration_config(tmp_path):
+    cfg = cli.load_config(write_cfg(tmp_path, base_e2_cfg(Nt=16, Nx=32)))
+    assert cfg.solver == ps.IterationConfig(Nt=16, Nx=32, K=1e-6, tol=1e-10, max_iter=200)
+
+
+def test_a_run_that_leaves_the_neighborhood_warns_and_exits_0(tmp_path, capsys):
+    data = base_e2_cfg()
+    data["experiment"]["perturbation"] = 0.2
+    assert cli.run(["stability", "--config", write_cfg(tmp_path, data),
+                    "--out", str(tmp_path / "out")]) == 0
+    assert "warning: run stopped before t_end (left the neighborhood)" in (
+        capsys.readouterr().out.splitlines())
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """The text decoding's ValueError is refused like every other value."""
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(b"system: {name: linear_reflect_2x2}\n# \xff\xfe\n")
+    assert cli.run(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode")

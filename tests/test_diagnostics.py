@@ -288,3 +288,11 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="series"):
             dg.emit_report(cert, tmp_path / "cert.csv")
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_a_negative_certificate_input_is_refused(which):
+    args = [0.5, 1e-6, 1.0, 1.0]
+    args[which] = -1e-3
+    with pytest.raises(ValueError, match="certificate inputs must be nonnegative"):
+        dg.smallness_certificate(*args)

@@ -99,8 +99,8 @@ class TestSolvePeriodic:
         derives for its system, boundary and shift, field for field."""
         cfg = cli.load_config(path)
         spec, bspec = cli._build(cfg, cfg.eps[0])
-        _, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16, K=cfg.K))
-        want = ps.SweepContext.for_solve(spec, bspec, cfg.K).certificate
+        _, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(Nt=16, Nx=16, K=cfg.solver.K))
+        want = ps.SweepContext.for_solve(spec, bspec, cfg.solver.K).certificate
         for f in dataclasses.fields(want):
             assert getattr(rep.certificate, f.name) == getattr(want, f.name), f.name
         assert want.ok
@@ -115,7 +115,7 @@ class TestSolvePeriodic:
         cfg = cli.load_config(path)
         spec, bspec = cli._build(cfg, cfg.eps[0])
         _, rep = ps.solve_periodic(spec, bspec, ps.IterationConfig(
-            Nt=N, Nx=N, K=cfg.K, tol=cfg.tol, max_iter=cfg.max_iter))
+            Nt=N, Nx=N, K=cfg.solver.K, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter))
         assert rep.converged and rep.iterations == sweeps
 
     def test_zero_forcing_fixed_point(self):

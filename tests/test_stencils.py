@@ -250,6 +250,17 @@ class TestProbe:
             SystemSpec(n=2, m=1, A=lambda u: np.diag([-1.0, 1.0]), F=lambda u: np.zeros(3),
                        domain_radius=0.1, L=1.0)
 
+    def test_a_looped_value_of_the_wrong_shape_on_any_item_is_refused(self):
+        """The probe states lie inside |u_0| < 0.02; the loop checks every
+        other state's value too, instead of broadcasting a scalar."""
+        spec = SystemSpec(n=2, m=1, A=lambda u: np.array([-1.0, 1.0]),
+                          F=lambda u: -0.5 * u if abs(u[0]) < 0.02 else -1.0,
+                          domain_radius=0.03, L=1.0)
+        assert np.array_equal(spec.F_at([[0.01, 0.02]]), [[-0.005, -0.01]])
+        with pytest.raises(ValueError, match=r"SystemSpec.F returns on one item "
+                                             r"another shape than \(2,\)"):
+            spec.F_at([[0.025, 0.01]])
+
     def test_a_one_item_math_signal_is_looped(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="periodic_hyp"):
             b = systems.reflection_boundary(0.5, math.sin, math.cos, 2 * np.pi)

@@ -15,6 +15,7 @@ from periodic_hyp import periodic_solver as ps
 from periodic_hyp import system_model as sm
 from periodic_hyp import systems
 from periodic_hyp.errors import (
+    DegenerateEigenbasisError,
     DomainError,
     DominanceError,
     HyperbolicityError,
@@ -310,14 +311,14 @@ class TestValidation:
     def test_a_non_finite_radius_or_length_is_refused(self, bad):
         kwargs = dict(n=1, m=0, A=lambda u: np.ones_like(u), F=lambda u: -np.asarray(u),
                       domain_radius=0.1, L=1.0)
-        with pytest.raises(ValueError, match="domain_radius and L must be finite"):
+        with pytest.raises(ValueError, match="must be a finite number"):
             sm.SystemSpec(**{**kwargs, **bad})
 
     @pytest.mark.parametrize("bad", [{"n": 2.0}, {"m": 1.0}, {"m": True}])
     def test_sizes_that_are_not_integers_are_refused(self, bad):
         kwargs = dict(n=2, m=1, A=lambda u: np.array([-1.0, 1.0]), F=lambda u: -np.asarray(u),
                       domain_radius=0.1, L=1.0)
-        with pytest.raises(ValueError, match="n and m must be integers"):
+        with pytest.raises(ValueError, match="must be an integer of at least"):
             sm.SystemSpec(**{**kwargs, **bad})
         assert sm.SystemSpec(**{**kwargs, "n": np.int64(2), "m": np.int32(1)}).gives_speeds
 
@@ -435,7 +436,7 @@ class TestCouplingB:
 class TestGtilde:
     @pytest.mark.parametrize("K", [math.inf, math.nan, -1.0])
     def test_a_K_not_finite_and_nonnegative_is_refused(self, K):
-        with pytest.raises(ValueError, match="K must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="'K' must be"):
             sm.gtilde_matrix(make_scalar_spec(), K)
 
     def test_scalar_damped(self):
@@ -893,3 +894,104 @@ class TestFusedCoefficients:
         assert ta.steps == tb.steps > 0 and ta.dt_used == tb.dt_used
         for a, b in ((ta.profiles, tb.profiles), (ta.before, tb.before), (ta.after, tb.after)):
             assert np.array_equal(a, b)
+
+
+class TestReadNumber:
+    """The one reader of numbers, for the library and the CLI's config."""
+
+    @pytest.mark.parametrize("value, kwargs, want", [
+        (2.5, {}, 2.5),
+        (-3, {}, -3.0),
+        (np.float64(0.1), {"least": 0, "strict": True}, 0.1),
+        (0.0, {"least": 0}, 0.0),
+        (np.int64(16), {"least": 8, "integer": True}, 16),
+        (np.int32(1), {"least": 1, "integer": True}, 1),
+    ])
+    def test_a_number_in_range_is_read(self, value, kwargs, want):
+        out = sm.read_number(value, "x", **kwargs)
+        assert out == want and type(out) is type(want)
+
+    @pytest.mark.parametrize("value, kwargs, message", [
+        (True, {}, "'x' must be a finite number, got True"),
+        (np.True_, {}, "'x' must be a finite number, got np.True_"),
+        ("1.0", {}, "'x' must be a finite number, got '1.0'"),
+        (b"5", {}, "'x' must be a finite number, got b'5'"),
+        (None, {}, "'x' must be a finite number, got None"),
+        (math.nan, {}, "'x' must be a finite number, got nan"),
+        (-math.inf, {"least": 0}, "'x' must be a finite number, got -inf"),
+        (0.0, {"least": 0, "strict": True}, "'x' must be positive, got 0.0"),
+        (-1e-3, {"least": 0}, "'x' must be nonnegative, got -0.001"),
+        (1.0, {"least": 1, "strict": True}, "'x' must be above 1, got 1.0"),
+        (16.0, {"least": 8, "integer": True}, "'x' must be an integer of at least 8, got 16.0"),
+        (True, {"least": 1, "integer": True}, "'x' must be an integer of at least 1, got True"),
+        ("32", {"least": 8, "integer": True}, "'x' must be an integer of at least 8, got '32'"),
+        (7, {"least": 8, "integer": True}, "'x' must be an integer of at least 8, got 7"),
+    ])
+    def test_anything_else_is_refused_naming_it(self, value, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            sm.read_number(value, "x", **kwargs)
+        assert str(info.value) == message
+
+
+def make_pair_spec(**kwargs):
+    return sm.SystemSpec(**{**dict(n=2, m=1, A=lambda u: np.array([-1.0, 1.0]),
+                                   F=lambda u: -np.asarray(u), domain_radius=0.1, L=1.0),
+                            **kwargs})
+
+
+def run_scalar(t_end, record_every):
+    ivp.run(np.zeros((17, 1)), systems.linear_damped_scalar(),
+            systems.scalar_inflow_boundary(systems.zero_signal, 1.0),
+            t_end=t_end, record_every=record_every)
+
+
+ZERO = systems.zero_signal
+REFUSED = [
+    ("max_iter", lambda: ps.IterationConfig(Nt=16, Nx=16, max_iter=True)),
+    ("max_iter", lambda: ps.IterationConfig(Nt=16, Nx=16, max_iter=0)),
+    ("Nt", lambda: ps.IterationConfig(Nt=4, Nx=16)),
+    ("Nx", lambda: ps.IterationConfig(Nt=16, Nx=np.True_)),
+    ("K", lambda: ps.IterationConfig(Nt=16, Nx=16, K=True)),
+    ("K", lambda: ps.IterationConfig(Nt=16, Nx=16, K=-1.0)),
+    ("tol", lambda: ps.IterationConfig(Nt=16, Nx=16, tol="1e-10")),
+    ("T_star", lambda: systems.reflection_boundary(0.5, ZERO, ZERO, True)),
+    ("T_star", lambda: systems.reflection_boundary(0.5, ZERO, ZERO, "2")),
+    ("n", lambda: make_pair_spec(n=True)),
+    ("L", lambda: make_pair_spec(L=True)),
+    ("domain_radius", lambda: make_pair_spec(domain_radius="0.1")),
+    ("K", lambda: sm.gtilde_matrix(systems.linear_reflect_2x2(), True)),
+    ("t_end", lambda: run_scalar(True, 0.25)),
+    ("record_every", lambda: run_scalar(1.0, True)),
+    ("lam", lambda: systems.linear_damped_scalar(lam=True)),
+    ("c", lambda: systems.linear_damped_scalar(c="0.5")),
+    ("speed", lambda: systems.linear_reflect_2x2(speed=True)),
+    ("gamma", lambda: systems.quasilinear_euler_damping(gamma=1.0)),
+    ("a", lambda: systems.quasilinear_euler_damping(a=True)),
+    ("base_c", lambda: systems.quasilinear_euler_damping(base_c="1.25")),
+    ("k_left", lambda: systems.two_gain_boundary(True, 0.5, ZERO, ZERO, 2.0)),
+    ("k_right", lambda: systems.two_gain_boundary(0.5, math.nan, ZERO, ZERO, 2.0)),
+    ("amplitude", lambda: systems.harmonic_signal([{"amplitude": True}], 1.0)),
+    ("harmonic", lambda: systems.harmonic_signal([{"amplitude": 1.0, "harmonic": "2"}], 1.0)),
+    ("phase", lambda: systems.harmonic_signal([{"amplitude": 1.0, "phase": np.True_}], 1.0)),
+    ("T_star", lambda: systems.harmonic_signal([], 0.0)),
+    ("scale", lambda: systems.harmonic_signal([], 1.0, scale=math.inf)),
+]
+
+
+@pytest.mark.parametrize("name, call", REFUSED, ids=[f"{k}-{name}" for k, (name, _) in
+                                                    enumerate(REFUSED)])
+def test_every_number_argument_is_read_by_the_reader(name, call):
+    """The constructors, ``run`` and the builders refuse a bool, a string
+    or a number out of range with the reader's ValueError, naming the
+    parameter as the CLI names a config key."""
+    with pytest.raises(ValueError, match=f"^'{name}' must be "):
+        call()
+
+
+def test_coupling_at_a_vanishing_diagonal_left_entry_is_refused():
+    """A = [[1, 0], [0.3, -1]]: the left eigenvector of speed 1, family 2
+    in rank order, is (1, 0) up to scale, so its diagonal entry is 0."""
+    spec = sm.SystemSpec(n=2, m=1, A=lambda u: np.array([[1.0, 0.0], [0.3, -1.0]]),
+                         F=lambda u: np.zeros(2), domain_radius=0.1, L=1.0)
+    with pytest.raises(DegenerateEigenbasisError, match="vanishing diagonal"):
+        sm.coupling_B(spec, np.zeros(2))
