@@ -48,6 +48,7 @@ from .errors import (
 )
 from .ivp_solver import (
     StabilityReport,
+    StepContext,
     Trajectory,
     bump_profile,
     run,

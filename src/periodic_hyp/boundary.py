@@ -9,15 +9,16 @@ of the max-row-sum norm) quantifies how much amplitude a reflected wave
 can retain; values below 1 make the boundary dissipative.
 
 ``BoundarySpec.map_values`` is the one entry point to a single map, for
-every derivative and ``eval_boundary``; the periodic sweep and the IVP
-write their incoming entries from the same batched maps, resolved once
-per spec in ``BoundarySpec.sides``. ``BoundarySpec.map_gradient``
+every derivative and ``eval_boundary``; the periodic sweep writes its
+incoming entries from the same batched maps, resolved once per spec in
+``BoundarySpec.sides``, and the IVP each of its entries by the map as
+given (``BoundarySpec.maps``) on its one item. ``BoundarySpec.map_gradient``
 differentiates a map centrally with step 1e-6 in h and in each outgoing
 component, and raises BoundaryMapError on a non-finite derivative; its
 values at the origin, kept in ``BoundarySpec.origin``, give ``theta_matrix``
 and the gains of ``validate_forcing``. Map values are checked where they
 are used: on what ``eval_boundary`` returns, on the whole new iterate by
-the sweep, and by the IVP on the incoming entries each stage writes.
+the sweep, and by the IVP on each incoming entry as it writes it.
 """
 from __future__ import annotations
 
@@ -64,11 +65,12 @@ class BoundarySpec:
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
     when not finite); ``outgoing(i)`` is the trace map i reads, ``sides``
-    the batched maps of each endpoint and ``origin`` the linearization at
-    the origin, computed on first use. Each map and signal is batched once,
-    when the spec is built, so construction raises what one of them raises
-    on one item, or ValueError when it gives a wrong shape or broadcasts
-    wrongly. A spec is immutable, so what it keeps stays that of the
+    the batched maps of each endpoint, ``maps`` map i as given, for
+    component i (the right maps, then the left ones), and ``origin`` the
+    linearization at the origin, computed on first use. Each map and
+    signal is batched once, when the spec is built, so construction
+    raises what one of them raises on one item, or ValueError when it
+    gives a wrong shape or broadcasts wrongly. A spec is immutable, so what it keeps stays that of the
     callables it holds.
     """
 
@@ -77,6 +79,7 @@ class BoundarySpec:
     h: Sequence[Callable]
     T_star: float
     sides: tuple = field(init=False, repr=False)
+    maps: tuple = field(init=False, repr=False)
     _batched_h: tuple = field(init=False, repr=False)
     _batched_maps: tuple = field(init=False, repr=False)
 
@@ -89,10 +92,11 @@ class BoundarySpec:
             batched(fn, times, (), f"h[{i}]") for i, fn in enumerate(self.h)))
         hv = _probe_points(1, _MAP_PROBE_SCALE)[:, 0]
         m, n = self.m, self.n
+        object.__setattr__(self, "maps", (*self.right_maps, *self.left_maps))
         object.__setattr__(self, "_batched_maps", tuple(
             batched(fn, (hv, _probe_points(n - m if i < m else m, _MAP_PROBE_SCALE)),
                     (), f"boundary map {i}")
-            for i, fn in enumerate([*self.right_maps, *self.left_maps])))
+            for i, fn in enumerate(self.maps)))
         # (row, incoming slice, ((i, batched map i, outgoing slice), ...)) per
         # endpoint with incoming components, x = 0 (row 0 of a profile) first;
         # the slices have the widths the maps read, so writers skip that check

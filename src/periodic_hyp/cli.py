@@ -144,8 +144,8 @@ def _config_errors(fn):
 @_config_errors
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML/JSON config file: ConfigError on what the
-    module docstring lists, every number read by ``read_number`` (the
-    forcing's by ``harmonic_signal``, in ``_build``)."""
+    module docstring lists, every number read by ``read_number`` (each
+    harmonic, its keys and numbers, by ``harmonic_signal``, in ``_build``)."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -182,13 +182,8 @@ def load_config(path) -> RunConfig:
     forcing = boundary.get("forcing", [])
     if not isinstance(forcing, list):
         raise ConfigError("boundary.forcing must be a list (one entry per family)")
-    for comp in forcing:
-        if not isinstance(comp, list):
-            raise ConfigError("each forcing entry must be a list of harmonics")
-        for harm in comp:
-            _check_keys("forcing harmonic", harm, {"amplitude", "harmonic", "phase"})
-            if "amplitude" not in harm:
-                raise ConfigError("each harmonic needs an amplitude")
+    if not all(isinstance(comp, list) for comp in forcing):
+        raise ConfigError("each forcing entry must be a list of harmonics")
 
     grid, solver = data["grid"], data.get("solver", {})
     iteration = ps.IterationConfig(

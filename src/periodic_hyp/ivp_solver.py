@@ -9,30 +9,34 @@ du/dt = -sum_i lambda_i (l_i . d_x u) r_i + F(u). Time stepping is Heun's
 Neumann check of the one-sided stencil puts the stability margin near
 CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 
-Each stage makes one coefficient call, ``SystemSpec.AF_at``, which gives
+A run resolves once what its steps share (``StepContext.for_run``): that
+the boundary fits the system, dx and the CFL cap of its grid, both
+layouts of the upwind tap table (``_upwind_taps``), the spec's batched
+(A, F) call and, per side, each incoming component's map as given with
+its outgoing slice. Each stage makes one coefficient call, which gives
 its A and F (one call of the spec's ``AF`` when it has one, so shared
-intermediates are computed once), and one ``eigen_fields`` call its
-checked speeds: a spec's speeds as they are when A gives them, as for
-systems in Riemann invariants, diag A for a diagonal matrix A, and the
-eigenstructure otherwise. The speeds of a stage pass one accept test,
-which implies every hyperbolicity and signature check and gives the top
-|speed| for the first stage's CFL check; only speeds that fail it go
-through the ordered diagnosis that names the error. Each stage reads its
-upwind derivatives in one gather through a tap table built once per grid
-(``_upwind_taps``): for a diagonal A each component in its own family's
-direction, otherwise both directions for the eigenvector projection. Both
-stages impose the boundary at the step's end time: each incoming entry is
-written straight from its batched map, resolved once per boundary spec
-(``BoundarySpec.sides``), and the entries written on each side are
-checked to be finite.
+intermediates are computed once), and checks its speeds: a spec's speeds
+as they are when A gives them, as for systems in Riemann invariants
+(straight to ``_check_speeds``), and through ``eigen_fields`` otherwise:
+diag A for a diagonal matrix A, the eigenstructure else. The speeds of
+a stage pass one accept test, which implies every hyperbolicity and
+signature check and gives the top |speed| for the first stage's CFL
+check; only speeds that fail it go through the ordered diagnosis that
+names the error. Each stage reads its upwind derivatives in one gather
+through the tap table: for a diagonal A each component in its own
+family's direction, otherwise both directions for the eigenvector
+projection. Both stages impose the boundary at the step's end time: each
+incoming entry is written by its map called on its one item, as the
+looped form of ``batched`` calls it, and read back from the profile; a
+value that is not finite raises BoundaryMapError before any later map of
+its side is called.
 
-``step(u, dt, spec, bspec, signals)`` maps a profile (Nx+1, n) to the
-profile dt later; ``run`` owns time and spacing. It holds the one clock,
-the step times accumulated step by step, evaluates every forcing signal
-once per recording interval on those times and hands each step its
-values; each step takes dx = spec.L / Nx from its profile's length. It
-records every sample and neighbor in one array block per run
-(``Trajectory``).
+``step(u, dt, ctx, signals)`` maps a profile (Nx+1, n) to the profile dt
+later; ``run`` owns time and the context. It builds one context per run,
+holds the one clock, the step times accumulated step by step, evaluates
+every forcing signal once per recording interval on those times and
+hands each step its values. It records every sample and neighbor in one
+array block per run (``Trajectory``).
 """
 from __future__ import annotations
 
@@ -40,14 +44,15 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import boundary as bd
 from .characteristics import Field, _x_difference
 from .errors import BoundaryMapError, DomainError, StepSizeError
-from .system_model import SystemSpec, eigen_fields, measured_mu_max, read_number
+from .system_model import (SystemSpec, _check_speeds, eigen_fields, measured_mu_max,
+                           read_number)
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -65,9 +70,9 @@ class Trajectory:
     dt_used before and after samples 1..C, whose next step completed.
     compat_c0 / compat_c1 are the initial data's corner compatibility
     residuals (reported, not enforced). steps counts the Heun steps done;
-    rhs_evals counts the run's rhs calls, each of which makes one
-    ``eigen_fields`` call, a step that left the neighborhood and the set-up
-    included; the step-size bound reads ``spec.sampled_speeds``.
+    rhs_evals counts the run's rhs calls, each of which checks its speeds
+    once, a step that left the neighborhood and the set-up included; the
+    step-size bound reads ``spec.sampled_speeds``.
     """
 
     x: np.ndarray
@@ -165,81 +170,120 @@ def _upwind_dx(u: np.ndarray, dx: float, taps: np.ndarray, coef: np.ndarray) -> 
     return g
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, dx: float) -> tuple:
+@dataclass(frozen=True, eq=False)
+class StepContext:
+    """What a run fixes once for all its steps on a grid of Nx + 1 nodes:
+    the spec, the profile shape (Nx+1, n), dx = spec.L / Nx and the CFL
+    cap 0.8 dx, both layouts of ``_upwind_taps``, the spec's batched
+    (A, F) call (what ``SystemSpec.AF_at`` calls), and per side with
+    incoming components, x = 0 first, its row and, per incoming component
+    i, (i, map i as given, its outgoing slice) from ``BoundarySpec.sides``
+    and ``BoundarySpec.maps``. Build it with ``for_run``."""
+
+    spec: SystemSpec
+    shape: tuple
+    dx: float
+    cfl_cap: float
+    both: tuple
+    own: tuple
+    coeffs: Callable
+    sides: tuple
+
+    @classmethod
+    def for_run(cls, spec: SystemSpec, bspec: bd.BoundarySpec, Nx: int) -> "StepContext":
+        """The context of a run on Nx + 1 nodes. Raises ValueError for a
+        boundary of another system and unless Nx is an integer of at
+        least 2 (``read_number``): the one-sided stencils read 3 nodes."""
+        bspec.check_fits(spec)
+        Nx = read_number(Nx, "Nx", 2, integer=True)
+        dx = spec.L / Nx
+        both, own = _upwind_taps(Nx, spec.n, spec.m)
+        sides = tuple((row, tuple((i, bspec.maps[i], cols) for i, _, cols in maps))
+                      for row, _, maps in bspec.sides)
+        return cls(spec=spec, shape=(Nx + 1, spec.n), dx=dx, cfl_cap=_CFL_CAP * dx,
+                   both=both, own=own, coeffs=spec._AF_batch, sides=sides)
+
+
+def _rhs(u: np.ndarray, ctx: StepContext) -> tuple:
     """Semi-discrete du/dt in characteristic variables, and the top
     |lambda| of its checked speeds.
 
-    One ``spec.AF_at`` call gives A and F, and ``eigen_fields`` the
-    checked speeds, their top and the bases. One gather gives the upwind
-    derivatives (``_upwind_dx``). Without bases (a diagonal A) the components are the
-    characteristic variables, each differenced in its own family's
-    direction, and du = F - lambda * that derivative; otherwise the
-    gather gives both directions and each family is projected through its
-    eigenvectors, the m left-moving ones taking the stencil biased to
-    larger x.
+    One call of the context's coefficients gives A and F. The speeds of a
+    spec that gives them are checked as they are (``_check_speeds``), as
+    ``eigen_fields`` would; otherwise ``eigen_fields`` gives the checked
+    speeds, their top and the bases. One gather gives the upwind
+    derivatives (``_upwind_dx``). Without bases (a diagonal A) the
+    components are the characteristic variables, each differenced in its
+    own family's direction, and du = F - lambda * that derivative;
+    otherwise the gather gives both directions and each family is
+    projected through its eigenvectors, the m left-moving ones taking the
+    stencil biased to larger x.
     """
-    A, Fv = spec.AF_at(u)
-    lam, left, right, top = eigen_fields(spec, u, A)
-    both, own = _upwind_taps(len(u) - 1, spec.n, spec.m)
+    spec = ctx.spec
+    A, Fv = ctx.coeffs(u)
+    if spec.gives_speeds:
+        lam, left, right, top = A, None, None, _check_speeds(A, spec.m)
+    else:
+        lam, left, right, top = eigen_fields(spec, u, A)
     du = Fv
     if left is None:
         # the speeds passed their check: the m left-moving families come first
-        return du - lam * _upwind_dx(u, dx, *own), top
-    dxu = _upwind_dx(u, dx, *both)
+        return du - lam * _upwind_dx(u, ctx.dx, *ctx.own), top
+    dxu = _upwind_dx(u, ctx.dx, *ctx.both)
     for i in range(spec.n):
         w = np.einsum("kc,kc->k", left[:, i, :], dxu[int(i >= spec.m)])
         du = du - (lam[:, i] * w)[:, None] * right[:, :, i]
     return du, top
 
 
-def _impose_boundary(u: np.ndarray, signals, bspec: bd.BoundarySpec) -> None:
+def _impose_boundary(u: np.ndarray, signals, ctx: StepContext) -> None:
     """Overwrite incoming components from the feedback maps (in place),
     with signals[i] = h_i(t) for every component i: x = 0 first, then
-    x = L. Each component is written straight from its batched map
-    (``BoundarySpec.sides``); after each side, raises BoundaryMapError if
-    a value it wrote is not finite (the outgoing trace it read is not
-    checked)."""
-    for row, incoming, maps in bspec.sides:
+    x = L. Each entry is written by its map called on its one item, the
+    call the construction probe checked, and read back from the profile:
+    BoundaryMapError if it is not finite, before any later map is called
+    (the outgoing trace it read is not checked)."""
+    for row, maps in ctx.sides:
         for i, fn, cols in maps:
             u[row, i] = fn(signals[i], u[row, cols])
-        if not all(map(math.isfinite, u[row, incoming].tolist())):
-            raise BoundaryMapError("boundary map returned non-finite values")
+            if not math.isfinite(u[row, i]):
+                raise BoundaryMapError("boundary map returned non-finite values")
 
 
-def step(u: np.ndarray, dt: float, spec: SystemSpec,
-         bspec: bd.BoundarySpec, signals) -> np.ndarray:
+def step(u: np.ndarray, dt: float, ctx: StepContext, signals) -> np.ndarray:
     """One Heun step of the profile u (Nx+1, n) on [0, spec.L]: returns
     the profile dt later, with per-stage boundary imposition.
 
     The step holds no clock and no grid of its own: both stages impose
-    the boundary from signals[i] = h_i at the step's end time, and dx is
-    spec.L / Nx. One ``spec.AF_at`` call per stage gives its A and F; the
-    first stage's speed check gives the top speed for the CFL check.
-    Raises ValueError for a boundary of another system, StepSizeError
-    when dt exceeds 0.8 dx / max |lambda| on the current profile and
-    DomainError when the new profile leaves the validated neighborhood
-    (the blow-up proxy).
+    the boundary from signals[i] = h_i at the step's end time, and the
+    context (``StepContext.for_run``) gives dx and the maps. One
+    coefficient call per stage gives its A and F; the first stage's speed
+    check gives the top speed for the CFL check. Raises ValueError for a
+    profile of another shape than the context's, StepSizeError when dt
+    exceeds 0.8 dx / max |lambda| on the current profile and DomainError
+    when the new profile leaves the validated neighborhood (the blow-up
+    proxy).
     """
-    bspec.check_fits(spec)
-    dx = spec.L / (len(u) - 1)
-    f1, lam_max = _rhs(u, spec, dx)
-    if dt > _CFL_CAP * dx / lam_max * (1 + 1e-12):
+    if u.shape != ctx.shape:
+        raise ValueError(f"profile has shape {u.shape}; the run's grid is {ctx.shape}")
+    f1, lam_max = _rhs(u, ctx)
+    if dt > ctx.cfl_cap / lam_max * (1 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.3e} exceeds {_CFL_CAP} dx / max|lambda| = "
-            f"{_CFL_CAP * dx / lam_max:.3e}"
+            f"{ctx.cfl_cap / lam_max:.3e}"
         )
     u1 = u + dt * f1
-    _impose_boundary(u1, signals, bspec)
-    f2, _ = _rhs(u1, spec, dx)
+    _impose_boundary(u1, signals, ctx)
+    f2, _ = _rhs(u1, ctx)
     u_new = u + 0.5 * dt * (f1 + f2)
-    _impose_boundary(u_new, signals, bspec)
-    if not spec.contains(u_new):
+    _impose_boundary(u_new, signals, ctx)
+    if not ctx.spec.contains(u_new):
         raise DomainError("profile left the validated neighborhood")
     return u_new
 
 
-def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
-                      bspec: bd.BoundarySpec, dx: float) -> tuple:
+def _compat_residuals(u0: np.ndarray, ctx: StepContext,
+                      bspec: bd.BoundarySpec) -> tuple:
     """C0 and C1 corner mismatches of the initial data with the maps.
 
     C0: incoming trace vs the map of the outgoing trace. C1: time
@@ -247,7 +291,7 @@ def _compat_residuals(u0: np.ndarray, spec: SystemSpec,
     through the map (``BoundarySpec.map_gradient``). Each family's row,
     outgoing slice and map are read from ``BoundarySpec.sides``.
     """
-    ut, _ = _rhs(u0, spec, dx)
+    ut, _ = _rhs(u0, ctx)
     eps = 1e-7  # step of the signals' central differences
     c0 = c1 = 0.0
     for row, _, maps in bspec.sides:
@@ -268,11 +312,16 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     the worst-case dx / |lambda| over the whole validated neighborhood, so one
     step size serves the entire run. Returns early (completed=False, with
     the failure message) if the profile leaves the neighborhood.
-    Raises ValueError for a boundary of another system, and unless
-    record_every > 0 and t_end >= 0 (``read_number``) and t_end is 0 or a
-    whole multiple (at least 1) of record_every, within 1e-9 relative: no
-    other t_end is reached on the cadence."""
-    bspec.check_fits(spec)
+    Every step and the compatibility residuals share one ``StepContext``.
+    Raises ValueError for a boundary of another system, for u0 of another
+    shape than (Nx+1, n) with Nx >= 2, and unless record_every > 0 and
+    t_end >= 0 (``read_number``) and t_end is 0 or a whole multiple (at
+    least 1) of record_every, within 1e-9 relative: no other t_end is
+    reached on the cadence."""
+    u0 = np.asarray(u0, dtype=float)
+    ctx = StepContext.for_run(spec, bspec, len(u0) - 1)
+    if u0.shape != ctx.shape:
+        raise ValueError(f"u0 has shape {u0.shape}; need (Nx+1, n) = {ctx.shape}")
     read_number(record_every, "record_every", 0, strict=True)
     read_number(t_end, "t_end", 0)
     ratio = t_end / record_every
@@ -281,9 +330,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
                           and abs(n_samples * record_every - t_end) <= 1e-9 * t_end):
         raise ValueError(f"t_end={t_end!r} is not a whole multiple of "
                          f"record_every={record_every!r}")
-    u0 = np.asarray(u0, dtype=float)
-    Nx = u0.shape[0] - 1
-    dx = spec.L / Nx
+    dx = ctx.dx
     lam_bound = float(np.abs(spec.sampled_speeds).max())
     if t_end > 0:
         n_sub = max(1, int(np.ceil(record_every * lam_bound / (_RUN_CFL * dx))))
@@ -291,7 +338,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     else:
         n_sub, dt = 1, 0.0
 
-    c0, c1 = _compat_residuals(u0, spec, bspec, dx)
+    c0, c1 = _compat_residuals(u0, ctx, bspec)
     # the samples and the neighbors of samples 1.. are rows of one block
     # per run: a kept trajectory holds one large allocation
     profiles, before, after = np.split(np.empty((3 * n_samples + 1,) + u0.shape),
@@ -311,7 +358,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
                                 for i in range(spec.n)], axis=-1)
             for q in range(n_sub):
                 u_before = u
-                u = step(u, dt, spec, bspec, signals[q])
+                u = step(u, dt, ctx, signals[q])
                 steps += 1
                 if q == 0 and s:
                     after[s - 1] = u
@@ -324,7 +371,7 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     # every n_sub steps record a sample, centred once its next step is done;
     # the set-up and each stage of a step tried make one rhs call
     S, C = steps // n_sub + 1, max(steps - 1, 0) // n_sub
-    return Trajectory(x=np.arange(Nx + 1) * dx, times=np.arange(S) * record_every,
+    return Trajectory(x=np.arange(len(u0)) * dx, times=np.arange(S) * record_every,
                       profiles=profiles[:S], before=before[:C], after=after[:C],
                       dt_used=dt, compat_c0=c0, compat_c1=c1,
                       completed=failure is None, failure=failure, steps=steps,

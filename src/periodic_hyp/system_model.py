@@ -138,8 +138,8 @@ def batched(fn: Callable, probe: tuple, out_shape: tuple, name: str) -> Callable
                          for v, s in zip(vals if multi else (vals,), shapes))
             return outs if multi else outs[0]
         vals = fn(*args)  # already flat
-        if multi:
-            return tuple(np.asarray(v, dtype=float) for v in vals)
+        if multi:  # a list is built faster than tuple() runs a generator
+            return tuple([np.asarray(v, dtype=float) for v in vals])
         return np.asarray(vals, dtype=float)
     return merged
 
@@ -305,8 +305,9 @@ class SystemSpec:
         """True if every state lies in the closed validated ball."""
         s = np.asarray(states, dtype=float)
         # np.linalg.norm(s, axis=-1) without its argument handling; the
-        # square root is monotone, so it is taken once, of the largest
-        r2 = np.add.reduce(s * s, axis=-1).max(initial=0.0)
+        # square root is monotone, so it is taken once, of the largest;
+        # the ufuncs' own reductions give the bits of .max without its dispatch
+        r2 = np.maximum.reduce(np.add.reduce(s * s, axis=-1), axis=None, initial=0.0)
         return math.sqrt(r2) <= self.domain_radius * (1 + 1e-12)
 
 
@@ -361,11 +362,12 @@ def _check_speeds(speeds: np.ndarray, m: int) -> float:
     # beyond the gap tolerance of zero and, within a side of two or more,
     # that far apart imply the four tests below; s.max() is then the top
     # speed, and a NaN anywhere makes it NaN. Any other input takes the
-    # four tests for its diagnosis
+    # four tests for its diagnosis; the ufuncs' reductions are s.max() and
+    # s.min() without their dispatch
     s = speeds * _signs(m, n)
-    top = float(s.max())
+    top = float(np.maximum.reduce(s, axis=None))
     g = _GAP_TOL * max(1.0, top)
-    if (math.isfinite(top) and s.min() > g
+    if (math.isfinite(top) and np.minimum.reduce(s, axis=None) > g
             and (m < 2 or _gaps_at_least(speeds[..., :m], g))
             and (n - m < 2 or _gaps_at_least(speeds[..., m:], g))):
         return top

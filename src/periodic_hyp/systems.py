@@ -105,12 +105,24 @@ def harmonic_signal(harmonics, T_star: float, scale: float = 1.0):
 
     harmonics is a sequence of dicts with keys amplitude (>= 0), harmonic
     and phase (the latter two optional). Returns a vectorized callable.
+    Raises ValueError, in the wording of the CLI's config errors, for a
+    harmonic that is not a dict, one with another key or without an
+    amplitude, and for a number ``read_number`` refuses.
     """
     read_number(T_star, "T_star", 0, strict=True)
     read_number(scale, "scale")
-    terms = [(read_number(h["amplitude"], "amplitude", 0),
-              read_number(h.get("harmonic", 1), "harmonic"),
-              read_number(h.get("phase", 0.0), "phase")) for h in harmonics]
+    terms = []
+    for h in harmonics:
+        if not isinstance(h, dict):
+            raise ValueError("'forcing harmonic' must be a mapping")
+        unknown = set(h) - {"amplitude", "harmonic", "phase"}
+        if unknown:
+            raise ValueError(f"unknown keys in 'forcing harmonic': {sorted(unknown)}")
+        if "amplitude" not in h:
+            raise ValueError("each harmonic needs an amplitude")
+        terms.append((read_number(h["amplitude"], "amplitude", 0),
+                      read_number(h.get("harmonic", 1), "harmonic"),
+                      read_number(h.get("phase", 0.0), "phase")))
 
     def signal(t):
         t = np.asarray(t, dtype=float)

@@ -34,34 +34,46 @@ def signals_at(bspec, t):
     return [bspec.h_values(i, t) for i in range(bspec.n)]
 
 
+def context(u, spec, bspec):
+    """The step context of a run of spec and bspec on the grid of u."""
+    return ivp.StepContext.for_run(spec, bspec, len(u) - 1)
+
+
+def step_once(u, dt, spec, bspec, signals):
+    """One ``ivp.step`` of u in the context of a run on its grid."""
+    return ivp.step(u, dt, context(u, spec, bspec), signals)
+
+
 class TestStep:
     def test_equilibrium_preserved(self):
         spec, _ = make_e1()
         bspec = systems.scalar_inflow_boundary(systems.zero_signal, 1.0)
         u, dt = np.zeros((65, 1)), 0.4 / 64
+        ctx = context(u, spec, bspec)
         for k in range(200):
-            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, (k + 1) * dt))
+            u = ivp.step(u, dt, ctx, signals_at(bspec, (k + 1) * dt))
         assert np.abs(u).max() <= 1e-13 * 200
 
     def test_cfl_violation_raises(self):
         spec, bspec = make_e1()
         with pytest.raises(StepSizeError):
-            ivp.step(np.zeros((65, 1)), 0.9 / 64, spec, bspec, signals_at(bspec, 0.9 / 64))
+            step_once(np.zeros((65, 1)), 0.9 / 64, spec, bspec, signals_at(bspec, 0.9 / 64))
 
     def test_domain_exit_raises(self):
         spec, _ = make_e1()
         u, dt = np.full((65, 1), 0.0999), 0.4 / 64
         big = systems.harmonic_signal([{"amplitude": 0.2}], 1.0)
         bspec_big = systems.scalar_inflow_boundary(big, 1.0)
+        ctx = context(u, spec, bspec_big)
         with pytest.raises(DomainError):
             for k in range(50):
-                u = ivp.step(u, dt, spec, bspec_big, signals_at(bspec_big, (k + 1) * dt))
+                u = ivp.step(u, dt, ctx, signals_at(bspec_big, (k + 1) * dt))
 
     def test_the_step_returns_a_new_profile(self):
         spec, bspec = make_e2()
         u = 0.01 * np.cos(np.pi * np.linspace(0.0, 1.0, 33)[:, None] + np.array([0.3, 1.1]))
         before = u.copy()
-        new = ivp.step(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
+        new = step_once(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
         assert isinstance(new, np.ndarray) and new.shape == u.shape
         assert np.array_equal(u, before)  # the profile handed in is not written
 
@@ -74,7 +86,7 @@ class TestStep:
                                     h=[systems.zero_signal] * 2, T_star=2.0)
             with pytest.raises(BoundaryMapError,
                                match="boundary map returned non-finite values"):
-                ivp.step(np.zeros((33, 2)), 0.4 / 32, spec, bspec, signals_at(bspec, 0.4 / 32))
+                step_once(np.zeros((33, 2)), 0.4 / 32, spec, bspec, signals_at(bspec, 0.4 / 32))
 
     def test_outgoing_trace_is_not_checked(self):
         # a map that ignores its NaN input writes a finite value; the NaN
@@ -85,7 +97,7 @@ class TestStep:
         u = np.zeros((33, 2))
         u[0, 0] = np.nan
         with pytest.raises(DomainError):
-            ivp.step(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
+            step_once(u, 0.01, spec, bspec, signals_at(bspec, 0.01))
 
     def test_periodic_profile_advances_one_period(self):
         spec, bspec = make_e1()
@@ -95,9 +107,10 @@ class TestStep:
         u = exact(0.0, x)[:, None]
         n_steps = 800  # dt = 1/800 = 0.3125 dx/lam
         dt, t = 1.0 / n_steps, 0.0
+        ctx = context(u, spec, bspec)
         for _ in range(n_steps):
             t += dt
-            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, t))
+            u = ivp.step(u, dt, ctx, signals_at(bspec, t))
         assert np.abs(u[:, 0] - exact(0.0, x)).max() <= 1e-4
 
 
@@ -137,8 +150,9 @@ class TestRun:
             self, monkeypatch, caplog, interval, q, samples, centred):
         """Step q of interval ``interval`` (-1: the last) leaves the
         neighborhood: the record is a prefix of the completed run's,
-        rhs_evals counts the eigen_fields calls, the failed step's two
-        stages included, and the warning gives the time the run reached."""
+        rhs_evals counts the speed checks (``_check_speeds``: the spec
+        gives its speeds), the failed step's two stages included, and the
+        warning gives the time the run reached."""
         spec, bspec = make_e2()
         x = np.linspace(0.0, 1.0, 33)[:, None]
         u0 = 0.01 * np.cos(np.pi * x + np.array([0.3, 1.1]))
@@ -147,25 +161,27 @@ class TestRun:
         n_sub = full.steps // 6
         assert n_sub >= 3 and full.steps == 6 * n_sub
         done = interval * n_sub + q % n_sub
-        real_step, real_fields = ivp.step, ivp.eigen_fields
+        real_step, real_check = ivp.step, ivp._check_speeds
 
         def step(*args):
+            count["calls"] += 1
             new = real_step(*args)  # a step finds the exit after both stages
             if count["steps"] == done:
                 raise DomainError("profile left the validated neighborhood")
             count["steps"] += 1
             return new
 
-        def eigen_fields(*args, **kwargs):
+        def check_speeds(*args):
             count["speeds"] += 1
-            return real_fields(*args, **kwargs)
+            return real_check(*args)
 
-        count = {"steps": 0, "speeds": 0}
+        count = {"calls": 0, "steps": 0, "speeds": 0}
         monkeypatch.setattr(ivp, "step", step)
-        monkeypatch.setattr(ivp, "eigen_fields", eigen_fields)
+        monkeypatch.setattr(ivp, "_check_speeds", check_speeds)
         caplog.set_level(logging.WARNING, logger="periodic_hyp")
         traj = ivp.run(u0, spec, bspec, **kw)
         assert not traj.completed and traj.steps == done
+        assert count["calls"] == done + 1  # the run went through the substitute
         assert [r.getMessage() for r in caplog.records] == [
             f"run stopped early at t={done * full.dt_used:.4f}: "
             "profile left the validated neighborhood"]
@@ -199,8 +215,8 @@ class TestRun:
         t = 0.0
         for _ in range(5 * round(0.25 / traj.dt_used)):
             t += traj.dt_used
-        after = ivp.step(traj.profiles[5], traj.dt_used, spec, bspec,
-                         signals_at(bspec, t + traj.dt_used))
+        after = step_once(traj.profiles[5], traj.dt_used, spec, bspec,
+                          signals_at(bspec, t + traj.dt_used))
         assert np.array_equal(after, traj.after[4])
 
     def test_transient_swept_out(self):

@@ -8,13 +8,14 @@ copy of the one-sided stencil, and evaluates every forcing signal and
 looks up every boundary map again in each stage, at the step's end time,
 which ``clocked`` accumulates step by step as the earlier step did. The
 kernel makes one coefficient call (``SystemSpec.AF_at``) per stage,
-takes a spec's speeds as they are when it gives them and diag A when a
-matrix A is diagonal (``eigen_fields`` then gives no bases; the loop
-fills in the identity and projects through it), reads the CFL bound from
-the first stage's speed check, makes one gather of the upwind
-derivatives per stage through a cached tap table, each column in its own
-family's direction when A is diagonal and in both directions otherwise,
-writes the boundary from the maps of ``BoundarySpec.sides`` and, in
+takes a spec's speeds as they are when it gives them (``_check_speeds``)
+and diag A when a matrix A is diagonal (``eigen_fields`` then gives no
+bases; the loop fills in the identity and projects through it), reads
+the CFL bound from the first stage's speed check, makes one gather of
+the upwind derivatives per stage through a cached tap table, each column
+in its own family's direction when A is diagonal and in both directions
+otherwise, writes each incoming entry from its map as given on its one
+item, all of it resolved once per run (``StepContext``), and, in
 ``ivp.run``, evaluates each signal once per recording interval;
 ``ivp.run`` must reproduce the loop bit for bit.
 """
@@ -30,7 +31,7 @@ from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import systems
 from periodic_hyp.errors import BoundaryMapError, DomainError, StepSizeError
-from periodic_hyp.system_model import SystemSpec, eigen_fields
+from periodic_hyp.system_model import SystemSpec, _check_speeds, eigen_fields
 
 
 def loop_upwind_dx(u, dx, from_left):
@@ -118,15 +119,17 @@ def loop_step(u, dt, spec, bspec, t):
     return u_new
 
 
-def clocked(step_to):
+def clocked(step_to, calls):
     """A step for ``ivp.run`` that keeps its own clock, accumulated step
-    by step from 0, and returns step_to(u, dt, spec, bspec, t) at its end
-    time t: the signal values the run passes are ignored."""
+    by step from 0, and returns step_to(u, dt, ctx, t) at its end time t:
+    the signal values the run passes are ignored. calls["step"] counts
+    its calls."""
     clock = {"t": 0.0}
 
-    def step(u, dt, spec, bspec, signals):
+    def step(u, dt, ctx, signals):
+        calls["step"] += 1
         t = clock["t"] + dt
-        u_new = step_to(u, dt, spec, bspec, t)
+        u_new = step_to(u, dt, ctx, t)
         clock["t"] = t
         return u_new
     return step
@@ -223,10 +226,20 @@ def run_both(name, monkeypatch):
     args = (u0, spec, bspec)
     kw = dict(t_end=1.5 * spec.L, record_every=0.25 * spec.L)
     got = ivp.run(*args, **kw)
+    calls = {"step": 0, "rhs": 0}
+
+    def rhs(u, ctx):  # the compatibility residuals' set-up rhs
+        calls["rhs"] += 1
+        return loop_rhs(u, spec, ctx.dx), None
+
     with monkeypatch.context() as mp:
-        mp.setattr(ivp, "step", clocked(loop_step))
-        mp.setattr(ivp, "_rhs", lambda u, spec, dx: (loop_rhs(u, spec, dx), None))
+        mp.setattr(ivp, "step", clocked(
+            lambda u, dt, ctx, t: loop_step(u, dt, spec, bspec, t), calls))
+        mp.setattr(ivp, "_rhs", rhs)
         want = ivp.run(*args, **kw)
+    # the reference run went through both substitutes: otherwise it is
+    # ``run`` compared with itself
+    assert calls == {"step": want.steps, "rhs": 1} and want.steps > 0
     return got, want
 
 
@@ -254,13 +267,16 @@ def counting(fn, calls, key):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
-    """Per step: 2 speed evaluations (one per stage), eigenvectors only
-    for a non-diagonal A, one stencil gather per stage and no evaluation
-    of a forcing signal: the step reads the values it is handed."""
+    """Per step: 2 speed evaluations (one per stage: ``_check_speeds``
+    for a spec that gives its speeds, ``eigen_fields`` otherwise),
+    eigenvectors only for a non-diagonal A, one stencil gather per stage
+    and no evaluation of a forcing signal: the step reads the values it
+    is handed."""
     make, Nx = CASES[name]
     spec, bspec = make()
     dt = 0.2 * spec.L / Nx
     signals = signals_at(bspec, 0.1 + dt)
+    ctx = ivp.StepContext.for_run(spec, bspec, Nx)
     calls = {"speeds": 0, "bases": 0, "stencil": 0, "h": 0}
 
     def counted_fields(*args):
@@ -270,17 +286,20 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
         return fields
 
     monkeypatch.setattr(ivp, "eigen_fields", counted_fields)
+    monkeypatch.setattr(ivp, "_check_speeds", counting(_check_speeds, calls, "speeds"))
     monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))
     monkeypatch.setattr(bd.BoundarySpec, "h_values",
                         counting(bd.BoundarySpec.h_values, calls, "h"))
-    ivp.step(initial_profile(spec, Nx), dt, spec, bspec, signals)
+    ivp.step(initial_profile(spec, Nx), dt, ctx, signals)
     assert calls == {"speeds": 2, "bases": 0 if name in DIAGONAL else 2,
                      "stencil": 2, "h": 0}
 
 
 def test_run_counts_its_work(monkeypatch):
-    """Trajectory.steps / rhs_evals against counted rhs and eigen_fields
-    calls, on a run that completes and on one that leaves the neighborhood."""
+    """Trajectory.steps / rhs_evals against counted rhs calls and speed
+    checks (the spec gives its speeds, so a stage checks them with
+    ``_check_speeds``, not ``eigen_fields``), on a run that completes and
+    on one that leaves the neighborhood."""
     spec, bspec = euler_problem()
     u0 = initial_profile(spec, 16)
     big = bd.BoundarySpec(left_maps=bspec.left_maps, right_maps=bspec.right_maps,
@@ -292,6 +311,7 @@ def test_run_counts_its_work(monkeypatch):
             # the step-size bound reads spec.sampled_speeds, which
             # system_model computes: the IVP's own calls are counted
             mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "speeds"))
+            mp.setattr(ivp, "_check_speeds", counting(_check_speeds, calls, "speeds"))
             mp.setattr(ivp, "_rhs", counting(ivp._rhs, calls, "rhs"))
             traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
         assert traj.completed is completed
@@ -313,7 +333,8 @@ def test_one_coefficient_call_per_stage():
                                    AF=fns["AF"] if with_AF else None)
         calls.update(dict.fromkeys(calls, 0))  # the probes at construction
         dt = 0.2 * spec.L / 16
-        ivp.step(initial_profile(spec, 16), dt, spec, bspec, signals_at(bspec, 0.1 + dt))
+        ctx = ivp.StepContext.for_run(spec, bspec, 16)
+        ivp.step(initial_profile(spec, 16), dt, ctx, signals_at(bspec, 0.1 + dt))
         assert calls == want
 
 
@@ -339,10 +360,11 @@ def nan_map_problem(after):
 def test_a_non_finite_map_value_raises_from_either_stage(stage, monkeypatch):
     spec, bspec = nan_map_problem(after=stage)
     rhs = {"calls": 0}
+    ctx = ivp.StepContext.for_run(spec, bspec, 16)
     monkeypatch.setattr(ivp, "_rhs", counting(ivp._rhs, rhs, "calls"))
     dt = 0.2 * spec.L / 16
     with pytest.raises(BoundaryMapError, match="non-finite"):
-        ivp.step(initial_profile(spec, 16), dt, spec, bspec, signals_at(bspec, 0.1 + dt))
+        ivp.step(initial_profile(spec, 16), dt, ctx, signals_at(bspec, 0.1 + dt))
     assert rhs["calls"] == stage  # the stage that imposed the boundary
 
 
@@ -361,11 +383,12 @@ def test_a_looped_signal_gives_the_trajectory_of_per_step_evaluation(monkeypatch
     u0 = initial_profile(spec, 16)
     kw = dict(t_end=1.5, record_every=0.25)
     got = ivp.run(u0, spec, bspec, **kw)
-    step = ivp.step
+    step, calls = ivp.step, {"step": 0}
     with monkeypatch.context() as mp:
-        mp.setattr(ivp, "step", clocked(lambda u, dt, spec, bspec, t:
-                                        step(u, dt, spec, bspec, signals_at(bspec, t))))
+        mp.setattr(ivp, "step", clocked(lambda u, dt, ctx, t:
+                                        step(u, dt, ctx, signals_at(bspec, t)), calls))
         want = ivp.run(u0, spec, bspec, **kw)
+    assert calls["step"] == want.steps > 0
     assert got.completed and want.completed and got.steps == want.steps
     for a, b in zip(got.profiles, want.profiles):
         assert np.array_equal(a, b)
@@ -401,8 +424,146 @@ def test_harmonic_signal_on_an_array_equals_its_scalar_values():
 
 
 def test_a_step_refuses_a_boundary_of_another_shape():
+    """The step's context refuses it, and so ``run``."""
     spec, _ = euler_problem()
     _, scalar_bspec = e1_problem()
     with pytest.raises(ValueError, match="boundary has n = 1"):
-        ivp.step(initial_profile(spec, 16), 0.01, spec, scalar_bspec,
-                 signals_at(scalar_bspec, 0.01))
+        ivp.StepContext.for_run(spec, scalar_bspec, 16)
+    with pytest.raises(ValueError, match="boundary has n = 1"):
+        ivp.run(initial_profile(spec, 16), spec, scalar_bspec, t_end=0.5, record_every=0.25)
+
+
+class TestStepContext:
+    """``StepContext``: what a run fixes once for its steps, and the
+    boundary writes it makes, each entry by its map as given on its one
+    item, then checked."""
+
+    def test_a_profile_of_another_shape_is_refused(self):
+        spec, bspec = euler_problem()
+        ctx = ivp.StepContext.for_run(spec, bspec, 16)
+        dt = 0.2 * spec.L / 16
+        signals = signals_at(bspec, dt)
+        assert ivp.step(initial_profile(spec, 16), dt, ctx, signals).shape == (17, 2)
+        for u in (initial_profile(spec, 15), initial_profile(spec, 32), np.zeros((17, 3))):
+            with pytest.raises(ValueError, match=r"the run's grid is \(17, 2\)"):
+                ivp.step(u, dt, ctx, signals)
+
+    @pytest.mark.parametrize("Nx", [0, 1, 2.0, True])
+    def test_a_grid_the_stencils_cannot_read_is_refused(self, Nx):
+        spec, bspec = euler_problem()
+        with pytest.raises(ValueError, match="'Nx' must be an integer of at least 2"):
+            ivp.StepContext.for_run(spec, bspec, Nx)
+
+    def test_run_refuses_initial_data_of_another_shape(self):
+        spec, bspec = euler_problem()
+        for u0 in (np.zeros((2, 2)), np.zeros((17, 3)), np.zeros(17)):
+            with pytest.raises(ValueError):
+                ivp.run(u0, spec, bspec, t_end=0.5, record_every=0.25)
+
+    def test_one_run_builds_one_context(self, monkeypatch):
+        """The compatibility residuals and every step share the context
+        that ``run`` builds once."""
+        spec, bspec = euler_problem()
+        built, used = [], []
+        for_run, step, rhs = ivp.StepContext.for_run, ivp.step, ivp._rhs
+
+        def build(*args):
+            built.append(for_run(*args))
+            return built[-1]
+
+        def stepping(u, dt, ctx, signals):
+            used.append(ctx)
+            return step(u, dt, ctx, signals)
+
+        def residual_rhs(u, ctx):
+            used.append(ctx)
+            return rhs(u, ctx)
+
+        monkeypatch.setattr(ivp.StepContext, "for_run", build)
+        monkeypatch.setattr(ivp, "step", stepping)
+        monkeypatch.setattr(ivp, "_rhs", residual_rhs)
+        traj = ivp.run(initial_profile(spec, 16), spec, bspec, t_end=1.0, record_every=0.25)
+        assert traj.completed and len(built) == 1
+        # the residuals' rhs, then each step and its two stages' rhs
+        assert len(used) == 1 + 3 * traj.steps
+        assert all(ctx is built[0] for ctx in used)
+        ctx = built[0]
+        assert (ctx.shape, ctx.dx, ctx.cfl_cap) == ((17, 2), 1.0 / 16, 0.8 / 16)
+        both, own = ivp._upwind_taps(16, 2, 1)  # the grid's cached tables
+        assert ctx.both is both and ctx.own is own
+
+    @pytest.mark.parametrize("make", [euler_problem, lambda: three_family(1),
+                                      lambda: three_family(2)],
+                             ids=["euler", "three_family_m1", "three_family_m2"])
+    def test_a_map_that_does_not_broadcast_gives_its_twins_trajectory(self, make):
+        """A map that takes one item at a time (``batched`` loops it) and
+        its broadcasting twin write the same entries: the trajectories are
+        equal bit for bit."""
+        spec, bspec = make()
+
+        def one_item(fn):  # float() refuses a pair of signal values
+            return lambda hv, u: fn(float(hv), u)
+
+        looped = dataclasses.replace(bspec, left_maps=[one_item(f) for f in bspec.left_maps],
+                                     right_maps=[one_item(f) for f in bspec.right_maps])
+        with pytest.raises(TypeError):
+            looped.maps[-1](np.array([0.1, 0.2]), np.zeros((2, spec.m)))
+        u0 = initial_profile(spec, 16)
+        kw = dict(t_end=1.0, record_every=0.25)
+        got, want = ivp.run(u0, spec, looped, **kw), ivp.run(u0, spec, bspec, **kw)
+        assert got.completed and want.completed and got.steps == want.steps > 0
+        assert np.array_equal(got.profiles, want.profiles)
+        assert np.array_equal(got.before, want.before)
+        assert np.array_equal(got.after, want.after)
+        assert (got.compat_c0, got.compat_c1) == (want.compat_c0, want.compat_c1)
+
+    @pytest.mark.parametrize("value", [
+        lambda hv, u: 3, lambda hv, u: 2 ** 60 + 1, lambda hv, u: True,
+        lambda hv, u: np.float32(hv + 0.5 * u[..., 0]),
+        lambda hv, u: np.float16(hv + 0.5 * u[..., 0]),
+        lambda hv, u: np.array(hv + 0.5 * u[..., 0])],
+        ids=["int", "large_int", "bool", "float32", "float16", "array"])
+    def test_a_value_of_another_type_is_written_as_the_batched_form_writes_it(self, value):
+        spec = systems.linear_reflect_2x2()
+        bspec = bd.BoundarySpec(left_maps=[value], right_maps=[value],
+                                h=[lambda t: 0.01 * np.sin(np.asarray(t, dtype=float))] * 2,
+                                T_star=2 * np.pi)
+        ctx = ivp.StepContext.for_run(spec, bspec, 16)
+        signals = np.array([0.3, 0.7])
+        u = 0.01 + initial_profile(spec, 16)
+        want = u.copy()
+        want[0, 1] = bspec.map_values(1, signals[1], u[0, :1])
+        want[-1, 0] = bspec.map_values(0, signals[0], u[-1, 1:])
+        ivp._impose_boundary(u, signals, ctx)
+        assert u.dtype == np.float64
+        assert np.array_equal(u.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def two_maps_at_x0(first, second):
+        """three_family(1), whose x = 0 side has two incoming components,
+        with its maps there replaced by first and second; the second
+        counts its calls from the step on."""
+        spec, bspec = three_family(1)
+        calls = {"second": 0}
+
+        def counted(hv, u):
+            calls["second"] += 1
+            return second(hv, u)
+
+        bspec = dataclasses.replace(bspec, left_maps=[first, counted])
+        calls["second"] = 0  # the construction probe called it
+        return spec, bspec, calls
+
+    KEEP = staticmethod(lambda hv, u: hv + 0.3 * u[..., 0])
+    NAN = staticmethod(lambda hv, u: hv + np.nan * u[..., 0])
+
+    @pytest.mark.parametrize("nan_first, second_calls", [(False, 1), (True, 0)],
+                             ids=["nan_from_the_second_map", "nan_from_the_first_map"])
+    def test_a_nan_raises_before_the_later_maps_of_its_side(self, nan_first, second_calls):
+        first, second = (self.NAN, self.KEEP) if nan_first else (self.KEEP, self.NAN)
+        spec, bspec, calls = self.two_maps_at_x0(first, second)
+        ctx = ivp.StepContext.for_run(spec, bspec, 16)
+        dt = 0.2 * spec.L / 16
+        with pytest.raises(BoundaryMapError, match="^boundary map returned non-finite values$"):
+            ivp.step(initial_profile(spec, 16), dt, ctx, signals_at(bspec, dt))
+        assert calls["second"] == second_calls

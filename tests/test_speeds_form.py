@@ -1,10 +1,10 @@
 """A spec whose A is diagonal may give its speeds instead of the matrix.
 
 The form is read from one call of A at construction
-(``SystemSpec.gives_speeds``) and stays inside ``system_model``:
-``eigen_fields`` checks the speeds as they are, with no per-call diagonal
-test, and returns their top |speed|, which the IVP step reads for its CFL
-check; the origin record, the sampled speeds, the sweep and
+(``SystemSpec.gives_speeds``). ``eigen_fields``, and an IVP stage
+directly, check the speeds as they are (``_check_speeds``), with no
+per-call diagonal test, and return their top |speed|, which the IVP step
+reads for its CFL check; the origin record, the sampled speeds, the sweep and
 ``pde_residual`` (through ``SystemSpec.A_times``) read the speeds where
 they read diag A. Each built-in is compared here with its matrix-form twin
 (A = diag(speeds)): both must give the same bits and raise the same errors
@@ -148,10 +148,11 @@ def failing_problem(kind, thr=0.02):
 def march_to_failure(spec, bspec, Nx=16, steps=400):
     """(step index, error type, message) of the first failing ``ivp.step``."""
     u, dt, t = 0.1 * initial_profile(spec, Nx), 0.15 * spec.L / Nx, 0.0
+    ctx = ivp.StepContext.for_run(spec, bspec, Nx)
     for k in range(steps):
         t += dt
         try:
-            u = ivp.step(u, dt, spec, bspec, signals_at(bspec, t))
+            u = ivp.step(u, dt, ctx, signals_at(bspec, t))
         except (HyperbolicityError, SignatureError, StepSizeError, DomainError) as exc:
             return k, type(exc), str(exc)
     raise AssertionError("the march did not fail")
@@ -209,6 +210,7 @@ class TestTopSpeed:
         dx = 1.0 / 64
         dt = 0.9 * dx
         with pytest.raises(StepSizeError) as exc:
-            ivp.step(np.zeros((65, 1)), dt, spec, bspec, signals_at(bspec, dt))
+            ivp.step(np.zeros((65, 1)), dt, ivp.StepContext.for_run(spec, bspec, 64),
+                     signals_at(bspec, dt))
         assert str(exc.value) == (f"dt={dt:.3e} exceeds 0.8 dx / max|lambda| = "
                                   f"{0.8 * dx / 1.0:.3e}")

@@ -192,8 +192,13 @@ class TestDiagonalPath:
     def test_one_bad_state_in_a_batch_of_speeds(self, bad, error):
         """The IVP's right-hand side, on the batch as one profile, raises
         alike before it uses a speed."""
+        inflow = bd.BoundarySpec(left_maps=[lambda hv, u: hv] * 2,
+                                 right_maps=[lambda hv, u: hv],
+                                 h=[systems.zero_signal] * 3, T_star=1.0)
         self.one_bad_state(
-            lambda spec, states: ivp._rhs(states.reshape(-1, 3), spec, 0.1), bad, error)
+            lambda spec, states: ivp._rhs(states.reshape(-1, 3),
+                                          ivp.StepContext.for_run(spec, inflow, 11)),
+            bad, error)
 
     def test_speeds_in_component_order(self):
         spec = self.spec(np.array([-1.0, 2.0, 1.5]))
@@ -986,6 +991,20 @@ def test_every_number_argument_is_read_by_the_reader(name, call):
     parameter as the CLI names a config key."""
     with pytest.raises(ValueError, match=f"^'{name}' must be "):
         call()
+
+
+@pytest.mark.parametrize("harmonic, message", [
+    (0.01, "'forcing harmonic' must be a mapping"),
+    ([("amplitude", 0.01)], "'forcing harmonic' must be a mapping"),
+    ({"amplitude": 0.01, "phse": 1.0}, "unknown keys in 'forcing harmonic': ['phse']"),
+    ({"harmonic": 2, "phase": 1.0}, "each harmonic needs an amplitude"),
+], ids=["number", "pairs", "misspelt_phase", "no_amplitude"])
+def test_harmonic_signal_refuses_a_harmonic_the_cli_refuses(harmonic, message):
+    """A misspelt key would otherwise be ignored (a phase-0 signal), and a
+    missing amplitude raise KeyError: each raises the CLI's ValueError."""
+    with pytest.raises(ValueError) as exc:
+        systems.harmonic_signal([{"amplitude": 0.02}, harmonic], 2.0)
+    assert str(exc.value) == message
 
 
 def test_coupling_at_a_vanishing_diagonal_left_entry_is_refused():
