@@ -6,7 +6,10 @@ left-moving components follow G_r(h_r(t), u_{m+1}..u_n). The linearization
 of the feedback at the origin forms a block anti-diagonal matrix whose
 minimal characterizing number (the infimum over positive diagonal scalings
 of the max-row-sum norm) quantifies how much amplitude a reflected wave
-can retain; values below 1 make the boundary dissipative.
+can retain; values below 1 make the boundary dissipative. It is the
+Perron root of |Theta|, from one balanced eigensolve per strongly connected
+class, checked against the Collatz-Wielandt bracket at the class's Perron
+vector, which nonnegative repeated squaring gives to every entry's accuracy.
 
 ``BoundarySpec.map_values`` is the one entry point to a single map, for
 every derivative and ``eval_boundary``; the periodic sweep writes its
@@ -199,31 +202,18 @@ def theta_matrix(bspec: BoundarySpec) -> np.ndarray:
     return bspec.origin.theta.copy()
 
 
-def _power_root(B: np.ndarray) -> float:
-    """Perron root of an irreducible nonnegative B by repeated squaring.
+def _perron_root(B: np.ndarray) -> float:
+    """Spectral radius of B from one dense eigensolve; raises
+    ConvergenceError when the eigensolve fails.
 
-    Block anti-diagonal matrices are 2-periodic, which stalls the plain
-    power step, so the iteration squares the matrix (with normalization)
-    until the row-sum bracket of the original root, recovered through
-    2^-s-th roots, is tight. Irreducibility keeps every row sum of every
-    power positive, with a max/min ratio bounded by that of the Perron
-    vector, so the bracket closes for periodic classes too.
+    LAPACK's dgeev balances B first (Parlett & Reinsch), after which an
+    eigenvalue is backward stable, so the root keeps its relative accuracy
+    on classes whose entries span many orders of magnitude.
     """
-    log_acc = np.log(B.max())
-    M = B / B.max()
-    for s in range(60):
-        rows = M.sum(axis=1)
-        lo, hi = float(rows.min()), float(rows.max())
-        inv = 1.0 / 2.0**s
-        upper = np.exp((np.log(hi) + log_acc) * inv)
-        lower = np.exp((np.log(lo) + log_acc) * inv) if lo > 0 else 0.0
-        if upper - lower <= 1e-12 * max(1.0, upper):
-            return float(np.sqrt(lower) * np.sqrt(upper))
-        M = M @ M
-        nm = M.max()
-        M /= nm
-        log_acc = 2.0 * log_acc + np.log(nm)
-    raise ConvergenceError("power iteration did not converge")
+    try:
+        return float(np.abs(np.linalg.eigvals(B)).max())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve of a theta class failed: {exc}") from exc
 
 
 def _perron_vector(B: np.ndarray, shift: float) -> np.ndarray:
@@ -273,11 +263,15 @@ def minimal_characterizing_number(theta: np.ndarray) -> tuple:
 
     For the nonnegative |Theta| this is its Perron root, the largest over
     the strongly connected classes. On each class with entries it is
-    computed two ways that must agree within 1e-6: the row-sum bracket
-    of the class matrix B's repeated squares (power root), and the
-    Collatz-Wielandt bracket [min, max] of (B x)_i / x_i at the class's
-    Perron vector x. Both brackets enclose the root for any positive x.
-    A class with no entries has root exactly 0.
+    computed two ways that must agree within 1e-6: the spectral radius of
+    the class matrix B from one balanced eigensolve (eigensolve root), and
+    the Collatz-Wielandt bracket [min, max] of (B x)_i / x_i at the
+    class's Perron vector x, which encloses the root for any positive x.
+    The root may come from a dense eigensolve and the vector may not: a
+    balanced eigenvalue is backward stable, but an eig vector is accurate
+    only relative to its largest entry (see ``_perron_vector``).
+    A class with no entries has root exactly 0. Raises ValueError when
+    theta is not finite: a NaN gain would read as no edge.
     Returns (value, scaling): the value is the largest bracket top, and
     the scaling is gamma = 1 / x normalized to geometric mean 1, where x
     holds each class vector scaled to unit max (1 on empty classes) times
@@ -286,6 +280,8 @@ def minimal_characterizing_number(theta: np.ndarray) -> tuple:
     each edge between classes adds about 1e-6 times its gain.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if not np.isfinite(theta).all():
+        raise ValueError("theta matrix must be finite")
     absTheta = np.abs(theta)
     value = 0.0
     x = np.ones(absTheta.shape[0])
@@ -294,7 +290,7 @@ def minimal_characterizing_number(theta: np.ndarray) -> tuple:
         B = absTheta[np.ix_(idx, idx)]
         if not B.any():
             continue
-        rho = _power_root(B)
+        rho = _perron_root(B)
         xc = _perron_vector(B, rho)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (B @ xc) / xc  # a zero entry of xc fails the check below
@@ -302,7 +298,7 @@ def minimal_characterizing_number(theta: np.ndarray) -> tuple:
         if not (hi - lo <= _METHOD_AGREEMENT
                 and lo - _METHOD_AGREEMENT <= rho <= hi + _METHOD_AGREEMENT):
             raise ConvergenceError(
-                f"scaling methods disagree: power root {rho:.3e} vs "
+                f"scaling methods disagree: eigensolve root {rho:.3e} vs "
                 f"Collatz-Wielandt bracket [{lo:.3e}, {hi:.3e}]")
         value = max(value, hi)
         x[idx] = xc

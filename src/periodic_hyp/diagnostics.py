@@ -11,7 +11,7 @@ import numpy as np
 
 from .characteristics import Field, _padded, _x_difference
 from .errors import IoError
-from .system_model import SystemSpec
+from .system_model import SystemSpec, read_number
 
 
 @dataclass
@@ -53,8 +53,11 @@ def norms(fld: Field) -> FieldNorms:
 
 
 def smallness_certificate(theta: float, K: float, L: float, M3: float) -> Certificate:
-    """ok = theta + K * L * M3 < 1; margin is the distance to failure."""
-    theta, K, L, M3 = float(theta), float(K), float(L), float(M3)
+    """ok = theta + K * L * M3 < 1; margin is the distance to failure.
+    Each input is read by ``read_number``: a bool, str or non-finite
+    value raises ValueError."""
+    theta, K, L, M3 = (read_number(v, name) for v, name in
+                       ((theta, "theta"), (K, "K"), (L, "L"), (M3, "M3")))
     if min(theta, K, L, M3) < 0:
         raise ValueError("certificate inputs must be nonnegative")
     margin = 1.0 - theta - K * L * M3

@@ -12,7 +12,7 @@ from periodic_hyp import boundary as bd
 from periodic_hyp import cli, systems
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import periodic_solver as ps
-from periodic_hyp.errors import BoundaryMapError, PeriodicityError
+from periodic_hyp.errors import BoundaryMapError, ConvergenceError, PeriodicityError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +42,26 @@ def collatz_wielandt(th, gamma):
 
 def perron_root(th):
     return float(np.abs(np.linalg.eigvals(np.abs(th))).max())
+
+
+def _graded_cycle():
+    """6-cycle 0 -> 3 -> 1 -> 4 -> 2 -> 5 -> 0 of one gain 1 and five of
+    1e-12, the size of finite-difference truncation: root (1e-60)^(1/6)."""
+    th = np.zeros((6, 6))
+    for k, (i, j) in enumerate([(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]):
+        th[i, j] = 1.0 if k == 0 else 1e-12
+    return th
+
+
+# weakly coupled classes and their exact roots: [[a, b], [1, d]] has root
+# (a + d) / 2 + sqrt(((a - d) / 2)^2 + b); the 3 x 3 class has the
+# characteristic polynomial l^3 - l^2 - 2 e l + e - e^2, root 1 + e + O(e^2)
+WEAKLY_COUPLED = {
+    "2x2 gain 1e-12": (np.array([[0.5, 1e-12], [1, 0.9]]), 0.7 + np.sqrt(0.04 + 1e-12)),
+    "2x2 gain 1e-17": (np.array([[0.5, 1e-17], [1, 0.9]]), 0.7 + np.sqrt(0.04 + 1e-17)),
+    "3x3 gains 1e-12": (np.array([[1, 0, 1e-12], [1, 0, 1], [1, 1e-12, 0]]), 1 + 1e-12),
+    "graded 6-cycle": (_graded_cycle(), 1e-10),
+}
 
 
 def sparse_irreducible(seed):
@@ -231,6 +251,33 @@ class TestMinimalCharacterizingNumber:
         value, gamma = bd.minimal_characterizing_number(th)
         assert value == pytest.approx(0.5, abs=1e-12)
         assert 0.5 <= attained(th, gamma) <= 0.5 + 1e-5
+
+    @pytest.mark.parametrize("th, root", WEAKLY_COUPLED.values(), ids=WEAKLY_COUPLED)
+    def test_weakly_coupled_class_gives_its_exact_root(self, th, root):
+        # the two methods agree (no ConvergenceError) on gains 12 orders apart
+        value, gamma = bd.minimal_characterizing_number(th)
+        assert value == pytest.approx(root, rel=1e-12, abs=0)
+        lo, hi = collatz_wielandt(th, gamma)
+        assert hi - lo <= 1e-6
+
+    def test_eigensolve_root_keeps_its_relative_accuracy(self):
+        # the squaring root stopped on an absolute 1e-12 and was 1.1e-3 off here
+        th, root = WEAKLY_COUPLED["graded 6-cycle"]
+        assert bd._perron_root(th) == pytest.approx(root, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_gain_that_is_not_finite_is_refused(self, bad):
+        # a NaN gain used to read as no edge, giving theta 0
+        with pytest.raises(ValueError, match="theta matrix must be finite"):
+            bd.minimal_characterizing_number([[0, bad], [0.5, 0]])
+
+    def test_a_failed_eigensolve_is_a_convergence_error(self, monkeypatch):
+        def fail(B):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceError, match="Eigenvalues did not converge"):
+            bd.minimal_characterizing_number(np.array([[0, 0.5], [0.5, 0]]))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(gain_matrices(min_n=2), st.lists(

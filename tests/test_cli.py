@@ -120,6 +120,15 @@ class TestValidate:
         assert code == 4
         assert "non-convergence: scaling methods disagree" in capsys.readouterr().err
 
+    def test_a_failed_theta_eigensolve_exits_4(self, tmp_path, monkeypatch, capsys):
+        def fail(B):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code = cli.run(["validate", "--config", write_cfg(tmp_path, base_e2_cfg())])
+        assert code == 4
+        assert "eigensolve of a theta class failed" in capsys.readouterr().err
+
     def test_an_uncaught_gate_error_follows_the_lines_before_it(self, monkeypatch, capsys):
         """validate prints each gate as it checks it: an error no gate
         catches exits with the lines of the gates before it on stdout."""

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,4 +296,13 @@ def test_a_negative_certificate_input_is_refused(which):
     args = [0.5, 1e-6, 1.0, 1.0]
     args[which] = -1e-3
     with pytest.raises(ValueError, match="certificate inputs must be nonnegative"):
+        dg.smallness_certificate(*args)
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1.0"])
+def test_a_certificate_input_that_is_not_a_finite_number_is_refused(which, bad):
+    args = [0.5, 1e-6, 1.0, 1.0]
+    args[which] = bad
+    with pytest.raises(ValueError, match="must be a finite number"):
         dg.smallness_certificate(*args)
