@@ -67,8 +67,6 @@ from .periodic_solver import (
 from .system_model import (
     HypothesisReport,
     SystemSpec,
-    coupling_B,
-    g_nonlinear,
     gtilde_matrix,
     minimal_K,
     validate_hyperbolicity,

@@ -15,9 +15,9 @@ layouts of the upwind tap table (``_upwind_taps``), the spec's batched
 (A, F) call and, per side, each incoming component's map as given with
 its outgoing slice. Each stage makes one coefficient call, which gives
 its A and F (one call of the spec's ``AF`` when it has one, so shared
-intermediates are computed once), and checks its speeds: a spec's speeds
-as they are when A gives them, as for systems in Riemann invariants
-(straight to ``_check_speeds``), and through ``eigen_fields`` otherwise:
+intermediates are computed once), and takes its checked speeds from
+``eigen_fields``, as every stage of the package does: a spec's speeds
+as they are when A gives them, as for systems in Riemann invariants,
 diag A for a diagonal matrix A, the eigenstructure else. The speeds of
 a stage pass one accept test, which implies every hyperbolicity and
 signature check and gives the top |speed| for the first stage's CFL
@@ -51,8 +51,7 @@ import numpy as np
 from . import boundary as bd
 from .characteristics import Field, _x_difference
 from .errors import BoundaryMapError, DomainError, StepSizeError
-from .system_model import (SystemSpec, _check_speeds, eigen_fields, measured_mu_max,
-                           read_number)
+from .system_model import SystemSpec, eigen_fields, measured_mu_max, read_number
 
 logger = logging.getLogger("periodic_hyp")
 
@@ -208,10 +207,9 @@ def _rhs(u: np.ndarray, ctx: StepContext) -> tuple:
     """Semi-discrete du/dt in characteristic variables, and the top
     |lambda| of its checked speeds.
 
-    One call of the context's coefficients gives A and F. The speeds of a
-    spec that gives them are checked as they are (``_check_speeds``), as
-    ``eigen_fields`` would; otherwise ``eigen_fields`` gives the checked
-    speeds, their top and the bases. One gather gives the upwind
+    One call of the context's coefficients gives A and F, and
+    ``eigen_fields`` on that A the checked speeds, their top and, unless
+    A gives speeds or is diagonal, the bases. One gather gives the upwind
     derivatives (``_upwind_dx``). Without bases (a diagonal A) the
     components are the characteristic variables, each differenced in its
     own family's direction, and du = F - lambda * that derivative;
@@ -221,10 +219,7 @@ def _rhs(u: np.ndarray, ctx: StepContext) -> tuple:
     """
     spec = ctx.spec
     A, Fv = ctx.coeffs(u)
-    if spec.gives_speeds:
-        lam, left, right, top = A, None, None, _check_speeds(A, spec.m)
-    else:
-        lam, left, right, top = eigen_fields(spec, u, A)
+    lam, left, right, top = eigen_fields(spec, u, A)
     du = Fv
     if left is None:
         # the speeds passed their check: the m left-moving families come first
@@ -259,13 +254,16 @@ def step(u: np.ndarray, dt: float, ctx: StepContext, signals) -> np.ndarray:
     context (``StepContext.for_run``) gives dx and the maps. One
     coefficient call per stage gives its A and F; the first stage's speed
     check gives the top speed for the CFL check. Raises ValueError for a
-    profile of another shape than the context's, StepSizeError when dt
+    profile of another shape than the context's and unless dt > 0 (a NaN
+    dt included), before the first stage, StepSizeError when dt
     exceeds 0.8 dx / max |lambda| on the current profile and DomainError
     when the new profile leaves the validated neighborhood (the blow-up
     proxy).
     """
     if u.shape != ctx.shape:
         raise ValueError(f"profile has shape {u.shape}; the run's grid is {ctx.shape}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     f1, lam_max = _rhs(u, ctx)
     if dt > ctx.cfl_cap / lam_max * (1 + 1e-12):
         raise StepSizeError(
@@ -319,6 +317,8 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     least 1) of record_every, within 1e-9 relative: no other t_end is
     reached on the cadence."""
     u0 = np.asarray(u0, dtype=float)
+    if u0.ndim != 2:  # the grid is read from len(u0)
+        raise ValueError(f"u0 has shape {u0.shape}; need (Nx+1, n) with n = {spec.n}")
     ctx = StepContext.for_run(spec, bspec, len(u0) - 1)
     if u0.shape != ctx.shape:
         raise ValueError(f"u0 has shape {u0.shape}; need (Nx+1, n) = {ctx.shape}")

@@ -27,11 +27,11 @@ from .errors import BoundaryMapError, DomainError, NonContractionError, Normaliz
 from .system_model import (
     SystemSpec,
     eigen_fields,
+    g_nonlinear_batch,
     gtilde_matrix,
     read_number,
     shift_K,
     _coupling_from_left,
-    _remainder,
 )
 
 logger = logging.getLogger("periodic_hyp")
@@ -134,9 +134,9 @@ def _source_grid(prev: Field, ctx: SweepContext, mu: np.ndarray,
     """All lagged source terms of the transport step on the grid.
 
     R_i = sum_j B_ij (du_j/dx + mu_i du_j/dt) + sum_{j != i} gt_ij u_j
-          + K mu_i(0) u_i + superlinear remainder, evaluated on the
-    previous iterate, whose inverse speeds mu, couplings B and source
-    values Fv are given.
+          + K mu_i(0) u_i + superlinear remainder (``g_nonlinear_batch``),
+    evaluated on the previous iterate, whose inverse speeds mu, couplings
+    B and source values Fv are given.
     B is None where A is diagonal: the coupling terms vanish, and neither
     they nor the derivative grids are computed.
     """
@@ -146,7 +146,7 @@ def _source_grid(prev: Field, ctx: SweepContext, mu: np.ndarray,
         R = (np.einsum("tkij,tkj->tki", B, prev.space_derivative_grid())
              + mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())) + R
     R += ctx.k_mu0 * P
-    R += _remainder(ctx.spec, P, mu, B, Fv)
+    R += g_nonlinear_batch(ctx.spec, P, mu, B, Fv)
     return R
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DegenerateEigenbasisError,
-    DomainError,
     DominanceError,
     HyperbolicityError,
     SignatureError,
@@ -407,7 +406,6 @@ def eigen_fields(spec: SystemSpec, states: np.ndarray,
     positive. Raises HyperbolicityError / SignatureError if any state
     violates the hypotheses (HyperbolicityError also where A is not finite).
     """
-    states = np.asarray(states, dtype=float)
     m = spec.m
     if A_vals is None:
         A_vals = spec.A_at(states)
@@ -522,14 +520,6 @@ def minimal_K(g0: np.ndarray) -> float:
     return max(0.0, max(rows))
 
 
-def coupling_B(spec: SystemSpec, u: np.ndarray) -> np.ndarray:
-    """Interaction coefficients B_ij(u) = -l_ij / l_ii off the diagonal;
-    all zero where A is diagonal."""
-    left = eigen_fields(spec, np.asarray(u, dtype=float)[None, :])[1]
-    B = _coupling_from_left(left)
-    return np.zeros((spec.n, spec.n)) if B is None else B[0]
-
-
 def _coupling_from_left(left: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Batched B from left eigenvector rows, zero diagonal by construction;
     None (no coupling) when ``eigen_fields`` gave no bases."""
@@ -578,31 +568,13 @@ def gtilde_matrix(spec: SystemSpec, K: float) -> np.ndarray:
     return gt
 
 
-def g_nonlinear(spec: SystemSpec, u: np.ndarray) -> np.ndarray:
-    """Superlinear source remainder; vanishes with its gradient at u = 0."""
-    u = np.asarray(u, dtype=float)
-    if not spec.contains(u):
-        raise DomainError("state outside the validated neighborhood")
-    return g_nonlinear_batch(spec, u[None, :])[0]
-
-
-def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray) -> np.ndarray:
-    """Batched superlinear remainder on states of shape (..., n).
-
+def g_nonlinear_batch(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
+                      B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
+    """The one routine of the superlinear source remainder, on states of
+    shape (..., n) with inverse speeds mu, couplings B (None: a diagonal
+    A, no coupling) and source values Fv given there:
     remainder_i = mu_i(u) f_i(u) - sum_j mu_i(0) g_ij(0) u_j
-                  - sum_j B_ij(u) mu_i(u) f_j(u),
-    the last sum absent where A is diagonal.
-    """
-    states = np.asarray(states, dtype=float)
-    A, Fv = spec.AF_at(states)
-    lam, left, _, _ = eigen_fields(spec, states, A)
-    return _remainder(spec, states, 1.0 / lam, _coupling_from_left(left), Fv)
-
-
-def _remainder(spec: SystemSpec, states: np.ndarray, mu: np.ndarray,
-               B: Optional[np.ndarray], Fv: np.ndarray) -> np.ndarray:
-    """g_nonlinear_batch from the inverse speeds mu, couplings B and
-    source values Fv at the states (B None: no coupling term)."""
+                  - sum_j B_ij(u) mu_i(u) f_j(u)."""
     # sum_j mu0_i g0_ij u_j, j in order, as einsum("i,ij,...j") sums it
     G = spec.origin.mu0[:, None] * spec.origin.g0
     linear = states[..., :1] * G[:, 0]

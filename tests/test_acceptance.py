@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_system_model import coupling_at, remainder_at
 
 from periodic_hyp import boundary as bd
 from periodic_hyp import cli
@@ -16,13 +17,7 @@ from periodic_hyp import diagnostics as dg
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
-from periodic_hyp.system_model import (
-    coupling_B,
-    eigen_fields,
-    g_nonlinear,
-    gtilde_matrix,
-    neighborhood_samples,
-)
+from periodic_hyp.system_model import eigen_fields, gtilde_matrix, neighborhood_samples
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS = 0.01
@@ -323,7 +318,7 @@ def test_criterion_9_structural_invariants():
         assert left is None and right is None
         assert np.array_equal(lam, spec.A_at(pts))
         for u in pts[::8]:
-            assert np.array_equal(coupling_B(spec, u), np.zeros((spec.n, spec.n)))
+            assert np.array_equal(coupling_at(spec, u), np.zeros((spec.n, spec.n)))
 
     # quadratic smallness of the superlinear remainder (state-dependent
     # speeds make it nontrivial for the euler system)
@@ -331,7 +326,7 @@ def test_criterion_9_structural_invariants():
     direction = np.array([0.6, 0.8])
     vals = []
     for r in (1e-2, 5e-3, 2.5e-3):
-        g = g_nonlinear(spec, r * direction)
+        g = remainder_at(spec, r * direction)
         vals.append(np.linalg.norm(g) / r**2)
     assert max(vals) <= 2.0 * min(vals)
 
@@ -340,7 +335,7 @@ def test_criterion_9_structural_invariants():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        grad = (g_nonlinear(spec, e) - g_nonlinear(spec, -e)) / (2 * h)
+        grad = (remainder_at(spec, e) - remainder_at(spec, -e)) / (2 * h)
         assert np.abs(grad).max() <= 1e-8
 
     # weight bounds on a dense sample: the weighted norm's weights

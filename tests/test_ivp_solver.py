@@ -77,6 +77,21 @@ class TestStep:
         assert isinstance(new, np.ndarray) and new.shape == u.shape
         assert np.array_equal(u, before)  # the profile handed in is not written
 
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan])
+    def test_a_step_that_is_not_positive_is_refused(self, dt, monkeypatch):
+        """A dt that is not positive would march backward, return the
+        profile or fail in a boundary map: ValueError before any stage."""
+        spec, bspec = make_e2()
+        u = 0.01 * np.cos(np.pi * np.linspace(0.0, 1.0, 33)[:, None] + np.array([0.3, 1.1]))
+        ctx = context(u, spec, bspec)
+
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(ivp, "_rhs", no_stage)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ivp.step(u, dt, ctx, signals_at(bspec, 0.01))
+
     def test_non_finite_boundary_value_raises(self):
         spec, _ = make_e2()
         nan_map = lambda hv, u: hv + np.nan * u[..., 0]
@@ -136,6 +151,12 @@ class TestRun:
         with pytest.raises(ValueError):
             ivp.run(np.zeros((33, 1)), spec, bspec, t_end=t_end, record_every=record_every)
 
+    @pytest.mark.parametrize("u0", [np.array(0.0), np.zeros(33)])
+    def test_a_profile_that_is_not_two_dimensional_is_refused(self, u0):
+        spec, bspec = make_e1()
+        with pytest.raises(ValueError, match="u0 has shape"):
+            ivp.run(u0, spec, bspec, t_end=0.25, record_every=0.25)
+
     def test_accepts_a_multiple_up_to_rounding(self):
         spec, bspec = make_e1()
         assert 3 * 0.1 != 0.3
@@ -150,8 +171,8 @@ class TestRun:
             self, monkeypatch, caplog, interval, q, samples, centred):
         """Step q of interval ``interval`` (-1: the last) leaves the
         neighborhood: the record is a prefix of the completed run's,
-        rhs_evals counts the speed checks (``_check_speeds``: the spec
-        gives its speeds), the failed step's two stages included, and the
+        rhs_evals counts the speed checks (``eigen_fields``, one per
+        stage), the failed step's two stages included, and the
         warning gives the time the run reached."""
         spec, bspec = make_e2()
         x = np.linspace(0.0, 1.0, 33)[:, None]
@@ -161,7 +182,7 @@ class TestRun:
         n_sub = full.steps // 6
         assert n_sub >= 3 and full.steps == 6 * n_sub
         done = interval * n_sub + q % n_sub
-        real_step, real_check = ivp.step, ivp._check_speeds
+        real_step, real_check = ivp.step, ivp.eigen_fields
 
         def step(*args):
             count["calls"] += 1
@@ -177,7 +198,7 @@ class TestRun:
 
         count = {"calls": 0, "steps": 0, "speeds": 0}
         monkeypatch.setattr(ivp, "step", step)
-        monkeypatch.setattr(ivp, "_check_speeds", check_speeds)
+        monkeypatch.setattr(ivp, "eigen_fields", check_speeds)
         caplog.set_level(logging.WARNING, logger="periodic_hyp")
         traj = ivp.run(u0, spec, bspec, **kw)
         assert not traj.completed and traj.steps == done

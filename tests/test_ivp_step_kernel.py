@@ -7,10 +7,10 @@ eigenvectors, builds the upwind derivative once per family with its own
 copy of the one-sided stencil, and evaluates every forcing signal and
 looks up every boundary map again in each stage, at the step's end time,
 which ``clocked`` accumulates step by step as the earlier step did. The
-kernel makes one coefficient call (``SystemSpec.AF_at``) per stage,
-takes a spec's speeds as they are when it gives them (``_check_speeds``)
-and diag A when a matrix A is diagonal (``eigen_fields`` then gives no
-bases; the loop fills in the identity and projects through it), reads
+kernel makes one coefficient call (``SystemSpec.AF_at``) per stage and
+takes its speeds from ``eigen_fields``: a spec's speeds as they are when
+it gives them and diag A when a matrix A is diagonal (no bases then; the
+loop fills in the identity and projects through it), reads
 the CFL bound from the first stage's speed check, makes one gather of
 the upwind derivatives per stage through a cached tap table, each column
 in its own family's direction when A is diagonal and in both directions
@@ -31,7 +31,7 @@ from periodic_hyp import boundary as bd
 from periodic_hyp import ivp_solver as ivp
 from periodic_hyp import systems
 from periodic_hyp.errors import BoundaryMapError, DomainError, StepSizeError
-from periodic_hyp.system_model import SystemSpec, _check_speeds, eigen_fields
+from periodic_hyp.system_model import SystemSpec, eigen_fields
 
 
 def loop_upwind_dx(u, dx, from_left):
@@ -267,11 +267,11 @@ def counting(fn, calls, key):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
-    """Per step: 2 speed evaluations (one per stage: ``_check_speeds``
-    for a spec that gives its speeds, ``eigen_fields`` otherwise),
-    eigenvectors only for a non-diagonal A, one stencil gather per stage
-    and no evaluation of a forcing signal: the step reads the values it
-    is handed."""
+    """Per step: 2 speed evaluations (one ``ivp.eigen_fields`` call per
+    stage, the name a tracer wraps, whether the spec gives speeds, a
+    diagonal matrix or a general one), eigenvectors only for a
+    non-diagonal A, one stencil gather per stage and no evaluation of a
+    forcing signal: the step reads the values it is handed."""
     make, Nx = CASES[name]
     spec, bspec = make()
     dt = 0.2 * spec.L / Nx
@@ -286,7 +286,6 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
         return fields
 
     monkeypatch.setattr(ivp, "eigen_fields", counted_fields)
-    monkeypatch.setattr(ivp, "_check_speeds", counting(_check_speeds, calls, "speeds"))
     monkeypatch.setattr(ivp, "_upwind_dx", counting(ivp._upwind_dx, calls, "stencil"))
     monkeypatch.setattr(bd.BoundarySpec, "h_values",
                         counting(bd.BoundarySpec.h_values, calls, "h"))
@@ -297,9 +296,9 @@ def test_one_step_shares_its_eigenstructure_and_signals(name, monkeypatch):
 
 def test_run_counts_its_work(monkeypatch):
     """Trajectory.steps / rhs_evals against counted rhs calls and speed
-    checks (the spec gives its speeds, so a stage checks them with
-    ``_check_speeds``, not ``eigen_fields``), on a run that completes and
-    on one that leaves the neighborhood."""
+    checks (``eigen_fields``, one per stage, though the spec gives its
+    speeds), on a run that completes and on one that leaves the
+    neighborhood."""
     spec, bspec = euler_problem()
     u0 = initial_profile(spec, 16)
     big = bd.BoundarySpec(left_maps=bspec.left_maps, right_maps=bspec.right_maps,
@@ -311,7 +310,6 @@ def test_run_counts_its_work(monkeypatch):
             # the step-size bound reads spec.sampled_speeds, which
             # system_model computes: the IVP's own calls are counted
             mp.setattr(ivp, "eigen_fields", counting(eigen_fields, calls, "speeds"))
-            mp.setattr(ivp, "_check_speeds", counting(_check_speeds, calls, "speeds"))
             mp.setattr(ivp, "_rhs", counting(ivp._rhs, calls, "rhs"))
             traj = ivp.run(u0, spec, boundary, t_end=2.0, record_every=0.5)
         assert traj.completed is completed

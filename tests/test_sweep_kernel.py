@@ -65,7 +65,10 @@ def loop_source_grid(prev, spec, K, gtilde, mu, B):
     R += mu * np.einsum("tkij,tkj->tki", B, prev.time_derivative_grid())
     R += np.einsum("ij,tkj->tki", gt_off, P)
     R += K * spec.origin.mu0 * P
-    R += g_nonlinear_batch(spec, P)
+    # the remainder from a coefficient call and an eigensolve of its own
+    A, Fv = spec.AF_at(P)
+    lam, left, _, _ = eigen_fields(spec, P, A)
+    R += g_nonlinear_batch(spec, P, 1.0 / lam, _coupling_from_left(left), Fv)
     return R
 
 
@@ -222,6 +225,25 @@ def test_kernel_equals_the_column_loop(name):
         assert np.array_equal(got.values, want.values)
         assert np.abs(got.values).max() > 0.0
         prev = got
+
+
+@pytest.mark.parametrize("name", ["linear_reflect_2x2", "quasilinear_euler_damping",
+                                  "three_family_m1"])
+def test_a_sweep_takes_its_remainder_from_g_nonlinear_batch(name, monkeypatch):
+    """One sweep makes one ``ps.g_nonlinear_batch`` call, the name a
+    tracer wraps, on the whole grid of the previous iterate."""
+    make, Nt, Nx, K, T_star = CASES[name]
+    spec, bspec = make(T_star)
+    prev = smooth_field(Nt, Nx, spec.n, 0.3 * spec.domain_radius, T_star)
+    shapes = []
+
+    def remainder(spec, states, *args):
+        shapes.append(states.shape)
+        return g_nonlinear_batch(spec, states, *args)
+
+    monkeypatch.setattr(ps, "g_nonlinear_batch", remainder)
+    sweep(prev, spec, bspec, K)
+    assert shapes == [prev.values.shape]
 
 
 def test_maps_that_read_flat_batches():

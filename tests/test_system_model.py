@@ -16,7 +16,6 @@ from periodic_hyp import system_model as sm
 from periodic_hyp import systems
 from periodic_hyp.errors import (
     DegenerateEigenbasisError,
-    DomainError,
     DominanceError,
     HyperbolicityError,
     SignatureError,
@@ -24,6 +23,22 @@ from periodic_hyp.errors import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def coupling_at(spec, u):
+    """B(u) at one state u: -l_ij / l_ii off the diagonal from the left
+    bases of ``eigen_fields``, all zero where it gives none (A diagonal)."""
+    B = sm._coupling_from_left(sm.eigen_fields(spec, np.asarray(u, dtype=float)[None])[1])
+    return np.zeros((spec.n, spec.n)) if B is None else B[0]
+
+
+def remainder_at(spec, u):
+    """``g_nonlinear_batch`` at the state u, or states (..., n), from one
+    coefficient call and ``eigen_fields`` there, as a sweep builds it."""
+    states = np.asarray(u, dtype=float)[None]
+    A, Fv = spec.AF_at(states)
+    lam, left, _, _ = sm.eigen_fields(spec, states, A)
+    return sm.g_nonlinear_batch(spec, states, 1.0 / lam, sm._coupling_from_left(left), Fv)[0]
 
 
 def diagonal_spec(speeds, m, damping=0.0):
@@ -402,20 +417,20 @@ class TestMinimalK:
 class TestCouplingB:
     def test_zero_at_origin(self):
         spec = make_2x2_spec(alpha=1.0)
-        B = sm.coupling_B(spec, np.zeros(2))
+        B = coupling_at(spec, np.zeros(2))
         assert np.abs(B).max() == 0.0
 
     def test_diagonal_A_gives_zero(self):
         spec = make_scalar_spec()
-        B = sm.coupling_B(spec, np.array([0.05]))
+        B = coupling_at(spec, np.array([0.05]))
         assert B.shape == (1, 1) and B.max() == 0.0
-        B = sm.coupling_B(diagonal_spec([-1.0, 2.0, 1.0], m=1), np.array([0.01, 0.0, 0.0]))
+        B = coupling_at(diagonal_spec([-1.0, 2.0, 1.0], m=1), np.array([0.01, 0.0, 0.0]))
         assert np.array_equal(B, np.zeros((3, 3)))
 
     def test_against_independent_eigensolve(self):
         spec = make_2x2_spec(alpha=1.0)
         u = np.array([0.01, 0.0])
-        B = sm.coupling_B(spec, u)
+        B = coupling_at(spec, u)
         assert B[0, 0] == 0.0 and B[1, 1] == 0.0
         # independent: rows of inv(V) for the exact matrix at u
         Au = spec.A_at(u[None, :])[0]
@@ -433,7 +448,7 @@ class TestCouplingB:
         maxes = []
         for r in (1e-2, 5e-3, 2.5e-3):
             u = np.array([r, 0.5 * r]) / np.linalg.norm([1.0, 0.5])
-            maxes.append(np.abs(sm.coupling_B(spec, u)).max())
+            maxes.append(np.abs(coupling_at(spec, u)).max())
         assert maxes[0] >= 1.9 * maxes[1]
         assert maxes[1] >= 1.9 * maxes[2]
 
@@ -497,7 +512,7 @@ class TestGtilde:
 class TestGNonlinear:
     def test_zero_at_origin(self):
         spec = make_scalar_spec()
-        assert np.abs(sm.g_nonlinear(spec, np.zeros(1))).max() == 0.0
+        assert np.abs(remainder_at(spec, np.zeros(1))).max() == 0.0
 
     def test_linear_system_identically_zero(self):
         spec = sm.SystemSpec(
@@ -505,7 +520,7 @@ class TestGNonlinear:
             F=lambda u: -np.asarray(u), domain_radius=0.05, L=1.0,
         )
         for u in ([0.01, -0.02], [0.03, 0.01]):
-            assert np.abs(sm.g_nonlinear(spec, np.array(u))).max() <= 1e-12
+            assert np.abs(remainder_at(spec, np.array(u))).max() <= 1e-12
 
     def test_quadratic_source_scalar(self):
         # f(u) = -u + u^2 with unit speed: remainder is exactly u^2
@@ -514,7 +529,7 @@ class TestGNonlinear:
             F=lambda u: -np.asarray(u) + np.asarray(u) ** 2,
             domain_radius=0.1, L=1.0,
         )
-        val = sm.g_nonlinear(spec, np.array([0.01]))
+        val = remainder_at(spec, np.array([0.01]))
         assert val[0] == pytest.approx(1e-4, abs=1e-12)
 
     def test_coupling_term_against_independent_eigensolve(self):
@@ -525,7 +540,7 @@ class TestGNonlinear:
                              F=lambda u: -np.asarray(u) + np.asarray(u) ** 2,
                              gradF=lambda u: -np.eye(2), domain_radius=0.1, L=1.0)
         states = np.array([[0.03, -0.02], [-0.01, 0.04], [0.02, 0.02]])
-        for u, got in zip(states, sm.g_nonlinear_batch(spec, states)):
+        for u, got in zip(states, remainder_at(spec, states)):
             w, V = np.linalg.eig(spec.A_at(u[None, :])[0])
             order = np.argsort(w.real)
             mu, Lt = 1.0 / w.real[order], np.linalg.inv(V[:, order].real)
@@ -552,12 +567,7 @@ class TestGNonlinear:
         mu, Fv = rng.uniform(0.5, 2.0, size=(2, 7, 5, n))
         o = spec.origin
         want = mu * Fv - np.einsum("i,ij,...j->...i", o.mu0, o.g0, states)
-        assert np.array_equal(sm._remainder(spec, states, mu, None, Fv), want)
-
-    def test_outside_domain_raises(self):
-        spec = make_scalar_spec(radius=0.05)
-        with pytest.raises(DomainError):
-            sm.g_nonlinear(spec, np.array([0.1]))
+        assert np.array_equal(sm.g_nonlinear_batch(spec, states, mu, None, Fv), want)
 
     def test_quadratic_smallness_halving(self):
         # ||remainder(u)|| / |u|^2 stays within a factor 2 across halvings
@@ -575,7 +585,7 @@ class TestGNonlinear:
         direction = np.array([0.6, 0.8])
         ratios = []
         for r in (1e-2, 5e-3, 2.5e-3):
-            val = sm.g_nonlinear(spec, r * direction)
+            val = remainder_at(spec, r * direction)
             ratios.append(np.linalg.norm(val) / r**2)
         assert max(ratios) <= 2.0 * min(ratios)
 
@@ -595,7 +605,7 @@ class TestGNonlinear:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            grad = (sm.g_nonlinear(spec, e) - sm.g_nonlinear(spec, -e)) / (2 * h)
+            grad = (remainder_at(spec, e) - remainder_at(spec, -e)) / (2 * h)
             assert np.abs(grad).max() <= 1e-8
 
 
@@ -1013,4 +1023,4 @@ def test_coupling_at_a_vanishing_diagonal_left_entry_is_refused():
     spec = sm.SystemSpec(n=2, m=1, A=lambda u: np.array([[1.0, 0.0], [0.3, -1.0]]),
                          F=lambda u: np.zeros(2), domain_radius=0.1, L=1.0)
     with pytest.raises(DegenerateEigenbasisError, match="vanishing diagonal"):
-        sm.coupling_B(spec, np.zeros(2))
+        coupling_at(spec, np.zeros(2))
