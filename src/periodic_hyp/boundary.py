@@ -11,15 +11,14 @@ Perron root of |Theta|, from one balanced eigensolve per strongly connected
 class, checked against the Collatz-Wielandt bracket at the class's Perron
 vector, which nonnegative repeated squaring gives to every entry's accuracy.
 
-``BoundarySpec.map_values`` is the one entry point to a single map, for
-every derivative and ``eval_boundary``; the periodic sweep writes its
-incoming entries from the same batched maps, resolved once per spec in
-``BoundarySpec.sides``, and the IVP each of its entries by the map as
-given (``BoundarySpec.maps``) on its one item. ``BoundarySpec.map_gradient``
-differentiates a map centrally with step 1e-6 in h and in each outgoing
-component, and raises BoundaryMapError on a non-finite derivative; its
-values at the origin, kept in ``BoundarySpec.origin``, give ``theta_matrix``
-and the gains of ``validate_forcing``. Map values are checked where they
+Both solvers read the maps through one table, ``BoundarySpec.incoming``:
+the sweep calls ``BoundarySpec.map_values``, the one entry point to a
+batch, as every derivative and ``eval_boundary`` do, and the IVP each map
+as given on its one item. ``BoundarySpec.map_gradient`` differentiates a
+map centrally with step 1e-6 in h and in each outgoing component, and
+raises BoundaryMapError on a non-finite derivative; its values at the
+origin, kept in ``BoundarySpec.origin``, give ``theta_matrix`` and the
+gains of ``validate_forcing``. Map values are checked where they
 are used: on what ``eval_boundary`` returns, on the whole new iterate by
 the sweep, and by the IVP on each incoming entry as it writes it.
 """
@@ -67,13 +66,14 @@ class BoundarySpec:
 
     ``map_values`` is the one entry point to the maps and ``map_gradient``
     their one derivative (central differences, step 1e-6, BoundaryMapError
-    when not finite); ``outgoing(i)`` is the trace map i reads, ``sides``
-    the batched maps of each endpoint, ``maps`` map i as given, for
-    component i (the right maps, then the left ones), and ``origin`` the
-    linearization at the origin, computed on first use. Each map and
-    signal is batched once, when the spec is built, so construction
-    raises what one of them raises on one item, or ValueError when it
-    gives a wrong shape or broadcasts wrongly. A spec is immutable, so what it keeps stays that of the
+    when not finite); ``outgoing(i)`` is the trace map i reads, ``origin``
+    the linearization at the origin, computed on first use, and
+    ``incoming`` the table (i, row, outgoing(i), map i as given) of the
+    incoming components, x = 0 (row 0) first; map i is right_maps[i] for
+    i < m, else left_maps[i - m]. Each map and signal is batched once, when
+    the spec is built, so construction raises what one of them raises on
+    one item, or ValueError when it gives a wrong shape or broadcasts
+    wrongly. A spec is immutable, so what it keeps stays that of the
     callables it holds.
     """
 
@@ -81,8 +81,7 @@ class BoundarySpec:
     right_maps: Sequence[Callable]
     h: Sequence[Callable]
     T_star: float
-    sides: tuple = field(init=False, repr=False)
-    maps: tuple = field(init=False, repr=False)
+    incoming: tuple = field(init=False, repr=False)
     _batched_h: tuple = field(init=False, repr=False)
     _batched_maps: tuple = field(init=False, repr=False)
 
@@ -95,18 +94,16 @@ class BoundarySpec:
             batched(fn, times, (), f"h[{i}]") for i, fn in enumerate(self.h)))
         hv = _probe_points(1, _MAP_PROBE_SCALE)[:, 0]
         m, n = self.m, self.n
-        object.__setattr__(self, "maps", (*self.right_maps, *self.left_maps))
+        maps = (*self.right_maps, *self.left_maps)
         object.__setattr__(self, "_batched_maps", tuple(
             batched(fn, (hv, _probe_points(n - m if i < m else m, _MAP_PROBE_SCALE)),
                     (), f"boundary map {i}")
-            for i, fn in enumerate(self.maps)))
-        # (row, incoming slice, ((i, batched map i, outgoing slice), ...)) per
-        # endpoint with incoming components, x = 0 (row 0 of a profile) first;
-        # the slices have the widths the maps read, so writers skip that check
-        object.__setattr__(self, "sides", tuple(
-            (row, slice(lo, hi), tuple((i, self._batched_maps[i], self.outgoing(i))
-                                       for i in range(lo, hi)))
-            for row, lo, hi in ((0, m, n), (-1, 0, m)) if lo < hi))
+            for i, fn in enumerate(maps)))
+        # the outgoing slices have the widths the maps read, so the IVP's
+        # writes skip that check
+        object.__setattr__(self, "incoming", tuple(
+            (i, 0 if i >= m else -1, self.outgoing(i), maps[i])
+            for i in (*range(m, n), *range(m))))
 
     @property
     def n(self) -> int:
@@ -365,14 +362,16 @@ def eval_boundary(bspec: BoundarySpec, side: str, t, outgoing: np.ndarray) -> np
     """Incoming components at one endpoint from the outgoing trace.
 
     side "left" (x = 0) maps the m outgoing components to the n - m
-    incoming ones; side "right" (x = L) the reverse. Takes times t (...,)
+    incoming ones of its row of ``BoundarySpec.incoming``; side "right"
+    (x = L) the reverse. Takes times t (...,)
     and outgoing (..., n_out) and returns (..., n_incoming), each map
     evaluated by ``BoundarySpec.map_values`` at h_i(t). Raises
     BoundaryMapError on a non-finite value.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    comps = range(bspec.m, bspec.n) if side == "left" else range(bspec.m)
+    row = 0 if side == "left" else -1
+    comps = [i for i, r, _, _ in bspec.incoming if r == row]
     out = np.empty(np.asarray(t).shape + (len(comps),))
     for k, i in enumerate(comps):
         out[..., k] = bspec.map_values(i, bspec.h_values(i, t), outgoing)

@@ -12,13 +12,13 @@ CFL 0.5, so runs default to 0.4; the hard precondition cap is 0.8.
 A run resolves once what its steps share (``StepContext.for_run``): that
 the boundary fits the system, dx and the CFL cap of its grid, both
 layouts of the upwind tap table (``_upwind_taps``), the spec's batched
-(A, F) call and, per side, each incoming component's map as given with
-its outgoing slice. Each stage makes one coefficient call, which gives
-its A and F (one call of the spec's ``AF`` when it has one, so shared
-intermediates are computed once), and takes its checked speeds from
-``eigen_fields``, as every stage of the package does: a spec's speeds
-as they are when A gives them, as for systems in Riemann invariants,
-diag A for a diagonal matrix A, the eigenstructure else. The speeds of
+(A, F) call and the boundary table ``BoundarySpec.incoming``. Each stage
+makes one coefficient call, which gives its A and F (one call of the
+spec's ``AF`` when it has one, so shared intermediates are computed
+once), and takes its checked speeds from ``eigen_fields``, as every
+stage of the package does: a spec's speeds as they are when A gives
+them, as for systems in Riemann invariants, diag A for a diagonal matrix
+A, the eigenstructure else. The speeds of
 a stage pass one accept test, which implies every hyperbolicity and
 signature check and gives the top |speed| for the first stage's CFL
 check; only speeds that fail it go through the ordered diagnosis that
@@ -29,7 +29,7 @@ projection. Both stages impose the boundary at the step's end time: each
 incoming entry is written by its map called on its one item, as the
 looped form of ``batched`` calls it, and read back from the profile; a
 value that is not finite raises BoundaryMapError before any later map of
-its side is called.
+the table is called.
 
 ``step(u, dt, ctx, signals)`` maps a profile (Nx+1, n) to the profile dt
 later; ``run`` owns time and the context. It builds one context per run,
@@ -174,10 +174,8 @@ class StepContext:
     """What a run fixes once for all its steps on a grid of Nx + 1 nodes:
     the spec, the profile shape (Nx+1, n), dx = spec.L / Nx and the CFL
     cap 0.8 dx, both layouts of ``_upwind_taps``, the spec's batched
-    (A, F) call (what ``SystemSpec.AF_at`` calls), and per side with
-    incoming components, x = 0 first, its row and, per incoming component
-    i, (i, map i as given, its outgoing slice) from ``BoundarySpec.sides``
-    and ``BoundarySpec.maps``. Build it with ``for_run``."""
+    (A, F) call (what ``SystemSpec.AF_at`` calls) and the boundary table
+    ``BoundarySpec.incoming`` as it is. Build it with ``for_run``."""
 
     spec: SystemSpec
     shape: tuple
@@ -186,7 +184,7 @@ class StepContext:
     both: tuple
     own: tuple
     coeffs: Callable
-    sides: tuple
+    incoming: tuple
 
     @classmethod
     def for_run(cls, spec: SystemSpec, bspec: bd.BoundarySpec, Nx: int) -> "StepContext":
@@ -197,10 +195,8 @@ class StepContext:
         Nx = read_number(Nx, "Nx", 2, integer=True)
         dx = spec.L / Nx
         both, own = _upwind_taps(Nx, spec.n, spec.m)
-        sides = tuple((row, tuple((i, bspec.maps[i], cols) for i, _, cols in maps))
-                      for row, _, maps in bspec.sides)
         return cls(spec=spec, shape=(Nx + 1, spec.n), dx=dx, cfl_cap=_CFL_CAP * dx,
-                   both=both, own=own, coeffs=spec._AF_batch, sides=sides)
+                   both=both, own=own, coeffs=spec._AF_batch, incoming=bspec.incoming)
 
 
 def _rhs(u: np.ndarray, ctx: StepContext) -> tuple:
@@ -233,16 +229,15 @@ def _rhs(u: np.ndarray, ctx: StepContext) -> tuple:
 
 def _impose_boundary(u: np.ndarray, signals, ctx: StepContext) -> None:
     """Overwrite incoming components from the feedback maps (in place),
-    with signals[i] = h_i(t) for every component i: x = 0 first, then
-    x = L. Each entry is written by its map called on its one item, the
-    call the construction probe checked, and read back from the profile:
-    BoundaryMapError if it is not finite, before any later map is called
-    (the outgoing trace it read is not checked)."""
-    for row, maps in ctx.sides:
-        for i, fn, cols in maps:
-            u[row, i] = fn(signals[i], u[row, cols])
-            if not math.isfinite(u[row, i]):
-                raise BoundaryMapError("boundary map returned non-finite values")
+    with signals[i] = h_i(t) for every component i, in the order of
+    ``ctx.incoming``: x = 0 first. Each entry is written by its map called
+    on its one item, the call the construction probe checked, and read
+    back from the profile: BoundaryMapError if it is not finite, before
+    any later map is called (the outgoing trace it read is not checked)."""
+    for i, row, cols, fn in ctx.incoming:
+        u[row, i] = fn(signals[i], u[row, cols])
+        if not math.isfinite(u[row, i]):
+            raise BoundaryMapError("boundary map returned non-finite values")
 
 
 def step(u: np.ndarray, dt: float, ctx: StepContext, signals) -> np.ndarray:
@@ -286,19 +281,18 @@ def _compat_residuals(u0: np.ndarray, ctx: StepContext,
 
     C0: incoming trace vs the map of the outgoing trace. C1: time
     derivative of the incoming trace from the PDE vs the chain rule
-    through the map (``BoundarySpec.map_gradient``). Each family's row,
-    outgoing slice and map are read from ``BoundarySpec.sides``.
+    through the map (``BoundarySpec.map_gradient``), per entry of
+    ``ctx.incoming``.
     """
     ut, _ = _rhs(u0, ctx)
     eps = 1e-7  # step of the signals' central differences
     c0 = c1 = 0.0
-    for row, _, maps in bspec.sides:
-        for i, fn, cols in maps:
-            hv = bspec.h_values(i, 0.0)
-            hp = (bspec.h_values(i, eps) - bspec.h_values(i, -eps)) / (2 * eps)
-            dgdh, dgdu = bspec.map_gradient(i, hv, u0[row, cols])
-            c0 = max(c0, abs(float(u0[row, i] - fn(hv, u0[row, cols]))))
-            c1 = max(c1, abs(float(ut[row, i] - dgdh * hp - dgdu @ ut[row, cols])))
+    for i, row, cols, fn in ctx.incoming:
+        hv = bspec.h_values(i, 0.0)
+        hp = (bspec.h_values(i, eps) - bspec.h_values(i, -eps)) / (2 * eps)
+        dgdh, dgdu = bspec.map_gradient(i, hv, u0[row, cols])
+        c0 = max(c0, abs(float(u0[row, i] - fn(hv, u0[row, cols]))))
+        c1 = max(c1, abs(float(ut[row, i] - dgdh * hp - dgdu @ ut[row, cols])))
     return c0, c1
 
 

@@ -4,11 +4,12 @@ Each sweep solves n decoupled linear transport problems: component i of
 the new iterate is obtained by tracing the family-i characteristic of the
 previous iterate from every grid point to its inflow boundary, taking the
 boundary value from the feedback maps evaluated on the previous iterate at
-the characteristic foot, and integrating the remaining source terms along
-the trace with an exact exponential integrating factor for the diagonal
-term and trapezoidal quadrature for the rest. Iterating from the zero
-field contracts geometrically whenever the boundary is dissipative and the
-smallness certificate holds, and the limit is the periodic solution.
+the characteristic foot (``BoundarySpec.map_values``), and integrating
+the remaining source terms along the trace with an exact exponential
+integrating factor for the diagonal term and trapezoidal quadrature for
+the rest. Iterating from the zero field contracts geometrically whenever
+the boundary is dissipative and the smallness certificate holds, and the
+limit is the periodic solution.
 """
 from __future__ import annotations
 
@@ -158,9 +159,9 @@ def linearized_step(prev: Field, ctx: SweepContext) -> Field:
     iterate is traced to its inflow boundary (``trace_to_inflow``), the
     boundary value is taken from the feedback map on the previous iterate
     at the foot, and the diagonal term is applied as an exact exponential
-    factor. Each family's feet give its outgoing trace and boundary values
-    in one call each, through ``BoundarySpec.sides``. Raises ValueError
-    when prev's period or length is not the context's.
+    factor. Each entry of ``BoundarySpec.incoming`` reads its outgoing
+    trace at its feet in one call and maps it in one ``map_values`` call.
+    Raises ValueError when prev's period or length is not the context's.
 
     The sweep compares the inverse speeds of prev with those of the
     geometry ctx keeps, once: if equal, it reuses that geometry and the
@@ -189,10 +190,10 @@ def linearized_step(prev: Field, ctx: SweepContext) -> Field:
             a.flags.writeable = False
     base, w, hv = ctx._feet
     new_vals = np.empty_like(prev.values)
-    for row, _, maps in bspec.sides:
-        for i, fn, cols in maps:
-            out_tr = _read(_padded(prev.values[:, row, cols]), base[..., i], w[..., i], 1)
-            new_vals[:, :, i] = plan[-1][i] * fn(hv[..., i], out_tr) + integral[..., i]
+    for i, row, cols, _ in bspec.incoming:
+        out_tr = _read(_padded(prev.values[:, row, cols]), base[..., i], w[..., i], 1)
+        g = bspec.map_values(i, hv[..., i], out_tr)
+        new_vals[:, :, i] = plan[-1][i] * g + integral[..., i]
 
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")

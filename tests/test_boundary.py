@@ -319,7 +319,7 @@ class TestFrozenSpec:
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
         for name, value in (("left_maps", [lambda hv, u: hv + 0.9 * u[..., 0]]),
                             ("h", [systems.zero_signal] * 2), ("T_star", 1.0),
-                            ("sides", ())):
+                            ("incoming", ())):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, name, value)
         assert spec.map_values(1, 0.0, [1.0]) == 0.5
@@ -393,10 +393,11 @@ class TestResolvedOnce:
         spec.map_values(1, t, np.full((5, 1), 0.02))
         assert calls == {"map": 4, "h": 5}
         for _ in range(2):
-            (row, incoming, maps), _right = spec.sides
-            assert (row, incoming, maps[0][0], maps[0][2]) == (0, slice(1, 2), 1, slice(0, 1))
+            (i, row, cols, fn), right = spec.incoming
+            assert (i, row, cols) == (1, 0, slice(0, 1))
+            assert right[:3] == (0, -1, slice(1, 2))
         assert calls == {"map": 4, "h": 5}
-        maps[0][1](t, np.full((5, 1), 0.02))
+        fn(t, np.full((5, 1), 0.02))  # the map as given
         assert calls == {"map": 5, "h": 5}
 
     def test_a_probe_that_raises_fails_construction(self):
