@@ -251,9 +251,9 @@ def step(u: np.ndarray, dt: float, ctx: StepContext, signals) -> np.ndarray:
     check gives the top speed for the CFL check. Raises ValueError for a
     profile of another shape than the context's and unless dt > 0 (a NaN
     dt included), before the first stage, StepSizeError when dt
-    exceeds 0.8 dx / max |lambda| on the current profile and DomainError
-    when the new profile leaves the validated neighborhood (the blow-up
-    proxy).
+    exceeds 0.8 dx / max |lambda| on the current profile and DomainError,
+    naming its largest state norm (``SystemSpec.excess``), when the new
+    profile leaves the validated neighborhood (the blow-up proxy).
     """
     if u.shape != ctx.shape:
         raise ValueError(f"profile has shape {u.shape}; the run's grid is {ctx.shape}")
@@ -271,7 +271,8 @@ def step(u: np.ndarray, dt: float, ctx: StepContext, signals) -> np.ndarray:
     u_new = u + 0.5 * dt * (f1 + f2)
     _impose_boundary(u_new, signals, ctx)
     if not ctx.spec.contains(u_new):
-        raise DomainError("profile left the validated neighborhood")
+        raise DomainError("profile left the validated neighborhood: "
+                          + ctx.spec.excess(u_new))
     return u_new
 
 

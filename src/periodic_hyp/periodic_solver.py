@@ -161,7 +161,9 @@ def linearized_step(prev: Field, ctx: SweepContext) -> Field:
     at the foot, and the diagonal term is applied as an exact exponential
     factor. Each entry of ``BoundarySpec.incoming`` reads its outgoing
     trace at its feet in one call and maps it in one ``map_values`` call.
-    Raises ValueError when prev's period or length is not the context's.
+    Raises ValueError when prev's period or length is not the context's,
+    and DomainError naming the largest state norm (``SystemSpec.excess``)
+    when the new iterate leaves the validated neighborhood.
 
     The sweep compares the inverse speeds of prev with those of the
     geometry ctx keeps, once: if equal, it reuses that geometry and the
@@ -198,9 +200,7 @@ def linearized_step(prev: Field, ctx: SweepContext) -> Field:
     if not np.all(np.isfinite(new_vals)):
         raise BoundaryMapError("transport sweep produced non-finite values")
     if not spec.contains(new_vals):
-        raise DomainError(
-            "iterate left the validated neighborhood (forcing amplitude too large)"
-        )
+        raise DomainError(f"iterate left the validated neighborhood: {spec.excess(new_vals)}")
     return Field(values=new_vals, T_star=T, L=L)
 
 

@@ -309,6 +309,12 @@ class SystemSpec:
         r2 = np.maximum.reduce(np.add.reduce(s * s, axis=-1), axis=None, initial=0.0)
         return math.sqrt(r2) <= self.domain_radius * (1 + 1e-12)
 
+    def excess(self, states: np.ndarray) -> str:
+        """Why states are not contained, for a DomainError: their largest
+        state norm against domain_radius, "sup |u| = ... > domain_radius ..."."""
+        sup = float(np.linalg.norm(np.asarray(states, dtype=float), axis=-1).max())
+        return f"sup |u| = {sup:.3e} > domain_radius {self.domain_radius:.3e}"
+
 
 @dataclass
 class HypothesisReport:

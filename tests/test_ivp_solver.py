@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -65,9 +66,16 @@ class TestStep:
         big = systems.harmonic_signal([{"amplitude": 0.2}], 1.0)
         bspec_big = systems.scalar_inflow_boundary(big, 1.0)
         ctx = context(u, spec, bspec_big)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             for k in range(50):
                 u = ivp.step(u, dt, ctx, signals_at(bspec_big, (k + 1) * dt))
+        # the same step in a ball it does not leave gives the profile it made
+        wide = dataclasses.replace(spec, domain_radius=1.0)
+        new = ivp.step(u, dt, context(u, wide, bspec_big), signals_at(bspec_big, (k + 1) * dt))
+        sup = np.abs(new).max()
+        assert 0.1 < sup <= 1.0
+        assert str(exc.value) == ("profile left the validated neighborhood: "
+                                  f"sup |u| = {sup:.3e} > domain_radius 1.000e-01")
 
     def test_the_step_returns_a_new_profile(self):
         spec, bspec = make_e2()

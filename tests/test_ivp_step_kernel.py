@@ -115,7 +115,9 @@ def loop_step(u, dt, spec, bspec, t):
     u_new = u + 0.5 * dt * (f1 + f2)
     loop_impose(u_new, t, spec, bspec)
     if not spec.contains(u_new):
-        raise DomainError("profile left the validated neighborhood")
+        sup = np.linalg.norm(u_new, axis=-1).max()
+        raise DomainError(f"profile left the validated neighborhood: sup |u| = {sup:.3e} "
+                          f"> domain_radius {spec.domain_radius:.3e}")
     return u_new
 
 
@@ -368,6 +370,28 @@ def test_a_non_finite_map_value_raises_from_either_stage(stage, monkeypatch):
 def scalar_only(t):
     """A forcing signal that takes one time at a time (math.sin)."""
     return 0.01 * math.sin(math.pi * float(t)) + 0.004 * math.cos(3 * math.pi * float(t))
+
+
+def test_a_run_that_leaves_the_ball_stops_as_the_per_stage_loop(monkeypatch):
+    """A run whose inflow leaves the ball stops at the step the loop stops
+    at, with its failure: the step's largest state norm against
+    domain_radius."""
+    spec = systems.linear_damped_scalar()  # domain_radius 0.1
+    bspec = systems.scalar_inflow_boundary(
+        systems.harmonic_signal([{"amplitude": 0.2}], 1.0), 1.0)
+    u0, kw = np.zeros((17, 1)), dict(t_end=1.0, record_every=0.25)
+    got = ivp.run(u0, spec, bspec, **kw)
+    calls = {"step": 0}
+    with monkeypatch.context() as mp:
+        mp.setattr(ivp, "step", clocked(
+            lambda u, dt, ctx, t: loop_step(u, dt, spec, bspec, t), calls))
+        want = ivp.run(u0, spec, bspec, **kw)
+    assert calls["step"] == want.steps + 1 and not want.completed
+    assert not got.completed and got.steps == want.steps > 0
+    assert got.failure == want.failure
+    assert got.failure.startswith("profile left the validated neighborhood: sup |u| = 1.")
+    assert got.failure.endswith(" > domain_radius 1.000e-01")
+    assert np.array_equal(got.profiles, want.profiles)
 
 
 def test_a_looped_signal_gives_the_trajectory_of_per_step_evaluation(monkeypatch):

@@ -12,7 +12,7 @@ from periodic_hyp import cli
 from periodic_hyp import periodic_solver as ps
 from periodic_hyp import systems
 from periodic_hyp.characteristics import Field
-from periodic_hyp.errors import NonContractionError, NormalizationError
+from periodic_hyp.errors import DomainError, NonContractionError, NormalizationError
 from periodic_hyp.system_model import SystemSpec, validate_hyperbolicity
 
 
@@ -85,6 +85,20 @@ class TestLinearizedStep:
         u1_expected = 0.01 * np.sin(np.pi * (t + x - 1.0))
         assert np.abs(out.values[..., 0] - u1_expected).max() <= 1e-5
         assert np.abs(out.values[..., 1]).max() <= 1e-5
+
+    def test_an_iterate_outside_the_ball_names_its_sup(self):
+        """The sweep's DomainError gives the iterate's largest state norm
+        against domain_radius, not a guess at the cause."""
+        spec, bspec = make_e1(eps=0.3)  # radius 0.1: the inflow reaches 0.3
+        prev = Field.zeros(16, 16, 1, 1.0, 1.0)
+        with pytest.raises(DomainError) as exc:
+            ps.linearized_step(prev, ps.SweepContext.for_solve(spec, bspec, None))
+        wide = dataclasses.replace(spec, domain_radius=1.0)
+        out = ps.linearized_step(prev, ps.SweepContext.for_solve(wide, bspec, None))
+        sup = np.abs(out.values).max()
+        assert 0.1 < sup <= 0.3
+        assert str(exc.value) == ("iterate left the validated neighborhood: "
+                                  f"sup |u| = {sup:.3e} > domain_radius 1.000e-01")
 
 
 SYSTEM_CONFIGS = [Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
