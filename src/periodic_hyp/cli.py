@@ -17,9 +17,12 @@ periodic solve refuses an A(0) that is not diagonal), 4 non-convergence
 are YAML (JSON parses as a subset, 1e-6 a number); unknown keys anywhere
 are rejected, and so are grid sizes and a max_iter that are not integers
 of at least 8 and 1 (32.0 is none), a tol, t_end, record_every or T_star
-that is not positive, a negative amplitude, K, eps or perturbation, an
-empty eps list, a bool, a quoted or non-finite number, and any system
-parameter or gain a builder rejects (``system_model.read_number``).
+that is not positive, a t_end that is not a whole multiple of a given
+record_every (``ivp_solver.sample_count``; a t_end given alone is rounded
+to whole samples of T0 / 4), a negative amplitude, K, eps or
+perturbation, an empty eps list, a bool, a quoted or non-finite number,
+and any system parameter or gain a builder rejects
+(``system_model.read_number``).
 """
 from __future__ import annotations
 
@@ -206,6 +209,8 @@ def load_config(path) -> RunConfig:
     t_end, record_every = (None if exp.get(k) is None else
                            read_number(exp[k], f"experiment.{k}", 0, strict=True)
                            for k in ("t_end", "record_every"))
+    if t_end is not None and record_every is not None:
+        ivp.sample_count(t_end, record_every)  # the run's horizon is the config's
 
     return RunConfig(
         system_name=sysname, system_params=params,

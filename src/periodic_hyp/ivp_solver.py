@@ -297,6 +297,22 @@ def _compat_residuals(u0: np.ndarray, ctx: StepContext,
     return c0, c1
 
 
+def sample_count(t_end: float, record_every: float) -> int:
+    """The number of record_every intervals in t_end. Raises ValueError
+    unless record_every > 0 and t_end >= 0 (``read_number``) and t_end is
+    0 or a whole multiple (at least 1) of record_every, within 1e-9
+    relative: no other t_end is reached on the cadence."""
+    read_number(record_every, "record_every", 0, strict=True)
+    read_number(t_end, "t_end", 0)
+    ratio = t_end / record_every
+    n_samples = round(ratio) if math.isfinite(ratio) else 0
+    if t_end > 0 and not (n_samples >= 1
+                          and abs(n_samples * record_every - t_end) <= 1e-9 * t_end):
+        raise ValueError(f"t_end={t_end!r} is not a whole multiple of "
+                         f"record_every={record_every!r}")
+    return n_samples
+
+
 def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
         t_end: float, record_every: float) -> Trajectory:
     """March the initial profile to t_end, recording at a fixed cadence.
@@ -307,24 +323,15 @@ def run(u0: np.ndarray, spec: SystemSpec, bspec: bd.BoundarySpec,
     the failure message) if the profile leaves the neighborhood.
     Every step and the compatibility residuals share one ``StepContext``.
     Raises ValueError for a boundary of another system, for u0 of another
-    shape than (Nx+1, n) with Nx >= 2, and unless record_every > 0 and
-    t_end >= 0 (``read_number``) and t_end is 0 or a whole multiple (at
-    least 1) of record_every, within 1e-9 relative: no other t_end is
-    reached on the cadence."""
+    shape than (Nx+1, n) with Nx >= 2, and for a cadence that
+    ``sample_count`` refuses."""
     u0 = np.asarray(u0, dtype=float)
     if u0.ndim != 2:  # the grid is read from len(u0)
         raise ValueError(f"u0 has shape {u0.shape}; need (Nx+1, n) with n = {spec.n}")
     ctx = StepContext.for_run(spec, bspec, len(u0) - 1)
     if u0.shape != ctx.shape:
         raise ValueError(f"u0 has shape {u0.shape}; need (Nx+1, n) = {ctx.shape}")
-    read_number(record_every, "record_every", 0, strict=True)
-    read_number(t_end, "t_end", 0)
-    ratio = t_end / record_every
-    n_samples = round(ratio) if math.isfinite(ratio) else 0
-    if t_end > 0 and not (n_samples >= 1
-                          and abs(n_samples * record_every - t_end) <= 1e-9 * t_end):
-        raise ValueError(f"t_end={t_end!r} is not a whole multiple of "
-                         f"record_every={record_every!r}")
+    n_samples = sample_count(t_end, record_every)
     dx = ctx.dx
     lam_bound = float(np.abs(spec.sampled_speeds).max())
     if t_end > 0:

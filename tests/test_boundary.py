@@ -279,6 +279,20 @@ class TestMinimalCharacterizingNumber:
         with pytest.raises(ConvergenceError, match="Eigenvalues did not converge"):
             bd.minimal_characterizing_number(np.array([[0, 0.5], [0.5, 0]]))
 
+    def test_an_eigensolve_root_off_the_bracket_is_a_convergence_error(
+            self, monkeypatch, capsys):
+        """The two-method gate: a root 1e-3 off the Collatz-Wielandt
+        bracket raises, and CLI ``validate`` exits 4 (non-convergence)."""
+        real = bd._perron_root
+        monkeypatch.setattr(bd, "_perron_root", lambda B: real(B) + 1e-3)
+        with pytest.raises(ConvergenceError, match=(
+                r"^scaling methods disagree: eigensolve root 5\.010e-01 vs "
+                r"Collatz-Wielandt bracket \[5\.000e-01, 5\.000e-01\]$")):
+            bd.minimal_characterizing_number(np.array([[0, 0.5], [0.5, 0]]))
+        code = cli.run(["validate", "--config", str(CONFIGS / "linear_reflect_2x2.yaml")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("non-convergence: scaling methods disagree")
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(gain_matrices(min_n=2), st.lists(
         st.floats(min_value=-2.0, max_value=2.0), min_size=6, max_size=6))

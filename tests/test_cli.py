@@ -225,6 +225,16 @@ class TestPeriodic:
                         "--out", str(blocker / "sub")])
         assert code == 5
 
+    def test_an_unwritable_field_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "field.npz").mkdir(parents=True)
+        code = cli.run(["periodic", "--config", write_cfg(tmp_path, base_e2_cfg(Nt=16, Nx=16)),
+                        "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err.startswith(
+            f"i/o failure: cannot write {out / 'field.npz'}: ")
+        assert not (out / "iteration_report.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = base_e2_cfg(Nt=32, Nx=32)
         cfg_path = write_cfg(tmp_path, cfg)
@@ -451,6 +461,32 @@ def test_bad_numbers_exit_2(tmp_path, capsys, section, key, value):
     data[section][key] = value
     assert cli.run(["validate", "--config", write_cfg(tmp_path, data)]) == 2
     assert f"config error: '{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end, record_every", [(1.0, 2.0), (1.0, 0.3)])
+def test_a_horizon_off_the_cadence_exits_2(tmp_path, capsys, t_end, record_every):
+    """A config that gives t_end and record_every runs to its t_end or not
+    at all: 1.0 at 2.0 would end at 2.0, and at 0.3 at 0.9."""
+    data = base_e2_cfg(Nt=16, Nx=16)
+    data["experiment"].update(t_end=t_end, record_every=record_every)
+    out = tmp_path / "out"
+    for command in (["validate"], ["stability", "--out", str(out)]):
+        assert cli.run([*command, "--config", write_cfg(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: t_end={t_end!r} is not a whole multiple of "
+            f"record_every={record_every!r}\n")
+    assert not out.exists()
+
+
+def test_the_horizon_of_a_cadence_it_divides_is_the_configs(tmp_path):
+    """0.9 at 0.3 is 3 samples within 1e-9 relative; the run ends on it."""
+    data = base_e2_cfg(Nt=16, Nx=16)
+    data["experiment"].update(perturbation=0.002, t_end=0.9, record_every=0.3)
+    out = tmp_path / "out"
+    assert cli.run(["stability", "--config", write_cfg(tmp_path, data), "--out", str(out)]) == 0
+    times = [line.split(",")[0] for line in
+             (out / "stability_report.csv").read_text().splitlines()[1:]]
+    assert [float(t) for t in times] == pytest.approx([0.0, 0.3, 0.6, 0.9], rel=1e-12)
 
 
 @pytest.mark.parametrize("key, edit", [

@@ -234,6 +234,13 @@ class TestRegularity:
         b = dg.RegularityReport(d2t=1.1, dtdx=1.9, d2x=3.3)
         assert dg.regularity_ratio(a, b) == pytest.approx(1.1)
 
+    def test_ratio_skips_a_measurement_zero_at_both_resolutions(self):
+        zero = dg.RegularityReport(d2t=0.0, dtdx=0.0, d2x=0.0)
+        assert dg.regularity_ratio(zero, zero) == 1.0
+        a = dg.RegularityReport(d2t=0.0, dtdx=2.0, d2x=0.0)
+        b = dg.RegularityReport(d2t=0.0, dtdx=3.0, d2x=0.0)
+        assert dg.regularity_ratio(a, b) == 1.5
+
 
 class TestEmitReport:
     def test_iteration_csv(self, tmp_path, e1_fixed_point):
@@ -283,6 +290,12 @@ class TestEmitReport:
         _, _, _, rep = e1_fixed_point
         with pytest.raises(IoError):
             dg.emit_report(rep, "/nonexistent-dir/x.csv")
+
+    def test_a_report_that_cannot_be_read_raises_io_error(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(IoError, match=f"^cannot read {missing}: ") as exc:
+            dg.parse_report(missing)
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
 
     def test_csv_for_scalar_record_rejected(self, tmp_path):
         cert = dg.smallness_certificate(0.5, 0.0, 1.0, 1.0)

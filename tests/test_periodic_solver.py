@@ -334,3 +334,78 @@ class TestTimeShiftEquivariance:
         assert delayed_sweeps == sweeps
         assert np.abs(delayed - np.roll(values, k, axis=0)).max() <= 1e-15
         assert np.abs(delayed - values).max() > 1e-4  # the field moves in time
+
+
+def err_bound(deltas):
+    """delta_last beta / (1 - beta), with beta the fitted ratio of the
+    deltas: the geometric tail that the sweeps after the last would add."""
+    beta = ps.fit_contraction_rate(deltas)
+    assert beta is not None and 0 < beta < 1
+    return deltas[-1] * beta / (1 - beta)
+
+
+def picard(start, ctx, cfg):
+    """The solve's iteration from start instead of the zero field: the
+    field after the first sweep that moves it by at most cfg.tol, and every
+    sweep's sup-norm delta."""
+    u, deltas = start, []
+    for _ in range(cfg.max_iter):
+        new = ps.linearized_step(u, ctx)
+        deltas.append(float(np.abs(new.values - u.values).max()))
+        u = new
+        if deltas[-1] <= cfg.tol:
+            return u, deltas
+    raise AssertionError(f"no convergence in {cfg.max_iter} sweeps")
+
+
+class TestContraction:
+    """The solve's a-posteriori bound err_bound = delta_last beta / (1 - beta)
+    holds where the contraction says it does: on the reflect problem
+    (beta 0.5) and the Euler one (about 0.44) at N <= 24."""
+
+    PROBLEMS = {"linear_reflect_2x2": reflect_problem,
+                "quasilinear_euler_damping": euler_problem}
+
+    def solve(self, name, N):
+        spec, bspec = self.PROBLEMS[name]()
+        cfg = ps.IterationConfig(Nt=N, Nx=N)
+        fld, rep = ps.solve_periodic(spec, bspec, cfg)
+        assert rep.converged
+        return spec, bspec, cfg, fld, rep
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(PROBLEMS)), N=st.sampled_from([16, 24]))
+    def test_one_more_sweep_moves_the_solution_by_at_most_its_bound(self, name, N):
+        spec, bspec, cfg, fld, rep = self.solve(name, N)
+        ctx = ps.SweepContext.for_solve(spec, bspec, cfg.K)
+        moved = np.abs(ps.linearized_step(fld, ctx).values - fld.values).max()
+        assert 0 < moved <= err_bound(rep.deltas)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(PROBLEMS)), N=st.sampled_from([16, 24]),
+           harmonic=st.integers(1, 3),
+           phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2))
+    def test_picard_from_a_field_in_the_ball_ends_at_the_solve_from_zero(
+            self, name, N, harmonic, phases):
+        """Uniqueness in the ball: Picard from a smooth periodic field whose
+        largest state norm is 0.4 of the radius ends within the sum of both
+        solves' bounds of the solve from zero."""
+        spec, bspec, cfg, fld, rep = self.solve(name, N)
+        T, L = bspec.T_star, spec.L
+
+        def shape(t, x):
+            arg = 2 * np.pi * harmonic * t / T
+            return np.stack([np.sin(arg + phases[0]) * np.cos(np.pi * x / L),
+                             np.cos(arg + phases[1]) * np.sin(2 * np.pi * x / L + 0.3)],
+                            axis=-1)
+
+        start = Field.from_function(shape, N, N, T, L)
+        start = Field(values=start.values * (0.4 * spec.domain_radius
+                                             / np.linalg.norm(start.values, axis=-1).max()),
+                      T_star=T, L=L)
+        assert np.linalg.norm(start.values, axis=-1).max() == pytest.approx(
+            0.4 * spec.domain_radius, rel=1e-12)
+        end, deltas = picard(start, ps.SweepContext.for_solve(spec, bspec, cfg.K), cfg)
+        gap = np.abs(end.values - fld.values).max()
+        assert gap <= err_bound(rep.deltas) + err_bound(deltas)
+        assert deltas[0] > 1e3 * gap  # the start was far from the solution

@@ -110,6 +110,17 @@ class TestEigenDecompose:
         with pytest.raises(HyperbolicityError):
             constant_fields(np.array([[0.0, 1.0], [0.0, 0.0]]), m=1)
 
+    def test_a_singular_eigenbasis_raises_hyperbolicity_error(self, monkeypatch):
+        """numpy's LinAlgError from inverting the right eigenvectors is a
+        HyperbolicityError (CLI exit 3), with numpy's as its cause."""
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(HyperbolicityError, match="^defective eigenbasis$") as exc:
+            constant_fields(np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_wrong_signature_raises(self):
         with pytest.raises(SignatureError):
             constant_fields(np.diag([-1.0, 1.0]), m=0)
@@ -341,6 +352,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be an integer of at least"):
             sm.SystemSpec(**{**kwargs, **bad})
         assert sm.SystemSpec(**{**kwargs, "n": np.int64(2), "m": np.int32(1)}).gives_speeds
+
+    def test_more_left_moving_families_than_families_are_refused(self):
+        kwargs = dict(n=2, m=3, A=lambda u: np.array([-1.0, 1.0]), F=lambda u: -np.asarray(u),
+                      domain_radius=0.1, L=1.0)
+        with pytest.raises(ValueError, match=r"^m must lie in \[0, n\]$"):
+            sm.SystemSpec(**kwargs)
 
     def test_scalar_damped_valid(self):
         rep = sm.validate_hyperbolicity(make_scalar_spec())
