@@ -18,18 +18,17 @@ spec's ``AF`` when it has one, so shared intermediates are computed
 once), and takes its checked speeds from ``eigen_fields``, as every
 stage of the package does: a spec's speeds as they are when A gives
 them, as for systems in Riemann invariants, diag A for a diagonal matrix
-A, the eigenstructure else. The speeds of
-a stage pass one accept test, which implies every hyperbolicity and
-signature check and gives the top |speed| for the first stage's CFL
-check; only speeds that fail it go through the ordered diagnosis that
-names the error. Each stage reads its upwind derivatives in one gather
-through the tap table: for a diagonal A each component in its own
-family's direction, otherwise both directions for the eigenvector
-projection. Both stages impose the boundary at the step's end time: each
-incoming entry is written by its map called on its one item, as the
-looped form of ``batched`` calls it, and read back from the profile; a
-value that is not finite raises BoundaryMapError before any later map of
-the table is called.
+A, the eigenstructure else. The speeds of a stage pass one accept test,
+which implies every hyperbolicity and signature check and gives the top
+|speed| for the first stage's CFL check; only speeds that fail it go
+through the ordered diagnosis that names the error. Each stage reads its
+upwind derivatives in one gather through the tap table: for a diagonal A
+each component in its own family's direction, otherwise both directions
+for the eigenvector projection. Both stages impose the boundary at the
+step's end time: each incoming entry is written by its map called on its
+one item, as the looped form of ``batched`` calls it, and read back from
+the profile; a value that is not finite raises BoundaryMapError before
+any later map of the table is called.
 
 ``step(u, dt, ctx, signals)`` maps a profile (Nx+1, n) to the profile dt
 later; ``run`` owns time and the context. It builds one context per run,
