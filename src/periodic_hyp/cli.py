@@ -289,8 +289,8 @@ def _make_out_dir(out: Path) -> None:
 
 def _solve_and_emit(cfg: RunConfig, spec: SystemSpec, bspec: bd.BoundarySpec,
                     out: Path):
+    _make_out_dir(out)  # an unusable --out fails before the solve
     fld, report = ps.solve_periodic(spec, bspec, cfg.solver)
-    _make_out_dir(out)
     try:
         np.savez(out / "field.npz", values=fld.values, T_star=fld.T_star, L=fld.L,
                  t_nodes=fld.t_nodes, x_nodes=fld.x_nodes)

@@ -138,14 +138,15 @@ def _fmt(x: float) -> str:
 
 def emit_report(report, destination) -> None:
     """Write a series report deterministically: its series as CSV at destination
-    ("iteration,delta" for iteration deltas, "t,phi,dphi" for stability
+    ("iteration,delta,delta_c1" for iteration deltas, "t,phi,dphi" for stability
     samples), its other fields as a JSON sidecar (suffix .json), in dataclass
     order, keys lowercase snake case, reals with 17 significant digits.
     Raises ValueError for a record with no series, IoError on write failure."""
     path = Path(destination)
     if hasattr(report, "deltas"):
-        header, series = "iteration,delta", ("deltas", "deltas_c1")
-        rows = [f"{l},{_fmt(d)}" for l, d in enumerate(np.asarray(report.deltas), start=1)]
+        header, series = "iteration,delta,delta_c1", ("deltas", "deltas_c1")
+        rows = [f"{l},{_fmt(d)},{_fmt(d1)}" for l, (d, d1)
+                in enumerate(zip(report.deltas, report.deltas_c1), start=1)]
     elif hasattr(report, "phi_samples"):
         header, series = "t,phi,dphi", ("phi_samples", "dphi_samples")
         dphi = dict(report.dphi_samples)

@@ -311,6 +311,97 @@ class TestMinimalCharacterizingNumber:
         assert value == pytest.approx(perron_root(th), abs=1e-9)
 
 
+EPS = np.finfo(float).eps
+
+# dense classes whose Perron vector, under a stop on a bitwise repeat,
+# cycles in the last bit until the 60-squaring cap
+LAST_BIT_CYCLES = {
+    "n = 2": (np.array([[0, 0.6551136029553816], [0.30629737807567675, 0]]), 3),
+    "n = 3": (np.array([[0, 0, 0.8700199762323922], [0, 0, 0.5643881592366371],
+                        [0.3347262960105155, 0.4515528601377755, 0]]), 8),
+}
+
+
+def bitwise_perron_vector(B, shift):
+    """The squaring loop stopped on a bitwise repeat of x, at the latest
+    after 60 squares: (x, squarings)."""
+    M = B + shift * np.eye(B.shape[0])
+    M /= M.max()
+    x = np.zeros(B.shape[0])
+    for k in range(1, 61):
+        M = M @ M
+        M /= M.max()
+        prev, x = x, M.sum(axis=1)
+        x /= x.max()
+        if np.array_equal(x, prev):
+            break
+    return x, k
+
+
+class CountingArray(np.ndarray):
+    """An array that counts its matrix products, so the squarings."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return np.ndarray.__matmul__(self, other)
+
+
+def counted_perron_vector(B):
+    """(x, squarings) of ``bd._perron_vector`` at the class's eigensolve root."""
+    CountingArray.products = 0
+    x = bd._perron_vector(np.asarray(B, dtype=float).view(CountingArray), bd._perron_root(B))
+    return np.asarray(x), CountingArray.products
+
+
+def bracket_spread(B, x):
+    """(hi - lo) / hi of the Collatz-Wielandt bracket of B at x."""
+    ratios = (B @ x) / x
+    return (ratios.max() - ratios.min()) / ratios.max()
+
+
+log_gains = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def irreducible_classes(draw):
+    """n = 2..6, entries 0 or 1e-12..1 log-uniform, irreducible through a
+    cycle over every state whose zero entries are redrawn."""
+    n = draw(st.integers(2, 6))
+    B = np.array(draw(st.lists(st.one_of(st.just(0.0), log_gains),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    order = draw(st.permutations(range(n)))
+    for i, j in zip(order, order[1:] + order[:1]):
+        if B[i, j] == 0.0:
+            B[i, j] = draw(log_gains)
+    return B
+
+
+class TestPerronVector:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(irreducible_classes())
+    def test_it_settles_every_entry(self, B):
+        """The bracket at x is closed to rounding. Where the bitwise loop
+        repeats x within two squarings of the entrywise stop, the two agree
+        within 8 ulps per entry; past that, the bitwise loop walks on by a
+        few ulps per squaring, so it is no oracle there."""
+        x, squarings = counted_perron_vector(B)
+        assert bracket_spread(B, x) <= 32 * EPS
+        bitwise, repeat = bitwise_perron_vector(B, bd._perron_root(B))
+        if repeat < 60 and repeat <= squarings + 2:
+            assert np.all(np.abs(x - bitwise) <= 8 * EPS * bitwise)
+
+    @pytest.mark.parametrize("B, most", LAST_BIT_CYCLES.values(), ids=LAST_BIT_CYCLES)
+    def test_a_last_bit_cycle_stops_early(self, B, most):
+        x, squarings = counted_perron_vector(B)
+        assert squarings <= most
+        bitwise, repeat = bitwise_perron_vector(B, bd._perron_root(B))
+        assert repeat == 60
+        assert np.all(np.abs(x - bitwise) <= 8 * EPS * bitwise)
+        assert bracket_spread(B, x) <= 16 * EPS
+
+
 class TestCharacterizingData:
     def test_full_record(self):
         spec = make_reflect_spec(k=0.5)

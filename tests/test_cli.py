@@ -203,7 +203,7 @@ class TestPeriodic:
         amp = np.abs(data["values"][:, -1, 0]).max()
         assert amp == pytest.approx(0.01 / 0.75, abs=2e-4)
         lines = (out / "iteration_report.csv").read_text().splitlines()
-        assert lines[0] == "iteration,delta"
+        assert lines[0] == "iteration,delta,delta_c1"
         side = json.loads((out / "iteration_report.json").read_text())
         assert side["converged"] is True
         assert side["certificate"]["ok"] is True
@@ -224,6 +224,22 @@ class TestPeriodic:
         code = cli.run(["periodic", "--config", write_cfg(tmp_path, cfg),
                         "--out", str(blocker / "sub")])
         assert code == 5
+
+    @pytest.mark.parametrize("command", ["periodic", "stability"])
+    def test_an_out_that_is_a_file_exits_io_before_the_solve(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before creating the output directory")
+
+        monkeypatch.setattr(ps, "solve_periodic", no_solve)
+        code = cli.run([command, "--config", write_cfg(tmp_path, base_e2_cfg(Nt=16, Nx=16)),
+                        "--out", str(blocker)])
+        assert code == 5
+        assert capsys.readouterr().err.startswith(
+            f"i/o failure: cannot create output directory {blocker}: ")
 
     def test_an_unwritable_field_exits_io(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -248,11 +248,12 @@ class TestEmitReport:
         path = tmp_path / "iters.csv"
         dg.emit_report(rep, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,delta"
+        assert lines[0] == "iteration,delta,delta_c1"
         assert len(lines) == 1 + rep.iterations
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == rep.deltas[0]
+        assert float(first[2]) == rep.deltas_c1[0]
         sidecar = json.loads(path.with_suffix(".json").read_text())
         assert sidecar["converged"] is True
         assert sidecar["certificate"]["ok"] is True
